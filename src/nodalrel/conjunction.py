@@ -252,7 +252,10 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
 
     The separation history is sampled densely (1/200 of the shorter orbital
     period, floored at 2000 window samples so that fast encounters are not
-    stepped over) and the best sample is refined by golden-section search.
+    stepped over) and the best sample is refined by a bounded Brent search
+    between its two neighbours.  The bounds are times only: a golden
+    bracket checked on single-time evaluations can fail against grid values
+    from one vectorized Kepler solve, which differ in the last digits.
     A collision is declared when the refined minimum distance is at most
     miss_tol (km).
 
@@ -294,8 +297,8 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     if 0 < k < n_samples - 1 and d_best < d_grid[k - 1] and d_best < d_grid[k + 1]:
         res = minimize_scalar(
             scalar_distance,
-            bracket=(float(t_grid[k - 1]), t_best, float(t_grid[k + 1])),
-            method="golden", options={"xtol": 1e-12, "maxiter": 200})
+            bounds=(float(t_grid[k - 1]), float(t_grid[k + 1])),
+            method="bounded", options={"xatol": 1e-9, "maxiter": 200})
         if res.fun < d_best:
             t_best, d_best = float(res.x), float(res.fun)
 

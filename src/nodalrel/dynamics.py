@@ -113,7 +113,14 @@ class CowellTrajectory:
 # --- Kepler timing ---
 
 def true_to_mean_anomaly(nu, e: float):
-    """Mean anomaly from true anomaly for eccentricity e in [0, 1)."""
+    """Mean anomaly from true anomaly for eccentricity e in [0, 1).
+
+    Python float scalars take a ``math`` path; arrays are vectorized.
+    """
+    if isinstance(nu, (int, float)):
+        ecc_anom = math.atan2(math.sqrt(1.0 - e * e) * math.sin(nu),
+                              e + math.cos(nu))
+        return ecc_anom - e * math.sin(ecc_anom)
     nu = np.asarray(nu, dtype=float)
     ecc_anom = np.arctan2(np.sqrt(1.0 - e * e) * np.sin(nu),
                           e + np.cos(nu))
@@ -123,10 +130,32 @@ def true_to_mean_anomaly(nu, e: float):
 
 def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60):
     """True anomaly from mean anomaly by Newton iteration on Kepler's
-    equation, vectorized over m."""
+    equation, vectorized over m (Python float scalars take a ``math`` path
+    with the same starter, iteration and tolerance).
+
+    Raises
+    ------
+    StepFailure
+        If the Newton step is not below tol after max_iter iterations.
+    """
+    if isinstance(m, (int, float)):
+        m_wrapped = (m + math.pi) % (2.0 * math.pi) - math.pi
+        # Danby starter keeps Newton safe up to high eccentricity.
+        sin_m = math.sin(m_wrapped)
+        ecc_anom = m_wrapped + 0.85 * e * ((sin_m > 0.0) - (sin_m < 0.0))
+        for _ in range(max_iter):
+            step = ((ecc_anom - e * math.sin(ecc_anom) - m_wrapped)
+                    / (1.0 - e * math.cos(ecc_anom)))
+            ecc_anom -= step
+            if abs(step) < tol:
+                break
+        else:
+            raise StepFailure(
+                f"Kepler solve not converged in {max_iter} iterations")
+        return math.atan2(math.sqrt(1.0 - e * e) * math.sin(ecc_anom),
+                          math.cos(ecc_anom) - e)
     m = np.asarray(m, dtype=float)
     m_wrapped = np.mod(m + np.pi, 2.0 * np.pi) - np.pi
-    # Danby starter keeps Newton safe up to high eccentricity.
     ecc_anom = m_wrapped + 0.85 * e * np.sign(np.sin(m_wrapped))
     for _ in range(max_iter):
         f = ecc_anom - e * np.sin(ecc_anom) - m_wrapped
@@ -135,6 +164,9 @@ def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60):
         ecc_anom = ecc_anom - step
         if np.max(np.abs(step)) < tol:
             break
+    else:
+        raise StepFailure(
+            f"Kepler solve not converged in {max_iter} iterations")
     nu = np.arctan2(np.sqrt(1.0 - e * e) * np.sin(ecc_anom),
                     np.cos(ecc_anom) - e)
     return float(nu) if nu.ndim == 0 else nu
@@ -146,6 +178,8 @@ def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float):
     dt may be an array; the returned anomaly is unwrapped only modulo 2 pi.
     """
     n = math.sqrt(mu / a ** 3)
+    if isinstance(dt, (int, float)):
+        return mean_to_true_anomaly(true_to_mean_anomaly(nu0, e) + n * dt, e)
     m = true_to_mean_anomaly(nu0, e) + n * np.asarray(dt, dtype=float)
     return mean_to_true_anomaly(m, e)
 

@@ -29,7 +29,14 @@ RETROGRADE_GAMMA_TOL = 1e-6
 
 
 def wrap_angle(x):
-    """Wrap an angle or array of angles to (-pi, pi]."""
+    """Wrap an angle or array of angles to (-pi, pi].
+
+    Python (and numpy) float scalars take a ``math`` path whose ``%`` has
+    the floor-modulo semantics of ``np.mod``, so both paths agree bitwise.
+    """
+    if isinstance(x, (int, float)):
+        w = (float(x) + math.pi) % (2.0 * math.pi) - math.pi
+        return math.pi if w == -math.pi else w
     w = np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
     w = np.where(w == -np.pi, np.pi, w)
     return float(w) if w.ndim == 0 else w

@@ -27,6 +27,7 @@ from .frames import ClassicalElements, wrap_angle
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
+    _position_and_jacobians,
     oe_from_classical,
     position_jacobians,
     relative_position_batch,
@@ -458,10 +459,9 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
         sigma[k] = np.sqrt(np.maximum(dP, 0.0))
         nees[k] = float(e @ np.linalg.solve(fs.P, e))
 
-        rel = relative_position_batch(x[None, :], eta_k.as_array()[None, :])[0]
+        rel, j_oe, _ = _position_and_jacobians(fs.oe_hat, eta_k)
         rho_hat = float(np.linalg.norm(rel))
         range_err[k] = rho_hat - truth.range_km[k]
-        j_oe, _ = position_jacobians(fs.oe_hat, eta_k)
         grad_rho = (rel / rho_hat) @ j_oe
         range_sigma[k] = math.sqrt(max(float(grad_rho @ fs.P @ grad_rho), 0.0))
 

@@ -4,11 +4,12 @@ relative state.
 Satellite 1 measures the azimuth and elevation of the line of sight to
 satellite 2 in its own RTN frame, plus the apparent angular size of the
 (spherical, known-diameter) target.  The filter propagates the relative
-state with the exact reference-anomaly timing: dp is held, the
-eccentricity/inclination pairs are rotated analytically, and only dtheta
-and the 6x6 state transition matrix are integrated numerically (RK4
-substeps).  The reference parameters are treated as perfectly known and
-advanced alongside.
+state with the exact reference-anomaly timing: dp is held and the
+eccentricity/inclination pairs are rotated analytically, so the matching
+rows of the 6x6 state transition matrix are exact (the identity row of dp
+and two rotation blocks).  Only dtheta and the transition matrix's dtheta
+row are integrated numerically (RK4 substeps).  The reference parameters
+are treated as perfectly known and advanced alongside.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroRange
-from .dynamics import advance_true_anomaly, f_unperturbed_jacobian
+from .dynamics import advance_true_anomaly
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
-    position_jacobians,
-    relative_position,
+    _position_and_jacobians,
 )
 
 #: |elevation| within this distance of pi/2 flags an ill-conditioned azimuth.
@@ -118,40 +118,102 @@ def predict_measurement(oe: NodalRelativeState, eta: ReferenceParams,
     ZeroRange
         If the predicted separation is zero.
     """
-    rel = relative_position(oe, eta)
-    dr = rel.dr
-    rho = float(np.linalg.norm(dr))
+    dr, j_oe, _ = _position_and_jacobians(oe, eta)
+    x, y_, z_ = dr.tolist()
+    rho_rt2 = x * x + y_ * y_
+    rho = math.sqrt(rho_rt2 + z_ * z_)
     if not rho > 0.0:
         raise ZeroRange("prediction undefined at zero separation")
-    rho_rt2 = dr[0] * dr[0] + dr[1] * dr[1]
-    el = math.asin(dr[2] / rho)
+    el = math.asin(z_ / rho)
     gimbal = abs(abs(el) - 0.5 * math.pi) < GIMBAL_EL_TOL
 
-    y = MeasurementTriple(az=math.atan2(dr[1], dr[0]), el=el, beta=d / rho)
+    y = MeasurementTriple(az=math.atan2(y_, x), el=el, beta=d / rho)
 
     # d(az, el, beta)/d(dr)
     dy_ddr = np.zeros((3, 3))
     if rho_rt2 > 0.0:
-        dy_ddr[0] = np.array([-dr[1], dr[0], 0.0]) / rho_rt2
+        dy_ddr[0] = np.array([-y_, x, 0.0]) / rho_rt2
         rho_rt = math.sqrt(rho_rt2)
         dy_ddr[1] = (np.array([0.0, 0.0, 1.0]) / rho_rt
-                     - dr[2] * dr / (rho * rho * rho_rt))
+                     - z_ * dr / (rho * rho * rho_rt))
     dy_ddr[2] = -d * dr / rho ** 3
-
-    j_oe, _ = position_jacobians(oe, eta)
     return PredictedMeasurement(y=y, H=dy_ddr @ j_oe, gimbal_degenerate=gimbal)
 
 
-def _advance_reference(eta: ReferenceParams, dt: float, mu: float,
-                       ) -> tuple[ReferenceParams, float]:
-    """Exact coast of the reference parameters; returns the anomaly sweep."""
+def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
+           mu: float, substeps: int,
+           ) -> tuple[NodalRelativeState, np.ndarray, ReferenceParams]:
+    """Mean, 6x6 state transition matrix Phi and reference after dt
+    seconds (see :func:`ekf_propagate`).  The rate of Phi's row 0 involves
+    rows 0-3 only, so its dh columns stay zero."""
     e1 = eta.e1
     nu0 = eta.nu1
     a1 = eta.p1 / (1.0 - e1 * e1)
-    nu1 = float(advance_true_anomaly(nu0, e1, a1, dt, mu))
-    new = ReferenceParams(p1=eta.p1, ec=e1 * math.cos(nu1),
-                          es=e1 * math.sin(nu1))
-    return new, nu1 - nu0
+    k = math.sqrt(mu / eta.p1 ** 3)
+    opd = 1.0 + oe0.dp
+    opd15 = opd ** 1.5
+    dxx, dxy = oe0.dxi_x, oe0.dxi_y
+
+    def stage(nu: float) -> tuple[float, ...]:
+        """(nu, cos dnu, sin dnu, e2 phasor x, y, 1 + e1 cos nu) at the
+        reference anomaly nu (dtheta-independent part of the rates)."""
+        c, s = math.cos(nu - nu0), math.sin(nu - nu0)
+        ec = e1 * math.cos(nu)
+        return (nu, c, s, c * dxx - s * dxy + ec,
+                s * dxx + c * dxy + e1 * math.sin(nu), 1.0 + ec)
+
+    def at(tau: float) -> tuple[float, ...]:
+        return stage(advance_true_anomaly(nu0, e1, a1, tau, mu))
+
+    def rates(st, dtheta: float, row: tuple[float, ...],
+              ) -> tuple[float, tuple[float, ...]]:
+        _, cn, sn, ex, ey, one_ec = st
+        c, s = math.cos(dtheta), math.sin(dtheta)
+        denom = 1.0 + ex * c - ey * s
+        kd = 2.0 * k * denom / opd15
+        j00 = kd * (-ex * s - ey * c)
+        j01 = -1.5 * k * denom * denom / (opd15 * opd)
+        j02, j03 = kd * c, -kd * s
+        return (k * (denom * denom / opd15 - one_ec * one_ec),
+                (j00 * row[0], j00 * row[1] + j01,
+                 j00 * row[2] + j02 * cn + j03 * sn,
+                 j00 * row[3] - j02 * sn + j03 * cn))
+
+    def plus(row: tuple[float, ...], a: float, d: tuple[float, ...]):
+        return (row[0] + a * d[0], row[1] + a * d[1],
+                row[2] + a * d[2], row[3] + a * d[3])
+
+    h = dt / substeps
+    dtheta = oe0.dtheta
+    row = (1.0, 0.0, 0.0, 0.0)  # Phi[0, :4]
+    st_end = stage(nu0)
+    for i in range(substeps):
+        st0 = st_end
+        st_half = at((i + 0.5) * h)
+        st_end = at((i + 1) * h)
+        k1t, k1p = rates(st0, dtheta, row)
+        k2t, k2p = rates(st_half, dtheta + 0.5 * h * k1t,
+                         plus(row, 0.5 * h, k1p))
+        k3t, k3p = rates(st_half, dtheta + 0.5 * h * k2t,
+                         plus(row, 0.5 * h, k2p))
+        k4t, k4p = rates(st_end, dtheta + h * k3t, plus(row, h, k3p))
+        dtheta += h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        row = tuple(r + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+                    for r, a, b, c, d in zip(row, k1p, k2p, k3p, k4p))
+
+    nu, c, s = st_end[:3]
+    oe_new = NodalRelativeState(
+        dtheta=dtheta, dp=oe0.dp,
+        dxi_x=c * dxx - s * dxy, dxi_y=s * dxx + c * dxy,
+        dh_x=c * oe0.dh_x - s * oe0.dh_y, dh_y=s * oe0.dh_x + c * oe0.dh_y)
+    phi = np.array([[*row, 0.0, 0.0],
+                    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                    [0.0, 0.0, c, -s, 0.0, 0.0],
+                    [0.0, 0.0, s, c, 0.0, 0.0],
+                    [0.0, 0.0, 0.0, 0.0, c, -s],
+                    [0.0, 0.0, 0.0, 0.0, s, c]])
+    return oe_new, phi, ReferenceParams(
+        p1=eta.p1, ec=e1 * math.cos(nu), es=e1 * math.sin(nu))
 
 
 def ekf_propagate(fs: FilterState, eta: ReferenceParams, dt: float,
@@ -159,74 +221,19 @@ def ekf_propagate(fs: FilterState, eta: ReferenceParams, dt: float,
                   ) -> tuple[FilterState, ReferenceParams]:
     """Propagate mean and covariance over dt seconds of coasting.
 
-    The mean uses the analytic sub-solutions (dp constant, difference
-    vectors rotated by the exact anomaly sweep); dtheta and the state
-    transition matrix are advanced by RK4 substeps along the analytic
-    mean history.  The covariance update is P <- Phi P Phi^T + Q dt, with
-    Q a per-second disturbance rate matrix.
+    The mean uses the analytic sub-solutions: dp is constant and the
+    difference vectors are rotated by the exact anomaly sweep, so rows 1-5
+    of the state transition matrix Phi are exact too (e_1 and the two
+    rotation blocks).  Only dtheta and Phi's row 0 are advanced by RK4
+    substeps along the analytic mean history.  The covariance update is
+    P <- Phi P Phi^T + Q dt, with Q a per-second disturbance rate matrix.
 
     Returns the propagated filter state together with the coasted
     reference parameters.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    oe0 = fs.oe_hat
-    e1 = eta.e1
-    nu0 = eta.nu1
-    a1 = eta.p1 / (1.0 - e1 * e1)
-
-    def stage(tau: float) -> tuple[NodalRelativeState, ReferenceParams]:
-        """Analytically-known part of the state at offset tau (dtheta=0)."""
-        nu = float(advance_true_anomaly(nu0, e1, a1, tau, mu))
-        dnu = nu - nu0
-        c, s = math.cos(dnu), math.sin(dnu)
-        oe = NodalRelativeState(
-            dtheta=0.0, dp=oe0.dp,
-            dxi_x=c * oe0.dxi_x - s * oe0.dxi_y,
-            dxi_y=s * oe0.dxi_x + c * oe0.dxi_y,
-            dh_x=c * oe0.dh_x - s * oe0.dh_y,
-            dh_y=s * oe0.dh_x + c * oe0.dh_y)
-        et = ReferenceParams(p1=eta.p1, ec=e1 * math.cos(nu),
-                             es=e1 * math.sin(nu))
-        return oe, et
-
-    def rates(cached, dtheta: float, phi: np.ndarray,
-              ) -> tuple[float, np.ndarray]:
-        oe_base, et = cached
-        oe = NodalRelativeState(
-            dtheta=dtheta, dp=oe_base.dp,
-            dxi_x=oe_base.dxi_x, dxi_y=oe_base.dxi_y,
-            dh_x=oe_base.dh_x, dh_y=oe_base.dh_y)
-        k = math.sqrt(mu / et.p1 ** 3)
-        c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-        denom = 1.0 + (oe.dxi_x + et.ec) * c - (oe.dxi_y + et.es) * s
-        dth_rate = k * (denom * denom / (1.0 + oe.dp) ** 1.5
-                        - (1.0 + et.ec) ** 2)
-        return dth_rate, f_unperturbed_jacobian(oe, et, mu) @ phi
-
-    h = dt / substeps
-    dtheta = oe0.dtheta
-    phi = np.eye(6)
-    end_stage = None
-    for i in range(substeps):
-        tau0 = i * h
-        st0 = stage(tau0) if end_stage is None else end_stage
-        st_half = stage(tau0 + 0.5 * h)
-        end_stage = stage(tau0 + h)
-        k1t, k1p = rates(st0, dtheta, phi)
-        k2t, k2p = rates(st_half, dtheta + 0.5 * h * k1t,
-                         phi + 0.5 * h * k1p)
-        k3t, k3p = rates(st_half, dtheta + 0.5 * h * k2t,
-                         phi + 0.5 * h * k2p)
-        k4t, k4p = rates(end_stage, dtheta + h * k3t, phi + h * k3p)
-        dtheta += h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        phi = phi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-
-    oe_end, eta_new = end_stage
-    oe_new = NodalRelativeState(
-        dtheta=dtheta, dp=oe_end.dp,
-        dxi_x=oe_end.dxi_x, dxi_y=oe_end.dxi_y,
-        dh_x=oe_end.dh_x, dh_y=oe_end.dh_y)
+    oe_new, phi, eta_new = _coast(fs.oe_hat, eta, dt, mu, substeps)
     p_new = phi @ fs.P @ phi.T + np.asarray(Q, dtype=float) * dt
     p_new = 0.5 * (p_new + p_new.T)
     return FilterState(oe_hat=oe_new, P=p_new), eta_new

@@ -45,7 +45,7 @@ class NodalRelativeState:
     def __post_init__(self):
         vals = (self.dtheta, self.dp, self.dxi_x, self.dxi_y,
                 self.dh_x, self.dh_y)
-        if not all(math.isfinite(v) for v in vals):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"nonfinite relative state {vals}")
         if not self.dp > -1.0:
             raise ValueError(f"dp must exceed -1 (p2 > 0), got {self.dp}")
@@ -57,8 +57,7 @@ class NodalRelativeState:
 
     @classmethod
     def from_array(cls, x) -> "NodalRelativeState":
-        x = np.asarray(x, dtype=float)
-        return cls(*(float(v) for v in x))
+        return cls(*np.asarray(x, dtype=float).tolist())
 
     @property
     def dxi(self) -> float:
@@ -386,6 +385,54 @@ def separation_distance(oe_arr: np.ndarray, eta_arr: np.ndarray) -> np.ndarray:
     return r1 * np.sqrt(np.maximum(1.0 + q * q - 2.0 * q * b1, 0.0))
 
 
+def _position_and_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RTN1 position dr = r1*(q*b - [1, 0, 0]) with its 3x6 state Jacobian
+    and 3x3 reference Jacobian, from one evaluation of the geometry and b."""
+    r1, denom, r2, q = _geometry(oe, eta)
+    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
+    hx, hy = oe.dh_x, oe.dh_y
+    smag = 1.0 + hx * hx + hy * hy
+
+    a_ = 1.0 + hx * hx - hy * hy
+    b_ = 1.0 - hx * hx + hy * hy
+    cc = 2.0 * hx * hy
+    b0 = (a_ * c - cc * s) / smag
+    b1 = (b_ * s - cc * c) / smag
+    b2 = (2.0 * hy * c + 2.0 * hx * s) / smag
+    dbt0 = (-a_ * s - cc * c) / smag
+    dbt1 = (b_ * c + cc * s) / smag
+    dbt2 = (-2.0 * hy * s + 2.0 * hx * c) / smag
+    # d(b)/d(hx), d(b)/d(hy) by quotient rule; the numerators of b carry
+    # +-2h factors and the denominator contributes -2h/S * b.
+    dbx0 = (2.0 * hx * c - 2.0 * hy * s) / smag - b0 * 2.0 * hx / smag
+    dbx1 = (-2.0 * hx * s - 2.0 * hy * c) / smag - b1 * 2.0 * hx / smag
+    dbx2 = 2.0 * s / smag - b2 * 2.0 * hx / smag
+    dby0 = (-2.0 * hy * c - 2.0 * hx * s) / smag - b0 * 2.0 * hy / smag
+    dby1 = (2.0 * hy * s - 2.0 * hx * c) / smag - b1 * 2.0 * hy / smag
+    dby2 = 2.0 * c / smag - b2 * 2.0 * hy / smag
+
+    ddenom_ddtheta = -(oe.dxi_x + eta.ec) * s - (oe.dxi_y + eta.es) * c
+    w0 = -r2 / denom * ddenom_ddtheta
+    w1 = eta.p1 / denom
+    w2 = -r2 * c / denom
+    w3 = r2 * s / denom
+    j_oe = np.array([
+        [w0 * b0 + r2 * dbt0, w1 * b0, w2 * b0, w3 * b0, r2 * dbx0, r2 * dby0],
+        [w0 * b1 + r2 * dbt1, w1 * b1, w2 * b1, w3 * b1, r2 * dbx1, r2 * dby1],
+        [w0 * b2 + r2 * dbt2, w1 * b2, w2 * b2, w3 * b2, r2 * dbx2, r2 * dby2],
+    ])
+
+    e0 = (1.0 + oe.dp) / denom
+    j_eta = np.array([
+        [e0 * b0 - 1.0 / (1.0 + eta.ec),
+         w2 * b0 + eta.p1 / (1.0 + eta.ec) ** 2, w3 * b0],
+        [e0 * b1, w2 * b1, w3 * b1],
+        [e0 * b2, w2 * b2, w3 * b2]])
+    dr = np.array([r1 * (q * b0 - 1.0), r1 * (q * b1), r1 * (q * b2)])
+    return dr, j_oe, j_eta
+
+
 def position_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic partials of the position mapping.
@@ -397,52 +444,7 @@ def position_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
         state ordering (dtheta, dp, dxi_x, dxi_y, dh_x, dh_y); ``j_eta`` the
         3x3 Jacobian with respect to (p1, ec, es).
     """
-    r1, denom, r2, _ = _geometry(oe, eta)
-    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    hx, hy = oe.dh_x, oe.dh_y
-    smag = 1.0 + hx * hx + hy * hy
-
-    a_ = 1.0 + hx * hx - hy * hy
-    b_ = 1.0 - hx * hx + hy * hy
-    cc = 2.0 * hx * hy
-    b = np.array([
-        (a_ * c - cc * s) / smag,
-        (b_ * s - cc * c) / smag,
-        (2.0 * hy * c + 2.0 * hx * s) / smag,
-    ])
-    db_ddtheta = np.array([
-        (-a_ * s - cc * c) / smag,
-        (b_ * c + cc * s) / smag,
-        (-2.0 * hy * s + 2.0 * hx * c) / smag,
-    ])
-    # d(b)/d(hx), d(b)/d(hy) by quotient rule; the numerators of b carry
-    # +-2h factors and the denominator contributes -2h/S * b.
-    db_dhx = np.array([
-        (2.0 * hx * c - 2.0 * hy * s) / smag - b[0] * 2.0 * hx / smag,
-        (-2.0 * hx * s - 2.0 * hy * c) / smag - b[1] * 2.0 * hx / smag,
-        2.0 * s / smag - b[2] * 2.0 * hx / smag,
-    ])
-    db_dhy = np.array([
-        (-2.0 * hy * c - 2.0 * hx * s) / smag - b[0] * 2.0 * hy / smag,
-        (2.0 * hy * s - 2.0 * hx * c) / smag - b[1] * 2.0 * hy / smag,
-        2.0 * c / smag - b[2] * 2.0 * hy / smag,
-    ])
-
-    ddenom_ddtheta = -(oe.dxi_x + eta.ec) * s - (oe.dxi_y + eta.es) * c
-    u = np.array([1.0, 0.0, 0.0])
-
-    j_oe = np.empty((3, 6))
-    j_oe[:, 0] = -r2 / denom * ddenom_ddtheta * b + r2 * db_ddtheta
-    j_oe[:, 1] = eta.p1 / denom * b
-    j_oe[:, 2] = -r2 * c / denom * b
-    j_oe[:, 3] = r2 * s / denom * b
-    j_oe[:, 4] = r2 * db_dhx
-    j_oe[:, 5] = r2 * db_dhy
-
-    j_eta = np.empty((3, 3))
-    j_eta[:, 0] = (1.0 + oe.dp) / denom * b - u / (1.0 + eta.ec)
-    j_eta[:, 1] = -r2 * c / denom * b + eta.p1 / (1.0 + eta.ec) ** 2 * u
-    j_eta[:, 2] = r2 * s / denom * b
+    _, j_oe, j_eta = _position_and_jacobians(oe, eta)
     return j_oe, j_eta
 
 

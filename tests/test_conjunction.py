@@ -258,6 +258,21 @@ class TestC2:
         assert abs(res.t_min - t_hit) < 5.0
         assert res.d_min <= 1.0
 
+    def test_collision_midway_between_samples(self):
+        # Pairs whose closest approach falls midway between two grid
+        # samples: a golden bracket built from the vectorized grid failed
+        # scipy's check on single-time evaluations and raised ValueError.
+        from nodalrel import kepler_advance
+        rng = np.random.default_rng(7)
+        drawn = [pair_through_common_point(rng) for _ in range(174)]
+        for i in (45, 134, 139, 173):
+            el1, el2, _ = drawn[i]
+            oe, eta = oe_from_classical(kepler_advance(el1, -3000.0, MU),
+                                        kepler_advance(el2, -3000.0, MU))
+            res = c2_check(oe, eta, 0.0, 6000.0, MU, miss_tol=1.0)
+            assert res.collides
+            assert abs(res.t_min - 3000.0) <= 1e-3
+
     def test_collision_implies_c1(self):
         rng = np.random.default_rng(55)
         hits = 0

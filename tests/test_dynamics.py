@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nodalrel import (
     MU_EARTH,
@@ -11,6 +12,7 @@ from nodalrel import (
     NodalRelativeState,
     PerturbationInput,
     ReferenceParams,
+    StepFailure,
     analytic_step,
     apply_impulse,
     cartesian_to_elements,
@@ -454,6 +456,42 @@ class TestElementConversions:
             m = true_to_mean_anomaly(nu, e)
             back = mean_to_true_anomaly(m, e)
             assert np.abs(wrap_angle(back - nu)).max() < 1e-12
+
+
+ECC = st.floats(0.0, 0.95, exclude_max=True)
+ANGLE = st.floats(-20.0, 20.0)
+
+
+class TestKeplerScalarPath:
+    @settings(deadline=None)
+    @given(m=ANGLE, e=ECC)
+    def test_mean_to_true_matches_array(self, m, e):
+        scalar = mean_to_true_anomaly(m, e)
+        assert type(scalar) is float
+        array = mean_to_true_anomaly(np.array([m]), e)[0]
+        assert abs(wrap_angle(scalar - array)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(nu=ANGLE, e=ECC)
+    def test_true_to_mean_matches_array(self, nu, e):
+        scalar = true_to_mean_anomaly(nu, e)
+        assert type(scalar) is float
+        array = true_to_mean_anomaly(np.array([nu]), e)[0]
+        assert abs(wrap_angle(scalar - array)) <= 1e-12
+
+    @settings(deadline=None)
+    @given(nu0=ANGLE, e=ECC, dt=st.floats(-1e5, 1e5))
+    def test_advance_matches_array(self, nu0, e, dt):
+        a = 1.2e4
+        scalar = advance_true_anomaly(nu0, e, a, dt, MU)
+        assert type(scalar) is float
+        array = advance_true_anomaly(nu0, e, a, np.array([dt]), MU)[0]
+        assert abs(wrap_angle(scalar - array)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [0.5, np.array([0.5, -2.0])])
+    def test_unconverged_newton_raises(self, m):
+        with pytest.raises(StepFailure):
+            mean_to_true_anomaly(m, 0.9, max_iter=1)
 
 
 class TestImpulse:

@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nodalrel import (
     ClassicalElements,
@@ -182,3 +184,26 @@ class TestClassicalElementsType:
             ClassicalElements(a=1e4, e=1.0, i=0.5, raan=0, argp=0, nu=0)
         with pytest.raises(ValueError):
             ClassicalElements(a=1e4, e=0.5, i=-0.1, raan=0, argp=0, nu=0)
+
+
+class TestWrapAngleScalarPath:
+    @settings(deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @example(math.pi)
+    @example(-math.pi)
+    @example(3.0 * math.pi)
+    @example(-3.0 * math.pi)
+    @example(0.0)
+    @example(-0.0)
+    def test_scalar_matches_array_bitwise(self, x):
+        scalar = wrap_angle(x)
+        assert type(scalar) is float
+        array = wrap_angle(np.array([x]))[0]
+        assert struct.pack("<d", scalar) == struct.pack("<d", array)
+        assert struct.pack("<d", wrap_angle(np.float64(x))) \
+            == struct.pack("<d", scalar)
+
+    def test_minus_pi_folds_to_pi(self):
+        assert wrap_angle(-math.pi) == math.pi
+        assert wrap_angle(-3.0 * math.pi) == math.pi
+        assert wrap_angle(3) == wrap_angle(3.0)

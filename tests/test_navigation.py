@@ -5,14 +5,18 @@ import pytest
 
 from nodalrel import (
     MU_EARTH,
+    MU_SUN,
     FilterState,
     MeasurementTriple,
     NodalRelativeState,
     NoiseSpec,
     ReferenceParams,
+    ScenarioConfig,
     ZeroRange,
     ekf_propagate,
     ekf_update,
+    f_unperturbed_jacobian,
+    kepler_advance,
     measure,
     oe_from_classical,
     orbital_period,
@@ -21,6 +25,9 @@ from nodalrel import (
     unperturbed_flow,
     wrap_angle,
 )
+from nodalrel.dynamics import advance_true_anomaly
+from nodalrel.missionsim import scenario_orbits
+from nodalrel.navigation import _coast
 
 from conftest import EL1, EL2
 
@@ -164,6 +171,104 @@ class TestEkfPropagate:
         fs = FilterState(oe_hat=oe, P=np.eye(6))
         with pytest.raises(ValueError):
             ekf_propagate(fs, eta, 0.0, np.zeros((6, 6)), MU)
+
+
+def reference_propagate(fs, eta, dt, Q, mu, substeps=1):
+    """Full 6x6 RK4 of Phi' = (df/dx) Phi with f_unperturbed_jacobian, as
+    ekf_propagate computed it before its rows 1-5 were made exact; kept as
+    the reference.  Returns (FilterState, ReferenceParams, Phi)."""
+    oe0 = fs.oe_hat
+    e1 = eta.e1
+    nu0 = eta.nu1
+    a1 = eta.p1 / (1.0 - e1 * e1)
+
+    def stage(tau):
+        nu = float(advance_true_anomaly(nu0, e1, a1, tau, mu))
+        dnu = nu - nu0
+        c, s = math.cos(dnu), math.sin(dnu)
+        oe = NodalRelativeState(
+            dtheta=0.0, dp=oe0.dp,
+            dxi_x=c * oe0.dxi_x - s * oe0.dxi_y,
+            dxi_y=s * oe0.dxi_x + c * oe0.dxi_y,
+            dh_x=c * oe0.dh_x - s * oe0.dh_y,
+            dh_y=s * oe0.dh_x + c * oe0.dh_y)
+        et = ReferenceParams(p1=eta.p1, ec=e1 * math.cos(nu),
+                             es=e1 * math.sin(nu))
+        return oe, et
+
+    def rates(cached, dtheta, phi):
+        oe_base, et = cached
+        oe = NodalRelativeState(
+            dtheta=dtheta, dp=oe_base.dp,
+            dxi_x=oe_base.dxi_x, dxi_y=oe_base.dxi_y,
+            dh_x=oe_base.dh_x, dh_y=oe_base.dh_y)
+        k = math.sqrt(mu / et.p1 ** 3)
+        c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
+        denom = 1.0 + (oe.dxi_x + et.ec) * c - (oe.dxi_y + et.es) * s
+        dth_rate = k * (denom * denom / (1.0 + oe.dp) ** 1.5
+                        - (1.0 + et.ec) ** 2)
+        return dth_rate, f_unperturbed_jacobian(oe, et, mu) @ phi
+
+    h = dt / substeps
+    dtheta = oe0.dtheta
+    phi = np.eye(6)
+    end_stage = None
+    for i in range(substeps):
+        tau0 = i * h
+        st0 = stage(tau0) if end_stage is None else end_stage
+        st_half = stage(tau0 + 0.5 * h)
+        end_stage = stage(tau0 + h)
+        k1t, k1p = rates(st0, dtheta, phi)
+        k2t, k2p = rates(st_half, dtheta + 0.5 * h * k1t,
+                         phi + 0.5 * h * k1p)
+        k3t, k3p = rates(st_half, dtheta + 0.5 * h * k2t,
+                         phi + 0.5 * h * k2p)
+        k4t, k4p = rates(end_stage, dtheta + h * k3t, phi + h * k3p)
+        dtheta += h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        phi = phi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+
+    oe_end, eta_new = end_stage
+    oe_new = NodalRelativeState(
+        dtheta=dtheta, dp=oe_end.dp,
+        dxi_x=oe_end.dxi_x, dxi_y=oe_end.dxi_y,
+        dh_x=oe_end.dh_x, dh_y=oe_end.dh_y)
+    p_new = phi @ fs.P @ phi.T + np.asarray(Q, dtype=float) * dt
+    p_new = 0.5 * (p_new + p_new.T)
+    return FilterState(oe_hat=oe_new, P=p_new), eta_new, phi
+
+
+def desk_state():
+    """Heliocentric desk scenario 20 days before impact, off the truth by
+    the prior's 1-sigma in every component."""
+    cfg = ScenarioConfig()
+    el1, el2 = scenario_orbits(cfg)
+    oe, eta = oe_from_classical(*(kepler_advance(el, cfg.t_start, MU_SUN)
+                                  for el in (el1, el2)))
+    x = oe.as_array() + np.sqrt(cfg.p0_diag)
+    return (FilterState(oe_hat=NodalRelativeState.from_array(x),
+                        P=np.diag(cfg.p0_diag)),
+            eta, np.diag(cfg.q_diag))
+
+
+class TestEkfPropagateReference:
+    @pytest.mark.parametrize("substeps", [1, 4])
+    @pytest.mark.parametrize("dt", [60.0, 86400.0])
+    def test_matches_full_rk4_transition(self, dt, substeps):
+        fs, eta, q = desk_state()
+        ref_fs, ref_eta, ref_phi = reference_propagate(fs, eta, dt, q,
+                                                       MU_SUN, substeps)
+        new_fs, new_eta = ekf_propagate(fs, eta, dt, q, MU_SUN, substeps)
+        _, phi, _ = _coast(fs.oe_hat, eta, dt, MU_SUN, substeps)
+
+        err = new_fs.oe_hat.as_array() - ref_fs.oe_hat.as_array()
+        err[0] = wrap_angle(err[0])
+        assert np.abs(err).max() <= 1e-12
+        assert np.abs(new_eta.as_array() - ref_eta.as_array()).max() \
+            <= 1e-12 * eta.p1
+        assert np.abs(phi - ref_phi).max() <= 1e-10 * np.abs(ref_phi).max()
+        # covariance entries against the reference, scaled per pair
+        scale = np.sqrt(np.outer(np.diag(ref_fs.P), np.diag(ref_fs.P)))
+        assert np.all(np.abs(new_fs.P - ref_fs.P) <= 1e-9 * scale)
 
 
 class TestEkfUpdate:

@@ -22,6 +22,7 @@ from nodalrel import (
     unperturbed_flow,
     wrap_angle,
 )
+from nodalrel.relstate import _position_and_jacobians
 
 from conftest import EL1, EL2, cartesian_relative_state, random_pair
 
@@ -261,6 +262,15 @@ class TestPositionMapping:
             expected.append(relative_position(oe, eta).dr)
         batch = relative_position_batch(np.array(rows_oe), np.array(rows_eta))
         assert np.abs(batch - np.array(expected)).max() < 1e-9
+
+    def test_kernel_position_matches_relative_position(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            oe, eta = random_state(rng)
+            dr, _, _ = _position_and_jacobians(oe, eta)
+            rp = relative_position(oe, eta)
+            scale = max(np.linalg.norm(rp.dr), 1e-12 * rp.r1)
+            assert np.abs(dr - rp.dr).max() <= 1e-12 * scale
 
     def test_separation_distance_identity(self):
         rng = np.random.default_rng(17)
