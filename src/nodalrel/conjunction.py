@@ -21,9 +21,9 @@ from scipy.optimize import minimize_scalar
 from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
     PerturbationInput,
+    _solve_nodal,
     input_matrices,
     orbital_period,
-    propagate,
     unperturbed_flow,
 )
 from .relstate import (
@@ -259,8 +259,11 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     A collision is declared when the refined minimum distance is at most
     miss_tol (km).
 
-    With ``u`` given, samples come from the perturbed propagation at
-    tolerance rtol; otherwise the exact unperturbed flow is used.
+    With ``u`` given, the window is integrated once (RK45 at tolerance
+    rtol): the samples are that solve's outputs at the grid times and the
+    refinement evaluates its dense interpolant, so the objective and the
+    grid come from one source.  Otherwise the exact unperturbed flow is
+    used.
     """
     if not tf > t0:
         raise ValueError("tf must exceed t0")
@@ -283,13 +286,13 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
         def scalar_distance(t):
             return float(distance_at(np.array([t - t0]))[0])
     else:
-        traj = propagate(oe, eta, t0, tf, mu, u=u, rtol=rtol, t_eval=t_grid)
-        d_grid = separation_distance(traj.oe, traj.eta)
+        sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_grid,
+                           dense_output=True)
+        d_grid = separation_distance(sol.y[:6].T, sol.y[6:].T)
 
         def scalar_distance(t):
-            sub = propagate(oe, eta, t0, max(t, t0 + 1e-9), mu, u=u,
-                            rtol=rtol, t_eval=[max(t, t0 + 1e-9)])
-            return float(separation_distance(sub.oe, sub.eta)[0])
+            y = sol.sol(t)
+            return float(separation_distance(y[:6], y[6:])[0])
 
     k = int(np.nanargmin(d_grid))
     t_best, d_best = float(t_grid[k]), float(d_grid[k])

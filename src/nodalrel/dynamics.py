@@ -381,6 +381,51 @@ def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
 
 # --- Input matrices and perturbed dynamics ---
 
+def _input_kernel(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu: float,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G1, G2, Geta) of :func:`input_matrices` from the nine state and
+    reference components as floats."""
+    c, s = math.cos(dtheta), math.sin(dtheta)
+    denom = 1.0 + (dxx + ec) * c - (dxy + es) * s
+    if not denom > 0.0:
+        raise GeometryError(
+            f"radius denominator {denom} <= 0: state outside elliptic geometry")
+    r1 = p1 / (1.0 + ec)
+    p2 = p1 * (1.0 + dp)
+    r2 = p2 / denom
+
+    smag = 1.0 + hx * hx + hy * hy
+    dh_theta = hx * s + hy * c
+    e_theta = (dxx + ec) * s + (dxy + es) * c
+
+    pre2 = r2 / math.sqrt(mu * p2)
+    g2 = pre2 * np.array([
+        [0.0, 0.0, dh_theta],
+        [0.0, 2.0 * (1.0 + dp), 0.0],
+        [denom * s, 2.0 * denom * c + e_theta * s, (dxy + es) * dh_theta],
+        [denom * c, -2.0 * denom * s + e_theta * c, -(dxx + ec) * dh_theta],
+        [0.0, 0.0, 0.5 * smag * c],
+        [0.0, 0.0, -0.5 * smag * s],
+    ])
+
+    pre1 = r1 / math.sqrt(mu * p1)
+    g1 = pre1 * np.array([
+        [0.0, 0.0, -hy],
+        [0.0, 2.0 * (1.0 + dp), 0.0],
+        [0.0, 2.0 * (1.0 + ec), -(dxy + es) * hy],
+        [1.0 + ec, es, (dxx + ec) * hy],
+        [0.0, 0.0, 0.5 * (1.0 + hx * hx - hy * hy)],
+        [0.0, 0.0, hx * hy],
+    ])
+
+    geta = pre1 * np.array([
+        [0.0, 2.0 * p1, 0.0],
+        [0.0, 2.0 * (1.0 + ec), 0.0],
+        [1.0 + ec, es, 0.0],
+    ])
+    return g1, g2, geta
+
+
 def input_matrices(oe: NodalRelativeState, eta: ReferenceParams, mu: float,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Acceleration input matrices (G1, G2, Geta) for the perturbed
@@ -396,49 +441,8 @@ def input_matrices(oe: NodalRelativeState, eta: ReferenceParams, mu: float,
     GeometryError
         If the radius denominator of satellite 2 is not positive.
     """
-    p1, ec, es = eta.p1, eta.ec, eta.es
-    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    denom = 1.0 + (oe.dxi_x + ec) * c - (oe.dxi_y + es) * s
-    if not denom > 0.0:
-        raise GeometryError(
-            f"radius denominator {denom} <= 0: state outside elliptic geometry")
-    r1 = p1 / (1.0 + ec)
-    p2 = p1 * (1.0 + oe.dp)
-    r2 = p2 / denom
-
-    hx, hy = oe.dh_x, oe.dh_y
-    smag = 1.0 + hx * hx + hy * hy
-    dh_theta = hx * s + hy * c
-    e_theta = (oe.dxi_x + ec) * s + (oe.dxi_y + es) * c
-
-    pre2 = r2 / math.sqrt(mu * p2)
-    g2 = pre2 * np.array([
-        [0.0, 0.0, dh_theta],
-        [0.0, 2.0 * (1.0 + oe.dp), 0.0],
-        [denom * s, 2.0 * denom * c + e_theta * s,
-         (oe.dxi_y + es) * dh_theta],
-        [denom * c, -2.0 * denom * s + e_theta * c,
-         -(oe.dxi_x + ec) * dh_theta],
-        [0.0, 0.0, 0.5 * smag * c],
-        [0.0, 0.0, -0.5 * smag * s],
-    ])
-
-    pre1 = r1 / math.sqrt(mu * p1)
-    g1 = pre1 * np.array([
-        [0.0, 0.0, -hy],
-        [0.0, 2.0 * (1.0 + oe.dp), 0.0],
-        [0.0, 2.0 * (1.0 + ec), -(oe.dxi_y + es) * hy],
-        [1.0 + ec, es, (oe.dxi_x + ec) * hy],
-        [0.0, 0.0, 0.5 * (1.0 + hx * hx - hy * hy)],
-        [0.0, 0.0, hx * hy],
-    ])
-
-    geta = pre1 * np.array([
-        [0.0, 2.0 * p1, 0.0],
-        [0.0, 2.0 * (1.0 + ec), 0.0],
-        [1.0 + ec, es, 0.0],
-    ])
-    return g1, g2, geta
+    return _input_kernel(oe.dtheta, oe.dp, oe.dxi_x, oe.dxi_y, oe.dh_x,
+                         oe.dh_y, eta.p1, eta.ec, eta.es, mu)
 
 
 def perturbed_derivative(oe: NodalRelativeState, eta: ReferenceParams,
@@ -542,22 +546,36 @@ def _nodal_rhs(t: float, y: np.ndarray,
     dy[8] = nudot * ec
 
     if u is not None:
-        oe = NodalRelativeState.__new__(NodalRelativeState)
-        object.__setattr__(oe, "dtheta", dtheta)
-        object.__setattr__(oe, "dp", dp)
-        object.__setattr__(oe, "dxi_x", dxx)
-        object.__setattr__(oe, "dxi_y", dxy)
-        object.__setattr__(oe, "dh_x", hx)
-        object.__setattr__(oe, "dh_y", hy)
-        eta = ReferenceParams.__new__(ReferenceParams)
-        object.__setattr__(eta, "p1", p1)
-        object.__setattr__(eta, "ec", ec)
-        object.__setattr__(eta, "es", es)
-        g1, g2, geta = input_matrices(oe, eta, mu)
+        g1, g2, geta = _input_kernel(dtheta, dp, dxx, dxy, hx, hy,
+                                     p1, ec, es, mu)
         uin = u(t)
         dy[:6] += g2 @ uin.u2 - g1 @ uin.u1
         dy[6:] += geta @ uin.u1
     return dy
+
+
+def _solve_nodal(oe: NodalRelativeState, eta: ReferenceParams,
+                 t0: float, tf: float, mu: float,
+                 u: Optional[Callable[[float], PerturbationInput]],
+                 rtol: float, t_eval, dense_output: bool):
+    """scipy RK45 solution of the nodal dynamics over [t0, tf] (state rows
+    0-5, reference rows 6-8); see :func:`propagate`.
+
+    Raises
+    ------
+    StepFailure
+        If the integrator cannot complete the interval.
+    """
+    y0 = np.concatenate([oe.as_array(), eta.as_array()])
+    atol = rtol * np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+                            max(eta.p1, 1.0), 1.0, 1.0])
+    sol = solve_ivp(_nodal_rhs, (t0, tf), y0, method="RK45",
+                    t_eval=np.asarray(t_eval, dtype=float),
+                    dense_output=dense_output,
+                    rtol=rtol, atol=atol, args=(u, mu))
+    if not sol.success:
+        raise StepFailure(f"nodal propagation failed: {sol.message}")
+    return sol
 
 
 def propagate(oe: NodalRelativeState, eta: ReferenceParams,
@@ -587,14 +605,8 @@ def propagate(oe: NodalRelativeState, eta: ReferenceParams,
         raise ValueError("tf must exceed t0")
     if t_eval is None:
         t_eval = np.linspace(t0, tf, n_samples)
-    y0 = np.concatenate([oe.as_array(), eta.as_array()])
-    atol = rtol * np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-                            max(eta.p1, 1.0), 1.0, 1.0])
-    sol = solve_ivp(_nodal_rhs, (t0, tf), y0, method="RK45",
-                    t_eval=np.asarray(t_eval, dtype=float),
-                    rtol=rtol, atol=atol, args=(u, mu))
-    if not sol.success:
-        raise StepFailure(f"nodal propagation failed: {sol.message}")
+    sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_eval,
+                       dense_output=False)
     return Trajectory(t=sol.t, oe=sol.y[:6].T.copy(), eta=sol.y[6:].T.copy())
 
 

@@ -178,10 +178,49 @@ def _elements_to_dict(el: ClassicalElements) -> dict:
             "nu_deg": el.nu / DEG}
 
 
-def _elements_from_dict(d: dict) -> ClassicalElements:
-    return ClassicalElements(a=d["a_km"], e=d["e"], i=d["i_deg"] * DEG,
-                             raan=d["raan_deg"] * DEG,
-                             argp=d["argp_deg"] * DEG, nu=d["nu_deg"] * DEG)
+def _deg(x: float) -> float:
+    return x * DEG
+
+
+#: JSON key -> (field, conversion to internal units or None), per dict.
+_ELEMENT_KEYS = {"a_km": ("a", None), "e": ("e", None), "i_deg": ("i", _deg),
+                 "raan_deg": ("raan", _deg), "argp_deg": ("argp", _deg),
+                 "nu_deg": ("nu", _deg)}
+_ENCOUNTER_KEYS = {"relative_speed_km_s": ("relative_speed", None),
+                   "gamma_deg": ("gamma", _deg),
+                   "impact_nu_deg": ("impact_nu", _deg),
+                   "transverse_speed_km_s": ("transverse_speed", None),
+                   "radial_sign": ("radial_sign", None)}
+_NOISE_KEYS = {"sigma_az_deg": ("sigma_az", _deg),
+               "sigma_el_deg": ("sigma_el", _deg),
+               "sigma_beta_deg": ("sigma_beta", _deg)}
+_SCENARIO_KEYS = {
+    **{key: (key, None) for key in (
+        "mu", "sample_dt", "t_start", "t_end", "init_perturb_sigma", "seed",
+        "mc_runs", "rel_tol", "transient_fraction", "truth_mode", "chi2_gate",
+        "jobs")},
+    "d_km": ("d", None), "miss_tol_km": ("miss_tol", None),
+    "q_diag": ("q_diag", tuple), "p0_diag": ("p0_diag", tuple)}
+
+
+def _check_keys(d: dict, known, where: str) -> None:
+    """Raise ValueError naming every key of d that is not in known."""
+    unknown = sorted(set(d) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) in {where}: "
+                         + ", ".join(repr(k) for k in unknown))
+
+
+def _fields_from(d: dict, keys: dict) -> dict:
+    """Dataclass keyword arguments for the keys of d that are present;
+    fields left out keep their dataclass defaults."""
+    return {field: d[key] if conv is None else conv(d[key])
+            for key, (field, conv) in keys.items() if key in d}
+
+
+def _from_dict(cls, d: dict, keys: dict, where: str):
+    _check_keys(d, keys, where)
+    return cls(**_fields_from(d, keys))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -221,45 +260,31 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    base = ScenarioConfig()
-    enc = base.encounter
+    """Inverse of :func:`config_to_dict`; keys left out take the defaults
+    of :class:`ScenarioConfig` and :class:`EncounterSpec`.
+
+    Raises
+    ------
+    ValueError
+        If the config, its encounter or an element dict holds a key that
+        is not one of its keys.
+    """
+    _check_keys(d, (*_SCENARIO_KEYS, *_NOISE_KEYS, "target", "reference",
+                    "encounter"), "config")
+    kwargs = _fields_from(d, _SCENARIO_KEYS)
+    kwargs["noise"] = replace(ScenarioConfig().noise,
+                              **_fields_from(d, _NOISE_KEYS))
+    if "target" in d:
+        kwargs["target"] = _from_dict(ClassicalElements, d["target"],
+                                      _ELEMENT_KEYS, "target")
+    if d.get("reference"):
+        kwargs["reference"] = _from_dict(ClassicalElements, d["reference"],
+                                         _ELEMENT_KEYS, "reference")
     if "encounter" in d:
         e = d["encounter"]
-        enc = None if e is None else EncounterSpec(
-            relative_speed=e.get("relative_speed_km_s", 15.0),
-            gamma=e.get("gamma_deg", 8.0) * DEG,
-            impact_nu=e.get("impact_nu_deg", 30.0) * DEG,
-            transverse_speed=e.get("transverse_speed_km_s", 18.0),
-            radial_sign=e.get("radial_sign", 1.0))
-    noise = NoiseSpec(
-        sigma_az=d.get("sigma_az_deg", 0.001) * DEG,
-        sigma_el=d.get("sigma_el_deg", 0.001) * DEG,
-        sigma_beta=d.get("sigma_beta_deg", 0.001) * DEG)
-    return ScenarioConfig(
-        mu=d.get("mu", base.mu),
-        target=(_elements_from_dict(d["target"]) if "target" in d
-                else base.target),
-        reference=(_elements_from_dict(d["reference"])
-                   if d.get("reference") else None),
-        encounter=enc,
-        d=d.get("d_km", base.d),
-        noise=noise,
-        sample_dt=d.get("sample_dt", base.sample_dt),
-        t_start=d.get("t_start", base.t_start),
-        t_end=d.get("t_end", base.t_end),
-        init_perturb_sigma=d.get("init_perturb_sigma", base.init_perturb_sigma),
-        q_diag=tuple(d.get("q_diag", base.q_diag)),
-        p0_diag=tuple(d.get("p0_diag", base.p0_diag)),
-        seed=d.get("seed", base.seed),
-        mc_runs=d.get("mc_runs", base.mc_runs),
-        miss_tol=d.get("miss_tol_km", base.miss_tol),
-        rel_tol=d.get("rel_tol", base.rel_tol),
-        transient_fraction=d.get("transient_fraction",
-                                 base.transient_fraction),
-        truth_mode=d.get("truth_mode", base.truth_mode),
-        chi2_gate=d.get("chi2_gate", base.chi2_gate),
-        jobs=d.get("jobs", base.jobs),
-    )
+        kwargs["encounter"] = None if e is None else _from_dict(
+            EncounterSpec, e, _ENCOUNTER_KEYS, "encounter")
+    return ScenarioConfig(**kwargs)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -31,6 +31,9 @@ from .relstate import (
 #: |elevation| within this distance of pi/2 flags an ill-conditioned azimuth.
 GIMBAL_EL_TOL = 1e-9
 
+_EYE6 = np.eye(6)
+_EYE6.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class MeasurementTriple:
@@ -55,10 +58,14 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.sigma_az > 0 and self.sigma_el > 0 and self.sigma_beta > 0):
             raise ValueError("noise standard deviations must be positive")
+        r_cov = np.diag([self.sigma_az ** 2, self.sigma_el ** 2,
+                         self.sigma_beta ** 2])
+        r_cov.flags.writeable = False
+        object.__setattr__(self, "_r_cov", r_cov)
 
     def covariance(self) -> np.ndarray:
-        return np.diag([self.sigma_az ** 2, self.sigma_el ** 2,
-                        self.sigma_beta ** 2])
+        """Measurement covariance R (read-only, built once per spec)."""
+        return self._r_cov
 
 
 @dataclass(frozen=True)
@@ -255,16 +262,20 @@ def ekf_update(fs: FilterState, eta: ReferenceParams, z: MeasurementTriple,
 
     r_cov = noise.covariance()
     h = pred.H
-    s_cov = h @ fs.P @ h.T + r_cov
-    gain = np.linalg.solve(s_cov, h @ fs.P).T  # S symmetric
+    hp = h @ fs.P
+    s_cov = hp @ h.T + r_cov
 
     outlier = False
-    if chi2_gate is not None:
-        maha2 = float(innov @ np.linalg.solve(s_cov, innov))
-        outlier = maha2 > chi2_gate
+    if chi2_gate is None:
+        gain = np.linalg.solve(s_cov, hp).T  # S symmetric
+    else:
+        # One solve with S gives the gain and the Mahalanobis distance.
+        sol = np.linalg.solve(s_cov, np.column_stack((hp, innov)))
+        gain = sol[:, :6].T
+        outlier = float(innov @ sol[:, 6]) > chi2_gate
 
     x = fs.oe_hat.as_array() + gain @ innov
-    ikh = np.eye(6) - gain @ h
+    ikh = _EYE6 - gain @ h
     p_new = ikh @ fs.P @ ikh.T + gain @ r_cov @ gain.T
     p_new = 0.5 * (p_new + p_new.T)
     return EkfUpdate(

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from scipy.optimize import minimize_scalar
+
 from nodalrel import (
     MU_EARTH,
     C1Verdict,
+    C2Result,
     CartesianState,
     ClassicalElements,
     NodalRelativeState,
@@ -16,14 +19,19 @@ from nodalrel import (
     c1_test,
     c2_check,
     cartesian_to_elements,
+    PerturbationInput,
     classical_from_oe,
+    cowell_propagate,
     ecc_inc_vectors,
     elements_to_cartesian,
     input_matrices,
+    kepler_advance,
     oe_from_classical,
     orbital_period,
     plan_avoidance,
+    propagate,
     relative_orientation,
+    separation_distance,
     unperturbed_flow,
     zeta,
     zeta_descending,
@@ -231,6 +239,84 @@ class TestC1Branches:
             count += 1
 
 
+def reference_c2_perturbed(oe, eta, t0, tf, mu, miss_tol, u, rtol=1e-12):
+    """c2_check with a perturbing input as it was before the refinement
+    evaluated the grid solve's dense output: the grid comes from one
+    propagate call and every refinement evaluation re-integrates from t0.
+    Kept as the reference for the perturbed path."""
+    e1 = eta.e1
+    a1 = eta.p1 / (1.0 - e1 * e1)
+    e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
+    a2 = eta.p1 * (1.0 + oe.dp) / (1.0 - e2 * e2)
+    p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
+    n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
+    t_grid = np.linspace(t0, tf, n_samples)
+
+    traj = propagate(oe, eta, t0, tf, mu, u=u, rtol=rtol, t_eval=t_grid)
+    d_grid = separation_distance(traj.oe, traj.eta)
+
+    def scalar_distance(t):
+        sub = propagate(oe, eta, t0, max(t, t0 + 1e-9), mu, u=u,
+                        rtol=rtol, t_eval=[max(t, t0 + 1e-9)])
+        return float(separation_distance(sub.oe, sub.eta)[0])
+
+    k = int(np.nanargmin(d_grid))
+    t_best, d_best = float(t_grid[k]), float(d_grid[k])
+
+    if 0 < k < n_samples - 1 and d_best < d_grid[k - 1] and d_best < d_grid[k + 1]:
+        res = minimize_scalar(
+            scalar_distance,
+            bounds=(float(t_grid[k - 1]), float(t_grid[k + 1])),
+            method="bounded", options={"xatol": 1e-9, "maxiter": 200})
+        if res.fun < d_best:
+            t_best, d_best = float(res.x), float(res.fun)
+
+    return C2Result(collides=d_best <= miss_tol, t_min=t_best, d_min=d_best)
+
+
+#: Perturbed-screen pairs: common-point pairs coasted back LEAD seconds and
+#: screened over [0, WINDOW] under a constant RTN acceleration of ACCEL
+#: (km/s^2) on each satellite.
+PERTURBED_LEAD, PERTURBED_WINDOW, PERTURBED_ACCEL = 400.0, 1000.0, 1e-6
+
+
+def perturbed_pairs(seed, count):
+    """(el1, el2, a1, a2) at t = 0: elements and RTN accelerations."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        el1, el2, _ = pair_through_common_point(rng)
+        a1, a2 = (PERTURBED_ACCEL * v / np.linalg.norm(v)
+                  for v in rng.normal(size=(2, 3)))
+        out.append((kepler_advance(el1, -PERTURBED_LEAD, MU),
+                    kepler_advance(el2, -PERTURBED_LEAD, MU), a1, a2))
+    return out
+
+
+def constant_input(a1, a2):
+    pin = PerturbationInput(u1=a1, u2=a2)
+    return lambda _t: pin
+
+
+def cowell_min_distance(el1, el2, tf, a1, a2):
+    """Minimum separation over [0, tf] from the Cowell oracle: the best
+    sample of a 4001-point grid, resampled over its two neighbouring
+    intervals every 5e-4 s or finer, and the vertex of the parabola in d^2
+    through the best resample and its neighbours."""
+    s1, s2 = (elements_to_cartesian(el, MU) for el in (el1, el2))
+    kw = dict(u1=lambda _t: a1, u2=lambda _t: a2, rtol=1e-12)
+    coarse = cowell_propagate(s1, s2, 0.0, tf, MU, n_samples=4001, **kw)
+    k = int(np.argmin(np.linalg.norm(coarse.r1 - coarse.r2, axis=1)))
+    lo, hi = coarse.t[max(k - 1, 0)], coarse.t[min(k + 1, coarse.t.size - 1)]
+    fine = cowell_propagate(s1, s2, 0.0, hi, MU,
+                            t_eval=np.linspace(lo, hi, 2001), **kw)
+    d2 = np.sum((fine.r1 - fine.r2) ** 2, axis=1)
+    j = min(max(int(np.argmin(d2)), 1), d2.size - 2)
+    curv = d2[j + 1] - 2.0 * d2[j] + d2[j - 1]
+    d2_min = d2[j] - (d2[j + 1] - d2[j - 1]) ** 2 / (8.0 * curv)
+    return math.sqrt(max(d2_min, 0.0))
+
+
 class TestC2:
     def test_phase_offset_on_same_orbit_never_collides(self):
         el1 = EL1
@@ -272,6 +358,49 @@ class TestC2:
             res = c2_check(oe, eta, 0.0, 6000.0, MU, miss_tol=1.0)
             assert res.collides
             assert abs(res.t_min - 3000.0) <= 1e-3
+
+    def test_perturbed_matches_reintegrating_reference(self):
+        for el1, el2, a1, a2 in perturbed_pairs(60, 4):
+            oe, eta = oe_from_classical(el1, el2)
+            u = constant_input(a1, a2)
+            res = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU, miss_tol=1.0,
+                           u=u)
+            ref = reference_c2_perturbed(oe, eta, 0.0, PERTURBED_WINDOW, MU,
+                                         1.0, u)
+            assert abs(res.t_min - ref.t_min) <= 1e-4
+            assert abs(res.d_min - ref.d_min) <= 1e-5
+            assert res.collides == ref.collides
+
+    def test_perturbed_matches_cowell_oracle(self):
+        misses = []
+        for el1, el2, a1, a2 in perturbed_pairs(61, 4):
+            oe, eta = oe_from_classical(el1, el2)
+            res = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU, miss_tol=1.0,
+                           u=constant_input(a1, a2))
+            d_ref = cowell_min_distance(el1, el2, PERTURBED_WINDOW, a1, a2)
+            assert abs(res.d_min - d_ref) <= 1e-3
+            misses.append(d_ref)
+        # The thrust moves every pair off its unperturbed collision.
+        assert min(misses) > 1e-3
+
+    def test_zero_input_matches_unperturbed_path(self):
+        zero = PerturbationInput.zero()
+        for el1, el2, _, _ in perturbed_pairs(62, 4):
+            for dt2 in (0.0, 0.2, 2.0):
+                # dt2 > 0 moves satellite 2 back along its orbit: a near
+                # miss instead of a collision.
+                oe, eta = oe_from_classical(
+                    el1, kepler_advance(el2, -dt2, MU))
+                free = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU,
+                                miss_tol=1.0)
+                res = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU,
+                               miss_tol=1.0, u=lambda _t: zero)
+                # The refinement evaluates the RK45 dense interpolant, whose
+                # error on near misses reaches about 1.2e-6 km.
+                tol = 1e-6 if dt2 == 0.0 else 1e-5
+                assert abs(res.d_min - free.d_min) <= tol
+                assert abs(res.t_min - free.t_min) <= 1e-3
+                assert res.collides == free.collides
 
     def test_collision_implies_c1(self):
         rng = np.random.default_rng(55)

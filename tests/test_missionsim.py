@@ -121,6 +121,32 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             small_config(t_start=-100.0, t_end=-200.0)
 
+    def test_misspelt_key_rejected(self):
+        with pytest.raises(ValueError, match="'sigma_az_degg'"):
+            config_from_dict({"sigma_az_degg": 0.002})
+
+    def test_unknown_keys_named_at_every_level(self):
+        d = config_to_dict(ScenarioConfig())
+        d["reference"] = dict(d["target"])
+        cases = [("config", ("mc_run", "seeds"),
+                  {"mc_run": 3, "seeds": 1}),
+                 ("encounter", ("gama_deg",),
+                  {"encounter": {**d["encounter"], "gama_deg": 8.0}}),
+                 ("target", ("nu",), {"target": {**d["target"], "nu": 0.0}}),
+                 ("reference", ("a",),
+                  {"reference": {**d["reference"], "a": 1.0}})]
+        for where, bad, extra in cases:
+            with pytest.raises(ValueError) as exc:
+                config_from_dict({**d, **extra})
+            msg = str(exc.value)
+            assert f"in {where}:" in msg
+            assert all(repr(key) in msg for key in bad)
+
+    def test_left_out_keys_take_the_defaults(self):
+        assert config_from_dict({}) == ScenarioConfig()
+        cfg = config_from_dict({"encounter": {"gamma_deg": 12.0}})
+        assert cfg.encounter == EncounterSpec(gamma=12.0 * sim.DEG)
+
 
 class TestFlybyRun:
     def test_noiseless_zero_init_stays_on_truth(self):

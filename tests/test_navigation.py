@@ -329,3 +329,38 @@ class TestEkfUpdate:
         # update still applied
         assert np.abs(upd.state.oe_hat.as_array()
                       - oe.as_array()).max() > 0.0
+
+    def test_gate_matches_reference_distance_and_keeps_posterior(self):
+        # The gate shares the gain's solve with S; its flag must match the
+        # Mahalanobis distance solved on its own, and the posterior must
+        # match the ungated update.
+        rng = np.random.default_rng(71)
+        oe, eta = default_state()
+        fs = FilterState(oe_hat=oe, P=np.diag([1e-10] * 6))
+        pred = predict_measurement(oe, eta, 90.0)
+        s_cov = pred.H @ fs.P @ pred.H.T + NOISE.covariance()
+        flags = []
+        for _ in range(40):
+            z = MeasurementTriple(
+                *(pred.y.as_array() + rng.normal(scale=3.0, size=3)
+                  * np.array([NOISE.sigma_az, NOISE.sigma_el,
+                              NOISE.sigma_beta])))
+            gated = ekf_update(fs, eta, z, NOISE, 90.0, chi2_gate=7.81)
+            plain = ekf_update(fs, eta, z, NOISE, 90.0)
+            innov = plain.innovation
+            maha2 = float(innov @ np.linalg.solve(s_cov, innov))
+            assert gated.outlier == (maha2 > 7.81)
+            flags.append(gated.outlier)
+            for a, b in ((gated.state.oe_hat.as_array(),
+                          plain.state.oe_hat.as_array()),
+                         (gated.state.P, plain.state.P)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+        assert any(flags) and not all(flags)
+
+    def test_measurement_covariance_built_once_read_only(self):
+        r_cov = NOISE.covariance()
+        assert r_cov is NOISE.covariance()
+        assert not r_cov.flags.writeable
+        assert np.array_equal(r_cov, np.diag([NOISE.sigma_az ** 2,
+                                              NOISE.sigma_el ** 2,
+                                              NOISE.sigma_beta ** 2]))
