@@ -172,90 +172,75 @@ class ScenarioConfig:
         return self.t_start + self.sample_dt * np.arange(n)
 
 
-def _elements_to_dict(el: ClassicalElements) -> dict:
-    return {"a_km": el.a, "e": el.e, "i_deg": el.i / DEG,
-            "raan_deg": el.raan / DEG, "argp_deg": el.argp / DEG,
-            "nu_deg": el.nu / DEG}
+_ANGLE = (lambda rad: rad / DEG, lambda deg: deg * DEG)
+_SEQUENCE = (list, tuple)
 
-
-def _deg(x: float) -> float:
-    return x * DEG
-
-
-#: JSON key -> (field, conversion to internal units or None), per dict.
-_ELEMENT_KEYS = {"a_km": ("a", None), "e": ("e", None), "i_deg": ("i", _deg),
-                 "raan_deg": ("raan", _deg), "argp_deg": ("argp", _deg),
-                 "nu_deg": ("nu", _deg)}
+#: The JSON schema of each config dataclass: JSON key -> (field,
+#: conversion), where a conversion is a (to JSON, from JSON) pair and None
+#: keeps the value as it is.  The noise fields sit at the top level.
+_ELEMENT_KEYS = {"a_km": ("a", None), "e": ("e", None),
+                 "i_deg": ("i", _ANGLE), "raan_deg": ("raan", _ANGLE),
+                 "argp_deg": ("argp", _ANGLE), "nu_deg": ("nu", _ANGLE)}
 _ENCOUNTER_KEYS = {"relative_speed_km_s": ("relative_speed", None),
-                   "gamma_deg": ("gamma", _deg),
-                   "impact_nu_deg": ("impact_nu", _deg),
+                   "gamma_deg": ("gamma", _ANGLE),
+                   "impact_nu_deg": ("impact_nu", _ANGLE),
                    "transverse_speed_km_s": ("transverse_speed", None),
                    "radial_sign": ("radial_sign", None)}
-_NOISE_KEYS = {"sigma_az_deg": ("sigma_az", _deg),
-               "sigma_el_deg": ("sigma_el", _deg),
-               "sigma_beta_deg": ("sigma_beta", _deg)}
+_NOISE_KEYS = {"sigma_az_deg": ("sigma_az", _ANGLE),
+               "sigma_el_deg": ("sigma_el", _ANGLE),
+               "sigma_beta_deg": ("sigma_beta", _ANGLE)}
 _SCENARIO_KEYS = {
-    **{key: (key, None) for key in (
-        "mu", "sample_dt", "t_start", "t_end", "init_perturb_sigma", "seed",
-        "mc_runs", "rel_tol", "transient_fraction", "truth_mode", "chi2_gate",
-        "jobs")},
-    "d_km": ("d", None), "miss_tol_km": ("miss_tol", None),
-    "q_diag": ("q_diag", tuple), "p0_diag": ("p0_diag", tuple)}
+    "mu": ("mu", None), "d_km": ("d", None),
+    "sample_dt": ("sample_dt", None), "t_start": ("t_start", None),
+    "t_end": ("t_end", None),
+    "init_perturb_sigma": ("init_perturb_sigma", None),
+    "q_diag": ("q_diag", _SEQUENCE), "p0_diag": ("p0_diag", _SEQUENCE),
+    "seed": ("seed", None), "mc_runs": ("mc_runs", None),
+    "miss_tol_km": ("miss_tol", None), "rel_tol": ("rel_tol", None),
+    "transient_fraction": ("transient_fraction", None),
+    "truth_mode": ("truth_mode", None), "chi2_gate": ("chi2_gate", None),
+    "jobs": ("jobs", None)}
 
 
-def _check_keys(d: dict, known, where: str) -> None:
-    """Raise ValueError naming every key of d that is not in known."""
-    unknown = sorted(set(d) - set(known))
-    if unknown:
-        raise ValueError(f"unknown key(s) in {where}: "
-                         + ", ".join(repr(k) for k in unknown))
+def _to_json(obj, keys: dict) -> dict:
+    return {key: getattr(obj, name) if conv is None
+            else conv[0](getattr(obj, name))
+            for key, (name, conv) in keys.items()}
 
 
-def _fields_from(d: dict, keys: dict) -> dict:
-    """Dataclass keyword arguments for the keys of d that are present;
-    fields left out keep their dataclass defaults."""
-    return {field: d[key] if conv is None else conv(d[key])
-            for key, (field, conv) in keys.items() if key in d}
+def _from_json(d: dict, keys: dict) -> dict:
+    """Keyword arguments for the keys of d that are present."""
+    return {name: d[key] if conv is None else conv[1](d[key])
+            for key, (name, conv) in keys.items() if key in d}
 
 
-def _from_dict(cls, d: dict, keys: dict, where: str):
-    _check_keys(d, keys, where)
-    return cls(**_fields_from(d, keys))
+def _check_keys(d: dict, known, where: str, required=()) -> None:
+    """Raise ValueError naming every key of d not in known and every
+    key of required missing from d."""
+    problems = [f"{what} key(s) in {where}: " + ", ".join(map(repr, bad))
+                for what, bad in (("unknown", sorted(set(d) - set(known))),
+                                  ("missing", [k for k in required
+                                               if k not in d]))
+                if bad]
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
+def _elements_from_json(d: dict, where: str) -> ClassicalElements:
+    _check_keys(d, _ELEMENT_KEYS, where, required=_ELEMENT_KEYS)
+    return ClassicalElements(**_from_json(d, _ELEMENT_KEYS))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """JSON-ready dict with angles in degrees."""
-    enc = None
-    if cfg.encounter is not None:
-        enc = {"relative_speed_km_s": cfg.encounter.relative_speed,
-               "gamma_deg": cfg.encounter.gamma / DEG,
-               "impact_nu_deg": cfg.encounter.impact_nu / DEG,
-               "transverse_speed_km_s": cfg.encounter.transverse_speed,
-               "radial_sign": cfg.encounter.radial_sign}
     return {
-        "mu": cfg.mu,
-        "target": _elements_to_dict(cfg.target),
+        **_to_json(cfg, _SCENARIO_KEYS),
+        **_to_json(cfg.noise, _NOISE_KEYS),
+        "target": _to_json(cfg.target, _ELEMENT_KEYS),
         "reference": (None if cfg.reference is None
-                      else _elements_to_dict(cfg.reference)),
-        "encounter": enc,
-        "d_km": cfg.d,
-        "sigma_az_deg": cfg.noise.sigma_az / DEG,
-        "sigma_el_deg": cfg.noise.sigma_el / DEG,
-        "sigma_beta_deg": cfg.noise.sigma_beta / DEG,
-        "sample_dt": cfg.sample_dt,
-        "t_start": cfg.t_start,
-        "t_end": cfg.t_end,
-        "init_perturb_sigma": cfg.init_perturb_sigma,
-        "q_diag": list(cfg.q_diag),
-        "p0_diag": list(cfg.p0_diag),
-        "seed": cfg.seed,
-        "mc_runs": cfg.mc_runs,
-        "miss_tol_km": cfg.miss_tol,
-        "rel_tol": cfg.rel_tol,
-        "transient_fraction": cfg.transient_fraction,
-        "truth_mode": cfg.truth_mode,
-        "chi2_gate": cfg.chi2_gate,
-        "jobs": cfg.jobs,
+                      else _to_json(cfg.reference, _ELEMENT_KEYS)),
+        "encounter": (None if cfg.encounter is None
+                      else _to_json(cfg.encounter, _ENCOUNTER_KEYS)),
     }
 
 
@@ -267,23 +252,24 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     ------
     ValueError
         If the config, its encounter or an element dict holds a key that
-        is not one of its keys.
+        is not one of its keys, or an element dict lacks one of its keys.
     """
     _check_keys(d, (*_SCENARIO_KEYS, *_NOISE_KEYS, "target", "reference",
                     "encounter"), "config")
-    kwargs = _fields_from(d, _SCENARIO_KEYS)
+    kwargs = _from_json(d, _SCENARIO_KEYS)
     kwargs["noise"] = replace(ScenarioConfig().noise,
-                              **_fields_from(d, _NOISE_KEYS))
+                              **_from_json(d, _NOISE_KEYS))
     if "target" in d:
-        kwargs["target"] = _from_dict(ClassicalElements, d["target"],
-                                      _ELEMENT_KEYS, "target")
+        kwargs["target"] = _elements_from_json(d["target"], "target")
     if d.get("reference"):
-        kwargs["reference"] = _from_dict(ClassicalElements, d["reference"],
-                                         _ELEMENT_KEYS, "reference")
+        kwargs["reference"] = _elements_from_json(d["reference"],
+                                                  "reference")
     if "encounter" in d:
         e = d["encounter"]
-        kwargs["encounter"] = None if e is None else _from_dict(
-            EncounterSpec, e, _ENCOUNTER_KEYS, "encounter")
+        if e is not None:
+            _check_keys(e, _ENCOUNTER_KEYS, "encounter")
+            e = EncounterSpec(**_from_json(e, _ENCOUNTER_KEYS))
+        kwargs["encounter"] = e
     return ScenarioConfig(**kwargs)
 
 

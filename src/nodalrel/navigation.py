@@ -31,9 +31,6 @@ from .relstate import (
 #: |elevation| within this distance of pi/2 flags an ill-conditioned azimuth.
 GIMBAL_EL_TOL = 1e-9
 
-_EYE6 = np.eye(6)
-_EYE6.flags.writeable = False
-
 
 @dataclass(frozen=True)
 class MeasurementTriple:
@@ -58,14 +55,10 @@ class NoiseSpec:
     def __post_init__(self):
         if not (self.sigma_az > 0 and self.sigma_el > 0 and self.sigma_beta > 0):
             raise ValueError("noise standard deviations must be positive")
-        r_cov = np.diag([self.sigma_az ** 2, self.sigma_el ** 2,
-                         self.sigma_beta ** 2])
-        r_cov.flags.writeable = False
-        object.__setattr__(self, "_r_cov", r_cov)
 
     def covariance(self) -> np.ndarray:
-        """Measurement covariance R (read-only, built once per spec)."""
-        return self._r_cov
+        return np.diag([self.sigma_az ** 2, self.sigma_el ** 2,
+                        self.sigma_beta ** 2])
 
 
 @dataclass(frozen=True)
@@ -265,17 +258,14 @@ def ekf_update(fs: FilterState, eta: ReferenceParams, z: MeasurementTriple,
     hp = h @ fs.P
     s_cov = hp @ h.T + r_cov
 
-    outlier = False
-    if chi2_gate is None:
-        gain = np.linalg.solve(s_cov, hp).T  # S symmetric
-    else:
-        # One solve with S gives the gain and the Mahalanobis distance.
-        sol = np.linalg.solve(s_cov, np.column_stack((hp, innov)))
-        gain = sol[:, :6].T
-        outlier = float(innov @ sol[:, 6]) > chi2_gate
+    # One solve with S gives the gain (S symmetric) and S^-1 innov.
+    sol = np.linalg.solve(s_cov, np.column_stack((hp, innov)))
+    gain = sol[:, :6].T
+    outlier = (chi2_gate is not None
+               and float(innov @ sol[:, 6]) > chi2_gate)
 
     x = fs.oe_hat.as_array() + gain @ innov
-    ikh = _EYE6 - gain @ h
+    ikh = np.eye(6) - gain @ h
     p_new = ikh @ fs.P @ ikh.T + gain @ r_cov @ gain.T
     p_new = 0.5 * (p_new + p_new.T)
     return EkfUpdate(

@@ -128,18 +128,23 @@ class TestConfigRoundTrip:
     def test_unknown_keys_named_at_every_level(self):
         d = config_to_dict(ScenarioConfig())
         d["reference"] = dict(d["target"])
-        cases = [("config", ("mc_run", "seeds"),
+        no_nu = {k: v for k, v in d["target"].items() if k != "nu_deg"}
+        cases = [("unknown", "config", ("mc_run", "seeds"),
                   {"mc_run": 3, "seeds": 1}),
-                 ("encounter", ("gama_deg",),
+                 ("unknown", "encounter", ("gama_deg",),
                   {"encounter": {**d["encounter"], "gama_deg": 8.0}}),
-                 ("target", ("nu",), {"target": {**d["target"], "nu": 0.0}}),
-                 ("reference", ("a",),
-                  {"reference": {**d["reference"], "a": 1.0}})]
-        for where, bad, extra in cases:
+                 ("unknown", "target", ("nu",),
+                  {"target": {**d["target"], "nu": 0.0}}),
+                 ("unknown", "reference", ("a",),
+                  {"reference": {**d["reference"], "a": 1.0}}),
+                 ("missing", "target", ("nu_deg",), {"target": no_nu}),
+                 ("missing", "reference", ("nu_deg",),
+                  {"reference": no_nu})]
+        for what, where, bad, extra in cases:
             with pytest.raises(ValueError) as exc:
                 config_from_dict({**d, **extra})
             msg = str(exc.value)
-            assert f"in {where}:" in msg
+            assert f"{what} key(s) in {where}:" in msg
             assert all(repr(key) in msg for key in bad)
 
     def test_left_out_keys_take_the_defaults(self):

@@ -357,10 +357,3 @@ class TestEkfUpdate:
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
         assert any(flags) and not all(flags)
 
-    def test_measurement_covariance_built_once_read_only(self):
-        r_cov = NOISE.covariance()
-        assert r_cov is NOISE.covariance()
-        assert not r_cov.flags.writeable
-        assert np.array_equal(r_cov, np.diag([NOISE.sigma_az ** 2,
-                                              NOISE.sigma_el ** 2,
-                                              NOISE.sigma_beta ** 2]))
