@@ -257,12 +257,12 @@ def ekf_update(fs: FilterState, eta: ReferenceParams, z: MeasurementTriple,
     h = pred.H
     hp = h @ fs.P
     s_cov = hp @ h.T + r_cov
+    gain = np.linalg.solve(s_cov, hp).T  # S symmetric
 
-    # One solve with S gives the gain (S symmetric) and S^-1 innov.
-    sol = np.linalg.solve(s_cov, np.column_stack((hp, innov)))
-    gain = sol[:, :6].T
-    outlier = (chi2_gate is not None
-               and float(innov @ sol[:, 6]) > chi2_gate)
+    outlier = False
+    if chi2_gate is not None:
+        maha2 = float(innov @ np.linalg.solve(s_cov, innov))
+        outlier = maha2 > chi2_gate
 
     x = fs.oe_hat.as_array() + gain @ innov
     ikh = np.eye(6) - gain @ h

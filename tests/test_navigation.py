@@ -331,9 +331,8 @@ class TestEkfUpdate:
                       - oe.as_array()).max() > 0.0
 
     def test_gate_matches_reference_distance_and_keeps_posterior(self):
-        # The gate shares the gain's solve with S; its flag must match the
-        # Mahalanobis distance solved on its own, and the posterior must
-        # match the ungated update.
+        # The flag must match the Mahalanobis distance solved on its own,
+        # and a gate must leave the posterior as the ungated update has it.
         rng = np.random.default_rng(71)
         oe, eta = default_state()
         fs = FilterState(oe_hat=oe, P=np.diag([1e-10] * 6))
