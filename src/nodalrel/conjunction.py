@@ -22,6 +22,7 @@ from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
     PerturbationInput,
     _solve_nodal,
+    advance_true_anomaly,
     input_matrices,
     orbital_period,
     unperturbed_flow,
@@ -29,6 +30,8 @@ from .dynamics import (
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
+    _separation,
+    classical_from_oe,
     separation_distance,
 )
 
@@ -115,14 +118,23 @@ def coplanar_radial_terms(oe: NodalRelativeState, eta: ReferenceParams,
 def _node_margins(oe: NodalRelativeState, eta: ReferenceParams,
                   ) -> tuple[float, float]:
     """Signed radial-mismatch margins at the ascending and descending
-    relative-node crossings, for |dh| > 0."""
+    relative-node crossings,
+
+        dp -+ [dh_x (dxi_x - dp ec) + dh_y (dxi_y - dp es)] / |dh|,
+
+    each zero exactly when the orbits intersect at that crossing.
+
+    Raises
+    ------
+    ZetaUndefined
+        For coplanar states (|dh| = 0).
+    """
     dh = oe.dh
-    # e1 cos(lambda1) and dxi cos(dphi) via inclination-vector projections.
-    e_cos_l1 = (oe.dh_x * eta.ec + oe.dh_y * eta.es) / dh
-    de_x = (oe.dh_x * oe.dxi_x + oe.dh_y * oe.dxi_y) / dh
-    asc = oe.dp * (1.0 + e_cos_l1) - de_x
-    desc = oe.dp * (1.0 - e_cos_l1) + de_x
-    return asc, desc
+    if not dh > 0.0:
+        raise ZetaUndefined("zeta requires a noncoplanar pair (|dh| > 0)")
+    x = (oe.dh_x * (oe.dxi_x - oe.dp * eta.ec)
+         + oe.dh_y * (oe.dxi_y - oe.dp * eta.es)) / dh
+    return oe.dp - x, oe.dp + x
 
 
 def c1_test(oe: NodalRelativeState, eta: ReferenceParams,
@@ -156,34 +168,22 @@ def c1_test(oe: NodalRelativeState, eta: ReferenceParams,
 
 
 def zeta(oe: NodalRelativeState, eta: ReferenceParams) -> float:
-    """Collision safety margin: the ascending node-crossing mismatch,
-
-        zeta = dp - [dh_x (dxi_x - dp ec) + dh_y (dxi_y - dp es)] / |dh|,
-
-    zero exactly when the orbits intersect at the ascending relative node.
+    """Collision safety margin: the ascending node-crossing margin of
+    :func:`_node_margins`, zero exactly when the orbits intersect at the
+    ascending relative node.
 
     Raises
     ------
     ZetaUndefined
         For coplanar states (|dh| = 0).
     """
-    dh = oe.dh
-    if not dh > 0.0:
-        raise ZetaUndefined("zeta requires a noncoplanar pair (|dh| > 0)")
-    num = (oe.dh_x * (oe.dxi_x - oe.dp * eta.ec)
-           + oe.dh_y * (oe.dxi_y - oe.dp * eta.es))
-    return oe.dp - num / dh
+    return _node_margins(oe, eta)[0]
 
 
 def zeta_descending(oe: NodalRelativeState, eta: ReferenceParams) -> float:
-    """Descending-node analogue of :func:`zeta` (same machinery, opposite
+    """Descending-node analogue of :func:`zeta` (same margins, opposite
     crossing)."""
-    dh = oe.dh
-    if not dh > 0.0:
-        raise ZetaUndefined("zeta requires a noncoplanar pair (|dh| > 0)")
-    num = (oe.dh_x * (oe.dxi_x - oe.dp * eta.ec)
-           + oe.dh_y * (oe.dxi_y - oe.dp * eta.es))
-    return oe.dp + num / dh
+    return _node_margins(oe, eta)[1]
 
 
 def zeta_gradient(oe: NodalRelativeState, eta: ReferenceParams,
@@ -259,32 +259,48 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     A collision is declared when the refined minimum distance is at most
     miss_tol (km).
 
-    With ``u`` given, the window is integrated once (RK45 at tolerance
-    rtol): the samples are that solve's outputs at the grid times and the
-    refinement evaluates its dense interpolant, so the objective and the
-    grid come from one source.  Otherwise the exact unperturbed flow is
-    used.
+    Without ``u`` the motion is the exact unperturbed flow: the grid is one
+    vectorized :func:`unperturbed_flow` call, and each refinement
+    evaluation advances both recovered orbits by scalar Kepler timing and
+    takes the distance from the radii, the phase and the rotated
+    inclination vector through the kernel of :func:`separation_distance`.
+    With ``u`` the window is integrated once (RK45 at tolerance rtol): the
+    samples are that solve's outputs at the grid times and the refinement
+    evaluates its dense interpolant, so the objective and the grid come
+    from one source.
+
+    Raises
+    ------
+    GeometryError
+        If the recovered e2 of satellite 2 is not below 1.
     """
     if not tf > t0:
         raise ValueError("tf must exceed t0")
-    e1 = eta.e1
-    a1 = eta.p1 / (1.0 - e1 * e1)
-    e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
-    a2 = eta.p1 * (1.0 + oe.dp) / (1.0 - e2 * e2)
-    p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
+    e1, nu10, p1 = eta.e1, eta.nu1, eta.p1
+    a1 = p1 / (1.0 - e1 * e1)
+    rec = classical_from_oe(oe, eta)
+    p_short = min(orbital_period(a1, mu), orbital_period(rec.a2, mu))
     if n_samples is None:
         n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
     t_grid = np.linspace(t0, tf, n_samples)
 
     if u is None:
-        def distance_at(t):
-            oe_arr, eta_arr = unperturbed_flow(oe, eta, mu, np.atleast_1d(t))
-            return separation_distance(oe_arr, eta_arr)
-
-        d_grid = distance_at(t_grid - t0)
+        d_grid = separation_distance(*unperturbed_flow(oe, eta, mu,
+                                                       t_grid - t0))
+        e2, a2, dlam = rec.e2, rec.a2, rec.dlambda
+        p2 = p1 * (1.0 + oe.dp)
+        nu20 = nu10 + oe.dtheta - dlam
 
         def scalar_distance(t):
-            return float(distance_at(np.array([t - t0]))[0])
+            nu1 = advance_true_anomaly(nu10, e1, a1, t - t0, mu)
+            nu2 = advance_true_anomaly(nu20, e2, a2, t - t0, mu)
+            c, s = math.cos(nu1 - nu10), math.sin(nu1 - nu10)
+            half = 0.5 * (nu2 - nu1 + dlam)
+            return _separation(p1 / (1.0 + e1 * math.cos(nu1)),
+                               p2 / (1.0 + e2 * math.cos(nu2)),
+                               math.sin(half), math.cos(half),
+                               c * oe.dh_x - s * oe.dh_y,
+                               s * oe.dh_x + c * oe.dh_y)
     else:
         sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_grid,
                            dense_output=True)

@@ -612,21 +612,28 @@ def propagate(oe: NodalRelativeState, eta: ReferenceParams,
 
 def rtn_basis(r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rows are the RTN unit vectors of a satellite, expressed in PCI, so
-    the matrix maps PCI components to RTN components."""
-    r = np.asarray(r, dtype=float)
-    v = np.asarray(v, dtype=float)
-    rhat = r / np.linalg.norm(r)
-    h = np.cross(r, v)
-    nhat = h / np.linalg.norm(h)
-    that = np.cross(nhat, rhat)
-    return np.vstack([rhat, that, nhat])
+    the matrix maps PCI components to RTN components.
+
+    The cross products h = r x v and t = n x r are written out in float
+    arithmetic: this runs once per Cowell RHS evaluation under thrust.
+    """
+    rx, ry, rz = float(r[0]), float(r[1]), float(r[2])
+    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+    hx, hy, hz = ry * vz - rz * vy, rz * vx - rx * vz, rx * vy - ry * vx
+    r_mag = math.sqrt(rx * rx + ry * ry + rz * rz)
+    h_mag = math.sqrt(hx * hx + hy * hy + hz * hz)
+    rx, ry, rz = rx / r_mag, ry / r_mag, rz / r_mag
+    hx, hy, hz = hx / h_mag, hy / h_mag, hz / h_mag
+    return np.array([[rx, ry, rz],
+                     [hy * rz - hz * ry, hz * rx - hx * rz, hx * ry - hy * rx],
+                     [hx, hy, hz]])
 
 
 def _cowell_rhs(t: float, y: np.ndarray, mu: float,
                 u: Optional[Callable[[float], np.ndarray]]) -> np.ndarray:
     r = y[:3]
     v = y[3:]
-    acc = -mu / np.linalg.norm(r) ** 3 * r
+    acc = -mu / math.sqrt(r @ r) ** 3 * r
     if u is not None:
         acc = acc + rtn_basis(r, v).T @ np.asarray(u(t), dtype=float)
     return np.concatenate([v, acc])

@@ -17,7 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -73,16 +73,18 @@ VALIDATION_PHASES_2 = (0.5, 1.5, 2.5)
 VALIDATION_SPAN = 1.0e4
 
 
-def validation_accel_1(t: float) -> np.ndarray:
-    return VALIDATION_AMPLITUDE * np.array(
-        [math.sin(2.0 * math.pi * t / per + ph)
-         for per, ph in zip(VALIDATION_PERIODS_1, VALIDATION_PHASES_1)])
+def _sinusoid(periods: tuple, phases: tuple) -> Callable[[float], np.ndarray]:
+    """RTN acceleration t -> amplitude * sin(2 pi t / period + phase), one
+    period and phase per axis."""
+    def accel(t: float) -> np.ndarray:
+        return VALIDATION_AMPLITUDE * np.array(
+            [math.sin(2.0 * math.pi * t / per + ph)
+             for per, ph in zip(periods, phases)])
+    return accel
 
 
-def validation_accel_2(t: float) -> np.ndarray:
-    return VALIDATION_AMPLITUDE * np.array(
-        [math.sin(2.0 * math.pi * t / per + ph)
-         for per, ph in zip(VALIDATION_PERIODS_2, VALIDATION_PHASES_2)])
+validation_accel_1 = _sinusoid(VALIDATION_PERIODS_1, VALIDATION_PHASES_1)
+validation_accel_2 = _sinusoid(VALIDATION_PERIODS_2, VALIDATION_PHASES_2)
 
 
 def _validation_input(t: float) -> PerturbationInput:

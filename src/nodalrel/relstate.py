@@ -355,8 +355,28 @@ def relative_position_batch(oe_arr: np.ndarray,
     return out
 
 
+def _separation(r1, r2, sin_half, cos_half, hx, hy):
+    """Distance between satellites at radii r1 and r2, a phase dtheta apart
+    (given as sin and cos of dtheta/2), with inclination vector (hx, hy):
+
+        d^2 = (r1 - r2)^2
+              + 4 r1 r2 [sin^2(dtheta/2) + (hx sin(dtheta/2)
+                                            + hy cos(dtheta/2))^2] / S,
+
+    S = 1 + hx^2 + hy^2.  This is r1^2 (1 + q^2 - 2 q b1) with 1 - b1 and
+    1 - q written out, so km-scale misses at heliocentric radii do not
+    cancel.  Arithmetic only: float and array arguments share it.
+    """
+    w = hx * sin_half + hy * cos_half
+    d2 = ((r1 - r2) ** 2 + 4.0 * r1 * r2 * (sin_half * sin_half + w * w)
+          / (1.0 + hx * hx + hy * hy))
+    return d2 ** 0.5
+
+
 def separation_distance(oe_arr: np.ndarray, eta_arr: np.ndarray) -> np.ndarray:
-    """Inter-satellite distance r1*sqrt(1 + q^2 - 2 q b1) for stacked states.
+    """Inter-satellite distance for stacked states, from the radii and the
+    half-phase form of :func:`_separation` (no cancellation at close
+    approach, whatever the orbit radius).
 
     Parameters
     ----------
@@ -372,17 +392,13 @@ def separation_distance(oe_arr: np.ndarray, eta_arr: np.ndarray) -> np.ndarray:
     eta_arr = np.atleast_2d(np.asarray(eta_arr, dtype=float))
     dtheta, dp = oe_arr[:, 0], oe_arr[:, 1]
     dxx, dxy = oe_arr[:, 2], oe_arr[:, 3]
-    hx, hy = oe_arr[:, 4], oe_arr[:, 5]
     p1, ec, es = eta_arr[:, 0], eta_arr[:, 1], eta_arr[:, 2]
 
-    c, s = np.cos(dtheta), np.sin(dtheta)
-    r1 = p1 / (1.0 + ec)
-    denom = 1.0 + (dxx + ec) * c - (dxy + es) * s
+    denom = 1.0 + (dxx + ec) * np.cos(dtheta) - (dxy + es) * np.sin(dtheta)
     denom = np.where(denom > 0.0, denom, np.nan)
-    q = (1.0 + dp) * (1.0 + ec) / denom
-    smag = 1.0 + hx * hx + hy * hy
-    b1 = ((1.0 + hx * hx - hy * hy) * c - 2.0 * hx * hy * s) / smag
-    return r1 * np.sqrt(np.maximum(1.0 + q * q - 2.0 * q * b1, 0.0))
+    return _separation(p1 / (1.0 + ec), p1 * (1.0 + dp) / denom,
+                       np.sin(0.5 * dtheta), np.cos(0.5 * dtheta),
+                       oe_arr[:, 4], oe_arr[:, 5])
 
 
 def _position_and_jacobians(oe: NodalRelativeState, eta: ReferenceParams,

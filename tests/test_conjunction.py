@@ -239,11 +239,11 @@ class TestC1Branches:
             count += 1
 
 
-def reference_c2_perturbed(oe, eta, t0, tf, mu, miss_tol, u, rtol=1e-12):
-    """c2_check with a perturbing input as it was before the refinement
-    evaluated the grid solve's dense output: the grid comes from one
-    propagate call and every refinement evaluation re-integrates from t0.
-    Kept as the reference for the perturbed path."""
+def reference_c2(oe, eta, t0, tf, mu, miss_tol, grid_distance,
+                 scalar_distance):
+    """c2_check's grid and bounded-Brent refinement written out, with the
+    separation history given by the caller: grid_distance(t_grid) for the
+    samples and scalar_distance(t) for each refinement evaluation."""
     e1 = eta.e1
     a1 = eta.p1 / (1.0 - e1 * e1)
     e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
@@ -251,14 +251,7 @@ def reference_c2_perturbed(oe, eta, t0, tf, mu, miss_tol, u, rtol=1e-12):
     p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
     n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
     t_grid = np.linspace(t0, tf, n_samples)
-
-    traj = propagate(oe, eta, t0, tf, mu, u=u, rtol=rtol, t_eval=t_grid)
-    d_grid = separation_distance(traj.oe, traj.eta)
-
-    def scalar_distance(t):
-        sub = propagate(oe, eta, t0, max(t, t0 + 1e-9), mu, u=u,
-                        rtol=rtol, t_eval=[max(t, t0 + 1e-9)])
-        return float(separation_distance(sub.oe, sub.eta)[0])
+    d_grid = grid_distance(t_grid)
 
     k = int(np.nanargmin(d_grid))
     t_best, d_best = float(t_grid[k]), float(d_grid[k])
@@ -272,6 +265,37 @@ def reference_c2_perturbed(oe, eta, t0, tf, mu, miss_tol, u, rtol=1e-12):
             t_best, d_best = float(res.x), float(res.fun)
 
     return C2Result(collides=d_best <= miss_tol, t_min=t_best, d_min=d_best)
+
+
+def reference_c2_perturbed(oe, eta, t0, tf, mu, miss_tol, u, rtol=1e-12):
+    """c2_check with a perturbing input as it was before the refinement
+    evaluated the grid solve's dense output: the grid comes from one
+    propagate call and every refinement evaluation re-integrates from t0.
+    Kept as the reference for the perturbed path."""
+    def grid_distance(t_grid):
+        traj = propagate(oe, eta, t0, tf, mu, u=u, rtol=rtol, t_eval=t_grid)
+        return separation_distance(traj.oe, traj.eta)
+
+    def scalar_distance(t):
+        sub = propagate(oe, eta, t0, max(t, t0 + 1e-9), mu, u=u,
+                        rtol=rtol, t_eval=[max(t, t0 + 1e-9)])
+        return float(separation_distance(sub.oe, sub.eta)[0])
+
+    return reference_c2(oe, eta, t0, tf, mu, miss_tol, grid_distance,
+                        scalar_distance)
+
+
+def reference_c2_unperturbed(oe, eta, t0, tf, mu, miss_tol):
+    """c2_check without input as it was before the refinement evaluated
+    scalar Kepler timing: every objective evaluation is a vectorized
+    unperturbed_flow and separation_distance call on a one-element time
+    array.  Kept as the reference for the unperturbed path."""
+    def distance_at(t):
+        return separation_distance(
+            *unperturbed_flow(oe, eta, mu, np.atleast_1d(t) - t0))
+
+    return reference_c2(oe, eta, t0, tf, mu, miss_tol, distance_at,
+                        lambda t: float(distance_at(t)[0]))
 
 
 #: Perturbed-screen pairs: common-point pairs coasted back LEAD seconds and
@@ -358,6 +382,27 @@ class TestC2:
             res = c2_check(oe, eta, 0.0, 6000.0, MU, miss_tol=1.0)
             assert res.collides
             assert abs(res.t_min - 3000.0) <= 1e-3
+
+    def test_unperturbed_matches_vectorized_reference(self):
+        lead = PERTURBED_LEAD
+        for el1, el2, _, _ in perturbed_pairs(63, 4):
+            for dt2 in (0.0, 2.0):
+                # dt2 > 0 moves satellite 2 back along its orbit: a near
+                # miss instead of a collision.
+                oe, eta = oe_from_classical(
+                    el1, kepler_advance(el2, -dt2, MU))
+                res = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU,
+                               miss_tol=1.0)
+                if dt2 == 0.0:
+                    assert res.collides
+                    assert res.d_min <= 1e-4
+                    assert abs(res.t_min - lead) <= 1e-3
+                else:
+                    ref = reference_c2_unperturbed(
+                        oe, eta, 0.0, PERTURBED_WINDOW, MU, 1.0)
+                    assert abs(res.d_min - ref.d_min) <= 1e-6
+                    assert abs(res.t_min - ref.t_min) <= 1e-6
+                    assert res.collides == ref.collides
 
     def test_perturbed_matches_reintegrating_reference(self):
         for el1, el2, a1, a2 in perturbed_pairs(60, 4):

@@ -500,6 +500,31 @@ class TestImpulse:
         basis = rtn_basis(s.r, s.v)
         assert np.abs(basis @ basis.T - np.eye(3)).max() < 1e-14
 
+    def test_rtn_basis_matches_cross_product_reference(self):
+        rng = np.random.default_rng(70)
+        for _ in range(200):
+            s = elements_to_cartesian(random_elements(rng), MU)
+            rhat = s.r / np.linalg.norm(s.r)
+            nhat = np.cross(s.r, s.v)
+            nhat = nhat / np.linalg.norm(nhat)
+            ref = np.vstack([rhat, np.cross(nhat, rhat), nhat])
+            assert np.abs(rtn_basis(s.r, s.v) - ref).max() <= 1e-14
+
+    def test_cowell_oracle_uses_nothing_from_the_nodal_model(self):
+        # The oracle checks the nodal model, so none of the globals its
+        # functions reach may come from relstate or conjunction.
+        import nodalrel.dynamics as dyn
+        for fn in (dyn.rtn_basis, dyn._cowell_rhs, dyn.cowell_propagate,
+                   dyn.apply_impulse, dyn.elements_to_cartesian):
+            names = set(fn.__code__.co_names)
+            for const in fn.__code__.co_consts:
+                if hasattr(const, "co_names"):
+                    names |= set(const.co_names)
+            for name in names & set(vars(dyn)):
+                home = getattr(vars(dyn)[name], "__module__", "")
+                assert home not in ("nodalrel.relstate",
+                                    "nodalrel.conjunction"), (fn, name)
+
     def test_transverse_impulse_raises_energy(self):
         s = elements_to_cartesian(EL1, MU)
         bumped = apply_impulse(s, np.array([0.0, 1e-2, 0.0]))

@@ -9,11 +9,16 @@ from dataclasses import replace
 
 from nodalrel import (
     InfeasibleEncounter,
+    NodalRelativeState,
+    ReferenceParams,
     c1_test,
     c2_check,
     elements_to_cartesian,
     oe_from_classical,
     relative_orientation,
+    relative_position_batch,
+    separation_distance,
+    unperturbed_flow,
     zeta,
 )
 from nodalrel import missionsim as sim
@@ -95,6 +100,42 @@ class TestScenarioConstruction:
         kepler = build_truth(cfg)
         cowell = build_truth(replace(cfg, truth_mode="cowell"))
         assert np.abs(kepler.dr - cowell.dr).max() < 1e-3
+
+
+@pytest.fixture(scope="module")
+def desk_truth():
+    """The default desk scenario's truth over the full window at 600 s."""
+    cfg = replace(ScenarioConfig(), sample_dt=600.0)
+    return cfg, build_truth(cfg)
+
+
+class TestHeliocentricSeparation:
+    """km-scale separations at ~2.4 AU, where r1*sqrt(1 + q^2 - 2 q b1)
+    cancels down to a floor of r1*sqrt(eps), about 5 km."""
+
+    def test_c2_finds_desk_collision_from_screening_rows(self, desk_truth):
+        # Screening rows (stride 14) at which the cancelling distance
+        # reported misses of 6.5-59 km and t_min off by up to 4 s.
+        cfg, truth = desk_truth
+        for k in (56, 350, 532, 672):
+            res = c2_check(NodalRelativeState.from_array(truth.oe[k]),
+                           ReferenceParams.from_array(truth.eta[k]),
+                           float(truth.t[k]), -cfg.t_end, cfg.mu,
+                           miss_tol=cfg.miss_tol, n_samples=2000)
+            assert res.collides
+            assert res.d_min <= 1e-3
+            assert abs(res.t_min) <= 1e-3
+
+    def test_separation_matches_position_norm_near_impact(self, desk_truth):
+        cfg, truth = desk_truth
+        oe0 = NodalRelativeState.from_array(truth.oe[0])
+        eta0 = ReferenceParams.from_array(truth.eta[0])
+        offsets = np.array([-10.0, -1.0, -0.1, 0.1, 1.0, 10.0])
+        oe_arr, eta_arr = unperturbed_flow(oe0, eta0, cfg.mu,
+                                           offsets - truth.t[0])
+        d = separation_distance(oe_arr, eta_arr)
+        dr = relative_position_batch(oe_arr, eta_arr)
+        assert np.abs(d - np.linalg.norm(dr, axis=1)).max() <= 1e-6
 
 
 class TestConfigRoundTrip:
