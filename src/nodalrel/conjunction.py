@@ -91,50 +91,62 @@ class ManeuverPlan:
     g_vec: np.ndarray
 
 
-def _recovery_terms(oe: NodalRelativeState, eta: ReferenceParams,
-                    ) -> tuple[float, float]:
-    """Keplerian invariants (e2, dlambda) entering the coplanar branch."""
-    e1, nu1 = eta.e1, eta.nu1
-    e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
-    dlambda = math.atan2(
-        oe.dxi_x * math.sin(nu1) - oe.dxi_y * math.cos(nu1),
-        oe.dxi_x * math.cos(nu1) + oe.dxi_y * math.sin(nu1) + e1)
-    return e2, dlambda
-
-
 def coplanar_radial_terms(oe: NodalRelativeState, eta: ReferenceParams,
                           ) -> tuple[float, float]:
     """Amplitude and phase (drho, phi_c) of the coplanar radial mismatch
-    dp + drho cos(nu1 + phi_c); intersection is possible iff |dp| <= drho."""
-    e1 = eta.e1
-    e2, dlambda = _recovery_terms(oe, eta)
-    a_ = (1.0 + oe.dp) * e1 - e2 * math.cos(dlambda)
-    b_ = e2 * math.sin(dlambda)
+    dp + drho cos(nu1 + phi_c); intersection is possible iff |dp| <= drho.
+    GeometryError, as in :func:`classical_from_oe`, if e2 is not below 1."""
+    rec = classical_from_oe(oe, eta)
+    a_ = (1.0 + oe.dp) * eta.e1 - rec.e2 * math.cos(rec.dlambda)
+    b_ = rec.e2 * math.sin(rec.dlambda)
     drho = math.hypot(a_, b_)
     phi_c = math.atan2(b_, a_)
     return drho, phi_c
 
 
-def _node_margins(oe: NodalRelativeState, eta: ReferenceParams,
-                  ) -> tuple[float, float]:
+def _margin_kernel(dp, dxi_x, dxi_y, hx, hy, ec, es, dh, gradient=False):
     """Signed radial-mismatch margins at the ascending and descending
     relative-node crossings,
 
         dp -+ [dh_x (dxi_x - dp ec) + dh_y (dxi_y - dp es)] / |dh|,
 
-    each zero exactly when the orbits intersect at that crossing.
-
-    Raises
-    ------
-    ZetaUndefined
-        For coplanar states (|dh| = 0).
+    each zero exactly when the orbits intersect at that crossing, given
+    |dh| > 0.  Returns (ascending, descending, d_oe, d_eta), the last two
+    the ascending margin's partials (tuples) with ``gradient``, else None.
+    Arithmetic only: float and array arguments share it.
     """
+    ax = dxi_x - dp * ec
+    ay = dxi_y - dp * es
+    num = hx * ax + hy * ay
+    x = num / dh
+    if not gradient:
+        return dp - x, dp + x, None, None
+    d_oe = (0.0, 1.0 + (hx * ec + hy * es) / dh, -hx / dh, -hy / dh,
+            -ax / dh + num * hx / dh ** 3, -ay / dh + num * hy / dh ** 3)
+    d_eta = (0.0, dp * hx / dh, dp * hy / dh)
+    return dp - x, dp + x, d_oe, d_eta
+
+
+def _node_margins(oe: NodalRelativeState, eta: ReferenceParams,
+                  gradient: bool = False):
+    """:func:`_margin_kernel` on one state; ZetaUndefined if coplanar."""
     dh = oe.dh
     if not dh > 0.0:
         raise ZetaUndefined("zeta requires a noncoplanar pair (|dh| > 0)")
-    x = (oe.dh_x * (oe.dxi_x - oe.dp * eta.ec)
-         + oe.dh_y * (oe.dxi_y - oe.dp * eta.es)) / dh
-    return oe.dp - x, oe.dp + x
+    return _margin_kernel(oe.dp, oe.dxi_x, oe.dxi_y, oe.dh_x, oe.dh_y,
+                          eta.ec, eta.es, dh, gradient)
+
+
+def _node_margin_arrays(oe_arr, eta_arr, gradient: bool = False):
+    """:func:`_margin_kernel` over states (..., 6) and references (..., 3);
+    ZetaUndefined if any state is coplanar."""
+    _, dp, dxx, dxy, hx, hy = np.moveaxis(np.asarray(oe_arr, dtype=float),
+                                          -1, 0)
+    _, ec, es = np.moveaxis(np.asarray(eta_arr, dtype=float), -1, 0)
+    dh = np.hypot(hx, hy)
+    if not np.all(dh > 0.0):
+        raise ZetaUndefined("zeta requires a noncoplanar pair (|dh| > 0)")
+    return _margin_kernel(dp, dxx, dxy, hx, hy, ec, es, dh, gradient)
 
 
 def c1_test(oe: NodalRelativeState, eta: ReferenceParams,
@@ -158,7 +170,7 @@ def c1_test(oe: NodalRelativeState, eta: ReferenceParams,
             satisfied_coplanar=margin <= 0.0,
             satisfied_ascending=False, satisfied_descending=False)
 
-    asc, desc = _node_margins(oe, eta)
+    asc, desc, _, _ = _node_margins(oe, eta)
     return C1Verdict(
         coplanar=False, margin_coplanar=math.nan,
         margin_ascending=asc, margin_descending=desc,
@@ -169,7 +181,7 @@ def c1_test(oe: NodalRelativeState, eta: ReferenceParams,
 
 def zeta(oe: NodalRelativeState, eta: ReferenceParams) -> float:
     """Collision safety margin: the ascending node-crossing margin of
-    :func:`_node_margins`, zero exactly when the orbits intersect at the
+    :func:`_margin_kernel`, zero exactly when the orbits intersect at the
     ascending relative node.
 
     Raises
@@ -196,24 +208,8 @@ def zeta_gradient(oe: NodalRelativeState, eta: ReferenceParams,
     ZetaUndefined
         For coplanar states (|dh| = 0).
     """
-    dh = oe.dh
-    if not dh > 0.0:
-        raise ZetaUndefined("zeta requires a noncoplanar pair (|dh| > 0)")
-    hx, hy = oe.dh_x, oe.dh_y
-    ax = oe.dxi_x - oe.dp * eta.ec
-    ay = oe.dxi_y - oe.dp * eta.es
-    num = hx * ax + hy * ay
-
-    d_oe = np.array([
-        0.0,
-        1.0 + (hx * eta.ec + hy * eta.es) / dh,
-        -hx / dh,
-        -hy / dh,
-        -ax / dh + num * hx / dh ** 3,
-        -ay / dh + num * hy / dh ** 3,
-    ])
-    d_eta = np.array([0.0, oe.dp * hx / dh, oe.dp * hy / dh])
-    return d_oe, d_eta
+    _, _, d_oe, d_eta = _node_margins(oe, eta, gradient=True)
+    return np.array(d_oe), np.array(d_eta)
 
 
 def plan_avoidance(oe: NodalRelativeState, eta: ReferenceParams,

@@ -19,7 +19,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import CoplanarNormalInput, GeometryError, StepFailure
 from .frames import ClassicalElements, wrap_angle
-from .relstate import NodalRelativeState, ReferenceParams
+from .relstate import (NodalRelativeState, ReferenceParams,
+                       _radius_denominator, classical_from_oe)
 
 #: Eccentricity below which an orbit is treated as circular when extracting
 #: elements from a Cartesian state (argp = 0, phase folded into nu).
@@ -273,6 +274,18 @@ def nu1_rate(eta: ReferenceParams, mu: float) -> float:
     return math.sqrt(mu / eta.p1 ** 3) * (1.0 + eta.ec) ** 2
 
 
+def _unperturbed_rates(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu):
+    """Keplerian derivative of the six relative states and of (p1, ec, es),
+    as a 9-tuple, from the nine components as floats."""
+    k = math.sqrt(mu / p1 ** 3)
+    c, s = math.cos(dtheta), math.sin(dtheta)
+    denom = _radius_denominator(c, s, dxx, dxy, ec, es)
+    nudot = k * (1.0 + ec) ** 2
+    return (k * (denom * denom / (1.0 + dp) ** 1.5 - (1.0 + ec) ** 2), 0.0,
+            -nudot * dxy, nudot * dxx, -nudot * hy, nudot * hx,
+            0.0, -nudot * es, nudot * ec)
+
+
 def f_unperturbed(oe: NodalRelativeState, eta: ReferenceParams,
                   mu: float) -> np.ndarray:
     """Exact Keplerian derivative of the six relative states.
@@ -281,14 +294,9 @@ def f_unperturbed(oe: NodalRelativeState, eta: ReferenceParams,
     reference anomaly rate; dtheta evolves with the anomaly-rate mismatch
     of the two orbits.
     """
-    k = math.sqrt(mu / eta.p1 ** 3)
-    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    denom = 1.0 + (oe.dxi_x + eta.ec) * c - (oe.dxi_y + eta.es) * s
-    nudot = k * (1.0 + eta.ec) ** 2
-    f1 = k * (denom * denom / (1.0 + oe.dp) ** 1.5 - (1.0 + eta.ec) ** 2)
-    return np.array([f1, 0.0,
-                     -nudot * oe.dxi_y, nudot * oe.dxi_x,
-                     -nudot * oe.dh_y, nudot * oe.dh_x])
+    return np.array(_unperturbed_rates(
+        oe.dtheta, oe.dp, oe.dxi_x, oe.dxi_y, oe.dh_x, oe.dh_y,
+        eta.p1, eta.ec, eta.es, mu)[:6])
 
 
 def f_eta(eta: ReferenceParams, mu: float) -> np.ndarray:
@@ -304,7 +312,7 @@ def f_unperturbed_jacobian(oe: NodalRelativeState, eta: ReferenceParams,
     relative state (used for covariance transition in the filter)."""
     k = math.sqrt(mu / eta.p1 ** 3)
     c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    denom = 1.0 + (oe.dxi_x + eta.ec) * c - (oe.dxi_y + eta.es) * s
+    denom = _radius_denominator(c, s, oe.dxi_x, oe.dxi_y, eta.ec, eta.es)
     ddenom = -(oe.dxi_x + eta.ec) * s - (oe.dxi_y + eta.es) * c
     opd = 1.0 + oe.dp
     nudot = k * (1.0 + eta.ec) ** 2
@@ -349,14 +357,8 @@ def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
     e1, nu10, p1 = eta.e1, eta.nu1, eta.p1
     a1 = p1 / (1.0 - e1 * e1)
 
-    e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
-    if not e2 < 1.0:
-        raise GeometryError(f"recovered eccentricity e2 = {e2} is not < 1")
-    dlam = math.atan2(
-        oe.dxi_x * math.sin(nu10) - oe.dxi_y * math.cos(nu10),
-        oe.dxi_x * math.cos(nu10) + oe.dxi_y * math.sin(nu10) + e1)
-    p2 = p1 * (1.0 + oe.dp)
-    a2 = p2 / (1.0 - e2 * e2)
+    rec = classical_from_oe(oe, eta)
+    e2, a2, dlam = rec.e2, rec.a2, rec.dlambda
     nu20 = nu10 + oe.dtheta - dlam
 
     nu1t = advance_true_anomaly(nu10, e1, a1, t, mu)
@@ -386,7 +388,7 @@ def _input_kernel(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu: float,
     """(G1, G2, Geta) of :func:`input_matrices` from the nine state and
     reference components as floats."""
     c, s = math.cos(dtheta), math.sin(dtheta)
-    denom = 1.0 + (dxx + ec) * c - (dxy + es) * s
+    denom = _radius_denominator(c, s, dxx, dxy, ec, es)
     if not denom > 0.0:
         raise GeometryError(
             f"radius denominator {denom} <= 0: state outside elliptic geometry")
@@ -528,26 +530,10 @@ def nodal_variational(theta1: float, theta2: float, gamma: float,
 def _nodal_rhs(t: float, y: np.ndarray,
                u: Optional[Callable[[float], PerturbationInput]],
                mu: float) -> np.ndarray:
-    dtheta, dp, dxx, dxy, hx, hy, p1, ec, es = y
-    k = math.sqrt(mu / p1 ** 3)
-    c, s = math.cos(dtheta), math.sin(dtheta)
-    denom = 1.0 + (dxx + ec) * c - (dxy + es) * s
-    nudot = k * (1.0 + ec) ** 2
-
-    dy = np.empty(9)
-    dy[0] = k * (denom * denom / (1.0 + dp) ** 1.5 - (1.0 + ec) ** 2)
-    dy[1] = 0.0
-    dy[2] = -nudot * dxy
-    dy[3] = nudot * dxx
-    dy[4] = -nudot * hy
-    dy[5] = nudot * hx
-    dy[6] = 0.0
-    dy[7] = -nudot * es
-    dy[8] = nudot * ec
-
+    y = y.tolist()  # floats: faster scalar arithmetic than numpy scalars
+    dy = np.array(_unperturbed_rates(*y, mu))
     if u is not None:
-        g1, g2, geta = _input_kernel(dtheta, dp, dxx, dxy, hx, hy,
-                                     p1, ec, es, mu)
+        g1, g2, geta = _input_kernel(*y, mu)
         uin = u(t)
         dy[:6] += g2 @ uin.u2 - g1 @ uin.u1
         dy[6:] += geta @ uin.u1

@@ -27,9 +27,8 @@ from .frames import ClassicalElements, wrap_angle
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
-    _position_and_jacobians,
+    _position_arrays,
     oe_from_classical,
-    position_jacobians,
     relative_position_batch,
 )
 from .dynamics import (
@@ -44,11 +43,10 @@ from .dynamics import (
     rtn_basis,
     unperturbed_flow,
 )
-from .conjunction import c1_test, c2_check, plan_avoidance, zeta, zeta_gradient
+from .conjunction import _node_margin_arrays, c1_test, c2_check, plan_avoidance
 from .navigation import (
     EkfUpdate,
     FilterState,
-    MeasurementTriple,
     NoiseSpec,
     ekf_propagate,
     ekf_update,
@@ -402,12 +400,13 @@ def build_truth(cfg: ScenarioConfig) -> TruthTrajectory:
 
     dr = relative_position_batch(oe_arr, eta_arr)
     rng_km = np.linalg.norm(dr, axis=1)
-    zeta_arr = np.array([
-        zeta(NodalRelativeState.from_array(oe_arr[k]),
-             ReferenceParams.from_array(eta_arr[k]))
-        for k in range(t.size)])
+    if not np.all(rng_km > cfg.d):
+        raise ValueError(f"t_end = {cfg.t_end} s reaches the encounter: the "
+                         f"truth range falls to {rng_km.min()} km, not above "
+                         f"d = {cfg.d} km (angular size d/range >= 1 rad)")
     return TruthTrajectory(t=t, oe=oe_arr, eta=eta_arr, dr=dr,
-                           range_km=rng_km, zeta=zeta_arr,
+                           range_km=rng_km,
+                           zeta=_node_margin_arrays(oe_arr, eta_arr)[0],
                            el1_impact=el1_imp, el2_impact=el2_imp)
 
 
@@ -415,7 +414,9 @@ def build_truth(cfg: ScenarioConfig) -> TruthTrajectory:
 
 @dataclass(frozen=True)
 class FlybyRun:
-    """Per-run filter history (post-update values at each sample time)."""
+    """Per-run filter history at each sample time.  The diagnostics (err,
+    sigma, nees, range and zeta with their sigmas) come from the posterior
+    at each sample, evaluated in blocks after the filter pass."""
 
     t: np.ndarray
     oe_hat: np.ndarray
@@ -432,6 +433,33 @@ class FlybyRun:
     post_transient_index: int
 
 
+#: Posteriors held for one batched diagnostics pass: a fixed length, so a
+#: run keeps no O(n) covariance history.
+_DIAGNOSTIC_BLOCK = 256
+
+
+def _posterior_diagnostics(x, P, eta, oe_true, range_true) -> tuple:
+    """(err, sigma, nees, range_err, range_sigma, zeta_hat, zeta_sigma) of
+    posteriors x (B, 6), P (B, 6, 6) at references eta (B, 3), against the
+    truth.  Raises GeometryError or ZetaUndefined as the per-state kernels
+    do on a non-elliptic or coplanar posterior."""
+    err = x - oe_true
+    err[:, 0] = wrap_angle(err[:, 0])
+    nees = np.einsum("bi,bi->b", err,
+                     np.linalg.solve(P, err[..., None])[..., 0])
+    *_, dr, j_oe, _ = _position_arrays(x, eta, jacobians=True)
+    rho = np.sqrt(dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2])
+    if not np.all(np.isfinite(rho)):
+        raise GeometryError("radius denominator <= 0 at a posterior state")
+    zeta_hat, _, d_oe, _ = _node_margin_arrays(x, eta, gradient=True)
+    grads = np.array([np.einsum("ib,ijb->jb", np.array(dr) / rho,
+                                np.array(j_oe)), np.broadcast_arrays(*d_oe)])
+    range_sigma, zeta_sigma = np.sqrt(np.maximum(
+        np.einsum("kib,bij,kjb->kb", grads, P, grads), 0.0))
+    return (err, np.sqrt(np.maximum(np.diagonal(P, axis1=1, axis2=2), 0.0)),
+            nees, rho - range_true, range_sigma, zeta_hat, zeta_sigma)
+
+
 def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
                 run_index: int) -> FlybyRun:
     rng = np.random.Generator(np.random.Philox(
@@ -445,15 +473,13 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
     eta_k = ReferenceParams.from_array(truth.eta[0])
 
     oe_hat = np.empty((n, 6))
-    err = np.empty((n, 6))
-    sigma = np.empty((n, 6))
-    range_err = np.empty(n)
-    range_sigma = np.empty(n)
-    zeta_hat = np.empty(n)
-    zeta_sigma = np.empty(n)
     innovations = np.empty((n, 3))
-    nees = np.empty(n)
     outliers = np.zeros(n, dtype=bool)
+    diagnostics = [np.empty((n, 6)), np.empty((n, 6))] + [
+        np.empty(n) for _ in range(5)]
+    p_block = np.empty((_DIAGNOSTIC_BLOCK, 6, 6))
+    eta_block = np.empty((_DIAGNOSTIC_BLOCK, 3))
+    start = 0
 
     for k in range(n):
         z = measure(truth.dr[k], cfg.d, cfg.noise, rng)
@@ -462,29 +488,22 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
         fs = upd.state
         innovations[k] = upd.innovation
         outliers[k] = upd.outlier
-
-        x = fs.oe_hat.as_array()
-        oe_hat[k] = x
-        e = x - truth.oe[k]
-        e[0] = wrap_angle(e[0])
-        err[k] = e
-        dP = np.diag(fs.P)
-        sigma[k] = np.sqrt(np.maximum(dP, 0.0))
-        nees[k] = float(e @ np.linalg.solve(fs.P, e))
-
-        rel, j_oe, _ = _position_and_jacobians(fs.oe_hat, eta_k)
-        rho_hat = float(np.linalg.norm(rel))
-        range_err[k] = rho_hat - truth.range_km[k]
-        grad_rho = (rel / rho_hat) @ j_oe
-        range_sigma[k] = math.sqrt(max(float(grad_rho @ fs.P @ grad_rho), 0.0))
-
-        zeta_hat[k] = zeta(fs.oe_hat, eta_k)
-        gz, _ = zeta_gradient(fs.oe_hat, eta_k)
-        zeta_sigma[k] = math.sqrt(max(float(gz @ fs.P @ gz), 0.0))
-
+        oe_hat[k] = fs.oe_hat.as_array()
+        j = k - start
+        p_block[j] = fs.P
+        eta_block[j] = (eta_k.p1, eta_k.ec, eta_k.es)
+        if j == len(p_block) - 1 or k == n - 1:
+            rows = slice(start, k + 1)
+            for out, block in zip(diagnostics, _posterior_diagnostics(
+                    oe_hat[rows], p_block[:j + 1], eta_block[:j + 1],
+                    truth.oe[rows], truth.range_km[rows])):
+                out[rows] = block
+            start = k + 1
         if k < n - 1:
             fs, eta_k = ekf_propagate(fs, eta_k, cfg.sample_dt, q_rate, cfg.mu)
 
+    (err, sigma, nees, range_err, range_sigma, zeta_hat,
+     zeta_sigma) = diagnostics
     k0 = int(math.ceil(cfg.transient_fraction * n))
     detected = bool(np.all(np.abs(zeta_hat[k0:]) <= 3.0 * zeta_sigma[k0:]))
     return FlybyRun(t=truth.t, oe_hat=oe_hat, err=err, sigma=sigma,
@@ -583,13 +602,10 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
     mean_final_abs = float(np.mean(np.abs(range_err_stack[:, -1])))
     mean_nees = float(np.mean(np.stack([r.nees for r in runs])))
 
-    # Analytic initial range uncertainty from P0 through the position map.
-    oe0 = NodalRelativeState.from_array(truth.oe[0])
-    eta0 = ReferenceParams.from_array(truth.eta[0])
-    j_oe, _ = position_jacobians(oe0, eta0)
-    grad_rho = (truth.dr[0] / truth.range_km[0]) @ j_oe
-    init_analytic = float(math.sqrt(grad_rho @ np.diag(cfg.p0_diag)
-                                    @ grad_rho))
+    # Analytic initial range uncertainty: the range sigma of P0 at the truth.
+    _, _, _, _, init_analytic, _, _ = _posterior_diagnostics(
+        truth.oe[:1], np.diag(cfg.p0_diag)[None], truth.eta[:1],
+        truth.oe[:1], truth.range_km[:1])
 
     summary = MonteCarloSummary(
         runs=cfg.mc_runs,
@@ -598,7 +614,7 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
         coverage_by_component=coverage_by_component,
         final_range_error_sigma=final_sigma,
         initial_range_error_sigma=initial_sigma,
-        initial_range_sigma_analytic=init_analytic,
+        initial_range_sigma_analytic=float(init_analytic[0]),
         mean_final_abs_range_err=mean_final_abs,
         mean_nees=mean_nees,
         nees_dim=6,

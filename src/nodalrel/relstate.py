@@ -281,16 +281,86 @@ def ecc_inc_vectors(oe: NodalRelativeState, eta: ReferenceParams,
                          dphi=dphi, dphi_defined=defined)
 
 
-def _geometry(oe: NodalRelativeState, eta: ReferenceParams):
-    """Shared scalars of the position mapping: (r1, denom, r2, q)."""
-    r1 = eta.p1 / (1.0 + eta.ec)
+def _radius_denominator(c, s, dxi_x, dxi_y, ec, es):
+    """1 + e2 cos(nu2) at phase dtheta (cos c, sin s): r2 = p1 (1 + dp) / it.
+    Arithmetic only, like the kernels below: floats and arrays share it."""
+    return 1.0 + (dxi_x + ec) * c - (dxi_y + es) * s
+
+
+def _position_kernel(c, s, denom, dp, dxi_x, dxi_y, hx, hy, p1, ec, es,
+                     jacobians=False):
+    """(r1, r2, q, b, dr, j_oe, j_eta) of the RTN1 position dr = r1*(q*b -
+    [1, 0, 0]), q = r2/r1, from cos and sin of dtheta and the checked
+    radius denominator.  b and dr are 3-tuples; the 3x6 state and 3x3
+    reference Jacobians of dr are tuples of rows, or None."""
+    r1 = p1 / (1.0 + ec)
+    r2 = p1 * (1.0 + dp) / denom
+    q = r2 / r1
+    smag = 1.0 + hx * hx + hy * hy
+    a_ = 1.0 + hx * hx - hy * hy
+    b_ = 1.0 - hx * hx + hy * hy
+    cc = 2.0 * hx * hy
+    b0 = (a_ * c - cc * s) / smag
+    b1 = (b_ * s - cc * c) / smag
+    b2 = (2.0 * hy * c + 2.0 * hx * s) / smag
+    dr = (r1 * (q * b0 - 1.0), r1 * (q * b1), r1 * (q * b2))
+    if not jacobians:
+        return r1, r2, q, (b0, b1, b2), dr, None, None
+
+    dbt0 = (-a_ * s - cc * c) / smag
+    dbt1 = (b_ * c + cc * s) / smag
+    dbt2 = (-2.0 * hy * s + 2.0 * hx * c) / smag
+    # d(b)/d(hx), d(b)/d(hy) by quotient rule; the numerators of b carry
+    # +-2h factors and the denominator contributes -2h/S * b.
+    dbx0 = (2.0 * hx * c - 2.0 * hy * s) / smag - b0 * 2.0 * hx / smag
+    dbx1 = (-2.0 * hx * s - 2.0 * hy * c) / smag - b1 * 2.0 * hx / smag
+    dbx2 = 2.0 * s / smag - b2 * 2.0 * hx / smag
+    dby0 = (-2.0 * hy * c - 2.0 * hx * s) / smag - b0 * 2.0 * hy / smag
+    dby1 = (2.0 * hy * s - 2.0 * hx * c) / smag - b1 * 2.0 * hy / smag
+    dby2 = 2.0 * c / smag - b2 * 2.0 * hy / smag
+
+    ddenom_ddtheta = -(dxi_x + ec) * s - (dxi_y + es) * c
+    w0 = -r2 / denom * ddenom_ddtheta
+    w1 = p1 / denom
+    w2 = -r2 * c / denom
+    w3 = r2 * s / denom
+    j_oe = (
+        (w0 * b0 + r2 * dbt0, w1 * b0, w2 * b0, w3 * b0, r2 * dbx0, r2 * dby0),
+        (w0 * b1 + r2 * dbt1, w1 * b1, w2 * b1, w3 * b1, r2 * dbx1, r2 * dby1),
+        (w0 * b2 + r2 * dbt2, w1 * b2, w2 * b2, w3 * b2, r2 * dbx2, r2 * dby2),
+    )
+    e0 = (1.0 + dp) / denom
+    j_eta = ((e0 * b0 - 1.0 / (1.0 + ec), w2 * b0 + p1 / (1.0 + ec) ** 2,
+              w3 * b0),
+             (e0 * b1, w2 * b1, w3 * b1),
+             (e0 * b2, w2 * b2, w3 * b2))
+    return r1, r2, q, (b0, b1, b2), dr, j_oe, j_eta
+
+
+def _scalar_position(oe: NodalRelativeState, eta: ReferenceParams,
+                     jacobians: bool = False):
+    """:func:`_position_kernel` on one state; GeometryError if the radius
+    denominator is not positive."""
     c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    denom = 1.0 + (oe.dxi_x + eta.ec) * c - (oe.dxi_y + eta.es) * s
+    denom = _radius_denominator(c, s, oe.dxi_x, oe.dxi_y, eta.ec, eta.es)
     if not denom > 0.0:
         raise GeometryError(
             f"radius denominator {denom} <= 0: state outside elliptic geometry")
-    r2 = eta.p1 * (1.0 + oe.dp) / denom
-    return r1, denom, r2, r2 / r1
+    return _position_kernel(c, s, denom, oe.dp, oe.dxi_x, oe.dxi_y,
+                            oe.dh_x, oe.dh_y, eta.p1, eta.ec, eta.es,
+                            jacobians)
+
+
+def _position_arrays(oe_arr, eta_arr, jacobians: bool = False):
+    """:func:`_position_kernel` over states (..., 6) and references
+    (..., 3); rows with a non-positive radius denominator come out nan."""
+    dtheta, dp, dxx, dxy, hx, hy = np.moveaxis(
+        np.asarray(oe_arr, dtype=float), -1, 0)
+    p1, ec, es = np.moveaxis(np.asarray(eta_arr, dtype=float), -1, 0)
+    c, s = np.cos(dtheta), np.sin(dtheta)
+    denom = _radius_denominator(c, s, dxx, dxy, ec, es)
+    return _position_kernel(c, s, np.where(denom > 0.0, denom, np.nan),
+                            dp, dxx, dxy, hx, hy, p1, ec, es, jacobians)
 
 
 def relative_position(oe: NodalRelativeState, eta: ReferenceParams,
@@ -306,17 +376,9 @@ def relative_position(oe: NodalRelativeState, eta: ReferenceParams,
     GeometryError
         If the radius denominator of satellite 2 is not positive.
     """
-    r1, _, r2, q = _geometry(oe, eta)
-    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    hx, hy = oe.dh_x, oe.dh_y
-    smag = 1.0 + hx * hx + hy * hy
-    b = np.array([
-        ((1.0 + hx * hx - hy * hy) * c - 2.0 * hx * hy * s) / smag,
-        ((1.0 - hx * hx + hy * hy) * s - 2.0 * hx * hy * c) / smag,
-        (2.0 * hy * c + 2.0 * hx * s) / smag,
-    ])
-    dr = r1 * (q * b - np.array([1.0, 0.0, 0.0]))
-    return RelativePosition(dr=dr, r1=r1, r2=r2, q=q, b=b)
+    r1, r2, q, b, dr, _, _ = _scalar_position(oe, eta)
+    return RelativePosition(dr=np.array(dr), r1=r1, r2=r2, q=q,
+                            b=np.array(b))
 
 
 def relative_position_batch(oe_arr: np.ndarray,
@@ -333,26 +395,8 @@ def relative_position_batch(oe_arr: np.ndarray,
     ndarray, shape (n, 3)
         Relative positions in km.  Rows with non-elliptic geometry are nan.
     """
-    oe_arr = np.atleast_2d(np.asarray(oe_arr, dtype=float))
-    eta_arr = np.atleast_2d(np.asarray(eta_arr, dtype=float))
-    dtheta, dp = oe_arr[:, 0], oe_arr[:, 1]
-    dxx, dxy = oe_arr[:, 2], oe_arr[:, 3]
-    hx, hy = oe_arr[:, 4], oe_arr[:, 5]
-    p1, ec, es = eta_arr[:, 0], eta_arr[:, 1], eta_arr[:, 2]
-
-    c, s = np.cos(dtheta), np.sin(dtheta)
-    r1 = p1 / (1.0 + ec)
-    denom = 1.0 + (dxx + ec) * c - (dxy + es) * s
-    denom = np.where(denom > 0.0, denom, np.nan)
-    r2 = p1 * (1.0 + dp) / denom
-    smag = 1.0 + hx * hx + hy * hy
-
-    out = np.empty((oe_arr.shape[0], 3))
-    out[:, 0] = (r2 * ((1.0 + hx * hx - hy * hy) * c - 2.0 * hx * hy * s)
-                 / smag - r1)
-    out[:, 1] = r2 * ((1.0 - hx * hx + hy * hy) * s - 2.0 * hx * hy * c) / smag
-    out[:, 2] = r2 * (2.0 * hy * c + 2.0 * hx * s) / smag
-    return out
+    dr = _position_arrays(np.atleast_2d(oe_arr), np.atleast_2d(eta_arr))[4]
+    return np.stack(dr, axis=-1)
 
 
 def _separation(r1, r2, sin_half, cos_half, hx, hy):
@@ -388,65 +432,22 @@ def separation_distance(oe_arr: np.ndarray, eta_arr: np.ndarray) -> np.ndarray:
     ndarray, shape (n,)
         Distances in km.  Entries with non-elliptic geometry are nan.
     """
-    oe_arr = np.atleast_2d(np.asarray(oe_arr, dtype=float))
-    eta_arr = np.atleast_2d(np.asarray(eta_arr, dtype=float))
-    dtheta, dp = oe_arr[:, 0], oe_arr[:, 1]
-    dxx, dxy = oe_arr[:, 2], oe_arr[:, 3]
-    p1, ec, es = eta_arr[:, 0], eta_arr[:, 1], eta_arr[:, 2]
-
-    denom = 1.0 + (dxx + ec) * np.cos(dtheta) - (dxy + es) * np.sin(dtheta)
+    dtheta, dp, dxx, dxy, hx, hy = np.atleast_2d(
+        np.asarray(oe_arr, dtype=float)).T
+    p1, ec, es = np.atleast_2d(np.asarray(eta_arr, dtype=float)).T
+    denom = _radius_denominator(np.cos(dtheta), np.sin(dtheta),
+                                dxx, dxy, ec, es)
     denom = np.where(denom > 0.0, denom, np.nan)
     return _separation(p1 / (1.0 + ec), p1 * (1.0 + dp) / denom,
-                       np.sin(0.5 * dtheta), np.cos(0.5 * dtheta),
-                       oe_arr[:, 4], oe_arr[:, 5])
+                       np.sin(0.5 * dtheta), np.cos(0.5 * dtheta), hx, hy)
 
 
 def _position_and_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RTN1 position dr = r1*(q*b - [1, 0, 0]) with its 3x6 state Jacobian
     and 3x3 reference Jacobian, from one evaluation of the geometry and b."""
-    r1, denom, r2, q = _geometry(oe, eta)
-    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    hx, hy = oe.dh_x, oe.dh_y
-    smag = 1.0 + hx * hx + hy * hy
-
-    a_ = 1.0 + hx * hx - hy * hy
-    b_ = 1.0 - hx * hx + hy * hy
-    cc = 2.0 * hx * hy
-    b0 = (a_ * c - cc * s) / smag
-    b1 = (b_ * s - cc * c) / smag
-    b2 = (2.0 * hy * c + 2.0 * hx * s) / smag
-    dbt0 = (-a_ * s - cc * c) / smag
-    dbt1 = (b_ * c + cc * s) / smag
-    dbt2 = (-2.0 * hy * s + 2.0 * hx * c) / smag
-    # d(b)/d(hx), d(b)/d(hy) by quotient rule; the numerators of b carry
-    # +-2h factors and the denominator contributes -2h/S * b.
-    dbx0 = (2.0 * hx * c - 2.0 * hy * s) / smag - b0 * 2.0 * hx / smag
-    dbx1 = (-2.0 * hx * s - 2.0 * hy * c) / smag - b1 * 2.0 * hx / smag
-    dbx2 = 2.0 * s / smag - b2 * 2.0 * hx / smag
-    dby0 = (-2.0 * hy * c - 2.0 * hx * s) / smag - b0 * 2.0 * hy / smag
-    dby1 = (2.0 * hy * s - 2.0 * hx * c) / smag - b1 * 2.0 * hy / smag
-    dby2 = 2.0 * c / smag - b2 * 2.0 * hy / smag
-
-    ddenom_ddtheta = -(oe.dxi_x + eta.ec) * s - (oe.dxi_y + eta.es) * c
-    w0 = -r2 / denom * ddenom_ddtheta
-    w1 = eta.p1 / denom
-    w2 = -r2 * c / denom
-    w3 = r2 * s / denom
-    j_oe = np.array([
-        [w0 * b0 + r2 * dbt0, w1 * b0, w2 * b0, w3 * b0, r2 * dbx0, r2 * dby0],
-        [w0 * b1 + r2 * dbt1, w1 * b1, w2 * b1, w3 * b1, r2 * dbx1, r2 * dby1],
-        [w0 * b2 + r2 * dbt2, w1 * b2, w2 * b2, w3 * b2, r2 * dbx2, r2 * dby2],
-    ])
-
-    e0 = (1.0 + oe.dp) / denom
-    j_eta = np.array([
-        [e0 * b0 - 1.0 / (1.0 + eta.ec),
-         w2 * b0 + eta.p1 / (1.0 + eta.ec) ** 2, w3 * b0],
-        [e0 * b1, w2 * b1, w3 * b1],
-        [e0 * b2, w2 * b2, w3 * b2]])
-    dr = np.array([r1 * (q * b0 - 1.0), r1 * (q * b1), r1 * (q * b2)])
-    return dr, j_oe, j_eta
+    *_, dr, j_oe, j_eta = _scalar_position(oe, eta, jacobians=True)
+    return np.array(dr), np.array(j_oe), np.array(j_eta)
 
 
 def position_jacobians(oe: NodalRelativeState, eta: ReferenceParams,

@@ -20,6 +20,17 @@ from nodalrel import (
 )
 from nodalrel.navigation import FilterState, ekf_propagate
 
+
+def pytest_configure(config):
+    """One hypothesis profile for every property test: no per-example
+    deadline, which a loaded machine trips on timing noise rather than on
+    a fault.  Set in this hook, so that modules importing the oracles
+    below (the benchmark does) do not load hypothesis."""
+    from hypothesis import settings
+    settings.register_profile("nodalrel", deadline=None)
+    settings.load_profile("nodalrel")
+
+
 # The two fixed orbits used throughout the validation experiments.
 EL1 = ClassicalElements(a=8.9e3, e=0.5, i=math.radians(10.0),
                         raan=math.radians(20.0), argp=0.0,

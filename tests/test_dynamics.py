@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from nodalrel import (
     MU_EARTH,
@@ -463,7 +463,6 @@ ANGLE = st.floats(-20.0, 20.0)
 
 
 class TestKeplerScalarPath:
-    @settings(deadline=None)
     @given(m=ANGLE, e=ECC)
     def test_mean_to_true_matches_array(self, m, e):
         scalar = mean_to_true_anomaly(m, e)
@@ -471,7 +470,6 @@ class TestKeplerScalarPath:
         array = mean_to_true_anomaly(np.array([m]), e)[0]
         assert abs(wrap_angle(scalar - array)) <= 1e-12
 
-    @settings(deadline=None)
     @given(nu=ANGLE, e=ECC)
     def test_true_to_mean_matches_array(self, nu, e):
         scalar = true_to_mean_anomaly(nu, e)
@@ -479,7 +477,6 @@ class TestKeplerScalarPath:
         array = true_to_mean_anomaly(np.array([nu]), e)[0]
         assert abs(wrap_angle(scalar - array)) <= 1e-12
 
-    @settings(deadline=None)
     @given(nu0=ANGLE, e=ECC, dt=st.floats(-1e5, 1e5))
     def test_advance_matches_array(self, nu0, e, dt):
         a = 1.2e4

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from nodalrel import (
     ClassicalElements,
@@ -187,7 +187,6 @@ class TestClassicalElementsType:
 
 
 class TestWrapAngleScalarPath:
-    @settings(deadline=None)
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     @example(math.pi)
     @example(-math.pi)

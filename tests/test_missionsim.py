@@ -8,6 +8,7 @@ import pytest
 from dataclasses import replace
 
 from nodalrel import (
+    GeometryError,
     InfeasibleEncounter,
     NodalRelativeState,
     ReferenceParams,
@@ -19,9 +20,14 @@ from nodalrel import (
     relative_position_batch,
     separation_distance,
     unperturbed_flow,
+    wrap_angle,
     zeta,
+    zeta_gradient,
 )
 from nodalrel import missionsim as sim
+from nodalrel.navigation import (FilterState, ekf_propagate, ekf_update,
+                                 measure)
+from nodalrel.relstate import _position_and_jacobians
 from nodalrel.missionsim import (
     EncounterSpec,
     ScenarioConfig,
@@ -94,6 +100,11 @@ class TestScenarioConstruction:
         closing = (truth.range_km[0] - truth.range_km[-1]) / (
             truth.t[-1] - truth.t[0])
         assert abs(closing + (-cfg.encounter.relative_speed)) < 1.0
+
+    def test_window_reaching_the_encounter_fails_at_build_truth(self):
+        cfg = small_config(sample_dt=3600.0, t_end=0.0)
+        with pytest.raises(ValueError, match="t_end"):
+            build_truth(cfg)
 
     def test_truth_modes_agree(self):
         cfg = small_config(sample_dt=3600.0)
@@ -239,6 +250,95 @@ class TestFlybyRun:
         r0 = sim._run_filter(cfg, truth, 0)
         r1 = sim._run_filter(cfg, truth, 1)
         assert not np.array_equal(r0.innovations, r1.innovations)
+
+
+def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
+    """The filter loop with its diagnostics evaluated one sample at a time
+    from the posterior, inside the step (the slow reference for the
+    blocked pass of ``_run_filter``)."""
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(cfg.seed, spawn_key=(run_index,))))
+    n = truth.t.size
+    q_rate = np.diag(cfg.q_diag)
+    x0 = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
+    fs = FilterState(oe_hat=NodalRelativeState.from_array(x0),
+                     P=np.diag(cfg.p0_diag))
+    eta_k = ReferenceParams.from_array(truth.eta[0])
+    out = {name: np.empty((n, 6)) for name in ("oe_hat", "err", "sigma")}
+    out.update({name: np.empty(n) for name in (
+        "range_err", "range_sigma", "zeta_hat", "zeta_sigma", "nees")})
+    out["innovations"] = np.empty((n, 3))
+    out["outliers"] = np.zeros(n, dtype=bool)
+
+    for k in range(n):
+        z = measure(truth.dr[k], cfg.d, cfg.noise, rng)
+        upd = ekf_update(fs, eta_k, z, cfg.noise, cfg.d,
+                         chi2_gate=cfg.chi2_gate)
+        fs = upd.state
+        out["innovations"][k] = upd.innovation
+        out["outliers"][k] = upd.outlier
+
+        x = fs.oe_hat.as_array()
+        out["oe_hat"][k] = x
+        e = x - truth.oe[k]
+        e[0] = wrap_angle(e[0])
+        out["err"][k] = e
+        out["sigma"][k] = np.sqrt(np.maximum(np.diag(fs.P), 0.0))
+        out["nees"][k] = float(e @ np.linalg.solve(fs.P, e))
+
+        rel, j_oe, _ = _position_and_jacobians(fs.oe_hat, eta_k)
+        rho_hat = float(np.linalg.norm(rel))
+        out["range_err"][k] = rho_hat - truth.range_km[k]
+        grad_rho = (rel / rho_hat) @ j_oe
+        out["range_sigma"][k] = math.sqrt(
+            max(float(grad_rho @ fs.P @ grad_rho), 0.0))
+
+        out["zeta_hat"][k] = zeta(fs.oe_hat, eta_k)
+        gz, _ = zeta_gradient(fs.oe_hat, eta_k)
+        out["zeta_sigma"][k] = math.sqrt(max(float(gz @ fs.P @ gz), 0.0))
+
+        if k < n - 1:
+            fs, eta_k = ekf_propagate(fs, eta_k, cfg.sample_dt, q_rate, cfg.mu)
+
+    k0 = int(math.ceil(cfg.transient_fraction * n))
+    out["detected"] = bool(np.all(np.abs(out["zeta_hat"][k0:])
+                                  <= 3.0 * out["zeta_sigma"][k0:]))
+    return out
+
+
+class TestReferenceFilterPath:
+    """The blocked diagnostics pass against the per-step reference on the
+    desk scenario at 600 s, with a block length (97) that leaves a partial
+    last block of the 2,845 samples."""
+
+    @pytest.mark.parametrize("chi2_gate", [None, 7.81])
+    def test_blocked_pass_matches_reference(self, desk_truth, monkeypatch,
+                                            chi2_gate):
+        cfg, truth = desk_truth
+        cfg = replace(cfg, chi2_gate=chi2_gate)
+        assert truth.t.size % 97 != 0
+        monkeypatch.setattr(sim, "_DIAGNOSTIC_BLOCK", 97)
+        for run_index in range(2):
+            run = sim._run_filter(cfg, truth, run_index)
+            ref = reference_run_filter(cfg, truth, run_index)
+            for name in ("oe_hat", "err", "sigma", "innovations",
+                         "outliers"):
+                assert np.array_equal(getattr(run, name), ref[name]), name
+            assert run.detected == ref["detected"]
+            for name, sigma in (("range_err", "range_sigma"),
+                                ("range_sigma", "range_sigma"),
+                                ("zeta_hat", "zeta_sigma"),
+                                ("zeta_sigma", "zeta_sigma")):
+                dev = np.abs(getattr(run, name) - ref[name]) / ref[sigma]
+                assert dev.max() <= 1e-8, name
+            assert np.abs(run.nees / ref["nees"] - 1.0).max() <= 1e-10
+
+    def test_nonelliptic_posterior_rejected(self):
+        x = np.array([[math.pi, 0.0, 0.9, 0.0, 0.1, 0.0]])
+        eta = np.array([[1e4, 0.25, 0.0]])
+        with pytest.raises(GeometryError):
+            sim._posterior_diagnostics(x, np.eye(6)[None], eta, x,
+                                       np.ones(1))
 
 
 class TestMonteCarlo:
