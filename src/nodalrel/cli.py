@@ -9,7 +9,6 @@ sweep plus applied impulse).  Angles on this boundary are degrees.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from .constants import MU_EARTH
 from .frames import ClassicalElements
-from .relstate import NodalRelativeState, ReferenceParams, oe_from_classical
+from .relstate import oe_from_classical
 from .dynamics import propagate
 from .conjunction import c1_test, c2_check, zeta
 from . import missionsim as sim
@@ -30,23 +29,20 @@ DEG = math.pi / 180.0
 def _load_cfg(args) -> sim.ScenarioConfig:
     cfg = (sim.load_config(args.config) if args.config
            else sim.ScenarioConfig())
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.mu is not None:
-        cfg = replace(cfg, mu=args.mu)
-    if args.tol is not None:
-        cfg = replace(cfg, rel_tol=args.tol)
-    if getattr(args, "paper_scale", False):
-        cfg = cfg.paper_scale()
-    if getattr(args, "jobs", None):
-        cfg = replace(cfg, jobs=args.jobs)
-    return cfg
+    cfg = replace(cfg, **{name: getattr(args, flag) for flag, name in (
+        ("seed", "seed"), ("mu", "mu"), ("tol", "rel_tol"), ("jobs", "jobs"))
+        if getattr(args, flag, None) is not None})
+    return cfg.paper_scale() if getattr(args, "paper_scale", False) else cfg
 
 
-def _elements_from_args(values) -> ClassicalElements:
-    a, e, i, raan, argp, nu = values
-    return ClassicalElements(a=a, e=e, i=i * DEG, raan=raan * DEG,
-                             argp=argp * DEG, nu=nu * DEG)
+def _pair_from_args(args):
+    """(oe, eta, mu) of the --orbit1/--orbit2 pair (angles in degrees) and
+    --mu, which defaults to Earth's."""
+    el1, el2 = (ClassicalElements(a=a, e=e, i=i * DEG, raan=raan * DEG,
+                                  argp=argp * DEG, nu=nu * DEG)
+                for a, e, i, raan, argp, nu in (args.orbit1, args.orbit2))
+    return (*oe_from_classical(el1, el2),
+            MU_EARTH if args.mu is None else args.mu)
 
 
 def _cmd_validate(args) -> int:
@@ -58,10 +54,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
-    el1 = _elements_from_args(args.orbit1)
-    el2 = _elements_from_args(args.orbit2)
-    mu = args.mu if args.mu is not None else MU_EARTH
-    oe, eta = oe_from_classical(el1, el2)
+    oe, eta, mu = _pair_from_args(args)
     traj = propagate(oe, eta, 0.0, args.tf, mu, rtol=args.tol or 1e-12,
                      n_samples=args.samples)
     out = args.out or "."
@@ -73,10 +66,7 @@ def _cmd_propagate(args) -> int:
 
 
 def _cmd_screen(args) -> int:
-    el1 = _elements_from_args(args.orbit1)
-    el2 = _elements_from_args(args.orbit2)
-    mu = args.mu if args.mu is not None else MU_EARTH
-    oe, eta = oe_from_classical(el1, el2)
+    oe, eta, mu = _pair_from_args(args)
     verdict = c1_test(oe, eta)
     print(f"coplanar branch:   {verdict.coplanar}")
     print(f"margin coplanar:   {verdict.margin_coplanar:.6e}")
@@ -139,11 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nodal-element relative motion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
+    def common(p, scenario=True, mu=True):
         p.add_argument("--out", type=str, default=None,
                        help="output directory for CSV/JSON artifacts")
-        p.add_argument("--mu", type=float, default=None,
-                       help="gravitational parameter, km^3/s^2")
+        if mu:
+            p.add_argument("--mu", type=float, default=None,
+                           help="gravitational parameter, km^3/s^2")
         p.add_argument("--tol", type=float, default=None,
                        help="integrator relative tolerance")
         if scenario:
@@ -156,26 +147,24 @@ def build_parser() -> argparse.ArgumentParser:
                            help="parallel Monte Carlo workers")
 
     p = sub.add_parser("validate", help="model-vs-Cowell equivalence run")
-    common(p, scenario=False)
+    common(p, scenario=False, mu=False)  # the validation pair fixes mu
     p.set_defaults(func=_cmd_validate)
 
-    orbit_help = "a_km e i_deg raan_deg argp_deg nu_deg"
+    def orbit_pair(p):
+        common(p, scenario=False)
+        for flag in ("--orbit1", "--orbit2"):
+            p.add_argument(flag, type=float, nargs=6, required=True,
+                           metavar=("a_km", "e", "i_deg", "raan_deg",
+                                    "argp_deg", "nu_deg"))
+
     p = sub.add_parser("propagate", help="propagate a pair and export CSV")
-    common(p, scenario=False)
-    p.add_argument("--orbit1", type=float, nargs=6, required=True,
-                   metavar=tuple(orbit_help.split()))
-    p.add_argument("--orbit2", type=float, nargs=6, required=True,
-                   metavar=tuple(orbit_help.split()))
+    orbit_pair(p)
     p.add_argument("--tf", type=float, required=True, help="final time, s")
     p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("screen", help="C1/zeta screening for an orbit pair")
-    common(p, scenario=False)
-    p.add_argument("--orbit1", type=float, nargs=6, required=True,
-                   metavar=tuple(orbit_help.split()))
-    p.add_argument("--orbit2", type=float, nargs=6, required=True,
-                   metavar=tuple(orbit_help.split()))
+    orbit_pair(p)
     p.add_argument("--tf", type=float, default=None,
                    help="also run the C2 check over [0, tf] s")
     p.add_argument("--miss-tol", type=float, default=1.0,

@@ -22,10 +22,10 @@ from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
     PerturbationInput,
     _solve_nodal,
+    _trig,
     advance_true_anomaly,
     input_matrices,
     orbital_period,
-    unperturbed_flow,
 )
 from .relstate import (
     NodalRelativeState,
@@ -35,7 +35,7 @@ from .relstate import (
     separation_distance,
 )
 
-#: Default |dh| threshold selecting the coplanar branch of C1.
+#: |dh| threshold selecting the coplanar branch of C1.
 DEFAULT_COPLANAR_TOL = 1e-9
 
 #: Default tolerance on the noncoplanar node-crossing margins.
@@ -150,18 +150,17 @@ def _node_margin_arrays(oe_arr, eta_arr, gradient: bool = False):
 
 
 def c1_test(oe: NodalRelativeState, eta: ReferenceParams,
-            coplanar_tol: float = DEFAULT_COPLANAR_TOL,
             node_tol: float = DEFAULT_NODE_TOL) -> C1Verdict:
     """Orbit-intersection test on the Keplerian invariants.
 
-    Coplanar pairs (|dh| <= coplanar_tol) intersect iff dp^2 - drho^2 <= 0.
-    Noncoplanar pairs can only meet on the relative line of nodes; each
-    node-crossing margin must vanish (|margin| <= node_tol) for an
-    intersection there.  Margins are reported signed so that callers may
+    Coplanar pairs (|dh| <= DEFAULT_COPLANAR_TOL) intersect iff dp^2 -
+    drho^2 <= 0.  Noncoplanar pairs can only meet on the relative line of
+    nodes; each node-crossing margin must vanish (|margin| <= node_tol) for
+    an intersection there.  Margins are reported signed so that callers may
     apply scenario-level thresholds (e.g. filter confidence bands).
     """
     dh = oe.dh
-    if dh <= coplanar_tol:
+    if dh <= DEFAULT_COPLANAR_TOL:
         drho, _ = coplanar_radial_terms(oe, eta)
         margin = oe.dp * oe.dp - drho * drho
         return C1Verdict(
@@ -255,11 +254,11 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     A collision is declared when the refined minimum distance is at most
     miss_tol (km).
 
-    Without ``u`` the motion is the exact unperturbed flow: the grid is one
-    vectorized :func:`unperturbed_flow` call, and each refinement
-    evaluation advances both recovered orbits by scalar Kepler timing and
-    takes the distance from the radii, the phase and the rotated
-    inclination vector through the kernel of :func:`separation_distance`.
+    Without ``u`` the motion is the exact unperturbed flow: one distance
+    function advances both recovered orbits by Kepler timing and takes the
+    distance from the radii, the phase and the rotated inclination vector
+    through the kernel of :func:`separation_distance`; the grid calls it
+    on the array of times and the refinement on single times.
     With ``u`` the window is integrated once (RK45 at tolerance rtol): the
     samples are that solve's outputs at the grid times and the refinement
     evaluates its dense interpolant, so the objective and the grid come
@@ -281,28 +280,29 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     t_grid = np.linspace(t0, tf, n_samples)
 
     if u is None:
-        d_grid = separation_distance(*unperturbed_flow(oe, eta, mu,
-                                                       t_grid - t0))
         e2, a2, dlam = rec.e2, rec.a2, rec.dlambda
         p2 = p1 * (1.0 + oe.dp)
         nu20 = nu10 + oe.dtheta - dlam
 
-        def scalar_distance(t):
+        def distance(t):
+            _, sin, cos, *_ = _trig(t)
             nu1 = advance_true_anomaly(nu10, e1, a1, t - t0, mu)
             nu2 = advance_true_anomaly(nu20, e2, a2, t - t0, mu)
-            c, s = math.cos(nu1 - nu10), math.sin(nu1 - nu10)
+            c, s = cos(nu1 - nu10), sin(nu1 - nu10)
             half = 0.5 * (nu2 - nu1 + dlam)
-            return _separation(p1 / (1.0 + e1 * math.cos(nu1)),
-                               p2 / (1.0 + e2 * math.cos(nu2)),
-                               math.sin(half), math.cos(half),
+            return _separation(p1 / (1.0 + e1 * cos(nu1)),
+                               p2 / (1.0 + e2 * cos(nu2)),
+                               sin(half), cos(half),
                                c * oe.dh_x - s * oe.dh_y,
                                s * oe.dh_x + c * oe.dh_y)
+
+        d_grid = distance(t_grid)
     else:
         sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_grid,
                            dense_output=True)
         d_grid = separation_distance(sol.y[:6].T, sol.y[6:].T)
 
-        def scalar_distance(t):
+        def distance(t):
             y = sol.sol(t)
             return float(separation_distance(y[:6], y[6:])[0])
 
@@ -311,7 +311,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
 
     if 0 < k < n_samples - 1 and d_best < d_grid[k - 1] and d_best < d_grid[k + 1]:
         res = minimize_scalar(
-            scalar_distance,
+            distance,
             bounds=(float(t_grid[k - 1]), float(t_grid[k + 1])),
             method="bounded", options={"xatol": 1e-9, "maxiter": 200})
         if res.fun < d_best:

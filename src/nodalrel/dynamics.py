@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CoplanarNormalInput, GeometryError, StepFailure
-from .frames import ClassicalElements, wrap_angle
+from .frames import ClassicalElements, pci_to_pqw, wrap_angle
 from .relstate import (NodalRelativeState, ReferenceParams,
                        _radius_denominator, classical_from_oe)
 
@@ -95,10 +95,6 @@ class Trajectory:
     oe: np.ndarray
     eta: np.ndarray
 
-    def state_at(self, k: int) -> tuple[NodalRelativeState, ReferenceParams]:
-        return (NodalRelativeState.from_array(self.oe[k]),
-                ReferenceParams.from_array(self.eta[k]))
-
 
 @dataclass(frozen=True)
 class CowellTrajectory:
@@ -113,64 +109,54 @@ class CowellTrajectory:
 
 # --- Kepler timing ---
 
-def true_to_mean_anomaly(nu, e: float):
-    """Mean anomaly from true anomaly for eccentricity e in [0, 1).
+def _trig(x):
+    """(x, sin, cos, atan2, amax, out) for bodies written once for both
+    number types: a Python float x keeps the ``math`` functions and ``abs``;
+    any other x becomes a float array with numpy's functions, amax being
+    the largest |entry|.  out gives a result the type of x (a Python float
+    for a 0-d array)."""
+    if isinstance(x, (int, float)):
+        return x, math.sin, math.cos, math.atan2, abs, float
+    x = np.asarray(x, dtype=float)
+    return (x, np.sin, np.cos, np.arctan2, lambda step: np.abs(step).max(),
+            np.asarray if x.ndim else float)
 
-    Python float scalars take a ``math`` path; arrays are vectorized.
-    """
-    if isinstance(nu, (int, float)):
-        ecc_anom = math.atan2(math.sqrt(1.0 - e * e) * math.sin(nu),
-                              e + math.cos(nu))
-        return ecc_anom - e * math.sin(ecc_anom)
-    nu = np.asarray(nu, dtype=float)
-    ecc_anom = np.arctan2(np.sqrt(1.0 - e * e) * np.sin(nu),
-                          e + np.cos(nu))
-    m = ecc_anom - e * np.sin(ecc_anom)
-    return float(m) if m.ndim == 0 else m
+
+def true_to_mean_anomaly(nu, e: float):
+    """Mean anomaly from true anomaly for eccentricity e in [0, 1),
+    vectorized over nu (see :func:`_trig`)."""
+    nu, sin, cos, atan2, _, out = _trig(nu)
+    ecc_anom = atan2(math.sqrt(1.0 - e * e) * sin(nu), e + cos(nu))
+    return out(ecc_anom - e * sin(ecc_anom))
 
 
 def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60):
     """True anomaly from mean anomaly by Newton iteration on Kepler's
-    equation, vectorized over m (Python float scalars take a ``math`` path
-    with the same starter, iteration and tolerance).
+    equation, vectorized over m (see :func:`_trig`); an array iterates
+    until its worst element converges.
 
     Raises
     ------
     StepFailure
         If the Newton step is not below tol after max_iter iterations.
     """
-    if isinstance(m, (int, float)):
-        m_wrapped = (m + math.pi) % (2.0 * math.pi) - math.pi
-        # Danby starter keeps Newton safe up to high eccentricity.
-        sin_m = math.sin(m_wrapped)
-        ecc_anom = m_wrapped + 0.85 * e * ((sin_m > 0.0) - (sin_m < 0.0))
-        for _ in range(max_iter):
-            step = ((ecc_anom - e * math.sin(ecc_anom) - m_wrapped)
-                    / (1.0 - e * math.cos(ecc_anom)))
-            ecc_anom -= step
-            if abs(step) < tol:
-                break
-        else:
-            raise StepFailure(
-                f"Kepler solve not converged in {max_iter} iterations")
-        return math.atan2(math.sqrt(1.0 - e * e) * math.sin(ecc_anom),
-                          math.cos(ecc_anom) - e)
-    m = np.asarray(m, dtype=float)
-    m_wrapped = np.mod(m + np.pi, 2.0 * np.pi) - np.pi
-    ecc_anom = m_wrapped + 0.85 * e * np.sign(np.sin(m_wrapped))
+    m, sin, cos, atan2, amax, out = _trig(m)
+    m_wrapped = (m + math.pi) % (2.0 * math.pi) - math.pi
+    # Danby starter E = M + 0.85 e sign(sin M) keeps Newton safe up to high
+    # eccentricity.
+    sin_m = sin(m_wrapped)
+    ecc_anom = m_wrapped + 0.85 * e * ((sin_m > 0.0) * 1.0 - (sin_m < 0.0))
     for _ in range(max_iter):
-        f = ecc_anom - e * np.sin(ecc_anom) - m_wrapped
-        fp = 1.0 - e * np.cos(ecc_anom)
-        step = f / fp
+        step = ((ecc_anom - e * sin(ecc_anom) - m_wrapped)
+                / (1.0 - e * cos(ecc_anom)))
         ecc_anom = ecc_anom - step
-        if np.max(np.abs(step)) < tol:
+        if amax(step) < tol:
             break
     else:
         raise StepFailure(
             f"Kepler solve not converged in {max_iter} iterations")
-    nu = np.arctan2(np.sqrt(1.0 - e * e) * np.sin(ecc_anom),
-                    np.cos(ecc_anom) - e)
-    return float(nu) if nu.ndim == 0 else nu
+    return out(atan2(math.sqrt(1.0 - e * e) * sin(ecc_anom),
+                     cos(ecc_anom) - e))
 
 
 def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float):
@@ -178,10 +164,7 @@ def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float):
 
     dt may be an array; the returned anomaly is unwrapped only modulo 2 pi.
     """
-    n = math.sqrt(mu / a ** 3)
-    if isinstance(dt, (int, float)):
-        return mean_to_true_anomaly(true_to_mean_anomaly(nu0, e) + n * dt, e)
-    m = true_to_mean_anomaly(nu0, e) + n * np.asarray(dt, dtype=float)
+    m = true_to_mean_anomaly(nu0, e) + math.sqrt(mu / a ** 3) * _trig(dt)[0]
     return mean_to_true_anomaly(m, e)
 
 
@@ -200,8 +183,6 @@ def orbital_period(a: float, mu: float) -> float:
 
 def elements_to_cartesian(el: ClassicalElements, mu: float) -> CartesianState:
     """Inertial state from classical elements (standard perifocal route)."""
-    from .frames import pci_to_pqw
-
     p = el.p
     r_mag = p / (1.0 + el.e * math.cos(el.nu))
     r_pqw = np.array([r_mag * math.cos(el.nu), r_mag * math.sin(el.nu), 0.0])
@@ -212,15 +193,13 @@ def elements_to_cartesian(el: ClassicalElements, mu: float) -> CartesianState:
 
 
 def cartesian_to_elements(state: CartesianState, mu: float,
-                          e_tol: float = CIRCULAR_E_TOL,
-                          i_tol: float = EQUATORIAL_I_TOL,
                           ) -> ClassicalElements:
     """Osculating classical elements from an inertial state.
 
-    Degenerate conventions: for e < e_tol the periapsis is undefined and
-    argp = 0 with the phase folded into nu (measured from the node); for
-    i < i_tol the node is undefined and raan = 0 with the inertial X axis
-    as the node direction.
+    Degenerate conventions: for e < CIRCULAR_E_TOL the periapsis is
+    undefined and argp = 0 with the phase folded into nu (measured from the
+    node); for i < EQUATORIAL_I_TOL the node is undefined and raan = 0 with
+    the inertial X axis as the node direction.
 
     Raises
     ------
@@ -246,7 +225,7 @@ def cartesian_to_elements(state: CartesianState, mu: float,
         raise GeometryError(f"eccentricity {e} is not < 1")
 
     inc = math.atan2(math.hypot(h_vec[0], h_vec[1]), h_vec[2])
-    if inc < i_tol:
+    if inc < EQUATORIAL_I_TOL:
         raan = 0.0
         node = np.array([1.0, 0.0, 0.0])
     else:
@@ -256,7 +235,7 @@ def cartesian_to_elements(state: CartesianState, mu: float,
     def angle_about_h(u: np.ndarray, w: np.ndarray) -> float:
         return math.atan2(float(np.cross(u, w) @ h_hat), float(u @ w))
 
-    if e < e_tol:
+    if e < CIRCULAR_E_TOL:
         argp = 0.0
         nu = angle_about_h(node, r / r_mag)
         e = 0.0
@@ -269,19 +248,28 @@ def cartesian_to_elements(state: CartesianState, mu: float,
 
 # --- Unperturbed vector fields ---
 
-def nu1_rate(eta: ReferenceParams, mu: float) -> float:
-    """True-anomaly rate of the reference: sqrt(mu/p1^3) (1 + e1 cos nu1)^2."""
-    return math.sqrt(mu / eta.p1 ** 3) * (1.0 + eta.ec) ** 2
+def _dtheta_rate(k, c, s, dxi_x, dxi_y, ec, es, opd, opd15, gradient=False):
+    """Rate k [D^2 / opd15 - (1 + ec)^2] of dtheta, k = sqrt(mu / p1^3),
+    D the radius denominator at phase dtheta (cos c, sin s), opd = 1 + dp,
+    opd15 = opd^1.5; with ``gradient`` also its partials in (dtheta, dp,
+    dxi_x, dxi_y), else None.  Arithmetic only: floats and arrays share it.
+    """
+    denom = _radius_denominator(c, s, dxi_x, dxi_y, ec, es)
+    rate = k * (denom * denom / opd15 - (1.0 + ec) * (1.0 + ec))
+    if not gradient:
+        return rate, None
+    kd = 2.0 * k * denom / opd15
+    return rate, (kd * (-(dxi_x + ec) * s - (dxi_y + es) * c),
+                  -1.5 * k * denom * denom / (opd15 * opd), kd * c, -kd * s)
 
 
 def _unperturbed_rates(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu):
     """Keplerian derivative of the six relative states and of (p1, ec, es),
     as a 9-tuple, from the nine components as floats."""
     k = math.sqrt(mu / p1 ** 3)
-    c, s = math.cos(dtheta), math.sin(dtheta)
-    denom = _radius_denominator(c, s, dxx, dxy, ec, es)
     nudot = k * (1.0 + ec) ** 2
-    return (k * (denom * denom / (1.0 + dp) ** 1.5 - (1.0 + ec) ** 2), 0.0,
+    return (_dtheta_rate(k, math.cos(dtheta), math.sin(dtheta), dxx, dxy,
+                         ec, es, 1.0 + dp, (1.0 + dp) ** 1.5)[0], 0.0,
             -nudot * dxy, nudot * dxx, -nudot * hy, nudot * hx,
             0.0, -nudot * es, nudot * ec)
 
@@ -294,16 +282,15 @@ def f_unperturbed(oe: NodalRelativeState, eta: ReferenceParams,
     reference anomaly rate; dtheta evolves with the anomaly-rate mismatch
     of the two orbits.
     """
-    return np.array(_unperturbed_rates(
-        oe.dtheta, oe.dp, oe.dxi_x, oe.dxi_y, oe.dh_x, oe.dh_y,
-        eta.p1, eta.ec, eta.es, mu)[:6])
+    return perturbed_derivative(oe, eta, None, mu)[0]
 
 
 def f_eta(eta: ReferenceParams, mu: float) -> np.ndarray:
     """Unperturbed derivative of (p1, e1 cos nu1, e1 sin nu1): p1 is constant
-    and the eccentricity phasor rotates at the anomaly rate."""
-    nudot = nu1_rate(eta, mu)
-    return np.array([0.0, -nudot * eta.es, nudot * eta.ec])
+    and the eccentricity phasor rotates at the anomaly rate.  It does not
+    depend on the relative state, taken here as zero."""
+    return np.array(_unperturbed_rates(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, eta.p1,
+                                       eta.ec, eta.es, mu)[6:])
 
 
 def f_unperturbed_jacobian(oe: NodalRelativeState, eta: ReferenceParams,
@@ -311,21 +298,16 @@ def f_unperturbed_jacobian(oe: NodalRelativeState, eta: ReferenceParams,
     """Analytic Jacobian of :func:`f_unperturbed` with respect to the
     relative state (used for covariance transition in the filter)."""
     k = math.sqrt(mu / eta.p1 ** 3)
-    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    denom = _radius_denominator(c, s, oe.dxi_x, oe.dxi_y, eta.ec, eta.es)
-    ddenom = -(oe.dxi_x + eta.ec) * s - (oe.dxi_y + eta.es) * c
     opd = 1.0 + oe.dp
+    _, grad = _dtheta_rate(k, math.cos(oe.dtheta), math.sin(oe.dtheta),
+                           oe.dxi_x, oe.dxi_y, eta.ec, eta.es, opd,
+                           opd ** 1.5, gradient=True)
     nudot = k * (1.0 + eta.ec) ** 2
 
     jac = np.zeros((6, 6))
-    jac[0, 0] = 2.0 * k * denom * ddenom / opd ** 1.5
-    jac[0, 1] = -1.5 * k * denom * denom / opd ** 2.5
-    jac[0, 2] = 2.0 * k * denom * c / opd ** 1.5
-    jac[0, 3] = -2.0 * k * denom * s / opd ** 1.5
-    jac[2, 3] = -nudot
-    jac[3, 2] = nudot
-    jac[4, 5] = -nudot
-    jac[5, 4] = nudot
+    jac[0, :4] = grad
+    jac[[2, 4], [3, 5]] = -nudot  # the two rotations at the anomaly rate
+    jac[[3, 5], [2, 4]] = nudot
     return jac
 
 
@@ -450,14 +432,11 @@ def input_matrices(oe: NodalRelativeState, eta: ReferenceParams, mu: float,
 def perturbed_derivative(oe: NodalRelativeState, eta: ReferenceParams,
                          u: Optional[PerturbationInput], mu: float,
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Full derivative of (oe, eta) under perturbing RTN accelerations."""
-    doe = f_unperturbed(oe, eta, mu)
-    deta = f_eta(eta, mu)
-    if u is not None:
-        g1, g2, geta = input_matrices(oe, eta, mu)
-        doe = doe + g2 @ u.u2 - g1 @ u.u1
-        deta = deta + geta @ u.u1
-    return doe, deta
+    """Full derivative of (oe, eta) under perturbing RTN accelerations: the
+    propagator's right-hand side with the input held at u."""
+    dy = _nodal_rhs(0.0, np.concatenate([oe.as_array(), eta.as_array()]),
+                    None if u is None else lambda t: u, mu)
+    return dy[:6], dy[6:]
 
 
 def nodal_variational(theta1: float, theta2: float, gamma: float,

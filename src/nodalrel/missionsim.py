@@ -55,6 +55,15 @@ from .navigation import (
 
 DEG = math.pi / 180.0
 
+#: CSV column names of the six relative states.
+_STATE_NAMES = ("dtheta", "dp", "dxi_x", "dxi_y", "dh_x", "dh_y")
+
+#: A maneuver sweep takes every n // SWEEP_CANDIDATES-th post-transient
+#: sample of n as a candidate epoch; the screening report keeps every
+#: n // SCREENING_ROWS-th sample.
+SWEEP_CANDIDATES = 120
+SCREENING_ROWS = 200
+
 # Validation experiment: the two element sets and the sinusoidal
 # accelerations (km/s^2; amplitude 1 m/s^2, distinct periods and phases).
 VALIDATION_MU = MU_EARTH
@@ -130,7 +139,9 @@ class ScenarioConfig:
     impact anomaly when ``encounter`` is given); satellite 1 either comes
     from ``reference`` or is solved by :func:`build_collision_scenario`.
     ``q_diag`` is a per-second process-noise rate; ``p0_diag`` the initial
-    covariance diagonal.  Times are seconds relative to impact.
+    covariance diagonal.  Times are seconds relative to impact.  A config
+    that cannot run raises ValueError at construction, naming each bad
+    field.
     """
 
     mu: float = MU_SUN
@@ -162,6 +173,23 @@ class ScenarioConfig:
             raise ValueError("sample_dt must be positive")
         if self.truth_mode not in ("kepler", "cowell"):
             raise ValueError(f"unknown truth_mode {self.truth_mode!r}")
+        q, p0, frac = self.q_diag, self.p0_diag, self.transient_fraction
+        n, gate = self.sample_times().size, self.chi2_gate
+        problems = [f"{name} must {what}" for name, ok, what in (
+            ("q_diag", len(q) == 6 and all(v >= 0.0 for v in q),
+             "be 6 rates >= 0"),
+            ("p0_diag", len(p0) == 6 and all(v > 0.0 for v in p0),
+             "be 6 variances > 0"),
+            ("d", self.d > 0.0, "be positive"),
+            ("transient_fraction", 0.0 <= frac < 1.0
+             and math.ceil(frac * n) < n,
+             f"lie in [0, 1) and leave a post-transient sample of {n}"),
+            ("jobs", self.jobs >= 1, "be at least 1"),
+            ("rel_tol", self.rel_tol > 0.0, "be positive"),
+            ("chi2_gate", gate is None or gate > 0.0, "be positive"),
+        ) if not ok]
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def paper_scale(self) -> "ScenarioConfig":
         """Paper-sized campaign: 5 s cadence, 200 Monte Carlo runs."""
@@ -306,10 +334,7 @@ def build_collision_scenario(spec: EncounterSpec, target: ClassicalElements,
     s2 = elements_to_cartesian(el2, mu)
     r = s2.r
     r_mag = float(np.linalg.norm(r))
-    r_hat = r / r_mag
-    h2 = np.cross(r, s2.v)
-    h2_hat = h2 / np.linalg.norm(h2)
-    t2_hat = np.cross(h2_hat, r_hat)
+    r_hat, t2_hat, h2_hat = rtn_basis(r, s2.v)
     vr2 = float(s2.v @ r_hat)
     vt2 = float(s2.v @ t2_hat)
 
@@ -633,9 +658,7 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
         range_true_sigma = range_err_stack.std(axis=0, ddof=1)
         cols = [truth.t] + [3.0 * true_sigma[:, j] for j in range(6)] \
             + [3.0 * range_true_sigma]
-        header = (["t"]
-                  + [f"true_3sigma_{name}" for name in
-                     ("dtheta", "dp", "dxi_x", "dxi_y", "dh_x", "dh_y")]
+        header = (["t"] + [f"true_3sigma_{name}" for name in _STATE_NAMES]
                   + ["true_3sigma_range"])
         _write_csv(env_path, header, cols)
     return summary, runs
@@ -660,7 +683,6 @@ class ManeuverSweepResult:
 def run_maneuver_sweep(cfg: ScenarioConfig,
                        offsets: Sequence[float] = (1e-4,),
                        apply_at: Optional[float] = None,
-                       candidate_stride: Optional[int] = None,
                        out_dir: Optional[str] = None) -> ManeuverSweepResult:
     """Evaluate the minimum-norm avoidance impulse along an estimated
     trajectory and apply one maneuver in the truth.
@@ -674,29 +696,24 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     art = run_flyby(cfg, run_index=0, out_dir=None)
     truth, run = art.truth, art.run
     n = truth.t.size
-    if candidate_stride is None:
-        candidate_stride = max(1, n // 120)
-    idx = np.arange(run.post_transient_index, n, candidate_stride)
+    idx = np.arange(run.post_transient_index, n,
+                    max(1, n // SWEEP_CANDIDATES))
 
     offsets = tuple(float(o) for o in offsets)
-    dv_profiles: dict = {off: np.empty(idx.size) for off in offsets}
-    for j, k in enumerate(idx):
-        oe_k = NodalRelativeState.from_array(run.oe_hat[k])
-        eta_k = ReferenceParams.from_array(truth.eta[k])
-        for off in offsets:
-            dz = 3.0 * run.zeta_sigma[k] + off
-            plan = plan_avoidance(oe_k, eta_k, dz, cfg.mu,
-                                  t_m=float(truth.t[k]))
-            dv_profiles[off][j] = float(np.linalg.norm(plan.delta_v))
 
+    def plan_at(k: int, offset: float):
+        return plan_avoidance(NodalRelativeState.from_array(run.oe_hat[k]),
+                              ReferenceParams.from_array(truth.eta[k]),
+                              3.0 * run.zeta_sigma[k] + offset, cfg.mu,
+                              t_m=float(truth.t[k]))
+
+    dv_profiles = {off: np.array([np.linalg.norm(plan_at(k, off).delta_v)
+                                  for k in idx], dtype=float)
+                   for off in offsets}
     if apply_at is None:
         apply_at = cfg.t_start + 2.0 * 86400.0
-    k_m = int(np.argmin(np.abs(truth.t - apply_at)))
-    t_m = float(truth.t[k_m])
-    oe_m = NodalRelativeState.from_array(run.oe_hat[k_m])
-    eta_m = ReferenceParams.from_array(truth.eta[k_m])
-    dz_m = 3.0 * run.zeta_sigma[k_m] + offsets[0]
-    plan = plan_avoidance(oe_m, eta_m, dz_m, cfg.mu, t_m=t_m)
+    plan = plan_at(int(np.argmin(np.abs(truth.t - apply_at))), offsets[0])
+    t_m = plan.t_m
 
     s1 = elements_to_cartesian(kepler_advance(truth.el1_impact, t_m, cfg.mu),
                                cfg.mu)
@@ -709,7 +726,8 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
 
     result = ManeuverSweepResult(
         t_candidates=truth.t[idx], dv_profiles=dv_profiles, offsets=offsets,
-        applied_t_m=t_m, applied_dv=plan.delta_v, applied_delta_zeta=dz_m,
+        applied_t_m=t_m, applied_dv=plan.delta_v,
+        applied_delta_zeta=plan.delta_zeta,
         achieved_miss_km=achieved, unmaneuvered_miss_km=baseline)
 
     if out_dir is not None:
@@ -830,18 +848,17 @@ def write_trajectory_csv(path: str, t: np.ndarray, oe_arr: np.ndarray,
     parameters, and the RTN1 relative position components."""
     if dr is None:
         dr = relative_position_batch(oe_arr, eta_arr)
-    header = ["t", "dtheta", "dp", "dxi_x", "dxi_y", "dh_x", "dh_y",
-              "p1", "e1_cos_nu1", "e1_sin_nu1", "dr_R", "dr_T", "dr_N"]
+    header = ["t", *_STATE_NAMES, "p1", "e1_cos_nu1", "e1_sin_nu1",
+              "dr_R", "dr_T", "dr_N"]
     cols = [t] + [oe_arr[:, j] for j in range(6)] \
         + [eta_arr[:, j] for j in range(3)] + [dr[:, j] for j in range(3)]
     _write_csv(path, header, cols)
 
 
 def write_filter_csv(path: str, run: FlybyRun) -> None:
-    names = ("dtheta", "dp", "dxi_x", "dxi_y", "dh_x", "dh_y")
-    header = (["t"] + [f"{n}_hat" for n in names]
-              + [f"{n}_err" for n in names]
-              + [f"{n}_3sigma" for n in names]
+    header = (["t"] + [f"{n}_hat" for n in _STATE_NAMES]
+              + [f"{n}_err" for n in _STATE_NAMES]
+              + [f"{n}_3sigma" for n in _STATE_NAMES]
               + ["range_err", "range_3sigma", "zeta_hat", "zeta_3sigma",
                  "innov_az", "innov_el", "innov_beta"])
     cols = ([run.t] + [run.oe_hat[:, j] for j in range(6)]
@@ -854,14 +871,12 @@ def write_filter_csv(path: str, run: FlybyRun) -> None:
 
 
 def write_screening_csv(path: str, cfg: ScenarioConfig,
-                        truth: TruthTrajectory, run: FlybyRun,
-                        max_rows: int = 200) -> None:
+                        truth: TruthTrajectory, run: FlybyRun) -> None:
     """Screening report along the estimate: safety margin with its band,
     branch margins, and a minimum-distance estimate over the remaining
     window."""
     n = truth.t.size
-    stride = max(1, n // max_rows)
-    idx = np.arange(0, n, stride)
+    idx = np.arange(0, n, max(1, n // SCREENING_ROWS))
     t_hi = -cfg.t_end
 
     rows = {"t": [], "zeta": [], "zeta_3sigma": [], "margin_coplanar": [],

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ZeroRange
-from .dynamics import advance_true_anomaly
+from .dynamics import _dtheta_rate, advance_true_anomaly
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
@@ -87,6 +87,18 @@ class EkfUpdate:
     outlier: bool
 
 
+def _angles(dr, d: float) -> tuple[float, float, float, float, float]:
+    """(az, el, beta, rho, rho_RT^2) of an RTN1 relative position dr: the
+    noiseless measurement, the range and the squared radial-transverse
+    range.  ZeroRange if the satellites are co-located."""
+    x, y, z = np.asarray(dr, dtype=float).tolist()
+    rho_rt2 = x * x + y * y
+    rho = math.sqrt(rho_rt2 + z * z)
+    if not rho > 0.0:
+        raise ZeroRange("measurement undefined at zero separation")
+    return math.atan2(y, x), math.asin(z / rho), d / rho, rho, rho_rt2
+
+
 def measure(dr: np.ndarray, d: float, noise: NoiseSpec,
             rng: np.random.Generator) -> MeasurementTriple:
     """Synthesize a noisy angles-plus-size measurement from an RTN1
@@ -97,14 +109,11 @@ def measure(dr: np.ndarray, d: float, noise: NoiseSpec,
     ZeroRange
         If the satellites are co-located.
     """
-    dr = np.asarray(dr, dtype=float)
-    rho = float(np.linalg.norm(dr))
-    if not rho > 0.0:
-        raise ZeroRange("measurement undefined at zero separation")
+    az, el, beta, _, _ = _angles(dr, d)
     return MeasurementTriple(
-        az=math.atan2(dr[1], dr[0]) + noise.sigma_az * rng.standard_normal(),
-        el=math.asin(dr[2] / rho) + noise.sigma_el * rng.standard_normal(),
-        beta=d / rho + noise.sigma_beta * rng.standard_normal(),
+        az=az + noise.sigma_az * rng.standard_normal(),
+        el=el + noise.sigma_el * rng.standard_normal(),
+        beta=beta + noise.sigma_beta * rng.standard_normal(),
     )
 
 
@@ -119,25 +128,19 @@ def predict_measurement(oe: NodalRelativeState, eta: ReferenceParams,
         If the predicted separation is zero.
     """
     dr, j_oe, _ = _position_and_jacobians(oe, eta)
-    x, y_, z_ = dr.tolist()
-    rho_rt2 = x * x + y_ * y_
-    rho = math.sqrt(rho_rt2 + z_ * z_)
-    if not rho > 0.0:
-        raise ZeroRange("prediction undefined at zero separation")
-    el = math.asin(z_ / rho)
+    az, el, beta, rho, rho_rt2 = _angles(dr, d)
     gimbal = abs(abs(el) - 0.5 * math.pi) < GIMBAL_EL_TOL
-
-    y = MeasurementTriple(az=math.atan2(y_, x), el=el, beta=d / rho)
 
     # d(az, el, beta)/d(dr)
     dy_ddr = np.zeros((3, 3))
     if rho_rt2 > 0.0:
-        dy_ddr[0] = np.array([-y_, x, 0.0]) / rho_rt2
+        dy_ddr[0] = np.array([-dr[1], dr[0], 0.0]) / rho_rt2
         rho_rt = math.sqrt(rho_rt2)
         dy_ddr[1] = (np.array([0.0, 0.0, 1.0]) / rho_rt
-                     - z_ * dr / (rho * rho * rho_rt))
+                     - dr[2] * dr / (rho * rho * rho_rt))
     dy_ddr[2] = -d * dr / rho ** 3
-    return PredictedMeasurement(y=y, H=dy_ddr @ j_oe, gimbal_degenerate=gimbal)
+    return PredictedMeasurement(y=MeasurementTriple(az=az, el=el, beta=beta),
+                                H=dy_ddr @ j_oe, gimbal_degenerate=gimbal)
 
 
 def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
@@ -155,29 +158,24 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
     dxx, dxy = oe0.dxi_x, oe0.dxi_y
 
     def stage(nu: float) -> tuple[float, ...]:
-        """(nu, cos dnu, sin dnu, e2 phasor x, y, 1 + e1 cos nu) at the
+        """(cos dnu, sin dnu, the dxi rotated by dnu, ec, es) at the
         reference anomaly nu (dtheta-independent part of the rates)."""
         c, s = math.cos(nu - nu0), math.sin(nu - nu0)
-        ec = e1 * math.cos(nu)
-        return (nu, c, s, c * dxx - s * dxy + ec,
-                s * dxx + c * dxy + e1 * math.sin(nu), 1.0 + ec)
+        return (c, s, c * dxx - s * dxy, s * dxx + c * dxy,
+                e1 * math.cos(nu), e1 * math.sin(nu))
 
     def at(tau: float) -> tuple[float, ...]:
         return stage(advance_true_anomaly(nu0, e1, a1, tau, mu))
 
     def rates(st, dtheta: float, row: tuple[float, ...],
               ) -> tuple[float, tuple[float, ...]]:
-        _, cn, sn, ex, ey, one_ec = st
-        c, s = math.cos(dtheta), math.sin(dtheta)
-        denom = 1.0 + ex * c - ey * s
-        kd = 2.0 * k * denom / opd15
-        j00 = kd * (-ex * s - ey * c)
-        j01 = -1.5 * k * denom * denom / (opd15 * opd)
-        j02, j03 = kd * c, -kd * s
-        return (k * (denom * denom / opd15 - one_ec * one_ec),
-                (j00 * row[0], j00 * row[1] + j01,
-                 j00 * row[2] + j02 * cn + j03 * sn,
-                 j00 * row[3] - j02 * sn + j03 * cn))
+        cn, sn = st[:2]
+        rate, (j00, j01, j02, j03) = _dtheta_rate(
+            k, math.cos(dtheta), math.sin(dtheta), *st[2:], opd, opd15,
+            gradient=True)
+        return rate, (j00 * row[0], j00 * row[1] + j01,
+                      j00 * row[2] + j02 * cn + j03 * sn,
+                      j00 * row[3] - j02 * sn + j03 * cn)
 
     def plus(row: tuple[float, ...], a: float, d: tuple[float, ...]):
         return (row[0] + a * d[0], row[1] + a * d[1],
@@ -201,10 +199,9 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
         row = tuple(r + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
                     for r, a, b, c, d in zip(row, k1p, k2p, k3p, k4p))
 
-    nu, c, s = st_end[:3]
+    c, s, dxi_x, dxi_y, ec, es = st_end
     oe_new = NodalRelativeState(
-        dtheta=dtheta, dp=oe0.dp,
-        dxi_x=c * dxx - s * dxy, dxi_y=s * dxx + c * dxy,
+        dtheta=dtheta, dp=oe0.dp, dxi_x=dxi_x, dxi_y=dxi_y,
         dh_x=c * oe0.dh_x - s * oe0.dh_y, dh_y=s * oe0.dh_x + c * oe0.dh_y)
     phi = np.array([[*row, 0.0, 0.0],
                     [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
@@ -212,8 +209,7 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
                     [0.0, 0.0, s, c, 0.0, 0.0],
                     [0.0, 0.0, 0.0, 0.0, c, -s],
                     [0.0, 0.0, 0.0, 0.0, s, c]])
-    return oe_new, phi, ReferenceParams(
-        p1=eta.p1, ec=e1 * math.cos(nu), es=e1 * math.sin(nu))
+    return oe_new, phi, ReferenceParams(p1=eta.p1, ec=ec, es=es)
 
 
 def ekf_propagate(fs: FilterState, eta: ReferenceParams, dt: float,

@@ -204,14 +204,13 @@ def oe_from_orientation(el1: ClassicalElements, el2: ClassicalElements,
 
 
 def classical_from_oe(oe: NodalRelativeState, eta: ReferenceParams,
-                      coplanar_tol: float = COPLANAR_GAMMA_TOL,
                       ) -> RecoveredInvariants:
     """Recover the Keplerian invariants of satellite 2 and the nodal angles.
 
     The eccentricity phasor of satellite 2 is (dxi_x + ec, dxi_y + es), from
     which e2 and the periapsis offset dlambda follow; a2 comes from the
     semiparameter ratio, gamma from |dh|, and theta1 from the direction of
-    the inclination vector whenever gamma exceeds ``coplanar_tol``.
+    the inclination vector whenever gamma is at least COPLANAR_GAMMA_TOL.
 
     For a circular reference (e1 = 0) the split of theta1 into nu1 + lambda1
     uses the nu1 = 0 convention of :class:`ReferenceParams`.
@@ -233,7 +232,7 @@ def classical_from_oe(oe: NodalRelativeState, eta: ReferenceParams,
     dh = oe.dh
     gamma = 2.0 * math.atan(dh)
 
-    degenerate = gamma < coplanar_tol
+    degenerate = gamma < COPLANAR_GAMMA_TOL
     if degenerate:
         theta1 = theta2 = lambda1 = lambda2 = math.nan
     else:
@@ -272,11 +271,8 @@ def ecc_inc_vectors(oe: NodalRelativeState, eta: ReferenceParams,
         di = np.array([0.0, 0.0])
 
     defined = dxi_mag > 0.0 and dh_mag > 0.0
-    if defined:
-        dphi = wrap_angle(math.atan2(oe.dh_y, oe.dh_x)
-                          - math.atan2(oe.dxi_y, oe.dxi_x))
-    else:
-        dphi = math.nan
+    dphi = (wrap_angle(theta1 - math.atan2(oe.dxi_y, oe.dxi_x)) if defined
+            else math.nan)
     return EccIncVectors(de=de, di=di, dxi_mag=dxi_mag, dh_mag=dh_mag,
                          dphi=dphi, dphi_defined=defined)
 
@@ -432,14 +428,11 @@ def separation_distance(oe_arr: np.ndarray, eta_arr: np.ndarray) -> np.ndarray:
     ndarray, shape (n,)
         Distances in km.  Entries with non-elliptic geometry are nan.
     """
-    dtheta, dp, dxx, dxy, hx, hy = np.atleast_2d(
-        np.asarray(oe_arr, dtype=float)).T
-    p1, ec, es = np.atleast_2d(np.asarray(eta_arr, dtype=float)).T
-    denom = _radius_denominator(np.cos(dtheta), np.sin(dtheta),
-                                dxx, dxy, ec, es)
-    denom = np.where(denom > 0.0, denom, np.nan)
-    return _separation(p1 / (1.0 + ec), p1 * (1.0 + dp) / denom,
-                       np.sin(0.5 * dtheta), np.cos(0.5 * dtheta), hx, hy)
+    oe_arr = np.atleast_2d(np.asarray(oe_arr, dtype=float))
+    r1, r2 = _position_arrays(oe_arr, np.atleast_2d(eta_arr))[:2]
+    half = 0.5 * oe_arr[:, 0]
+    return _separation(r1, r2, np.sin(half), np.cos(half),
+                       oe_arr[:, 4], oe_arr[:, 5])
 
 
 def _position_and_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
@@ -461,18 +454,18 @@ def position_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
         state ordering (dtheta, dp, dxi_x, dxi_y, dh_x, dh_y); ``j_eta`` the
         3x3 Jacobian with respect to (p1, ec, es).
     """
-    _, j_oe, j_eta = _position_and_jacobians(oe, eta)
-    return j_oe, j_eta
+    return _position_and_jacobians(oe, eta)[1:]
 
 
 def relative_velocity(oe: NodalRelativeState, eta: ReferenceParams,
                       mu: float) -> np.ndarray:
     """Time derivative of the RTN1 relative position under unperturbed
     motion, by the chain rule through the analytic position Jacobians."""
-    from .dynamics import f_eta, f_unperturbed  # deferred: dynamics imports this module
+    from .dynamics import perturbed_derivative  # deferred: dynamics imports this module
 
+    doe, deta = perturbed_derivative(oe, eta, None, mu)
     j_oe, j_eta = position_jacobians(oe, eta)
-    return j_oe @ f_unperturbed(oe, eta, mu) + j_eta @ f_eta(eta, mu)
+    return j_oe @ doe + j_eta @ deta
 
 
 def local_state(oe: NodalRelativeState, eta: ReferenceParams,

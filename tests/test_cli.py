@@ -1,11 +1,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from dataclasses import replace
 
 from nodalrel import missionsim as sim
-from nodalrel.cli import build_parser, main
+from nodalrel.cli import _load_cfg, build_parser, main
 
 ORBIT1 = ["8900", "0.5", "10", "20", "0", "30"]
 ORBIT2 = ["6800", "0.1", "40", "90", "30", "70"]
@@ -71,3 +72,17 @@ def test_maneuver_command(tmp_path, capsys):
     assert "achieved miss" in out
     summary = json.loads((tmp_path / "mv" / "summary.json").read_text())
     assert summary["achieved_miss_km"] > summary["unmaneuvered_miss_km"]
+
+
+def test_validate_rejects_mu(capsys):
+    # validate always runs the fixed validation pair, whose mu is fixed.
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--mu", "398600.4418"])
+    assert exc.value.code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
+def test_jobs_zero_reaches_the_config_check():
+    args = build_parser().parse_args(["montecarlo", "--jobs", "0"])
+    with pytest.raises(ValueError, match="^jobs must"):
+        _load_cfg(args)

@@ -33,7 +33,8 @@ from nodalrel import (
     unperturbed_flow,
     wrap_angle,
 )
-from nodalrel.dynamics import advance_true_anomaly, mean_to_true_anomaly, true_to_mean_anomaly
+from nodalrel.dynamics import (_nodal_rhs, advance_true_anomaly,
+                               mean_to_true_anomaly, true_to_mean_anomaly)
 
 from conftest import EL1, EL2, random_elements, random_pair
 
@@ -233,6 +234,21 @@ class TestPerturbedConsistency:
         doe, deta = perturbed_derivative(oe, eta, PerturbationInput.zero(), MU)
         assert np.abs(doe - f_unperturbed(oe, eta, MU)).max() == 0.0
         assert np.abs(deta - f_eta(eta, MU)).max() == 0.0
+
+    def test_equals_propagator_rhs_bitwise(self):
+        # One forced-derivative formula: the propagator's right-hand side
+        # with the input held, with and without an input.
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            oe, eta = random_state(rng)
+            y = np.concatenate([oe.as_array(), eta.as_array()])
+            u = PerturbationInput(u1=rng.normal(0.0, 1e-4, 3),
+                                  u2=rng.normal(0.0, 1e-4, 3))
+            for held in (None, u):
+                doe, deta = perturbed_derivative(oe, eta, held, MU)
+                rhs = _nodal_rhs(0.0, y,
+                                 None if held is None else lambda t: held, MU)
+                assert np.array_equal(np.concatenate([doe, deta]), rhs)
 
     def test_nodal_variational_keplerian_rates(self):
         el1, el2 = EL1, EL2

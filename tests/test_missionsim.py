@@ -173,6 +173,32 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             small_config(t_start=-100.0, t_end=-200.0)
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("q_diag", {"q_diag": (1e-16,) * 5}),
+        ("q_diag", {"q_diag": (-1e-20,) + (0.0,) * 5}),
+        ("p0_diag", {"p0_diag": (1e-8,) * 7}),
+        ("p0_diag", {"p0_diag": (-1.0,) * 6}),
+        ("p0_diag", {"p0_diag": (1e-8,) * 5 + (0.0,)}),
+        ("d", {"d": -90.0}),
+        ("d", {"d": 0.0}),
+        ("transient_fraction", {"transient_fraction": 1.5}),
+        ("transient_fraction", {"transient_fraction": -0.1}),
+        ("transient_fraction", {"transient_fraction": 0.9,
+                                "t_start": -3.0 * 3600.0, "t_end": -3600.0,
+                                "sample_dt": 3600.0}),
+        ("jobs", {"jobs": 0}),
+        ("rel_tol", {"rel_tol": 0.0}),
+        ("chi2_gate", {"chi2_gate": -1.0}),
+    ])
+    def test_config_that_cannot_run_rejected(self, field, overrides):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            replace(ScenarioConfig(), **overrides)
+        json_key = {name: key for key, (name, _) in sim._SCENARIO_KEYS.items()}
+        d = {**config_to_dict(ScenarioConfig()),
+             **{json_key[name]: value for name, value in overrides.items()}}
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            config_from_dict(d)
+
     def test_misspelt_key_rejected(self):
         with pytest.raises(ValueError, match="'sigma_az_degg'"):
             config_from_dict({"sigma_az_degg": 0.002})

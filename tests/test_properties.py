@@ -1,17 +1,24 @@
 """Property tests over random valid (state, reference) pairs: the array
 paths of the position and margin kernels against their scalar paths, and
-the analytic Jacobians against central differences."""
+the analytic Jacobians against central differences; and over random
+element pairs, the nodal round trip."""
 
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from nodalrel import (
+    ClassicalElements,
     NodalRelativeState,
     ReferenceParams,
+    RetrogradeSingularity,
+    classical_from_oe,
+    oe_from_classical,
     position_jacobians,
+    relative_orientation,
     relative_position,
+    wrap_angle,
     zeta,
     zeta_descending,
     zeta_gradient,
@@ -132,3 +139,23 @@ def test_zeta_gradient_matches_central_differences(pair):
     fd = central_differences(lambda z: zeta(*split(z)), x, steps)
     grad = np.concatenate([d_oe, d_eta])
     assert rel_dev(grad, fd, np.abs(grad).max()) <= 1e-6
+
+
+ELEMENTS = st.builds(ClassicalElements, a=st.floats(7e3, 5e4),
+                     e=st.floats(0.005, 0.85), i=st.floats(0.05, 3.0),
+                     raan=ANGLE, argp=ANGLE, nu=ANGLE)
+
+
+@given(ELEMENTS, ELEMENTS)
+def test_element_round_trip(el1, el2):
+    try:
+        rel = relative_orientation(el1, el2)
+    except RetrogradeSingularity:
+        rel = None
+    assume(rel is not None and rel.gamma >= 1e-6)
+    rec = classical_from_oe(*oe_from_classical(el1, el2))
+    assert abs(rec.a2 - el2.a) <= 1e-9 * el2.a
+    assert abs(rec.e2 - el2.e) <= 1e-9
+    assert abs(rec.gamma - rel.gamma) <= 1e-9
+    assert abs(wrap_angle(rec.theta1 - rel.theta1)) <= 1e-9
+    assert abs(wrap_angle(rec.theta2 - rel.theta2)) <= 1e-9
