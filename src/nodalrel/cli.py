@@ -45,8 +45,15 @@ def _pair_from_args(args):
             MU_EARTH if args.mu is None else args.mu)
 
 
+def _tol(args) -> float:
+    """--tol, 1e-12 when absent; like rel_tol it must be positive."""
+    if args.tol is not None and not args.tol > 0.0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
+    return 1e-12 if args.tol is None else args.tol
+
+
 def _cmd_validate(args) -> int:
-    res = sim.run_validation(rtol=args.tol or 1e-12, out_dir=args.out)
+    res = sim.run_validation(rtol=_tol(args), out_dir=args.out)
     print(f"max model-vs-Cowell discrepancy: {res.max_discrepancy_km:.3e} km")
     print(f"zero-input discrepancy:          "
           f"{res.zero_input_discrepancy_km:.3e} km")
@@ -55,7 +62,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_propagate(args) -> int:
     oe, eta, mu = _pair_from_args(args)
-    traj = propagate(oe, eta, 0.0, args.tf, mu, rtol=args.tol or 1e-12,
+    traj = propagate(oe, eta, 0.0, args.tf, mu, rtol=_tol(args),
                      n_samples=args.samples)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)

@@ -21,15 +21,16 @@ from scipy.optimize import minimize_scalar
 from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
     PerturbationInput,
+    _anomaly_sweep,
     _solve_nodal,
     _trig,
-    advance_true_anomaly,
     input_matrices,
     orbital_period,
 )
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
+    _kepler_pair,
     _separation,
     classical_from_oe,
     separation_distance,
@@ -271,25 +272,21 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     """
     if not tf > t0:
         raise ValueError("tf must exceed t0")
-    e1, nu10, p1 = eta.e1, eta.nu1, eta.p1
-    a1 = p1 / (1.0 - e1 * e1)
-    rec = classical_from_oe(oe, eta)
-    p_short = min(orbital_period(a1, mu), orbital_period(rec.a2, mu))
+    pair = _kepler_pair(oe, eta)
+    nu10, e1, a1, _, e2, a2, _ = pair
+    p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
     if n_samples is None:
         n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
     t_grid = np.linspace(t0, tf, n_samples)
 
     if u is None:
-        e2, a2, dlam = rec.e2, rec.a2, rec.dlambda
-        p2 = p1 * (1.0 + oe.dp)
-        nu20 = nu10 + oe.dtheta - dlam
+        p1, p2 = eta.p1, eta.p1 * (1.0 + oe.dp)
 
         def distance(t):
             _, sin, cos, *_ = _trig(t)
-            nu1 = advance_true_anomaly(nu10, e1, a1, t - t0, mu)
-            nu2 = advance_true_anomaly(nu20, e2, a2, t - t0, mu)
+            nu1, nu2, dtheta = _anomaly_sweep(pair, t - t0, mu)
             c, s = cos(nu1 - nu10), sin(nu1 - nu10)
-            half = 0.5 * (nu2 - nu1 + dlam)
+            half = 0.5 * dtheta
             return _separation(p1 / (1.0 + e1 * cos(nu1)),
                                p2 / (1.0 + e2 * cos(nu2)),
                                sin(half), cos(half),

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 from .errors import CoplanarNormalInput, GeometryError, StepFailure
 from .frames import ClassicalElements, pci_to_pqw, wrap_angle
 from .relstate import (NodalRelativeState, ReferenceParams,
-                       _radius_denominator, classical_from_oe)
+                       _kepler_pair, _radius_denominator)
 
 #: Eccentricity below which an orbit is treated as circular when extracting
 #: elements from a Cartesian state (argp = 0, phase folded into nu).
@@ -166,6 +166,17 @@ def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float):
     """
     m = true_to_mean_anomaly(nu0, e) + math.sqrt(mu / a ** 3) * _trig(dt)[0]
     return mean_to_true_anomaly(m, e)
+
+
+def _anomaly_sweep(pair, t, mu: float):
+    """True anomalies (nu1t, nu2t) of a :func:`relstate._kepler_pair` t s
+    after its epoch (t may be an array), and dtheta_t = nu2t - nu1t +
+    dlambda, unwrapped: the one Kepler timing of the unperturbed flow, the
+    C2 distance and the filter's coast."""
+    nu10, e1, a1, nu20, e2, a2, dlambda = pair
+    nu1t = advance_true_anomaly(nu10, e1, a1, t, mu)
+    nu2t = advance_true_anomaly(nu20, e2, a2, t, mu)
+    return nu1t, nu2t, nu2t - nu1t + dlambda
 
 
 def kepler_advance(el: ClassicalElements, dt: float, mu: float,
@@ -336,20 +347,14 @@ def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
         Arrays of shape (n, 6) and (n, 3).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    e1, nu10, p1 = eta.e1, eta.nu1, eta.p1
-    a1 = p1 / (1.0 - e1 * e1)
-
-    rec = classical_from_oe(oe, eta)
-    e2, a2, dlam = rec.e2, rec.a2, rec.dlambda
-    nu20 = nu10 + oe.dtheta - dlam
-
-    nu1t = advance_true_anomaly(nu10, e1, a1, t, mu)
-    nu2t = advance_true_anomaly(nu20, e2, a2, t, mu)
+    pair = _kepler_pair(oe, eta)
+    nu10, e1, _, _, e2, _, dlam = pair
+    nu1t, nu2t, dtheta = _anomaly_sweep(pair, t, mu)
 
     dnu1 = nu1t - nu10
     cd, sd = np.cos(dnu1), np.sin(dnu1)
     oe_arr = np.empty((t.size, 6))
-    oe_arr[:, 0] = wrap_angle(nu2t - nu1t + dlam)
+    oe_arr[:, 0] = wrap_angle(dtheta)
     oe_arr[:, 1] = oe.dp
     oe_arr[:, 2] = e2 * np.cos(nu1t - dlam) - e1 * np.cos(nu1t)
     oe_arr[:, 3] = e2 * np.sin(nu1t - dlam) - e1 * np.sin(nu1t)
@@ -357,7 +362,7 @@ def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
     oe_arr[:, 5] = sd * oe.dh_x + cd * oe.dh_y
 
     eta_arr = np.empty((t.size, 3))
-    eta_arr[:, 0] = p1
+    eta_arr[:, 0] = eta.p1
     eta_arr[:, 1] = e1 * np.cos(nu1t)
     eta_arr[:, 2] = e1 * np.sin(nu1t)
     return oe_arr, eta_arr

@@ -4,12 +4,12 @@ relative state.
 Satellite 1 measures the azimuth and elevation of the line of sight to
 satellite 2 in its own RTN frame, plus the apparent angular size of the
 (spherical, known-diameter) target.  The filter propagates the relative
-state with the exact reference-anomaly timing: dp is held and the
-eccentricity/inclination pairs are rotated analytically, so the matching
-rows of the 6x6 state transition matrix are exact (the identity row of dp
-and two rotation blocks).  Only dtheta and the transition matrix's dtheta
-row are integrated numerically (RK4 substeps).  The reference parameters
-are treated as perfectly known and advanced alongside.
+state in closed form by Kepler timing of both recovered orbits: dp is
+held, the eccentricity/inclination pairs are rotated by the reference
+anomaly sweep, and dtheta follows from the two anomaly sweeps, so every
+row of the 6x6 state transition matrix is exact (its dtheta row from the
+partials of that timing).  The reference parameters are treated as
+perfectly known and advanced alongside.
 """
 
 from __future__ import annotations
@@ -19,17 +19,22 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import ZeroRange
-from .dynamics import _dtheta_rate, advance_true_anomaly
+from .dynamics import _anomaly_sweep
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
-    _position_and_jacobians,
+    _kepler_pair,
+    _scalar_position,
 )
 
 #: |elevation| within this distance of pi/2 flags an ill-conditioned azimuth.
 GIMBAL_EL_TOL = 1e-9
+
+_EYE6 = np.eye(6)
+_EYE6.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -87,11 +92,11 @@ class EkfUpdate:
     outlier: bool
 
 
-def _angles(dr, d: float) -> tuple[float, float, float, float, float]:
-    """(az, el, beta, rho, rho_RT^2) of an RTN1 relative position dr: the
-    noiseless measurement, the range and the squared radial-transverse
+def _angles(x: float, y: float, z: float, d: float,
+            ) -> tuple[float, float, float, float, float]:
+    """(az, el, beta, rho, rho_RT^2) of an RTN1 relative position (x, y, z):
+    the noiseless measurement, the range and the squared radial-transverse
     range.  ZeroRange if the satellites are co-located."""
-    x, y, z = np.asarray(dr, dtype=float).tolist()
     rho_rt2 = x * x + y * y
     rho = math.sqrt(rho_rt2 + z * z)
     if not rho > 0.0:
@@ -109,7 +114,7 @@ def measure(dr: np.ndarray, d: float, noise: NoiseSpec,
     ZeroRange
         If the satellites are co-located.
     """
-    az, el, beta, _, _ = _angles(dr, d)
+    az, el, beta, _, _ = _angles(*np.asarray(dr, dtype=float).tolist(), d)
     return MeasurementTriple(
         az=az + noise.sigma_az * rng.standard_normal(),
         el=el + noise.sigma_el * rng.standard_normal(),
@@ -127,109 +132,86 @@ def predict_measurement(oe: NodalRelativeState, eta: ReferenceParams,
     ZeroRange
         If the predicted separation is zero.
     """
-    dr, j_oe, _ = _position_and_jacobians(oe, eta)
-    az, el, beta, rho, rho_rt2 = _angles(dr, d)
+    *_, (x, y, z), j_oe, _ = _scalar_position(oe, eta, jacobians=True)
+    az, el, beta, rho, rho_rt2 = _angles(x, y, z, d)
     gimbal = abs(abs(el) - 0.5 * math.pi) < GIMBAL_EL_TOL
 
-    # d(az, el, beta)/d(dr)
-    dy_ddr = np.zeros((3, 3))
+    # d(az, el, beta)/d(dr); the angle rows vanish on the normal axis
+    rho3 = rho ** 3
+    dy_ddr = [(0.0,) * 3, (0.0,) * 3, (-d * x / rho3, -d * y / rho3,
+                                      -d * z / rho3)]
     if rho_rt2 > 0.0:
-        dy_ddr[0] = np.array([-dr[1], dr[0], 0.0]) / rho_rt2
         rho_rt = math.sqrt(rho_rt2)
-        dy_ddr[1] = (np.array([0.0, 0.0, 1.0]) / rho_rt
-                     - dr[2] * dr / (rho * rho * rho_rt))
-    dy_ddr[2] = -d * dr / rho ** 3
+        zk = rho * rho * rho_rt
+        dy_ddr[:2] = ((-y / rho_rt2, x / rho_rt2, 0.0),
+                      (-z * x / zk, -z * y / zk, 1.0 / rho_rt - z * z / zk))
     return PredictedMeasurement(y=MeasurementTriple(az=az, el=el, beta=beta),
-                                H=dy_ddr @ j_oe, gimbal_degenerate=gimbal)
+                                H=np.array(dy_ddr) @ np.array(j_oe),
+                                gimbal_degenerate=gimbal)
 
 
 def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
-           mu: float, substeps: int,
+           mu: float,
            ) -> tuple[NodalRelativeState, np.ndarray, ReferenceParams]:
     """Mean, 6x6 state transition matrix Phi and reference after dt
-    seconds (see :func:`ekf_propagate`).  The rate of Phi's row 0 involves
-    rows 0-3 only, so its dh columns stay zero."""
-    e1 = eta.e1
-    nu0 = eta.nu1
-    a1 = eta.p1 / (1.0 - e1 * e1)
-    k = math.sqrt(mu / eta.p1 ** 3)
-    opd = 1.0 + oe0.dp
-    opd15 = opd ** 1.5
-    dxx, dxy = oe0.dxi_x, oe0.dxi_y
+    seconds (see :func:`ekf_propagate`).
 
-    def stage(nu: float) -> tuple[float, ...]:
-        """(cos dnu, sin dnu, the dxi rotated by dnu, ec, es) at the
-        reference anomaly nu (dtheta-independent part of the rates)."""
-        c, s = math.cos(nu - nu0), math.sin(nu - nu0)
-        return (c, s, c * dxx - s * dxy, s * dxx + c * dxy,
-                e1 * math.cos(nu), e1 * math.sin(nu))
+    Phi's row 0 differentiates dtheta_t = dtheta + (nu2t - nu20) - (nu1t -
+    nu10) through Kepler timing of satellite 2, whose phasor (dxi_x + ec,
+    dxi_y + es) = e2 (cos, sin) phi has nu20 = phi + dtheta: at fixed mean
+    anomaly dnu/dM = (1 + e cos nu)^2 / (1 - e^2)^1.5 and dnu/de = sin nu
+    (2 + e cos nu) / (1 - e^2), and n2 scales as ((1 - e2^2) / (1 + dp))^1.5.
+    The phi column, (r - 1)/e2 = q, has no division by e2."""
+    pair = _kepler_pair(oe0, eta)
+    nu10, e1, _, nu20, e2, a2, dlambda = pair
+    nu1t, nu2t, dtheta = _anomaly_sweep(pair, dt, mu)
+    c, s = math.cos(nu1t - nu10), math.sin(nu1t - nu10)
 
-    def at(tau: float) -> tuple[float, ...]:
-        return stage(advance_true_anomaly(nu0, e1, a1, tau, mu))
+    om = 1.0 - e2 * e2
+    n2dt = math.sqrt(mu / a2 ** 3) * dt
+    c0, ct = math.cos(nu20), math.cos(nu2t)
+    w0, wt = 1.0 + e2 * c0, 1.0 + e2 * ct
+    r = (wt / w0) ** 2  # d(nu2t)/d(nu20)
+    gt = wt * wt / om ** 1.5  # d(nu2t)/d(M2t)
+    q = (ct - c0) * (2.0 + e2 * (ct + c0)) / (w0 * w0)
+    de = ((math.sin(nu2t) * (1.0 + wt) - r * math.sin(nu20) * (1.0 + w0))
+          / om - 3.0 * gt * n2dt * e2 / om)
+    cp, sp = math.cos(nu10 - dlambda), math.sin(nu10 - dlambda)  # phi
 
-    def rates(st, dtheta: float, row: tuple[float, ...],
-              ) -> tuple[float, tuple[float, ...]]:
-        cn, sn = st[:2]
-        rate, (j00, j01, j02, j03) = _dtheta_rate(
-            k, math.cos(dtheta), math.sin(dtheta), *st[2:], opd, opd15,
-            gradient=True)
-        return rate, (j00 * row[0], j00 * row[1] + j01,
-                      j00 * row[2] + j02 * cn + j03 * sn,
-                      j00 * row[3] - j02 * sn + j03 * cn)
-
-    def plus(row: tuple[float, ...], a: float, d: tuple[float, ...]):
-        return (row[0] + a * d[0], row[1] + a * d[1],
-                row[2] + a * d[2], row[3] + a * d[3])
-
-    h = dt / substeps
-    dtheta = oe0.dtheta
-    row = (1.0, 0.0, 0.0, 0.0)  # Phi[0, :4]
-    st_end = stage(nu0)
-    for i in range(substeps):
-        st0 = st_end
-        st_half = at((i + 0.5) * h)
-        st_end = at((i + 1) * h)
-        k1t, k1p = rates(st0, dtheta, row)
-        k2t, k2p = rates(st_half, dtheta + 0.5 * h * k1t,
-                         plus(row, 0.5 * h, k1p))
-        k3t, k3p = rates(st_half, dtheta + 0.5 * h * k2t,
-                         plus(row, 0.5 * h, k2p))
-        k4t, k4p = rates(st_end, dtheta + h * k3t, plus(row, h, k3p))
-        dtheta += h / 6.0 * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        row = tuple(r + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                    for r, a, b, c, d in zip(row, k1p, k2p, k3p, k4p))
-
-    c, s, dxi_x, dxi_y, ec, es = st_end
     oe_new = NodalRelativeState(
-        dtheta=dtheta, dp=oe0.dp, dxi_x=dxi_x, dxi_y=dxi_y,
+        dtheta=dtheta, dp=oe0.dp,
+        dxi_x=c * oe0.dxi_x - s * oe0.dxi_y,
+        dxi_y=s * oe0.dxi_x + c * oe0.dxi_y,
         dh_x=c * oe0.dh_x - s * oe0.dh_y, dh_y=s * oe0.dh_x + c * oe0.dh_y)
-    phi = np.array([[*row, 0.0, 0.0],
+    phi = np.array([[r, -1.5 * gt * n2dt / (1.0 + oe0.dp),
+                     -sp * q + de * cp, cp * q + de * sp, 0.0, 0.0],
                     [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
                     [0.0, 0.0, c, -s, 0.0, 0.0],
                     [0.0, 0.0, s, c, 0.0, 0.0],
                     [0.0, 0.0, 0.0, 0.0, c, -s],
                     [0.0, 0.0, 0.0, 0.0, s, c]])
-    return oe_new, phi, ReferenceParams(p1=eta.p1, ec=ec, es=es)
+    return oe_new, phi, ReferenceParams(p1=eta.p1, ec=e1 * math.cos(nu1t),
+                                        es=e1 * math.sin(nu1t))
 
 
 def ekf_propagate(fs: FilterState, eta: ReferenceParams, dt: float,
-                  Q: np.ndarray, mu: float, substeps: int = 1,
+                  Q: np.ndarray, mu: float,
                   ) -> tuple[FilterState, ReferenceParams]:
     """Propagate mean and covariance over dt seconds of coasting.
 
-    The mean uses the analytic sub-solutions: dp is constant and the
-    difference vectors are rotated by the exact anomaly sweep, so rows 1-5
-    of the state transition matrix Phi are exact too (e_1 and the two
-    rotation blocks).  Only dtheta and Phi's row 0 are advanced by RK4
-    substeps along the analytic mean history.  The covariance update is
-    P <- Phi P Phi^T + Q dt, with Q a per-second disturbance rate matrix.
+    The mean is the exact unperturbed flow at any dt and eccentricity: dp
+    is constant, the difference vectors rotate by the reference anomaly
+    sweep and dtheta follows from Kepler timing of both recovered orbits.
+    The state transition matrix Phi is exact too: the identity row of dp,
+    two rotation blocks and the analytic partials of dtheta.  The
+    covariance update is P <- Phi P Phi^T + Q dt, Q a per-second rate.
 
     Returns the propagated filter state together with the coasted
-    reference parameters.
+    reference parameters; GeometryError if the recovered e2 is not below 1.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    oe_new, phi, eta_new = _coast(fs.oe_hat, eta, dt, mu, substeps)
+    oe_new, phi, eta_new = _coast(fs.oe_hat, eta, dt, mu)
     p_new = phi @ fs.P @ phi.T + np.asarray(Q, dtype=float) * dt
     p_new = 0.5 * (p_new + p_new.T)
     return FilterState(oe_hat=oe_new, P=p_new), eta_new
@@ -246,22 +228,24 @@ def ekf_update(fs: FilterState, eta: ReferenceParams, z: MeasurementTriple,
     flagged (never dropped) if it exceeds the gate.
     """
     pred = predict_measurement(fs.oe_hat, eta, d)
-    innov = z.as_array() - pred.y.as_array()
-    innov[0] = math.atan2(math.sin(innov[0]), math.cos(innov[0]))
+    y = pred.y
+    daz = z.az - y.az
+    innov = np.array([math.atan2(math.sin(daz), math.cos(daz)),
+                      z.el - y.el, z.beta - y.beta])
 
     r_cov = noise.covariance()
     h = pred.H
     hp = h @ fs.P
-    s_cov = hp @ h.T + r_cov
-    gain = np.linalg.solve(s_cov, hp).T  # S symmetric
-
-    outlier = False
-    if chi2_gate is not None:
-        maha2 = float(innov @ np.linalg.solve(s_cov, innov))
-        outlier = maha2 > chi2_gate
+    # one LAPACK solve with S for the gain and, when gated, the innovation
+    *_, sol, info = dgesv(hp @ h.T + r_cov, hp if chi2_gate is None
+                          else np.column_stack((hp, innov)))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular innovation covariance ({info})")
+    gain = sol[:, :6].T  # S symmetric
+    outlier = chi2_gate is not None and float(innov @ sol[:, 6]) > chi2_gate
 
     x = fs.oe_hat.as_array() + gain @ innov
-    ikh = np.eye(6) - gain @ h
+    ikh = _EYE6 - gain @ h
     p_new = ikh @ fs.P @ ikh.T + gain @ r_cov @ gain.T
     p_new = 0.5 * (p_new + p_new.T)
     return EkfUpdate(

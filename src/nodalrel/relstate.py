@@ -203,6 +203,21 @@ def oe_from_orientation(el1: ClassicalElements, el2: ClassicalElements,
     )
 
 
+def _kepler_pair(oe: NodalRelativeState, eta: ReferenceParams):
+    """Kepler timing invariants of both orbits, (nu1, e1, a1, nu2, e2, a2,
+    dlambda), nu2 = nu1 + dtheta - dlambda being satellite 2's true anomaly;
+    see :func:`classical_from_oe`, which raises as this does."""
+    e1, nu1 = eta.e1, eta.nu1
+    e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
+    if not e2 < 1.0:
+        raise GeometryError(f"recovered eccentricity e2 = {e2} is not < 1")
+    dlambda = math.atan2(
+        oe.dxi_x * math.sin(nu1) - oe.dxi_y * math.cos(nu1),
+        oe.dxi_x * math.cos(nu1) + oe.dxi_y * math.sin(nu1) + e1)
+    return (nu1, e1, eta.p1 / (1.0 - e1 * e1), nu1 + oe.dtheta - dlambda,
+            e2, eta.p1 * (1.0 + oe.dp) / (1.0 - e2 * e2), dlambda)
+
+
 def classical_from_oe(oe: NodalRelativeState, eta: ReferenceParams,
                       ) -> RecoveredInvariants:
     """Recover the Keplerian invariants of satellite 2 and the nodal angles.
@@ -220,15 +235,7 @@ def classical_from_oe(oe: NodalRelativeState, eta: ReferenceParams,
     GeometryError
         If the recovered e2 is not below 1 (no closed orbit matches).
     """
-    e1 = eta.e1
-    nu1 = eta.nu1
-    e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
-    if not e2 < 1.0:
-        raise GeometryError(f"recovered eccentricity e2 = {e2} is not < 1")
-    dlambda = math.atan2(
-        oe.dxi_x * math.sin(nu1) - oe.dxi_y * math.cos(nu1),
-        oe.dxi_x * math.cos(nu1) + oe.dxi_y * math.sin(nu1) + e1)
-    a2 = eta.p1 * (1.0 + oe.dp) / (1.0 - e2 * e2)
+    nu1, _, _, _, e2, a2, dlambda = _kepler_pair(oe, eta)
     dh = oe.dh
     gamma = 2.0 * math.atan(dh)
 

@@ -82,6 +82,17 @@ def test_validate_rejects_mu(capsys):
     assert "--mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["validate"], ["propagate", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2,
+                   "--tf", "5000"]])
+@pytest.mark.parametrize("tol", ["0", "-1e-9"])
+def test_nonpositive_tol_rejected(tmp_path, command, tol):
+    # --tol 0 must not fall back to the 1e-12 default
+    with pytest.raises(ValueError, match="^--tol must be positive"):
+        main([*command, f"--tol={tol}", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
 def test_jobs_zero_reaches_the_config_check():
     args = build_parser().parse_args(["montecarlo", "--jobs", "0"])
     with pytest.raises(ValueError, match="^jobs must"):

@@ -136,8 +136,7 @@ class TestEkfPropagate:
         n = 40
         fs_k, eta_k = fs, eta
         for _ in range(n):
-            fs_k, eta_k = ekf_propagate(fs_k, eta_k, dt, np.zeros((6, 6)),
-                                        MU, substeps=8)
+            fs_k, eta_k = ekf_propagate(fs_k, eta_k, dt, np.zeros((6, 6)), MU)
         oe_true, eta_true = unperturbed_flow(oe, eta, MU, [n * dt])
         err = fs_k.oe_hat.as_array() - oe_true[0]
         err[0] = wrap_angle(err[0])
@@ -160,8 +159,7 @@ class TestEkfPropagate:
         period = orbital_period(1.2e4, MU)
         p0 = np.diag([1e-10] * 6)
         fs = FilterState(oe_hat=oe, P=p0)
-        fs1, _ = ekf_propagate(fs, eta, period, np.zeros((6, 6)), MU,
-                               substeps=64)
+        fs1, _ = ekf_propagate(fs, eta, period, np.zeros((6, 6)), MU)
         # the xi and h diagonal blocks must return to their initial values
         assert np.abs(fs1.P[2:4, 2:4] - p0[2:4, 2:4]).max() < 1e-13
         assert np.abs(fs1.P[4:6, 4:6] - p0[4:6, 4:6]).max() < 1e-13
@@ -174,9 +172,9 @@ class TestEkfPropagate:
 
 
 def reference_propagate(fs, eta, dt, Q, mu, substeps=1):
-    """Full 6x6 RK4 of Phi' = (df/dx) Phi with f_unperturbed_jacobian, as
-    ekf_propagate computed it before its rows 1-5 were made exact; kept as
-    the reference.  Returns (FilterState, ReferenceParams, Phi)."""
+    """Full 6x6 RK4 of Phi' = (df/dx) Phi with f_unperturbed_jacobian over
+    `substeps` steps: the reference for ekf_propagate's closed-form mean
+    and transition.  Returns (FilterState, ReferenceParams, Phi)."""
     oe0 = fs.oe_hat
     e1 = eta.e1
     nu0 = eta.nu1
@@ -250,25 +248,46 @@ def desk_state():
             eta, np.diag(cfg.q_diag))
 
 
+def assert_matches_reference(fs, eta, q, dt, substeps):
+    """ekf_propagate and _coast's Phi against reference_propagate."""
+    ref_fs, ref_eta, ref_phi = reference_propagate(fs, eta, dt, q, MU_SUN,
+                                                   substeps)
+    new_fs, new_eta = ekf_propagate(fs, eta, dt, q, MU_SUN)
+    _, phi, _ = _coast(fs.oe_hat, eta, dt, MU_SUN)
+
+    err = new_fs.oe_hat.as_array() - ref_fs.oe_hat.as_array()
+    err[0] = wrap_angle(err[0])
+    assert np.abs(err).max() <= 1e-12
+    assert np.abs(new_eta.as_array() - ref_eta.as_array()).max() \
+        <= 1e-12 * eta.p1
+    assert np.abs(phi - ref_phi).max() <= 1e-10 * np.abs(ref_phi).max()
+    # covariance entries against the reference, scaled per pair
+    scale = np.sqrt(np.outer(np.diag(ref_fs.P), np.diag(ref_fs.P)))
+    assert np.all(np.abs(new_fs.P - ref_fs.P) <= 1e-9 * scale)
+
+
 class TestEkfPropagateReference:
+    """The closed-form transition against the full 6x6 RK4 reference,
+    which takes `substeps` RK4 steps over dt."""
+
     @pytest.mark.parametrize("substeps", [1, 4])
     @pytest.mark.parametrize("dt", [60.0, 86400.0])
     def test_matches_full_rk4_transition(self, dt, substeps):
-        fs, eta, q = desk_state()
-        ref_fs, ref_eta, ref_phi = reference_propagate(fs, eta, dt, q,
-                                                       MU_SUN, substeps)
-        new_fs, new_eta = ekf_propagate(fs, eta, dt, q, MU_SUN, substeps)
-        _, phi, _ = _coast(fs.oe_hat, eta, dt, MU_SUN, substeps)
+        assert_matches_reference(*desk_state(), dt, substeps)
 
-        err = new_fs.oe_hat.as_array() - ref_fs.oe_hat.as_array()
-        err[0] = wrap_angle(err[0])
-        assert np.abs(err).max() <= 1e-12
-        assert np.abs(new_eta.as_array() - ref_eta.as_array()).max() \
-            <= 1e-12 * eta.p1
-        assert np.abs(phi - ref_phi).max() <= 1e-10 * np.abs(ref_phi).max()
-        # covariance entries against the reference, scaled per pair
-        scale = np.sqrt(np.outer(np.diag(ref_fs.P), np.diag(ref_fs.P)))
-        assert np.all(np.abs(new_fs.P - ref_fs.P) <= 1e-9 * scale)
+    def test_matches_over_one_reference_period(self):
+        fs, eta, q = desk_state()
+        period = orbital_period(eta.p1 / (1.0 - eta.e1 ** 2), MU_SUN)
+        assert_matches_reference(fs, eta, q, period, substeps=8000)
+
+    @pytest.mark.parametrize("dt", [600.0, 86400.0])
+    def test_circular_satellite2(self, dt):
+        # dxi = -(ec, es) puts satellite 2 on a circle: e2 = 0 exactly
+        fs, eta, q = desk_state()
+        x = fs.oe_hat.as_array()
+        x[2:4] = -eta.ec, -eta.es
+        fs = FilterState(oe_hat=NodalRelativeState.from_array(x), P=fs.P)
+        assert_matches_reference(fs, eta, q, dt, substeps=64)
 
 
 class TestEkfUpdate:

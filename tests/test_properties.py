@@ -1,29 +1,34 @@
 """Property tests over random valid (state, reference) pairs: the array
-paths of the position and margin kernels against their scalar paths, and
-the analytic Jacobians against central differences; and over random
-element pairs, the nodal round trip."""
+paths of the position and margin kernels against their scalar paths, the
+analytic Jacobians and the filter's transition row against central
+differences, and the filter's coast against the unperturbed flow; and
+over random element pairs, the nodal round trip."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from nodalrel import (
+    MU_EARTH,
     ClassicalElements,
     NodalRelativeState,
     ReferenceParams,
     RetrogradeSingularity,
     classical_from_oe,
     oe_from_classical,
+    orbital_period,
     position_jacobians,
     relative_orientation,
     relative_position,
+    unperturbed_flow,
     wrap_angle,
     zeta,
     zeta_descending,
     zeta_gradient,
 )
 from nodalrel.conjunction import _node_margin_arrays
+from nodalrel.navigation import _coast
 from nodalrel.relstate import _position_and_jacobians, _position_arrays
 
 ANGLE = st.floats(-math.pi, math.pi)
@@ -139,6 +144,47 @@ def test_zeta_gradient_matches_central_differences(pair):
     fd = central_differences(lambda z: zeta(*split(z)), x, steps)
     grad = np.concatenate([d_oe, d_eta])
     assert rel_dev(grad, fd, np.abs(grad).max()) <= 1e-6
+
+
+#: A state whose satellite 2 is circular: dxi = -(ec, es), so e2 = 0.
+CIRCULAR_2 = (NodalRelativeState(dtheta=0.7, dp=0.2, dxi_x=-0.3, dxi_y=-0.1,
+                                 dh_x=0.2, dh_y=-0.1),
+              ReferenceParams(p1=1.2e4, ec=0.3, es=0.1))
+
+
+def coast_window(pair, fraction):
+    """60 s up to a quarter of the reference period, by fraction in [0, 1]."""
+    eta = pair[1]
+    quarter = 0.25 * orbital_period(eta.p1 / (1.0 - eta.e1 ** 2), MU_EARTH)
+    return 60.0 + fraction * max(quarter - 60.0, 0.0)
+
+
+@example(CIRCULAR_2, 1.0)
+@given(state_and_reference(), st.floats(0.0, 1.0))
+def test_coast_transition_row_matches_central_differences(pair, fraction):
+    oe, eta = pair
+    dt = coast_window(pair, fraction)
+    oe_t, phi, _ = _coast(oe, eta, dt, MU_EARTH)
+
+    def dtheta_t(x):  # offset, so that no difference crosses the wrap
+        return wrap_angle(_coast(NodalRelativeState.from_array(x), eta, dt,
+                                 MU_EARTH)[0].dtheta - oe_t.dtheta)
+
+    fd = central_differences(dtheta_t, oe.as_array(), np.full(6, 1e-7))
+    assert rel_dev(phi[0], fd, np.abs(phi[0]).max()) <= 1e-6
+
+
+@example(CIRCULAR_2, 1.0)
+@given(state_and_reference(), st.floats(0.0, 1.0))
+def test_coast_mean_matches_unperturbed_flow(pair, fraction):
+    oe, eta = pair
+    dt = coast_window(pair, fraction)
+    oe_t, _, eta_t = _coast(oe, eta, dt, MU_EARTH)
+    oe_flow, eta_flow = unperturbed_flow(oe, eta, MU_EARTH, [dt])
+    err = oe_t.as_array() - oe_flow[0]
+    err[0] = wrap_angle(err[0])
+    assert np.abs(err).max() <= 1e-12
+    assert np.abs(eta_t.as_array() - eta_flow[0]).max() <= 1e-12 * eta.p1
 
 
 ELEMENTS = st.builds(ClassicalElements, a=st.floats(7e3, 5e4),
