@@ -256,10 +256,10 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     miss_tol (km).
 
     Without ``u`` the motion is the exact unperturbed flow: one distance
-    function advances both recovered orbits by Kepler timing and takes the
-    distance from the radii, the phase and the rotated inclination vector
-    through the kernel of :func:`separation_distance`; the grid calls it
-    on the array of times and the refinement on single times.
+    function takes the radii, the phase and the rotated inclination vector
+    from the coast kernel :func:`dynamics._anomaly_sweep` and the distance
+    from the kernel of :func:`separation_distance`; the grid calls it on
+    the array of times and the refinement on single times.
     With ``u`` the window is integrated once (RK45 at tolerance rtol): the
     samples are that solve's outputs at the grid times and the refinement
     evaluates its dense interpolant, so the objective and the grid come
@@ -273,7 +273,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     if not tf > t0:
         raise ValueError("tf must exceed t0")
     pair = _kepler_pair(oe, eta)
-    nu10, e1, a1, _, e2, a2, _ = pair
+    _, _, a1, _, e2, a2, _ = pair
     p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
     if n_samples is None:
         n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
@@ -284,14 +284,11 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
 
         def distance(t):
             _, sin, cos, *_ = _trig(t)
-            nu1, nu2, dtheta = _anomaly_sweep(pair, t - t0, mu)
-            c, s = cos(nu1 - nu10), sin(nu1 - nu10)
+            _, nu2, _, _, dtheta, _, _, hx, hy, ec, _ = _anomaly_sweep(
+                pair, (oe.dh_x, oe.dh_y), t - t0, mu)
             half = 0.5 * dtheta
-            return _separation(p1 / (1.0 + e1 * cos(nu1)),
-                               p2 / (1.0 + e2 * cos(nu2)),
-                               sin(half), cos(half),
-                               c * oe.dh_x - s * oe.dh_y,
-                               s * oe.dh_x + c * oe.dh_y)
+            return _separation(p1 / (1.0 + ec), p2 / (1.0 + e2 * cos(nu2)),
+                               sin(half), cos(half), hx, hy)
 
         d_grid = distance(t_grid)
     else:

@@ -4,8 +4,11 @@ input matrices for perturbing RTN accelerations, variational equations for
 the nodal angles, adaptive propagation, and an independent Cowell
 (inertial two-body) oracle with standard element conversions.
 
-All propagation uses an adaptive embedded Runge-Kutta 5(4) pair
-(scipy's RK45) at a configurable relative tolerance.
+Keplerian motion is advanced in closed form by Kepler timing of both
+orbits (:func:`_anomaly_sweep`, the one coast kernel of the truth, the
+filter and the C2 search); perturbed motion and the Cowell oracle are
+integrated by an adaptive embedded Runge-Kutta 5(4) pair (scipy's RK45) at
+a configurable relative tolerance.
 """
 
 from __future__ import annotations
@@ -62,8 +65,10 @@ class CartesianState:
 
 @dataclass(frozen=True)
 class AnalyticAdvance:
-    """Closed-form part of the unperturbed flow: dp and the rotated
-    eccentricity/inclination difference vectors (dtheta has no closed form)."""
+    """The part of the unperturbed flow that needs only the reference
+    anomaly sweep: dp and the rotated eccentricity/inclination difference
+    vectors (dtheta needs Kepler timing of both orbits, see
+    :func:`unperturbed_flow`)."""
 
     dp: float
     dxi_x: float
@@ -168,15 +173,28 @@ def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float):
     return mean_to_true_anomaly(m, e)
 
 
-def _anomaly_sweep(pair, t, mu: float):
-    """True anomalies (nu1t, nu2t) of a :func:`relstate._kepler_pair` t s
-    after its epoch (t may be an array), and dtheta_t = nu2t - nu1t +
-    dlambda, unwrapped: the one Kepler timing of the unperturbed flow, the
-    C2 distance and the filter's coast."""
+def _anomaly_sweep(pair, dh, t, mu: float):
+    """Keplerian coast of a nodal state t s after its epoch: the one closed
+    form of the unperturbed flow, the filter's coast and the C2 distance.
+
+    pair is the state's :func:`relstate._kepler_pair` and dh its (dh_x,
+    dh_y); t is a float or an array (see :func:`_trig`).  Returns (nu1t,
+    nu2t, c, s, dtheta_t, dxi_x, dxi_y, dh_x, dh_y, ec, es) at t: both true
+    anomalies, the cosine and sine of the reference sweep nu1t - nu10,
+    dtheta_t = nu2t - nu1t + dlambda unwrapped, the eccentricity difference
+    e2 (cos, sin)(nu1t - dlambda) - e1 (cos, sin) nu1t, the inclination
+    vector rotated by the sweep, and the reference phasor e1 (cos, sin)
+    nu1t.  dp and p1 do not change."""
     nu10, e1, a1, nu20, e2, a2, dlambda = pair
+    t, sin, cos, *_ = _trig(t)
     nu1t = advance_true_anomaly(nu10, e1, a1, t, mu)
     nu2t = advance_true_anomaly(nu20, e2, a2, t, mu)
-    return nu1t, nu2t, nu2t - nu1t + dlambda
+    c, s = cos(nu1t - nu10), sin(nu1t - nu10)
+    ec, es = e1 * cos(nu1t), e1 * sin(nu1t)
+    hx, hy = dh
+    return (nu1t, nu2t, c, s, nu2t - nu1t + dlambda,
+            e2 * cos(nu1t - dlambda) - ec, e2 * sin(nu1t - dlambda) - es,
+            c * hx - s * hy, s * hx + c * hy, ec, es)
 
 
 def kepler_advance(el: ClassicalElements, dt: float, mu: float,
@@ -325,7 +343,8 @@ def f_unperturbed_jacobian(oe: NodalRelativeState, eta: ReferenceParams,
 def analytic_step(oe: NodalRelativeState, dnu1: float) -> AnalyticAdvance:
     """Closed-form advance of the solvable relative states over a reference
     true-anomaly sweep dnu1: dp is unchanged and both difference vectors
-    rotate by dnu1.  dtheta has no closed form and is not returned."""
+    rotate by dnu1.  dtheta also depends on satellite 2's Kepler timing
+    and is not returned (see :func:`unperturbed_flow`)."""
     c, s = math.cos(dnu1), math.sin(dnu1)
     return AnalyticAdvance(
         dp=oe.dp,
@@ -347,24 +366,11 @@ def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
         Arrays of shape (n, 6) and (n, 3).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    pair = _kepler_pair(oe, eta)
-    nu10, e1, _, _, e2, _, dlam = pair
-    nu1t, nu2t, dtheta = _anomaly_sweep(pair, t, mu)
-
-    dnu1 = nu1t - nu10
-    cd, sd = np.cos(dnu1), np.sin(dnu1)
-    oe_arr = np.empty((t.size, 6))
-    oe_arr[:, 0] = wrap_angle(dtheta)
-    oe_arr[:, 1] = oe.dp
-    oe_arr[:, 2] = e2 * np.cos(nu1t - dlam) - e1 * np.cos(nu1t)
-    oe_arr[:, 3] = e2 * np.sin(nu1t - dlam) - e1 * np.sin(nu1t)
-    oe_arr[:, 4] = cd * oe.dh_x - sd * oe.dh_y
-    oe_arr[:, 5] = sd * oe.dh_x + cd * oe.dh_y
-
-    eta_arr = np.empty((t.size, 3))
-    eta_arr[:, 0] = eta.p1
-    eta_arr[:, 1] = e1 * np.cos(nu1t)
-    eta_arr[:, 2] = e1 * np.sin(nu1t)
+    *_, dtheta, dxx, dxy, hx, hy, ec, es = _anomaly_sweep(
+        _kepler_pair(oe, eta), (oe.dh_x, oe.dh_y), t, mu)
+    oe_arr = np.stack([wrap_angle(dtheta), np.full(t.size, oe.dp),
+                       dxx, dxy, hx, hy], axis=1)
+    eta_arr = np.stack([np.full(t.size, eta.p1), ec, es], axis=1)
     return oe_arr, eta_arr
 
 

@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -545,15 +546,13 @@ class FlybyArtifacts:
     paths: dict
 
 
-def run_flyby(cfg: ScenarioConfig, run_index: int = 0,
-              out_dir: Optional[str] = None,
-              truth: Optional[TruthTrajectory] = None) -> FlybyArtifacts:
-    """Single flyby experiment: truth, synthetic measurements, EKF, and the
-    screening report.  Writes truth/filter/screening CSVs when out_dir is
-    given."""
-    if truth is None:
-        truth = build_truth(cfg)
-    run = _run_filter(cfg, truth, run_index)
+def run_flyby(cfg: ScenarioConfig,
+              out_dir: Optional[str] = None) -> FlybyArtifacts:
+    """Single flyby experiment: truth, synthetic measurements, EKF (Monte
+    Carlo run 0's noise substream), and the screening report.  Writes
+    truth/filter/screening CSVs when out_dir is given."""
+    truth = build_truth(cfg)
+    run = _run_filter(cfg, truth, 0)
 
     paths: dict = {}
     if out_dir is not None:
@@ -561,10 +560,9 @@ def run_flyby(cfg: ScenarioConfig, run_index: int = 0,
         paths["truth"] = os.path.join(out_dir, "truth.csv")
         write_trajectory_csv(paths["truth"], truth.t, truth.oe, truth.eta,
                              truth.dr)
-        paths["filter"] = os.path.join(out_dir, f"filter_run{run_index}.csv")
+        paths["filter"] = os.path.join(out_dir, "filter_run0.csv")
         write_filter_csv(paths["filter"], run)
-        paths["screening"] = os.path.join(out_dir,
-                                          f"screening_run{run_index}.csv")
+        paths["screening"] = os.path.join(out_dir, "screening_run0.csv")
         write_screening_csv(paths["screening"], cfg, truth, run)
     return FlybyArtifacts(truth=truth, run=run, paths=paths)
 
@@ -585,11 +583,6 @@ class MonteCarloSummary:
     nees_dim: int
 
 
-def _mc_worker(args):
-    cfg, truth, idx = args
-    return idx, _run_filter(cfg, truth, idx)
-
-
 def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
                    ) -> tuple[MonteCarloSummary, list[FlybyRun]]:
     """Monte Carlo campaign over cfg.mc_runs independent filter runs.
@@ -605,11 +598,8 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
 
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(
-                _mc_worker,
-                [(cfg, truth, i) for i in range(cfg.mc_runs)]))
-        results.sort(key=lambda pair: pair[0])
-        runs = [r for _, r in results]
+            runs = list(pool.map(_run_filter, repeat(cfg), repeat(truth),
+                                 range(cfg.mc_runs)))
     else:
         runs = [_run_filter(cfg, truth, i) for i in range(cfg.mc_runs)]
 
@@ -693,7 +683,7 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     and the achieved closest approach is measured by a Cowell replay of
     both satellites through the nominal impact epoch.
     """
-    art = run_flyby(cfg, run_index=0, out_dir=None)
+    art = run_flyby(cfg)
     truth, run = art.truth, art.run
     n = truth.t.size
     idx = np.arange(run.post_transient_index, n,
@@ -773,7 +763,6 @@ class ValidationResult:
 
 
 def run_validation(rtol: float = 1e-12, n_samples: int = 501,
-                   include_zero_input: bool = True,
                    out_dir: Optional[str] = None) -> ValidationResult:
     """Model-vs-Cowell equivalence on the fixed validation orbit pair with
     sinusoidal accelerations over 10^4 s.
@@ -804,8 +793,7 @@ def run_validation(rtol: float = 1e-12, n_samples: int = 501,
 
     forced = discrepancy(_validation_input,
                          validation_accel_1, validation_accel_2)
-    unforced = (discrepancy(None, None, None)
-                if include_zero_input else math.nan)
+    unforced = discrepancy(None, None, None)
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -886,7 +874,7 @@ def write_screening_csv(path: str, cfg: ScenarioConfig,
         eta_k = ReferenceParams.from_array(truth.eta[k])
         verdict = c1_test(oe_k, eta_k)
         c2 = c2_check(oe_k, eta_k, float(truth.t[k]), t_hi, cfg.mu,
-                      miss_tol=cfg.miss_tol, n_samples=2000)
+                      miss_tol=cfg.miss_tol)
         rows["t"].append(truth.t[k])
         rows["zeta"].append(run.zeta_hat[k])
         rows["zeta_3sigma"].append(3.0 * run.zeta_sigma[k])

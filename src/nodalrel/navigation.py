@@ -154,7 +154,8 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
            mu: float,
            ) -> tuple[NodalRelativeState, np.ndarray, ReferenceParams]:
     """Mean, 6x6 state transition matrix Phi and reference after dt
-    seconds (see :func:`ekf_propagate`).
+    seconds (see :func:`ekf_propagate`): the mean and the reference are the
+    coast kernel's, Phi is assembled here.
 
     Phi's row 0 differentiates dtheta_t = dtheta + (nu2t - nu20) - (nu1t -
     nu10) through Kepler timing of satellite 2, whose phasor (dxi_x + ec,
@@ -163,9 +164,9 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
     (2 + e cos nu) / (1 - e^2), and n2 scales as ((1 - e2^2) / (1 + dp))^1.5.
     The phi column, (r - 1)/e2 = q, has no division by e2."""
     pair = _kepler_pair(oe0, eta)
-    nu10, e1, _, nu20, e2, a2, dlambda = pair
-    nu1t, nu2t, dtheta = _anomaly_sweep(pair, dt, mu)
-    c, s = math.cos(nu1t - nu10), math.sin(nu1t - nu10)
+    nu10, _, _, nu20, e2, a2, dlambda = pair
+    _, nu2t, c, s, dtheta, *dxi_dh, ec, es = _anomaly_sweep(
+        pair, (oe0.dh_x, oe0.dh_y), dt, mu)
 
     om = 1.0 - e2 * e2
     n2dt = math.sqrt(mu / a2 ** 3) * dt
@@ -178,11 +179,6 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
           / om - 3.0 * gt * n2dt * e2 / om)
     cp, sp = math.cos(nu10 - dlambda), math.sin(nu10 - dlambda)  # phi
 
-    oe_new = NodalRelativeState(
-        dtheta=dtheta, dp=oe0.dp,
-        dxi_x=c * oe0.dxi_x - s * oe0.dxi_y,
-        dxi_y=s * oe0.dxi_x + c * oe0.dxi_y,
-        dh_x=c * oe0.dh_x - s * oe0.dh_y, dh_y=s * oe0.dh_x + c * oe0.dh_y)
     phi = np.array([[r, -1.5 * gt * n2dt / (1.0 + oe0.dp),
                      -sp * q + de * cp, cp * q + de * sp, 0.0, 0.0],
                     [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
@@ -190,8 +186,8 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
                     [0.0, 0.0, s, c, 0.0, 0.0],
                     [0.0, 0.0, 0.0, 0.0, c, -s],
                     [0.0, 0.0, 0.0, 0.0, s, c]])
-    return oe_new, phi, ReferenceParams(p1=eta.p1, ec=e1 * math.cos(nu1t),
-                                        es=e1 * math.sin(nu1t))
+    return (NodalRelativeState(dtheta, oe0.dp, *dxi_dh), phi,
+            ReferenceParams(p1=eta.p1, ec=ec, es=es))
 
 
 def ekf_propagate(fs: FilterState, eta: ReferenceParams, dt: float,

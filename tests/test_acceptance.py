@@ -60,8 +60,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 class TestCriterion1CowellEquivalence:
     def test_model_matches_cowell_with_forcing(self):
         start = time.perf_counter()
-        res = sim.run_validation(rtol=1e-12, n_samples=501,
-                                 include_zero_input=True)
+        res = sim.run_validation(rtol=1e-12, n_samples=501)
         elapsed = time.perf_counter() - start
         ok = res.max_discrepancy_km <= 1e-3 and elapsed <= 30.0
         report(1, ok,

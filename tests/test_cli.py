@@ -97,3 +97,23 @@ def test_jobs_zero_reaches_the_config_check():
     args = build_parser().parse_args(["montecarlo", "--jobs", "0"])
     with pytest.raises(ValueError, match="^jobs must"):
         _load_cfg(args)
+
+
+def test_montecarlo_command_in_parallel(tmp_path, capsys):
+    cfg = replace(sim.ScenarioConfig(), t_start=-1.5 * 86400.0,
+                  t_end=-6.0 * 3600.0, sample_dt=1800.0, mc_runs=3)
+    cfg_path = tmp_path / "cfg.json"
+    with open(cfg_path, "w") as f:
+        json.dump(sim.config_to_dict(cfg), f)
+    out = tmp_path / "mc"
+    rc = main(["montecarlo", "--config", str(cfg_path), "--seed", "4",
+               "--jobs", "2", "--out", str(out)])
+    assert rc == 0
+    assert "runs:                    3" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["runs"] == 3 and summary["seed"] == 4
+    env = np.genfromtxt(out / "ensemble_envelope.csv", delimiter=",",
+                        names=True)
+    assert env.dtype.names[-1] == "true_3sigma_range"
+    assert np.array_equal(env["t"], cfg.sample_times())
+    assert np.all(env["true_3sigma_range"] > 0.0)

@@ -8,14 +8,18 @@ import pytest
 from dataclasses import replace
 
 from nodalrel import (
+    MU_EARTH,
+    ClassicalElements,
     GeometryError,
     InfeasibleEncounter,
     NodalRelativeState,
     ReferenceParams,
     c1_test,
     c2_check,
+    classical_from_oe,
     elements_to_cartesian,
     oe_from_classical,
+    orbital_period,
     relative_orientation,
     relative_position_batch,
     separation_distance,
@@ -277,6 +281,36 @@ class TestFlybyRun:
         r1 = sim._run_filter(cfg, truth, 1)
         assert not np.array_equal(r0.innovations, r1.innovations)
 
+    def test_screening_uses_the_c2_grid_rule(self, tmp_path):
+        # Two LEO orbits screened over 25 h, about 15 periods: c2_check's
+        # grid rule (1/200 of the shorter period) asks for more than 2000
+        # samples, and each report row is c2_check's own answer.
+        cfg = ScenarioConfig(
+            mu=MU_EARTH, encounter=None, d=0.01,
+            reference=ClassicalElements(a=7000.0, e=0.01, i=50.0 * sim.DEG,
+                                        raan=10.0 * sim.DEG,
+                                        argp=20.0 * sim.DEG, nu=0.0),
+            target=ClassicalElements(a=7100.0, e=0.02, i=60.0 * sim.DEG,
+                                     raan=30.0 * sim.DEG,
+                                     argp=40.0 * sim.DEG, nu=0.3),
+            t_start=-86400.0, t_end=-3600.0, sample_dt=3600.0,
+            init_perturb_sigma=1e-7, p0_diag=(1e-14,) * 6, q_diag=(0.0,) * 6)
+        art = run_flyby(cfg, out_dir=str(tmp_path))
+        rows = np.genfromtxt(art.paths["screening"], delimiter=",",
+                             names=True)
+        t_hi = -cfg.t_end
+        for k in range(3):
+            assert rows["t"][k] == art.truth.t[k]
+            oe = NodalRelativeState.from_array(art.run.oe_hat[k])
+            eta = ReferenceParams.from_array(art.truth.eta[k])
+            a1 = eta.p1 / (1.0 - eta.e1 ** 2)
+            a2 = classical_from_oe(oe, eta).a2
+            p_short = orbital_period(min(a1, a2), MU_EARTH)
+            assert (t_hi - art.truth.t[k]) / (p_short / 200.0) > 2000
+            c2 = c2_check(oe, eta, float(art.truth.t[k]), t_hi, MU_EARTH,
+                          miss_tol=cfg.miss_tol)
+            assert rows["d_min_est"][k] == c2.d_min
+
 
 def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
     """The filter loop with its diagnostics evaluated one sample at a time
@@ -440,13 +474,10 @@ class TestManeuverSweep:
 
 class TestValidation:
     def test_validation_discrepancy_small(self):
-        res = run_validation(rtol=1e-10, n_samples=101,
-                             include_zero_input=False)
+        res = run_validation(rtol=1e-10, n_samples=101)
         assert res.max_discrepancy_km < 1e-2
 
     def test_tolerance_controls_discrepancy(self):
-        loose = run_validation(rtol=1e-6, n_samples=51,
-                               include_zero_input=False)
-        tight = run_validation(rtol=1e-11, n_samples=51,
-                               include_zero_input=False)
+        loose = run_validation(rtol=1e-6, n_samples=51)
+        tight = run_validation(rtol=1e-11, n_samples=51)
         assert tight.max_discrepancy_km < loose.max_discrepancy_km

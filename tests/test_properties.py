@@ -1,8 +1,9 @@
 """Property tests over random valid (state, reference) pairs: the array
 paths of the position and margin kernels against their scalar paths, the
 analytic Jacobians and the filter's transition row against central
-differences, and the filter's coast against the unperturbed flow; and
-over random element pairs, the nodal round trip."""
+differences, the coast kernel's float path against its array path and
+the filter's coast against the unperturbed flow; and over random element
+pairs, the nodal round trip."""
 
 import math
 
@@ -28,8 +29,10 @@ from nodalrel import (
     zeta_gradient,
 )
 from nodalrel.conjunction import _node_margin_arrays
+from nodalrel.dynamics import _anomaly_sweep
 from nodalrel.navigation import _coast
-from nodalrel.relstate import _position_and_jacobians, _position_arrays
+from nodalrel.relstate import (_kepler_pair, _position_and_jacobians,
+                               _position_arrays)
 
 ANGLE = st.floats(-math.pi, math.pi)
 
@@ -174,17 +177,49 @@ def test_coast_transition_row_matches_central_differences(pair, fraction):
     assert rel_dev(phi[0], fd, np.abs(phi[0]).max()) <= 1e-6
 
 
+def kernel_scales(oe, eta):
+    """Rounding scale of each :func:`_anomaly_sweep` output (nu1t, nu2t, c,
+    s, dtheta, dxi_x, dxi_y, dh_x, dh_y, ec, es): one turn, the size of the
+    angles they are computed from, times the output's amplitude (1 for the
+    angles and the sweep's cosine and sine, e1 + e2, |dh| and e1)."""
+    e1, e2 = eta.e1, _kepler_pair(oe, eta)[4]
+    return 2.0 * math.pi * np.array([1.0] * 5 + [e1 + e2] * 2
+                                    + [oe.dh] * 2 + [e1] * 2)
+
+
+@example(CIRCULAR_2, [1.0])
+@given(state_and_reference(), st.lists(st.floats(0.0, 1.0), min_size=1,
+                                       max_size=5))
+def test_coast_kernel_float_and_array_rows_agree(pair, fractions):
+    # A float t takes the math path, an array the numpy path (its Newton
+    # loop runs until the worst element converges); angles compared wrapped.
+    oe, eta = pair
+    kp, dh = _kepler_pair(oe, eta), (oe.dh_x, oe.dh_y)
+    times = [3.0 * orbital_period(kp[2], MU_EARTH) * f for f in fractions]
+    rows = np.array(_anomaly_sweep(kp, dh, np.array(times), MU_EARTH)).T
+    scales = kernel_scales(oe, eta)
+    for t, row in zip(times, rows):
+        dev = np.array(_anomaly_sweep(kp, dh, t, MU_EARTH)) - row
+        dev[[0, 1, 4]] = wrap_angle(dev[[0, 1, 4]])
+        assert np.all(np.abs(dev) <= 1e-15 * scales)
+
+
 @example(CIRCULAR_2, 1.0)
 @given(state_and_reference(), st.floats(0.0, 1.0))
 def test_coast_mean_matches_unperturbed_flow(pair, fraction):
+    # Both take the coast kernel's outputs: they agree as its float and
+    # array rows do.
     oe, eta = pair
     dt = coast_window(pair, fraction)
     oe_t, _, eta_t = _coast(oe, eta, dt, MU_EARTH)
     oe_flow, eta_flow = unperturbed_flow(oe, eta, MU_EARTH, [dt])
     err = oe_t.as_array() - oe_flow[0]
     err[0] = wrap_angle(err[0])
-    assert np.abs(err).max() <= 1e-12
-    assert np.abs(eta_t.as_array() - eta_flow[0]).max() <= 1e-12 * eta.p1
+    scales = kernel_scales(oe, eta)
+    assert np.all(np.abs(err) <= 1e-15 * scales[[4, 4, 5, 6, 7, 8]])
+    assert eta_t.p1 == eta_flow[0, 0]
+    assert np.all(np.abs(eta_t.as_array()[1:] - eta_flow[0, 1:])
+                  <= 1e-15 * scales[9:])
 
 
 ELEMENTS = st.builds(ClassicalElements, a=st.floats(7e3, 5e4),
