@@ -48,13 +48,11 @@ from .relstate import (
     separation_distance,
 )
 from .dynamics import (
-    AnalyticAdvance,
     CartesianState,
     CowellTrajectory,
     NodalRates,
     PerturbationInput,
     Trajectory,
-    analytic_step,
     apply_impulse,
     cartesian_to_elements,
     cowell_propagate,

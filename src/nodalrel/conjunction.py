@@ -260,7 +260,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     from the coast kernel :func:`dynamics._anomaly_sweep` and the distance
     from the kernel of :func:`separation_distance`; the grid calls it on
     the array of times and the refinement on single times.
-    With ``u`` the window is integrated once (RK45 at tolerance rtol): the
+    With ``u`` the window is integrated once (DOP853 at tolerance rtol): the
     samples are that solve's outputs at the grid times and the refinement
     evaluates its dense interpolant, so the objective and the grid come
     from one source.

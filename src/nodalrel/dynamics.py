@@ -7,8 +7,8 @@ the nodal angles, adaptive propagation, and an independent Cowell
 Keplerian motion is advanced in closed form by Kepler timing of both
 orbits (:func:`_anomaly_sweep`, the one coast kernel of the truth, the
 filter and the C2 search); perturbed motion and the Cowell oracle are
-integrated by an adaptive embedded Runge-Kutta 5(4) pair (scipy's RK45) at
-a configurable relative tolerance.
+integrated by the adaptive Dormand-Prince 8(5,3) method (scipy's DOP853)
+at a configurable relative tolerance.
 """
 
 from __future__ import annotations
@@ -64,20 +64,6 @@ class CartesianState:
 
 
 @dataclass(frozen=True)
-class AnalyticAdvance:
-    """The part of the unperturbed flow that needs only the reference
-    anomaly sweep: dp and the rotated eccentricity/inclination difference
-    vectors (dtheta needs Kepler timing of both orbits, see
-    :func:`unperturbed_flow`)."""
-
-    dp: float
-    dxi_x: float
-    dxi_y: float
-    dh_x: float
-    dh_y: float
-
-
-@dataclass(frozen=True)
 class NodalRates:
     """Time derivatives of the relative-orientation angles under perturbing
     accelerations (fields are rates of the like-named angles, rad/s)."""
@@ -114,38 +100,51 @@ class CowellTrajectory:
 
 # --- Kepler timing ---
 
+#: The float functions of :func:`_trig`.
+_MATH = (math.sin, math.cos, math.atan2, abs, float)
+
+
 def _trig(x):
     """(x, sin, cos, atan2, amax, out) for bodies written once for both
-    number types: a Python float x keeps the ``math`` functions and ``abs``;
-    any other x becomes a float array with numpy's functions, amax being
-    the largest |entry|.  out gives a result the type of x (a Python float
-    for a 0-d array)."""
+    number types: a number keeps the ``math`` functions and ``abs`` and a
+    0-d array becomes a float; any other x becomes a float array with
+    numpy's functions, amax being the largest |entry|.  out gives a result
+    the type of x."""
     if isinstance(x, (int, float)):
-        return x, math.sin, math.cos, math.atan2, abs, float
+        return (x, *_MATH)
     x = np.asarray(x, dtype=float)
+    if not x.ndim:
+        return (float(x), *_MATH)
     return (x, np.sin, np.cos, np.arctan2, lambda step: np.abs(step).max(),
-            np.asarray if x.ndim else float)
+            np.asarray)
 
 
-def true_to_mean_anomaly(nu, e: float):
+def true_to_mean_anomaly(nu, e: float, fns=None):
     """Mean anomaly from true anomaly for eccentricity e in [0, 1),
-    vectorized over nu (see :func:`_trig`)."""
-    nu, sin, cos, atan2, _, out = _trig(nu)
+    vectorized over nu (see :func:`_trig`; fns are the functions of
+    ``_trig(nu)`` when the caller has dispatched nu already)."""
+    if fns is None:
+        nu, *fns = _trig(nu)
+    sin, cos, atan2, _, out = fns
     ecc_anom = atan2(math.sqrt(1.0 - e * e) * sin(nu), e + cos(nu))
     return out(ecc_anom - e * sin(ecc_anom))
 
 
-def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60):
+def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60,
+                         fns=None):
     """True anomaly from mean anomaly by Newton iteration on Kepler's
-    equation, vectorized over m (see :func:`_trig`); an array iterates
-    until its worst element converges.
+    equation, vectorized over m (see :func:`_trig`; fns as in
+    :func:`true_to_mean_anomaly`); an array iterates until its worst
+    element converges.
 
     Raises
     ------
     StepFailure
         If the Newton step is not below tol after max_iter iterations.
     """
-    m, sin, cos, atan2, amax, out = _trig(m)
+    if fns is None:
+        m, *fns = _trig(m)
+    sin, cos, atan2, amax, out = fns
     m_wrapped = (m + math.pi) % (2.0 * math.pi) - math.pi
     # Danby starter E = M + 0.85 e sign(sin M) keeps Newton safe up to high
     # eccentricity.
@@ -164,13 +163,17 @@ def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60):
                      cos(ecc_anom) - e))
 
 
-def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float):
-    """True anomaly after coasting dt seconds on a fixed ellipse.
+def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float,
+                         fns=None):
+    """True anomaly after coasting dt seconds on a fixed ellipse from the
+    float anomaly nu0 (fns as in :func:`true_to_mean_anomaly`).
 
     dt may be an array; the returned anomaly is unwrapped only modulo 2 pi.
     """
-    m = true_to_mean_anomaly(nu0, e) + math.sqrt(mu / a ** 3) * _trig(dt)[0]
-    return mean_to_true_anomaly(m, e)
+    if fns is None:
+        dt, *fns = _trig(dt)
+    m = true_to_mean_anomaly(nu0, e, _MATH) + math.sqrt(mu / a ** 3) * dt
+    return mean_to_true_anomaly(m, e, fns=fns)
 
 
 def _anomaly_sweep(pair, dh, t, mu: float):
@@ -186,9 +189,10 @@ def _anomaly_sweep(pair, dh, t, mu: float):
     vector rotated by the sweep, and the reference phasor e1 (cos, sin)
     nu1t.  dp and p1 do not change."""
     nu10, e1, a1, nu20, e2, a2, dlambda = pair
-    t, sin, cos, *_ = _trig(t)
-    nu1t = advance_true_anomaly(nu10, e1, a1, t, mu)
-    nu2t = advance_true_anomaly(nu20, e2, a2, t, mu)
+    t, *fns = _trig(t)
+    sin, cos = fns[:2]
+    nu1t = advance_true_anomaly(nu10, e1, a1, t, mu, fns)
+    nu2t = advance_true_anomaly(nu20, e2, a2, t, mu, fns)
     c, s = cos(nu1t - nu10), sin(nu1t - nu10)
     ec, es = e1 * cos(nu1t), e1 * sin(nu1t)
     hx, hy = dh
@@ -340,21 +344,6 @@ def f_unperturbed_jacobian(oe: NodalRelativeState, eta: ReferenceParams,
     return jac
 
 
-def analytic_step(oe: NodalRelativeState, dnu1: float) -> AnalyticAdvance:
-    """Closed-form advance of the solvable relative states over a reference
-    true-anomaly sweep dnu1: dp is unchanged and both difference vectors
-    rotate by dnu1.  dtheta also depends on satellite 2's Kepler timing
-    and is not returned (see :func:`unperturbed_flow`)."""
-    c, s = math.cos(dnu1), math.sin(dnu1)
-    return AnalyticAdvance(
-        dp=oe.dp,
-        dxi_x=c * oe.dxi_x - s * oe.dxi_y,
-        dxi_y=s * oe.dxi_x + c * oe.dxi_y,
-        dh_x=c * oe.dh_x - s * oe.dh_y,
-        dh_y=s * oe.dh_x + c * oe.dh_y,
-    )
-
-
 def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
                      mu: float, t) -> tuple[np.ndarray, np.ndarray]:
     """Exact unperturbed flow of (oe, eta) at times t (s, relative to the
@@ -376,10 +365,13 @@ def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
 
 # --- Input matrices and perturbed dynamics ---
 
-def _input_kernel(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu: float,
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G1, G2, Geta) of :func:`input_matrices` from the nine state and
-    reference components as floats."""
+def _forcing(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu: float,
+             u1, u2) -> tuple:
+    """The nine forcing increments G2 u2 - G1 u1 (the relative states) and
+    Geta u1 (p1, ec, es) of :func:`input_matrices`, from the nine state and
+    reference components and the two RTN inputs as floats, written out over
+    the nonzero entries; each entry pre * g multiplies its input as
+    (pre * g) * u."""
     c, s = math.cos(dtheta), math.sin(dtheta)
     denom = _radius_denominator(c, s, dxx, dxy, ec, es)
     if not denom > 0.0:
@@ -388,37 +380,33 @@ def _input_kernel(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu: float,
     r1 = p1 / (1.0 + ec)
     p2 = p1 * (1.0 + dp)
     r2 = p2 / denom
+    pre1 = r1 / math.sqrt(mu * p1)
+    pre2 = r2 / math.sqrt(mu * p2)
 
     smag = 1.0 + hx * hx + hy * hy
     dh_theta = hx * s + hy * c
     e_theta = (dxx + ec) * s + (dxy + es) * c
-
-    pre2 = r2 / math.sqrt(mu * p2)
-    g2 = pre2 * np.array([
-        [0.0, 0.0, dh_theta],
-        [0.0, 2.0 * (1.0 + dp), 0.0],
-        [denom * s, 2.0 * denom * c + e_theta * s, (dxy + es) * dh_theta],
-        [denom * c, -2.0 * denom * s + e_theta * c, -(dxx + ec) * dh_theta],
-        [0.0, 0.0, 0.5 * smag * c],
-        [0.0, 0.0, -0.5 * smag * s],
-    ])
-
-    pre1 = r1 / math.sqrt(mu * p1)
-    g1 = pre1 * np.array([
-        [0.0, 0.0, -hy],
-        [0.0, 2.0 * (1.0 + dp), 0.0],
-        [0.0, 2.0 * (1.0 + ec), -(dxy + es) * hy],
-        [1.0 + ec, es, (dxx + ec) * hy],
-        [0.0, 0.0, 0.5 * (1.0 + hx * hx - hy * hy)],
-        [0.0, 0.0, hx * hy],
-    ])
-
-    geta = pre1 * np.array([
-        [0.0, 2.0 * p1, 0.0],
-        [0.0, 2.0 * (1.0 + ec), 0.0],
-        [1.0 + ec, es, 0.0],
-    ])
-    return g1, g2, geta
+    opd2, ope, ope2 = 2.0 * (1.0 + dp), 1.0 + ec, 2.0 * (1.0 + ec)
+    ur1, ut1, un1 = u1
+    ur2, ut2, un2 = u2
+    return (
+        pre2 * dh_theta * un2 - pre1 * -hy * un1,
+        pre2 * opd2 * ut2 - pre1 * opd2 * ut1,
+        (pre2 * (denom * s) * ur2
+         + pre2 * (2.0 * denom * c + e_theta * s) * ut2
+         + pre2 * ((dxy + es) * dh_theta) * un2)
+        - (pre1 * ope2 * ut1 + pre1 * (-(dxy + es) * hy) * un1),
+        (pre2 * (denom * c) * ur2
+         + pre2 * (-2.0 * denom * s + e_theta * c) * ut2
+         + pre2 * (-(dxx + ec) * dh_theta) * un2)
+        - (pre1 * ope * ur1 + pre1 * es * ut1
+           + pre1 * ((dxx + ec) * hy) * un1),
+        pre2 * (0.5 * smag * c) * un2
+        - pre1 * (0.5 * (1.0 + hx * hx - hy * hy)) * un1,
+        pre2 * (-0.5 * smag * s) * un2 - pre1 * (hx * hy) * un1,
+        pre1 * (2.0 * p1) * ut1,
+        pre1 * ope2 * ut1,
+        pre1 * ope * ur1 + pre1 * es * ut1)
 
 
 def input_matrices(oe: NodalRelativeState, eta: ReferenceParams, mu: float,
@@ -429,15 +417,19 @@ def input_matrices(oe: NodalRelativeState, eta: ReferenceParams, mu: float,
 
     Columns follow the RTN ordering of the respective satellite's
     acceleration.  Internal radii use the state-geometry expressions with
-    p2 = p1 (1 + dp).
+    p2 = p1 (1 + dp).  The columns are the forcing increments of unit
+    inputs.
 
     Raises
     ------
     GeometryError
         If the radius denominator of satellite 2 is not positive.
     """
-    return _input_kernel(oe.dtheta, oe.dp, oe.dxi_x, oe.dxi_y, oe.dh_x,
-                         oe.dh_y, eta.p1, eta.ec, eta.es, mu)
+    y = (*oe.as_array().tolist(), *eta.as_array().tolist(), mu)
+    unit, zero = np.eye(3).tolist(), [0.0] * 3
+    by_u1 = np.array([_forcing(*y, e, zero) for e in unit]).T
+    by_u2 = np.array([_forcing(*y, zero, e) for e in unit]).T
+    return -by_u1[:6], by_u2[:6], by_u1[6:]
 
 
 def perturbed_derivative(oe: NodalRelativeState, eta: ReferenceParams,
@@ -521,20 +513,20 @@ def _nodal_rhs(t: float, y: np.ndarray,
                u: Optional[Callable[[float], PerturbationInput]],
                mu: float) -> np.ndarray:
     y = y.tolist()  # floats: faster scalar arithmetic than numpy scalars
-    dy = np.array(_unperturbed_rates(*y, mu))
-    if u is not None:
-        g1, g2, geta = _input_kernel(*y, mu)
-        uin = u(t)
-        dy[:6] += g2 @ uin.u2 - g1 @ uin.u1
-        dy[6:] += geta @ uin.u1
-    return dy
+    rates = _unperturbed_rates(*y, mu)
+    if u is None:
+        return np.array(rates)
+    uin = u(t)
+    return np.array([a + b for a, b in zip(rates, _forcing(
+        *y, mu, np.asarray(uin.u1, dtype=float).tolist(),
+        np.asarray(uin.u2, dtype=float).tolist()))])
 
 
 def _solve_nodal(oe: NodalRelativeState, eta: ReferenceParams,
                  t0: float, tf: float, mu: float,
                  u: Optional[Callable[[float], PerturbationInput]],
                  rtol: float, t_eval, dense_output: bool):
-    """scipy RK45 solution of the nodal dynamics over [t0, tf] (state rows
+    """scipy DOP853 solution of the nodal dynamics over [t0, tf] (state rows
     0-5, reference rows 6-8); see :func:`propagate`.
 
     Raises
@@ -545,7 +537,7 @@ def _solve_nodal(oe: NodalRelativeState, eta: ReferenceParams,
     y0 = np.concatenate([oe.as_array(), eta.as_array()])
     atol = rtol * np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
                             max(eta.p1, 1.0), 1.0, 1.0])
-    sol = solve_ivp(_nodal_rhs, (t0, tf), y0, method="RK45",
+    sol = solve_ivp(_nodal_rhs, (t0, tf), y0, method="DOP853",
                     t_eval=np.asarray(t_eval, dtype=float),
                     dense_output=dense_output,
                     rtol=rtol, atol=atol, args=(u, mu))
@@ -567,7 +559,7 @@ def propagate(oe: NodalRelativeState, eta: ReferenceParams,
         Acceleration callback u(t) -> PerturbationInput; None for Keplerian
         motion.
     rtol : float
-        Relative tolerance of the embedded RK 5(4) pair.  Absolute
+        Relative tolerance of the Dormand-Prince 8(5,3) integrator.  Absolute
         tolerances are rtol-scaled per component (p1 carries km units).
     t_eval : array or None
         Sample times; defaults to n_samples points spanning [t0, tf].
@@ -640,7 +632,7 @@ def cowell_propagate(s1: CartesianState, s2: CartesianState,
         y0 = np.concatenate([s.r, s.v])
         scale = np.concatenate([np.full(3, np.linalg.norm(s.r)),
                                 np.full(3, max(np.linalg.norm(s.v), 1.0))])
-        sol = solve_ivp(_cowell_rhs, (t0, tf), y0, method="RK45",
+        sol = solve_ivp(_cowell_rhs, (t0, tf), y0, method="DOP853",
                         t_eval=t_eval, rtol=rtol, atol=rtol * scale,
                         args=(mu, u))
         if not sol.success:

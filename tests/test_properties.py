@@ -2,8 +2,9 @@
 paths of the position and margin kernels against their scalar paths, the
 analytic Jacobians and the filter's transition row against central
 differences, the coast kernel's float path against its array path and
-the filter's coast against the unperturbed flow; and over random element
-pairs, the nodal round trip."""
+the filter's coast against the unperturbed flow, the propagator's forcing
+against the input matrices; and over random element pairs, the nodal round
+trip."""
 
 import math
 
@@ -14,9 +15,11 @@ from nodalrel import (
     MU_EARTH,
     ClassicalElements,
     NodalRelativeState,
+    PerturbationInput,
     ReferenceParams,
     RetrogradeSingularity,
     classical_from_oe,
+    input_matrices,
     oe_from_classical,
     orbital_period,
     position_jacobians,
@@ -29,7 +32,7 @@ from nodalrel import (
     zeta_gradient,
 )
 from nodalrel.conjunction import _node_margin_arrays
-from nodalrel.dynamics import _anomaly_sweep
+from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
 from nodalrel.navigation import _coast
 from nodalrel.relstate import (_kepler_pair, _position_and_jacobians,
                                _position_arrays)
@@ -220,6 +223,25 @@ def test_coast_mean_matches_unperturbed_flow(pair, fraction):
     assert eta_t.p1 == eta_flow[0, 0]
     assert np.all(np.abs(eta_t.as_array()[1:] - eta_flow[0, 1:])
                   <= 1e-15 * scales[9:])
+
+
+@given(state_and_reference(), st.lists(st.floats(-1e-3, 1e-3), min_size=6,
+                                       max_size=6))
+def test_forced_rhs_matches_input_matrices(pair, u):
+    # The propagator writes the forcing out over the nonzero entries; the
+    # products G u of the input matrices must give the same increments.
+    oe, eta = pair
+    y = np.concatenate([oe.as_array(), eta.as_array()])
+    pin = PerturbationInput(u1=np.array(u[:3]), u2=np.array(u[3:]))
+    free = _nodal_rhs(0.0, y, None, MU_EARTH)
+    increment = _nodal_rhs(0.0, y, lambda _t: pin, MU_EARTH) - free
+    g1, g2, geta = input_matrices(oe, eta, MU_EARTH)
+    expected = np.concatenate([g2 @ pin.u2 - g1 @ pin.u1, geta @ pin.u1])
+    largest = max(np.abs(g * v).max() for g, v in
+                  ((g1, pin.u1), (g2, pin.u2), (geta, pin.u1)))
+    # Taking the free rate back off rounds at that rate's last bits.
+    tol = 1e-12 * largest + 2.0 * np.spacing(np.abs(free) + largest)
+    assert np.all(np.abs(increment - expected) <= tol)
 
 
 ELEMENTS = st.builds(ClassicalElements, a=st.floats(7e3, 5e4),
