@@ -12,6 +12,7 @@ planning.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,17 +21,21 @@ from scipy.optimize import minimize_scalar
 
 from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
+    _MATH,
     PerturbationInput,
-    _anomaly_sweep,
+    _phase_sweep,
     _solve_nodal,
     _trig,
     input_matrices,
     orbital_period,
+    true_to_mean_anomaly,
 )
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
     _kepler_pair,
+    _position_kernel,
+    _radius_denominator,
     _separation,
     classical_from_oe,
     separation_distance,
@@ -239,31 +244,261 @@ def plan_avoidance(oe: NodalRelativeState, eta: ReferenceParams,
                         delta_zeta=delta_zeta, g_vec=g)
 
 
+# --- C2: the close-approach search ---
+
+#: Relative slack on the plane bound's distance threshold.
+PLANE_BOUND_SLACK = 1e-12
+
+#: Rounding allowance of the plane bound, in units of eps: on distances
+#: (times the larger apoapsis radius) and on Kepler-timed window ends
+#: (times |t0| + |tf| + the orbital period).
+ROUNDING_ULPS = 64.0
+
+
+def _refine(distance, lo, hi):
+    """Bounded Brent minimization of distance over the times [lo, hi]."""
+    return minimize_scalar(distance, bounds=(float(lo), float(hi)),
+                           method="bounded",
+                           options={"xatol": 1e-9, "maxiter": 200})
+
+
+def _grid_minimum(distance, t_grid, d_grid) -> tuple[float, float]:
+    """(t, d) of the best grid sample, refined by :func:`_refine` between
+    its two neighbours when it is an interior strict local minimum."""
+    k = int(np.nanargmin(d_grid))
+    t_best, d_best = float(t_grid[k]), float(d_grid[k])
+    if (0 < k < t_grid.size - 1 and d_best < d_grid[k - 1]
+            and d_best < d_grid[k + 1]):
+        res = _refine(distance, t_grid[k - 1], t_grid[k + 1])
+        if res.fun < d_best:
+            t_best, d_best = float(res.x), float(res.fun)
+    return t_best, d_best
+
+
+def _mean_anomaly(nu: float, e: float) -> float:
+    """Mean anomaly of the unwrapped true anomaly nu: continuous and
+    increasing in nu, so differences time arcs of any length."""
+    wrapped = (nu + math.pi) % (2.0 * math.pi) - math.pi
+    return true_to_mean_anomaly(wrapped, e, _MATH) + (nu - wrapped)
+
+
+def _node_passages(nu0: float, e: float, a: float, theta0: float,
+                   offsets: tuple, span: float, mu: float) -> list:
+    """Times, in s after the epoch, at which one satellite's argument from
+    the relative node theta equals k pi + each of the ascending offsets
+    (all within pi/2 of 0): one tuple per node passage k whose times reach
+    into [0, span], in time order.
+
+    nu0 and theta0 are the true anomaly and theta at the epoch.  theta
+    advances with the true anomaly, which Kepler timing turns into time;
+    the passages repeat at the orbital period.
+    """
+    n = math.sqrt(mu / a ** 3)
+    period = 2.0 * math.pi / n
+    m0 = _mean_anomaly(nu0, e)
+    k0 = math.floor(theta0 / math.pi)  # the last passage at the epoch
+    base = [[(_mean_anomaly(nu0 + k * math.pi - theta0 + off, e) - m0) / n
+             for off in offsets] for k in (k0, k0 + 1)]
+    out = []
+    for rev in range(int((span - base[0][0]) // period) + 1):
+        for times in base:
+            shifted = tuple(x + rev * period for x in times)
+            if shifted[0] <= span and shifted[-1] >= 0.0:
+                out.append(shifted)
+    return out
+
+
+def _merge(windows: list) -> list:
+    """Union of time-ordered windows (lo, hi) as disjoint windows."""
+    out = []
+    for lo, hi in windows:
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def _intersect(a: list, b: list) -> list:
+    """Intersection of two lists of disjoint time-ordered windows."""
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo <= hi:
+            out.append((lo, hi))
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _plane_geometry(oe: NodalRelativeState, pair) -> tuple:
+    """(sin gamma, sats) of the plane bound of :func:`c2_check`: gamma =
+    2 atan|dh| and, per satellite, (nu, e, a, theta) at the epoch, theta
+    being its argument from the relative node; pair as in
+    :func:`relstate._kepler_pair`."""
+    nu1, e1, a1, nu2, e2, a2, _ = pair
+    dh = oe.dh
+    theta1 = math.atan2(oe.dh_y, oe.dh_x)
+    return 2.0 * dh / (1.0 + dh * dh), ((nu1, e1, a1, theta1),
+                                        (nu2, e2, a2, theta1 + oe.dtheta))
+
+
+def _plane_windows(sin_gamma: float, sats: tuple, reach: float, t0: float,
+                   tf: float, mu: float) -> Optional[list]:
+    """Disjoint time-ordered windows reaching into [t0, tf] outside which
+    the separation exceeds reach: the plane bound of :func:`c2_check`,
+    with sin_gamma and sats from :func:`_plane_geometry`.  None when
+    neither satellite's bound excludes any time."""
+    eps = sys.float_info.epsilon
+    bounded = []
+    for nu0, e, a, theta0 in sats:
+        floor = a * (1.0 - e) * sin_gamma  # r_p sin(gamma)
+        if not reach < floor:
+            continue
+        beta = math.asin(reach / floor)
+        pad = ROUNDING_ULPS * eps * (abs(t0) + abs(tf)
+                                     + orbital_period(a, mu))
+        bounded.append(_merge([
+            (t0 + lo - pad, t0 + hi + pad)
+            for lo, hi in _node_passages(nu0, e, a, theta0, (-beta, beta),
+                                         tf - t0, mu)]))
+    if not bounded:
+        return None
+    return bounded[0] if len(bounded) == 1 else _intersect(*bounded)
+
+
+def _closing_speed(sats: tuple, mu: float) -> float:
+    """The sum of the two periapsis speeds, sats as from
+    :func:`_plane_geometry`: a bound on |d'(t)|, which is at most
+    |v1 - v2| <= |v1| + |v2|."""
+    return sum(math.sqrt(mu / (a * (1.0 - e * e))) * (1.0 + e)
+               for _, e, a, _ in sats)
+
+
+def _node_bound(oe: NodalRelativeState, pair, distance, t0: float,
+                tf: float, mu: float):
+    """(cand, windows, speed): cand the (d, t) of the window ends and of
+    both satellites' relative-node crossings, windows the
+    :func:`_plane_windows` of the best cand distance D with its slack, and
+    speed the :func:`_closing_speed`; None when those windows would be."""
+    sin_gamma, sats = _plane_geometry(oe, pair)
+    if not sin_gamma > 0.0:
+        return None
+    cand = [(distance(t), t) for t in [t0, tf] + [
+        t0 + tc for sat in sats
+        for (tc,) in _node_passages(*sat, (0.0,), tf - t0, mu)
+        if 0.0 <= tc <= tf - t0]]
+    apo = max(a * (1.0 + e) for _, e, a, _ in sats)
+    reach = (min(cand)[0] * (1.0 + PLANE_BOUND_SLACK)
+             + ROUNDING_ULPS * sys.float_info.epsilon * apo)
+    windows = _plane_windows(sin_gamma, sats, reach, t0, tf, mu)
+    return (None if windows is None
+            else (cand, windows, _closing_speed(sats, mu)))
+
+
+def _node_window_minimum(distance, t_grid, cand: list, windows: list,
+                         speed: float) -> tuple[float, float]:
+    """(t, d) of the closest approach given the plane bound.
+
+    Each window's samples are the window grid's own inside it and the cand
+    crossings in it.  Its best sample is refined by :func:`_refine` between
+    its two neighbours, a window end counting as a neighbour at distance D
+    (the bound's), and a window without samples is refined whole.  No
+    refinement is made where the best sample is the search's own first or
+    last (as on the whole grid), or where no time in the bracket can beat
+    the best distance so far: between (ta, da) and (tb, db) the distance
+    is at least (da + db - speed (tb - ta)) / 2."""
+    t0, tf = float(t_grid[0]), float(t_grid[-1])
+    d_best, t_best = map(float, min(cand))
+    d_node = d_best
+    first = np.searchsorted(t_grid, [max(w[0], t0) for w in windows], "right")
+    stop = np.searchsorted(t_grid, [min(w[1], tf) for w in windows], "left")
+    sampled = np.concatenate([np.arange(i, j) for i, j in zip(first, stop)]
+                             + [np.zeros(0, dtype=int)])
+    d_grid = np.full(t_grid.size, np.inf)
+    if sampled.size:
+        d_grid[sampled] = distance(t_grid[sampled])
+    for (lo, hi), i, j in zip(windows, first.tolist(), stop.tolist()):
+        ends = [(d_node, t) for t in (lo, hi) if t0 < t < tf]
+        pts = [(d, t) for d, t in cand if lo <= t <= hi]
+        if j > i:
+            g = i + int(np.argmin(d_grid[i:j]))
+            pts.append((float(d_grid[g]), float(t_grid[g])))
+        if pts:
+            d_k, t_k = min(pts)
+            if d_k < d_best:
+                d_best, t_best = d_k, t_k
+            if t_k in (t0, tf):
+                continue
+            m = int(np.searchsorted(t_grid, t_k))
+            around = ends + pts + [(float(d_grid[n]), float(t_grid[n]))
+                                   for n in (m - 1, m, m + 1) if i <= n < j]
+            bracket = [max((p for p in around if p[1] < t_k),
+                           key=lambda p: p[1], default=(d_k, t_k)),
+                       (d_k, t_k),
+                       min((p for p in around if p[1] > t_k),
+                           key=lambda p: p[1], default=(d_k, t_k))]
+        else:
+            bracket = ends
+        if min(da + db - speed * (tb - ta) for (da, ta), (db, tb)
+               in zip(bracket, bracket[1:])) < 2.0 * d_best:
+            res = _refine(distance, bracket[0][1], bracket[-1][1])
+            if res.fun < d_best:
+                d_best, t_best = float(res.fun), float(res.x)
+    return t_best, d_best
+
+
 def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
              t0: float, tf: float, mu: float, miss_tol: float,
              u: Optional[Callable[[float], PerturbationInput]] = None,
-             n_samples: Optional[int] = None, rtol: float = 1e-12,
-             ) -> C2Result:
+             rtol: float = 1e-12) -> C2Result:
     """Search the window [t0, tf] for an actual close approach.
 
-    The separation history is sampled densely (1/200 of the shorter orbital
-    period, floored at 2000 window samples so that fast encounters are not
-    stepped over) and the best sample is refined by a bounded Brent search
-    between its two neighbours.  The bounds are times only: a golden
-    bracket checked on single-time evaluations can fail against grid values
-    from one vectorized Kepler solve, which differ in the last digits.
-    A collision is declared when the refined minimum distance is at most
-    miss_tol (km).
+    The window grid has one sample per 1/200 of the shorter orbital period,
+    and at least 2000.  A search refines its best sample by a bounded Brent
+    minimization between the sample's two neighbours.  The bounds are times
+    only: a golden bracket checked on single-time evaluations can fail
+    against grid values from one vectorized Kepler solve, which differ in
+    the last digits.  A collision is declared when the minimum distance is
+    at most miss_tol (km).
 
-    Without ``u`` the motion is the exact unperturbed flow: one distance
-    function takes the radii, the phase and the rotated inclination vector
-    from the coast kernel :func:`dynamics._anomaly_sweep` and the distance
-    from the kernel of :func:`separation_distance`; the grid calls it on
-    the array of times and the refinement on single times.
-    With ``u`` the window is integrated once (DOP853 at tolerance rtol): the
-    samples are that solve's outputs at the grid times and the refinement
-    evaluates its dense interpolant, so the objective and the grid come
-    from one source.
+    Without ``u`` the motion is the exact unperturbed flow, and one distance
+    function serves every sample: radii, phase and rotated inclination
+    vector from the coast kernel (:func:`dynamics._phase_sweep`), distance
+    from the kernel of :func:`separation_distance`.  The planes then stay
+    fixed, which bounds the search (Hoots, Crawford & Roehrich 1984, in
+    nodal form):
+
+    - Bound.  Satellite j lies r_j |sin theta_j| sin(gamma) from the other
+      plane, theta_j its argument from the relative node and gamma =
+      2 atan|dh|, so d(t) >= r_p,j sin(gamma) |sin theta_j(t)| with r_p,j
+      its periapsis radius.  D is the best distance at the window ends and
+      at both satellites' node crossings (theta_j = 0 mod pi, timed in
+      closed form).  d < D is then possible only where |sin theta_j| <
+      s_j = D / (r_p,j sin gamma) for both satellites; D carries a relative
+      slack of PLANE_BOUND_SLACK and ROUNDING_ULPS of rounding allowance.
+    - Intervals.  Kepler timing turns each satellite's angle intervals
+      into time intervals, padded by ROUNDING_ULPS of timing rounding; the
+      search covers the intersection of the two satellites' sets.  A
+      satellite with s_j >= 1 constrains nothing and is dropped.
+    - Search.  Each interval is searched: its samples are the window
+      grid's own inside it and the node crossings in it, and its best
+      sample is refined between its two neighbours, an interval end
+      counting as a neighbour at distance D (the bound puts it there or
+      above).  An interval without samples is refined whole.  A bracket is
+      skipped where no time in it can beat the best distance so far, the
+      rate of change of d being at most the sum of the periapsis speeds.
+    - Fallback.  If both satellites are dropped (near-coplanar or
+      far-apart pairs), the whole window grid is searched and refined,
+      which is the result without the bound, bit for bit.
+
+    With ``u`` the planes move, so the window grid is searched whole: the
+    window is integrated once (DOP853 at tolerance rtol), the samples are
+    that solve's outputs at the grid times, and the refinement evaluates
+    its dense interpolant in float arithmetic, so the objective and the
+    grid come from one source.
 
     Raises
     ------
@@ -275,40 +510,45 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     pair = _kepler_pair(oe, eta)
     _, _, a1, _, e2, a2, _ = pair
     p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
-    if n_samples is None:
-        n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
+    n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
     t_grid = np.linspace(t0, tf, n_samples)
 
     if u is None:
         p1, p2 = eta.p1, eta.p1 * (1.0 + oe.dp)
 
         def distance(t):
-            _, sin, cos, *_ = _trig(t)
-            _, nu2, _, _, dtheta, _, _, hx, hy, ec, _ = _anomaly_sweep(
-                pair, (oe.dh_x, oe.dh_y), t - t0, mu)
+            t, *fns = _trig(t)
+            sin, cos = fns[:2]
+            _, nu2, _, _, dtheta, hx, hy, ec = _phase_sweep(
+                pair, (oe.dh_x, oe.dh_y), t - t0, mu, fns)
             half = 0.5 * dtheta
             return _separation(p1 / (1.0 + ec), p2 / (1.0 + e2 * cos(nu2)),
                                sin(half), cos(half), hx, hy)
 
-        d_grid = distance(t_grid)
+        bound = _node_bound(oe, pair, distance, t0, tf, mu)
+        if bound is None:
+            t_best, d_best = _grid_minimum(distance, t_grid,
+                                           distance(t_grid))
+        else:
+            t_best, d_best = _node_window_minimum(distance, t_grid, *bound)
     else:
         sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_grid,
                            dense_output=True)
-        d_grid = separation_distance(sol.y[:6].T, sol.y[6:].T)
 
         def distance(t):
-            y = sol.sol(t)
-            return float(separation_distance(y[:6], y[6:])[0])
+            dtheta, dp, dxx, dxy, hx, hy, p1, ec, es = sol.sol(t).tolist()
+            c, s = math.cos(dtheta), math.sin(dtheta)
+            denom = _radius_denominator(c, s, dxx, dxy, ec, es)
+            if not denom > 0.0:
+                return math.nan
+            r1, r2 = _position_kernel(c, s, denom, dp, dxx, dxy, hx, hy,
+                                      p1, ec, es)[:2]
+            half = 0.5 * dtheta
+            return _separation(r1, r2, math.sin(half), math.cos(half),
+                               hx, hy)
 
-    k = int(np.nanargmin(d_grid))
-    t_best, d_best = float(t_grid[k]), float(d_grid[k])
-
-    if 0 < k < n_samples - 1 and d_best < d_grid[k - 1] and d_best < d_grid[k + 1]:
-        res = minimize_scalar(
-            distance,
-            bounds=(float(t_grid[k - 1]), float(t_grid[k + 1])),
-            method="bounded", options={"xatol": 1e-9, "maxiter": 200})
-        if res.fun < d_best:
-            t_best, d_best = float(res.x), float(res.fun)
+        t_best, d_best = _grid_minimum(
+            distance, t_grid,
+            separation_distance(sol.y[:6].T, sol.y[6:].T))
 
     return C2Result(collides=d_best <= miss_tol, t_min=t_best, d_min=d_best)

@@ -176,6 +176,20 @@ def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float,
     return mean_to_true_anomaly(m, e, fns=fns)
 
 
+def _phase_sweep(pair, dh, t, mu: float, fns):
+    """The part of :func:`_anomaly_sweep` that the C2 distance needs:
+    (nu1t, nu2t, c, s, dtheta_t, dh_x, dh_y, ec), as named there, with t
+    and fns from one :func:`_trig` dispatch."""
+    nu10, e1, a1, nu20, e2, a2, dlambda = pair
+    sin, cos = fns[:2]
+    nu1t = advance_true_anomaly(nu10, e1, a1, t, mu, fns)
+    nu2t = advance_true_anomaly(nu20, e2, a2, t, mu, fns)
+    c, s = cos(nu1t - nu10), sin(nu1t - nu10)
+    hx, hy = dh
+    return (nu1t, nu2t, c, s, nu2t - nu1t + dlambda,
+            c * hx - s * hy, s * hx + c * hy, e1 * cos(nu1t))
+
+
 def _anomaly_sweep(pair, dh, t, mu: float):
     """Keplerian coast of a nodal state t s after its epoch: the one closed
     form of the unperturbed flow, the filter's coast and the C2 distance.
@@ -188,17 +202,15 @@ def _anomaly_sweep(pair, dh, t, mu: float):
     e2 (cos, sin)(nu1t - dlambda) - e1 (cos, sin) nu1t, the inclination
     vector rotated by the sweep, and the reference phasor e1 (cos, sin)
     nu1t.  dp and p1 do not change."""
-    nu10, e1, a1, nu20, e2, a2, dlambda = pair
+    _, e1, _, _, e2, _, dlambda = pair
     t, *fns = _trig(t)
     sin, cos = fns[:2]
-    nu1t = advance_true_anomaly(nu10, e1, a1, t, mu, fns)
-    nu2t = advance_true_anomaly(nu20, e2, a2, t, mu, fns)
-    c, s = cos(nu1t - nu10), sin(nu1t - nu10)
-    ec, es = e1 * cos(nu1t), e1 * sin(nu1t)
-    hx, hy = dh
-    return (nu1t, nu2t, c, s, nu2t - nu1t + dlambda,
+    nu1t, nu2t, c, s, dtheta, hx, hy, ec = _phase_sweep(pair, dh, t, mu,
+                                                        fns)
+    es = e1 * sin(nu1t)
+    return (nu1t, nu2t, c, s, dtheta,
             e2 * cos(nu1t - dlambda) - ec, e2 * sin(nu1t - dlambda) - es,
-            c * hx - s * hy, s * hx + c * hy, ec, es)
+            hx, hy, ec, es)
 
 
 def kepler_advance(el: ClassicalElements, dt: float, mu: float,
@@ -578,33 +590,40 @@ def propagate(oe: NodalRelativeState, eta: ReferenceParams,
     return Trajectory(t=sol.t, oe=sol.y[:6].T.copy(), eta=sol.y[6:].T.copy())
 
 
-def rtn_basis(r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows are the RTN unit vectors of a satellite, expressed in PCI, so
-    the matrix maps PCI components to RTN components.
-
-    The cross products h = r x v and t = n x r are written out in float
-    arithmetic: this runs once per Cowell RHS evaluation under thrust.
-    """
-    rx, ry, rz = float(r[0]), float(r[1]), float(r[2])
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
+def _rtn_rows(rx, ry, rz, vx, vy, vz) -> tuple:
+    """The RTN unit vectors (rows R, T, N, each a 3-tuple) of a satellite at
+    PCI position r and velocity v given as floats: h = r x v and t = n x r
+    written out in float arithmetic, as the Cowell right-hand side needs
+    them once per evaluation under thrust."""
     hx, hy, hz = ry * vz - rz * vy, rz * vx - rx * vz, rx * vy - ry * vx
     r_mag = math.sqrt(rx * rx + ry * ry + rz * rz)
     h_mag = math.sqrt(hx * hx + hy * hy + hz * hz)
     rx, ry, rz = rx / r_mag, ry / r_mag, rz / r_mag
     hx, hy, hz = hx / h_mag, hy / h_mag, hz / h_mag
-    return np.array([[rx, ry, rz],
-                     [hy * rz - hz * ry, hz * rx - hx * rz, hx * ry - hy * rx],
-                     [hx, hy, hz]])
+    return ((rx, ry, rz),
+            (hy * rz - hz * ry, hz * rx - hx * rz, hx * ry - hy * rx),
+            (hx, hy, hz))
+
+
+def rtn_basis(r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows are the RTN unit vectors of a satellite, expressed in PCI, so
+    the matrix maps PCI components to RTN components."""
+    return np.array(_rtn_rows(*map(float, r), *map(float, v)))
 
 
 def _cowell_rhs(t: float, y: np.ndarray, mu: float,
                 u: Optional[Callable[[float], np.ndarray]]) -> np.ndarray:
-    r = y[:3]
-    v = y[3:]
-    acc = -mu / math.sqrt(r @ r) ** 3 * r
+    """Two-body acceleration plus the RTN input u(t) rotated to PCI, in
+    float arithmetic (faster than numpy on 3-vectors)."""
+    rx, ry, rz, vx, vy, vz = y.tolist()
+    k = -mu / math.sqrt(rx * rx + ry * ry + rz * rz) ** 3
+    ax, ay, az = k * rx, k * ry, k * rz
     if u is not None:
-        acc = acc + rtn_basis(r, v).T @ np.asarray(u(t), dtype=float)
-    return np.concatenate([v, acc])
+        ur, ut, un = np.asarray(u(t), dtype=float).tolist()
+        ax, ay, az = (acc + (cr * ur + ct * ut + cn * un)
+                      for acc, cr, ct, cn in zip(
+                          (ax, ay, az), *_rtn_rows(rx, ry, rz, vx, vy, vz)))
+    return np.array([vx, vy, vz, ax, ay, az])
 
 
 def cowell_propagate(s1: CartesianState, s2: CartesianState,

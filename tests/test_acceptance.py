@@ -278,8 +278,7 @@ class TestCriterion5CollisionSoundness:
             el1_0 = kepler_advance(el1, -500.0, MU)
             el2_0 = kepler_advance(el2, -500.0, MU)
             oe, eta = oe_from_classical(el1_0, el2_0)
-            res = c2_check(oe, eta, 0.0, 1500.0, MU, miss_tol=1.0,
-                           n_samples=2000)
+            res = c2_check(oe, eta, 0.0, 1500.0, MU, miss_tol=1.0)
             if res.collides:
                 assert c1_test(oe, eta, node_tol=1e-6).satisfied
                 implications += 1

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from nodalrel import (
     MU_EARTH,
@@ -37,6 +38,11 @@ from nodalrel import (
     zeta_descending,
     zeta_gradient,
 )
+
+from nodalrel import conjunction
+from nodalrel.dynamics import _anomaly_sweep, true_to_mean_anomaly
+from nodalrel.missionsim import SCREENING_ROWS, ScenarioConfig, run_flyby
+from nodalrel.relstate import _kepler_pair, _separation
 
 from conftest import EL1, EL2, random_elements
 
@@ -459,14 +465,153 @@ class TestC2:
                 continue
             period = max(orbital_period(el1.a, MU),
                          orbital_period(el2.a, MU))
-            res = c2_check(oe, eta, 0.0, period, MU, miss_tol=200.0,
-                           n_samples=3000)
+            res = c2_check(oe, eta, 0.0, period, MU, miss_tol=200.0)
             if res.collides:
                 verdict = c1_test(oe, eta, node_tol=1e-2)
                 assert verdict.satisfied
                 hits += 1
         # statistics only; random pairs rarely pass within 200 km
         del hits
+
+
+def coast_distance(oe, eta, t0):
+    """c2_check's unperturbed distance as the whole-window grid search
+    evaluated it: the coast kernel's anomalies, phase and rotated
+    inclination vector, and the half-phase separation, on float or array
+    times."""
+    pair = _kepler_pair(oe, eta)
+    p1, p2, e2 = eta.p1, eta.p1 * (1.0 + oe.dp), pair[4]
+
+    def distance(t):
+        sin, cos = (np.sin, np.cos) if np.ndim(t) else (math.sin, math.cos)
+        _, nu2, _, _, dtheta, _, _, hx, hy, ec, _ = _anomaly_sweep(
+            pair, (oe.dh_x, oe.dh_y), t - t0, MU)
+        half = 0.5 * dtheta
+        return _separation(p1 / (1.0 + ec), p2 / (1.0 + e2 * cos(nu2)),
+                           sin(half), cos(half), hx, hy)
+
+    return distance
+
+
+def assert_no_worse_than_grid(oe, eta, t0, tf, mu, miss_tol):
+    """The node-window search against the whole-window grid reference:
+    never a larger minimum (beyond rounding), the same verdict."""
+    res = c2_check(oe, eta, t0, tf, mu, miss_tol=miss_tol)
+    ref = reference_c2_unperturbed(oe, eta, t0, tf, mu, miss_tol)
+    assert res.d_min <= ref.d_min * (1.0 + 1e-7) + 1e-9
+    assert res.collides == ref.collides
+    return res
+
+
+class TestNodeWindowSearch:
+    """The unperturbed C2 search over the plane bound's node windows,
+    against the whole-window grid and Brent reference."""
+
+    def test_common_point_collisions_and_near_misses(self):
+        rng = np.random.default_rng(64)
+        for _ in range(6):
+            el1, el2, _ = pair_through_common_point(rng)
+            el1 = kepler_advance(el1, -PERTURBED_LEAD, MU)
+            for dt2 in (0.0, 0.3, 2.0, 20.0):
+                # dt2 > 0 moves satellite 2 back along its orbit: a near
+                # miss instead of a collision.
+                oe, eta = oe_from_classical(
+                    el1, kepler_advance(el2, -PERTURBED_LEAD - dt2, MU))
+                res = assert_no_worse_than_grid(oe, eta, 0.0,
+                                                PERTURBED_WINDOW, MU, 1.0)
+                if dt2 == 0.0:
+                    assert res.d_min <= 1e-6
+                    assert abs(res.t_min - PERTURBED_LEAD) <= 1e-6
+
+    def test_separated_pairs(self):
+        # Random states over up to five periods: thousands of km apart, some
+        # bounded and some falling back to the whole grid; the longer
+        # windows have more node crossings than are timed one by one.
+        rng = np.random.default_rng(65)
+        for _ in range(20):
+            oe, eta = random_state(rng)
+            a1 = eta.p1 / (1.0 - eta.e1 ** 2)
+            tf = rng.uniform(0.1, 5.0) * orbital_period(a1, MU)
+            assert_no_worse_than_grid(oe, eta, 0.0, tf, MU, 1.0)
+
+    def test_midway_fault_pairs(self):
+        rng = np.random.default_rng(7)
+        drawn = [pair_through_common_point(rng) for _ in range(174)]
+        for i in (45, 134, 139, 173):
+            el1, el2, _ = drawn[i]
+            oe, eta = oe_from_classical(kepler_advance(el1, -3000.0, MU),
+                                        kepler_advance(el2, -3000.0, MU))
+            assert_no_worse_than_grid(oe, eta, 0.0, 6000.0, MU, 1.0)
+
+    def test_desk_screening_rows(self):
+        # The flyby's screening rows: the filter's estimate at ~2.4 AU,
+        # screened to 6 h past the encounter.
+        cfg = replace(ScenarioConfig(), sample_dt=600.0)
+        flyby = run_flyby(cfg)
+        n = flyby.truth.t.size
+        for k in range(0, n, 10 * max(1, n // SCREENING_ROWS)):
+            assert_no_worse_than_grid(
+                NodalRelativeState.from_array(flyby.run.oe_hat[k]),
+                ReferenceParams.from_array(flyby.truth.eta[k]),
+                float(flyby.truth.t[k]), -cfg.t_end, cfg.mu, cfg.miss_tol)
+
+    @pytest.mark.parametrize("dt_a, dr, miss_tol", [(0.15, 0.5, 0.3),
+                                                     (0.3, 0.65, 0.6)])
+    def test_closer_encounter_with_larger_crossing_distances(self, dt_a, dr,
+                                                             miss_tol):
+        # Near misses at both relative nodes of one window.  At node A the
+        # orbits cross and satellite 2 trails by dt_a, nearly head-on, so
+        # the minimum is a quarter of the crossing distances.  At node B
+        # both arrive together dr apart radially: its crossing distance is
+        # D, and A's interval is narrower than the grid spacing.  With
+        # dt_a = 0.3 s it holds neither crossing, so it has no samples.
+        def orbit(p, c, s, i):
+            # (c, s) = e (cos, sin) of periapsis from the node line (raan)
+            e, w = math.hypot(c, s), math.atan2(s, c)
+            return ClassicalElements(a=p / (1.0 - e * e), e=e, i=i,
+                                     raan=0.4, argp=w, nu=-w)
+
+        def a_to_b(el):
+            m_a, m_b = (true_to_mean_anomaly(nu, el.e)
+                        for nu in (-el.argp, math.pi - el.argp))
+            return (m_b - m_a) % (2.0 * math.pi) / math.sqrt(MU / el.a ** 3)
+
+        p, c = 9000.0, 0.1
+        r_a, r_b = p / (1.0 + c), p / (1.0 - c) + dr
+        p2 = 2.0 * r_a * r_b / (r_a + r_b)
+        el1 = orbit(p, c, 0.2, 0.3)
+        s2 = brentq(lambda s: a_to_b(orbit(p2, p2 / r_a - 1.0, s, 3.1))
+                    + dt_a - a_to_b(el1), 0.0, 0.4)
+        el2 = orbit(p2, p2 / r_a - 1.0, s2, 3.1)
+        t_a, t_b = 200.0, 200.0 + a_to_b(el1)
+        oe, eta = oe_from_classical(kepler_advance(el1, -t_a, MU),
+                                    kepler_advance(el2, -t_a - dt_a, MU))
+        distance = coast_distance(oe, eta, 0.0)
+        near_a = minimize_scalar(distance, bounds=(t_a - 1.0, t_a + 1.0),
+                                 method="bounded", options={"xatol": 1e-9})
+        assert (near_a.fun < miss_tol < distance(t_b)
+                < min(distance(t_a), distance(t_a + dt_a)))
+        res = c2_check(oe, eta, 0.0, t_b + 200.0, MU, miss_tol=miss_tol)
+        assert res.collides
+        assert res.d_min <= near_a.fun * (1.0 + 1e-7) + 1e-9
+
+    @pytest.mark.parametrize("case", ["coplanar", "far_apart"])
+    def test_fallback_is_the_grid_result_bitwise(self, case):
+        # Where the bound excludes no time, the search is the whole-window
+        # grid and its refinement, bit for bit.
+        el1 = ClassicalElements(a=7000.0, e=0.01, i=0.9, raan=0.3, argp=0.2,
+                                nu=0.1)
+        if case == "coplanar":
+            el2 = replace(el1, a=7100.0, e=0.02, nu=2.0)
+        else:
+            el2 = replace(el1, a=7100.0, i=2.0, raan=-1.0, nu=2.5)
+        oe, eta = oe_from_classical(el1, el2)
+        t0, tf = 100.0, 700.0
+        distance = coast_distance(oe, eta, t0)
+        assert conjunction._node_bound(oe, _kepler_pair(oe, eta), distance,
+                                       t0, tf, MU) is None
+        ref = reference_c2(oe, eta, t0, tf, MU, 1.0, distance, distance)
+        assert c2_check(oe, eta, t0, tf, MU, miss_tol=1.0) == ref
 
 
 class TestZeta:

@@ -541,8 +541,9 @@ class TestImpulse:
         # The oracle checks the nodal model, so none of the globals its
         # functions reach may come from relstate or conjunction.
         import nodalrel.dynamics as dyn
-        for fn in (dyn.rtn_basis, dyn._cowell_rhs, dyn.cowell_propagate,
-                   dyn.apply_impulse, dyn.elements_to_cartesian):
+        for fn in (dyn.rtn_basis, dyn._rtn_rows, dyn._cowell_rhs,
+                   dyn.cowell_propagate, dyn.apply_impulse,
+                   dyn.elements_to_cartesian):
             names = set(fn.__code__.co_names)
             for const in fn.__code__.co_consts:
                 if hasattr(const, "co_names"):

@@ -136,7 +136,7 @@ class TestHeliocentricSeparation:
             res = c2_check(NodalRelativeState.from_array(truth.oe[k]),
                            ReferenceParams.from_array(truth.eta[k]),
                            float(truth.t[k]), -cfg.t_end, cfg.mu,
-                           miss_tol=cfg.miss_tol, n_samples=2000)
+                           miss_tol=cfg.miss_tol)
             assert res.collides
             assert res.d_min <= 1e-3
             assert abs(res.t_min) <= 1e-3

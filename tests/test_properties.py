@@ -3,8 +3,8 @@ paths of the position and margin kernels against their scalar paths, the
 analytic Jacobians and the filter's transition row against central
 differences, the coast kernel's float path against its array path and
 the filter's coast against the unperturbed flow, the propagator's forcing
-against the input matrices; and over random element pairs, the nodal round
-trip."""
+against the input matrices, the soundness of the C2 search's plane bound;
+and over random element pairs, the nodal round trip."""
 
 import math
 
@@ -25,13 +25,15 @@ from nodalrel import (
     position_jacobians,
     relative_orientation,
     relative_position,
+    separation_distance,
     unperturbed_flow,
     wrap_angle,
     zeta,
     zeta_descending,
     zeta_gradient,
 )
-from nodalrel.conjunction import _node_margin_arrays
+from nodalrel.conjunction import (_closing_speed, _node_margin_arrays,
+                                  _plane_geometry, _plane_windows)
 from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
 from nodalrel.navigation import _coast
 from nodalrel.relstate import (_kepler_pair, _position_and_jacobians,
@@ -242,6 +244,38 @@ def test_forced_rhs_matches_input_matrices(pair, u):
     # Taking the free rate back off rounds at that rate's last bits.
     tol = 1e-12 * largest + 2.0 * np.spacing(np.abs(free) + largest)
     assert np.all(np.abs(increment - expected) <= tol)
+
+
+@given(state_and_reference(), st.floats(1e-3, 1.0, exclude_max=True),
+       st.floats(0.05, 2.0), st.floats(-2e6, 2e6))
+def test_plane_windows_hold_every_close_approach(pair, share, revolutions,
+                                                 t0):
+    # The plane bound of the C2 search is sound: wherever the separation is
+    # below the threshold, the time lies in one of the windows.
+    oe, eta = pair
+    sin_gamma, sats = _plane_geometry(oe, _kepler_pair(oe, eta))
+    reach = share * sin_gamma * max(a * (1.0 - e) for _, e, a, _ in sats)
+    period = min(orbital_period(a, MU_EARTH) for _, _, a, _ in sats)
+    tf = t0 + revolutions * period
+    windows = _plane_windows(sin_gamma, sats, reach, t0, tf, MU_EARTH)
+    t = np.linspace(t0, tf, 4001)
+    close = t[separation_distance(
+        *unperturbed_flow(oe, eta, MU_EARTH, t - t0)) < reach]
+    lo, hi = np.array(windows).reshape(-1, 2).T
+    assert np.all(((close[:, None] >= lo) & (close[:, None] <= hi)).any(1))
+
+
+@given(state_and_reference(), st.floats(0.05, 2.0))
+def test_separation_rate_within_closing_speed(pair, revolutions):
+    # The C2 search skips a bracket where this rate bound shows that no
+    # time in it can beat the best distance so far.
+    oe, eta = pair
+    _, sats = _plane_geometry(oe, _kepler_pair(oe, eta))
+    period = min(orbital_period(a, MU_EARTH) for _, _, a, _ in sats)
+    t = np.linspace(0.0, revolutions * period, 4001)
+    d = separation_distance(*unperturbed_flow(oe, eta, MU_EARTH, t))
+    assert np.all(np.abs(np.diff(d)) <= _closing_speed(sats, MU_EARTH)
+                  * (t[1] - t[0]) * (1.0 + 1e-9) + 1e-9 * d.max())
 
 
 ELEMENTS = st.builds(ClassicalElements, a=st.floats(7e3, 5e4),
