@@ -9,7 +9,6 @@ missionsim (scenarios, campaigns, CLI).
 
 from .constants import AU_KM, MU_EARTH, MU_SUN
 from .errors import (
-    CoplanarNormalInput,
     GeometryError,
     InfeasibleEncounter,
     NodalError,
@@ -31,7 +30,6 @@ from .frames import (
 )
 from .relstate import (
     EccIncVectors,
-    LocalState,
     NodalRelativeState,
     RecoveredInvariants,
     ReferenceParams,
@@ -39,18 +37,15 @@ from .relstate import (
     classical_from_oe,
     ecc_inc_vectors,
     haversine_psi,
-    local_state,
     oe_from_classical,
     position_jacobians,
     relative_position,
     relative_position_batch,
-    relative_velocity,
     separation_distance,
 )
 from .dynamics import (
     CartesianState,
     CowellTrajectory,
-    NodalRates,
     PerturbationInput,
     Trajectory,
     apply_impulse,
@@ -62,10 +57,10 @@ from .dynamics import (
     f_unperturbed_jacobian,
     input_matrices,
     kepler_advance,
-    nodal_variational,
     orbital_period,
     perturbed_derivative,
     propagate,
+    relative_velocity,
     rtn_basis,
     unperturbed_flow,
 )

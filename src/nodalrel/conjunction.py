@@ -255,11 +255,14 @@ PLANE_BOUND_SLACK = 1e-12
 ROUNDING_ULPS = 64.0
 
 
-def _refine(distance, lo, hi):
-    """Bounded Brent minimization of distance over the times [lo, hi]."""
-    return minimize_scalar(distance, bounds=(float(lo), float(hi)),
-                           method="bounded",
-                           options={"xatol": 1e-9, "maxiter": 200})
+def _refine(distance, lo, hi) -> tuple[float, float]:
+    """(t, d) of a bounded Brent search on s = t - lo in [0, hi - lo]: on t
+    itself scipy's tolerance sqrt(eps) |t| + xatol / 3 would grow with |t|."""
+    lo = float(lo)
+    res = minimize_scalar(lambda s: distance(lo + s),
+                          bounds=(0.0, float(hi) - lo), method="bounded",
+                          options={"xatol": 1e-9, "maxiter": 200})
+    return lo + float(res.x), float(res.fun)
 
 
 def _grid_minimum(distance, t_grid, d_grid) -> tuple[float, float]:
@@ -269,9 +272,9 @@ def _grid_minimum(distance, t_grid, d_grid) -> tuple[float, float]:
     t_best, d_best = float(t_grid[k]), float(d_grid[k])
     if (0 < k < t_grid.size - 1 and d_best < d_grid[k - 1]
             and d_best < d_grid[k + 1]):
-        res = _refine(distance, t_grid[k - 1], t_grid[k + 1])
-        if res.fun < d_best:
-            t_best, d_best = float(res.x), float(res.fun)
+        t_ref, d_ref = _refine(distance, t_grid[k - 1], t_grid[k + 1])
+        if d_ref < d_best:
+            t_best, d_best = t_ref, d_ref
     return t_best, d_best
 
 
@@ -444,9 +447,9 @@ def _node_window_minimum(distance, t_grid, cand: list, windows: list,
             bracket = ends
         if min(da + db - speed * (tb - ta) for (da, ta), (db, tb)
                in zip(bracket, bracket[1:])) < 2.0 * d_best:
-            res = _refine(distance, bracket[0][1], bracket[-1][1])
-            if res.fun < d_best:
-                d_best, t_best = float(res.fun), float(res.x)
+            t_ref, d_ref = _refine(distance, bracket[0][1], bracket[-1][1])
+            if d_ref < d_best:
+                d_best, t_best = d_ref, t_ref
     return t_best, d_best
 
 

@@ -1,8 +1,8 @@
 """Exact time evolution of the nodal relative state and reference
 parameters: unperturbed vector fields and their analytic sub-solutions,
-input matrices for perturbing RTN accelerations, variational equations for
-the nodal angles, adaptive propagation, and an independent Cowell
-(inertial two-body) oracle with standard element conversions.
+input matrices for perturbing RTN accelerations, the RTN1 relative
+velocity, adaptive propagation, and an independent Cowell (inertial
+two-body) oracle with standard element conversions.
 
 Keplerian motion is advanced in closed form by Kepler timing of both
 orbits (:func:`_anomaly_sweep`, the one coast kernel of the truth, the
@@ -20,10 +20,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import CoplanarNormalInput, GeometryError, StepFailure
+from .errors import GeometryError, StepFailure
 from .frames import ClassicalElements, pci_to_pqw, wrap_angle
 from .relstate import (NodalRelativeState, ReferenceParams,
-                       _kepler_pair, _radius_denominator)
+                       _kepler_pair, _radius_denominator, position_jacobians)
 
 #: Eccentricity below which an orbit is treated as circular when extracting
 #: elements from a Cartesian state (argp = 0, phase folded into nu).
@@ -31,9 +31,6 @@ CIRCULAR_E_TOL = 1e-11
 
 #: Inclination below which the ascending node is undefined (raan = 0).
 EQUATORIAL_I_TOL = 1e-11
-
-#: sin(gamma) guard for the nodal variational equations.
-COPLANAR_SIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,20 +58,6 @@ class CartesianState:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if not np.linalg.norm(self.r) > 0.0:
             raise ValueError("position vector must be nonzero")
-
-
-@dataclass(frozen=True)
-class NodalRates:
-    """Time derivatives of the relative-orientation angles under perturbing
-    accelerations (fields are rates of the like-named angles, rad/s)."""
-
-    alpha1: float
-    alpha2: float
-    gamma: float
-    theta1: float
-    theta2: float
-    lambda1: float
-    lambda2: float
 
 
 @dataclass(frozen=True)
@@ -454,69 +437,13 @@ def perturbed_derivative(oe: NodalRelativeState, eta: ReferenceParams,
     return dy[:6], dy[6:]
 
 
-def nodal_variational(theta1: float, theta2: float, gamma: float,
-                      i1: float, i2: float, alpha1: float, alpha2: float,
-                      elements: tuple[ClassicalElements, ClassicalElements],
-                      u: PerturbationInput, mu: float) -> NodalRates:
-    """Gauss-style variational rates of the relative-orientation angles.
-
-    The accelerations are scaled by r_j / sqrt(mu p_j) internally.  Node
-    coupling terms divide by sin(gamma), periapsis terms by e_j; the caller
-    must keep away from gamma ~ 0 (with normal inputs), i_j ~ 0, and
-    e_j ~ 0 (with in-plane inputs).
-
-    Raises
-    ------
-    CoplanarNormalInput
-        If sin(gamma) < COPLANAR_SIN_TOL while a normal acceleration is
-        nonzero.
-    """
-    el1, el2 = elements
-    p1, e1, nu1 = el1.p, el1.e, el1.nu
-    p2, e2, nu2 = el2.p, el2.e, el2.nu
-    r1 = p1 / (1.0 + e1 * math.cos(nu1))
-    r2 = p2 / (1.0 + e2 * math.cos(nu2))
-
-    ur1, ut1, un1 = (r1 / math.sqrt(mu * p1)) * np.asarray(u.u1, dtype=float)
-    ur2, ut2, un2 = (r2 / math.sqrt(mu * p2)) * np.asarray(u.u2, dtype=float)
-
-    theta1_rate = math.sqrt(mu * p1) / r1 ** 2
-    theta2_rate = math.sqrt(mu * p2) / r2 ** 2
-    gamma_rate = 0.0
-    alpha1_rate = 0.0
-    alpha2_rate = 0.0
-    node1 = 0.0  # sin(theta1) cot(gamma) u_N1 - sin(theta2)/sin(gamma) u_N2
-    node2 = 0.0  # the satellite-2 counterpart
-
-    if un1 != 0.0 or un2 != 0.0:
-        sing = math.sin(gamma)
-        if abs(sing) < COPLANAR_SIN_TOL:
-            raise CoplanarNormalInput(
-                "normal acceleration with sin(gamma) ~ 0: node rates singular")
-        cotg = math.cos(gamma) / sing
-        gamma_rate = math.cos(theta2) * un2 - math.cos(theta1) * un1
-        node1 = math.sin(theta1) * cotg * un1 - math.sin(theta2) / sing * un2
-        node2 = -math.sin(theta2) * cotg * un2 + math.sin(theta1) / sing * un1
-        alpha1_rate = (math.sin(theta2) / sing * un2
-                       - (math.sin(theta1) * cotg
-                          + math.sin(theta1 + alpha1) / math.tan(i1)) * un1)
-        alpha2_rate = ((math.sin(theta2) * cotg
-                        - math.sin(theta2 + alpha2) / math.tan(i2)) * un2
-                       - math.sin(theta1) / sing * un1)
-
-    lambda1_rate = node1
-    lambda2_rate = node2
-    if ur1 != 0.0 or ut1 != 0.0:
-        lambda1_rate = ((p1 + r1) / (r1 * e1) * math.sin(nu1) * ut1
-                        - p1 / (r1 * e1) * math.cos(nu1) * ur1 + node1)
-    if ur2 != 0.0 or ut2 != 0.0:
-        lambda2_rate = ((p2 + r2) / (r2 * e2) * math.sin(nu2) * ut2
-                        - p2 / (r2 * e2) * math.cos(nu2) * ur2 + node2)
-
-    return NodalRates(
-        alpha1=alpha1_rate, alpha2=alpha2_rate, gamma=gamma_rate,
-        theta1=theta1_rate + node1, theta2=theta2_rate + node2,
-        lambda1=lambda1_rate, lambda2=lambda2_rate)
+def relative_velocity(oe: NodalRelativeState, eta: ReferenceParams,
+                      mu: float) -> np.ndarray:
+    """Time derivative of the RTN1 relative position under unperturbed
+    motion, by the chain rule through the analytic position Jacobians."""
+    doe, deta = perturbed_derivative(oe, eta, None, mu)
+    j_oe, j_eta = position_jacobians(oe, eta)
+    return j_oe @ doe + j_eta @ deta
 
 
 # --- Propagation ---

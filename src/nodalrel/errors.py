@@ -21,11 +21,6 @@ class StepFailure(NodalError):
     """Numerical integration failed (step size underflow or solver abort)."""
 
 
-class CoplanarNormalInput(NodalError):
-    """Nodal variational equations requested with sin(gamma) ~ 0 and a
-    nonzero normal acceleration, which makes the node drift rates singular."""
-
-
 class ZetaUndefined(NodalError):
     """Collision safety margin requested for a coplanar pair (|dh| = 0)."""
 

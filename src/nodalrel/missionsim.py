@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import AU_KM, MU_EARTH, MU_SUN
 from .errors import InfeasibleEncounter, GeometryError
-from .frames import ClassicalElements, wrap_angle
+from .frames import RETROGRADE_GAMMA_TOL, ClassicalElements, wrap_angle
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
@@ -44,7 +44,8 @@ from .dynamics import (
     rtn_basis,
     unperturbed_flow,
 )
-from .conjunction import _node_margin_arrays, c1_test, c2_check, plan_avoidance
+from .conjunction import (DEFAULT_COPLANAR_TOL, _node_margin_arrays, c1_test,
+                          c2_check, plan_avoidance)
 from .navigation import (
     EkfUpdate,
     FilterState,
@@ -122,8 +123,11 @@ class EncounterSpec:
     def __post_init__(self):
         if not self.relative_speed > 0.0:
             raise ValueError("relative speed must be positive")
-        if not 0.0 < self.gamma < math.pi:
-            raise ValueError("gamma must be in (0, pi)")
+        # Nearer coplanar the node convention degenerates while dh > 0.
+        if not (0.0 < self.gamma <= math.pi - RETROGRADE_GAMMA_TOL
+                and math.tan(0.5 * self.gamma) > DEFAULT_COPLANAR_TOL):
+            raise ValueError("gamma must lie within the coplanar and "
+                             "retrograde bounds")
 
 
 def _default_target() -> ClassicalElements:
@@ -810,16 +814,12 @@ def run_validation(rtol: float = 1e-12, n_samples: int = 501,
 
 # --- File outputs ---
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: str, header: list, columns: list) -> None:
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in zip(*columns):
-            w.writerow([_fmt(v) for v in row])
+        csv.writer(f).writerow(header)
+        for row in zip(*(np.asarray(c, dtype=float) for c in columns)):
+            f.write(line % row)
 
 
 def write_summary_json(path: str, payload: dict) -> None:

@@ -1,6 +1,6 @@
 """The six-state nodal relative parametrization, its inverse invariant
 recovery, relative eccentricity/inclination vectors, and the exact mapping
-to local (RTN1) position and velocity.
+to local (RTN1) position with its Jacobians.
 
 State conventions, with satellite 1 as the reference:
 
@@ -141,14 +141,6 @@ class RelativePosition:
     r2: float
     q: float
     b: np.ndarray
-
-
-@dataclass(frozen=True)
-class LocalState:
-    """Relative position (km) and velocity (km/s) in the RTN1 frame."""
-
-    dr: np.ndarray
-    dv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -462,24 +454,6 @@ def position_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
         3x3 Jacobian with respect to (p1, ec, es).
     """
     return _position_and_jacobians(oe, eta)[1:]
-
-
-def relative_velocity(oe: NodalRelativeState, eta: ReferenceParams,
-                      mu: float) -> np.ndarray:
-    """Time derivative of the RTN1 relative position under unperturbed
-    motion, by the chain rule through the analytic position Jacobians."""
-    from .dynamics import perturbed_derivative  # deferred: dynamics imports this module
-
-    doe, deta = perturbed_derivative(oe, eta, None, mu)
-    j_oe, j_eta = position_jacobians(oe, eta)
-    return j_oe @ doe + j_eta @ deta
-
-
-def local_state(oe: NodalRelativeState, eta: ReferenceParams,
-                mu: float) -> LocalState:
-    """Relative position and velocity in RTN1."""
-    return LocalState(dr=relative_position(oe, eta).dr,
-                      dv=relative_velocity(oe, eta, mu))
 
 
 def haversine_psi(theta1: float, theta2: float, gamma: float) -> float:

@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from nodalrel import (
     MU_EARTH,
     ClassicalElements,
+    NodalError,
     NodalRelativeState,
+    PerturbationInput,
     ReferenceParams,
     elements_to_cartesian,
     pci_to_pqw,
@@ -124,6 +127,96 @@ def cartesian_relative_state(el1, el2, mu=MU_EARTH):
     omega = np.cross(s1.r, s1.v) / float(s1.r @ s1.r)
     dv = basis @ ((s2.v - s1.v) - np.cross(omega, s2.r - s1.r))
     return dr, dv
+
+
+#: sin(gamma) guard of :func:`nodal_variational`.
+COPLANAR_SIN_TOL = 1e-9
+
+
+class CoplanarNormalInput(NodalError):
+    """Nodal variational equations requested with sin(gamma) ~ 0 and a
+    nonzero normal acceleration, which makes the node drift rates singular."""
+
+
+@dataclass(frozen=True)
+class NodalRates:
+    """Time derivatives of the relative-orientation angles under perturbing
+    accelerations (fields are rates of the like-named angles, rad/s)."""
+
+    alpha1: float
+    alpha2: float
+    gamma: float
+    theta1: float
+    theta2: float
+    lambda1: float
+    lambda2: float
+
+
+def nodal_variational(theta1: float, theta2: float, gamma: float,
+                      i1: float, i2: float, alpha1: float, alpha2: float,
+                      elements: tuple[ClassicalElements, ClassicalElements],
+                      u: PerturbationInput, mu: float) -> NodalRates:
+    """Gauss-style variational rates of the relative-orientation angles,
+    written in the angles rather than in the nodal state: an oracle for
+    the input matrices, which write the same physics in nodal coordinates.
+
+    The accelerations are scaled by r_j / sqrt(mu p_j) internally.  Node
+    coupling terms divide by sin(gamma), periapsis terms by e_j; the caller
+    must keep away from gamma ~ 0 (with normal inputs), i_j ~ 0, and
+    e_j ~ 0 (with in-plane inputs).
+
+    Raises
+    ------
+    CoplanarNormalInput
+        If sin(gamma) < COPLANAR_SIN_TOL while a normal acceleration is
+        nonzero.
+    """
+    el1, el2 = elements
+    p1, e1, nu1 = el1.p, el1.e, el1.nu
+    p2, e2, nu2 = el2.p, el2.e, el2.nu
+    r1 = p1 / (1.0 + e1 * math.cos(nu1))
+    r2 = p2 / (1.0 + e2 * math.cos(nu2))
+
+    ur1, ut1, un1 = (r1 / math.sqrt(mu * p1)) * np.asarray(u.u1, dtype=float)
+    ur2, ut2, un2 = (r2 / math.sqrt(mu * p2)) * np.asarray(u.u2, dtype=float)
+
+    theta1_rate = math.sqrt(mu * p1) / r1 ** 2
+    theta2_rate = math.sqrt(mu * p2) / r2 ** 2
+    gamma_rate = 0.0
+    alpha1_rate = 0.0
+    alpha2_rate = 0.0
+    node1 = 0.0  # sin(theta1) cot(gamma) u_N1 - sin(theta2)/sin(gamma) u_N2
+    node2 = 0.0  # the satellite-2 counterpart
+
+    if un1 != 0.0 or un2 != 0.0:
+        sing = math.sin(gamma)
+        if abs(sing) < COPLANAR_SIN_TOL:
+            raise CoplanarNormalInput(
+                "normal acceleration with sin(gamma) ~ 0: node rates singular")
+        cotg = math.cos(gamma) / sing
+        gamma_rate = math.cos(theta2) * un2 - math.cos(theta1) * un1
+        node1 = math.sin(theta1) * cotg * un1 - math.sin(theta2) / sing * un2
+        node2 = -math.sin(theta2) * cotg * un2 + math.sin(theta1) / sing * un1
+        alpha1_rate = (math.sin(theta2) / sing * un2
+                       - (math.sin(theta1) * cotg
+                          + math.sin(theta1 + alpha1) / math.tan(i1)) * un1)
+        alpha2_rate = ((math.sin(theta2) * cotg
+                        - math.sin(theta2 + alpha2) / math.tan(i2)) * un2
+                       - math.sin(theta1) / sing * un1)
+
+    lambda1_rate = node1
+    lambda2_rate = node2
+    if ur1 != 0.0 or ut1 != 0.0:
+        lambda1_rate = ((p1 + r1) / (r1 * e1) * math.sin(nu1) * ut1
+                        - p1 / (r1 * e1) * math.cos(nu1) * ur1 + node1)
+    if ur2 != 0.0 or ut2 != 0.0:
+        lambda2_rate = ((p2 + r2) / (r2 * e2) * math.sin(nu2) * ut2
+                        - p2 / (r2 * e2) * math.cos(nu2) * ur2 + node2)
+
+    return NodalRates(
+        alpha1=alpha1_rate, alpha2=alpha2_rate, gamma=gamma_rate,
+        theta1=theta1_rate + node1, theta2=theta2_rate + node2,
+        lambda1=lambda1_rate, lambda2=lambda2_rate)
 
 
 def crlb_final_range_sigma(cfg, truth) -> float:

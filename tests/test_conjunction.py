@@ -249,7 +249,8 @@ def reference_c2(oe, eta, t0, tf, mu, miss_tol, grid_distance,
                  scalar_distance):
     """c2_check's grid and bounded-Brent refinement written out, with the
     separation history given by the caller: grid_distance(t_grid) for the
-    samples and scalar_distance(t) for each refinement evaluation."""
+    samples and scalar_distance(t) for each refinement evaluation.  Brent
+    runs on the offset s = t - lo from the bracket's lower end."""
     e1 = eta.e1
     a1 = eta.p1 / (1.0 - e1 * e1)
     e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
@@ -263,12 +264,13 @@ def reference_c2(oe, eta, t0, tf, mu, miss_tol, grid_distance,
     t_best, d_best = float(t_grid[k]), float(d_grid[k])
 
     if 0 < k < n_samples - 1 and d_best < d_grid[k - 1] and d_best < d_grid[k + 1]:
+        lo = float(t_grid[k - 1])
         res = minimize_scalar(
-            scalar_distance,
-            bounds=(float(t_grid[k - 1]), float(t_grid[k + 1])),
+            lambda s: scalar_distance(lo + s),
+            bounds=(0.0, float(t_grid[k + 1]) - lo),
             method="bounded", options={"xatol": 1e-9, "maxiter": 200})
         if res.fun < d_best:
-            t_best, d_best = float(res.x), float(res.fun)
+            t_best, d_best = lo + float(res.x), float(res.fun)
 
     return C2Result(collides=d_best <= miss_tol, t_min=t_best, d_min=d_best)
 
@@ -503,6 +505,13 @@ def assert_no_worse_than_grid(oe, eta, t0, tf, mu, miss_tol):
     return res
 
 
+@pytest.fixture(scope="module")
+def desk_flyby():
+    """The desk flyby at a 600 s cadence: its config and run."""
+    cfg = replace(ScenarioConfig(), sample_dt=600.0)
+    return cfg, run_flyby(cfg)
+
+
 class TestNodeWindowSearch:
     """The unperturbed C2 search over the plane bound's node windows,
     against the whole-window grid and Brent reference."""
@@ -543,17 +552,32 @@ class TestNodeWindowSearch:
                                         kepler_advance(el2, -3000.0, MU))
             assert_no_worse_than_grid(oe, eta, 0.0, 6000.0, MU, 1.0)
 
-    def test_desk_screening_rows(self):
+    def test_desk_screening_rows(self, desk_flyby):
         # The flyby's screening rows: the filter's estimate at ~2.4 AU,
         # screened to 6 h past the encounter.
-        cfg = replace(ScenarioConfig(), sample_dt=600.0)
-        flyby = run_flyby(cfg)
+        cfg, flyby = desk_flyby
         n = flyby.truth.t.size
         for k in range(0, n, 10 * max(1, n // SCREENING_ROWS)):
             assert_no_worse_than_grid(
                 NodalRelativeState.from_array(flyby.run.oe_hat[k]),
                 ReferenceParams.from_array(flyby.truth.eta[k]),
                 float(flyby.truth.t[k]), -cfg.t_end, cfg.mu, cfg.miss_tol)
+
+    def test_refinement_does_not_depend_on_time_origin(self, desk_flyby):
+        # One desk estimate row screened over the same span with its times
+        # shifted: scipy's bounded Brent tolerance grows with the magnitude
+        # of its variable, so the refinement must run on offsets.
+        cfg, flyby = desk_flyby
+        k = 2800
+        oe = NodalRelativeState.from_array(flyby.run.oe_hat[k])
+        eta = ReferenceParams.from_array(flyby.truth.eta[k])
+        t0, tf = float(flyby.truth.t[k]), -cfg.t_end
+        ref = c2_check(oe, eta, t0, tf, cfg.mu, miss_tol=cfg.miss_tol)
+        for shift in (1.7e6, 1.7e8):
+            res = c2_check(oe, eta, t0 + shift, tf + shift, cfg.mu,
+                           miss_tol=cfg.miss_tol)
+            assert abs(res.d_min - ref.d_min) <= 1e-6 * ref.d_min
+            assert abs(res.t_min - shift - ref.t_min) <= 1e-3
 
     @pytest.mark.parametrize("dt_a, dr, miss_tol", [(0.15, 0.5, 0.3),
                                                      (0.3, 0.65, 0.6)])

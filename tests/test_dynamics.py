@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from nodalrel import (
     MU_EARTH,
     CartesianState,
     ClassicalElements,
-    CoplanarNormalInput,
     NodalRelativeState,
     PerturbationInput,
     ReferenceParams,
@@ -22,7 +22,6 @@ from nodalrel import (
     f_unperturbed_jacobian,
     input_matrices,
     kepler_advance,
-    nodal_variational,
     oe_from_classical,
     orbital_period,
     perturbed_derivative,
@@ -33,11 +32,12 @@ from nodalrel import (
     wrap_angle,
 )
 from nodalrel import dynamics, missionsim
+from nodalrel.relstate import _kepler_pair, oe_from_orientation
 from nodalrel.dynamics import (_nodal_rhs, advance_true_anomaly,
                                mean_to_true_anomaly, true_to_mean_anomaly)
-from nodalrel.relstate import _kepler_pair
 
-from conftest import EL1, EL2, random_elements, random_pair
+from conftest import (EL1, EL2, CoplanarNormalInput, nodal_variational,
+                      random_elements, random_pair)
 
 MU = MU_EARTH
 
@@ -259,58 +259,71 @@ class TestPerturbedConsistency:
                               (el1, el2), u, MU)
 
     def test_assembled_rates_match_input_matrices(self):
-        # d/dt of the parametrization assembled from the variational rates
-        # plus the standard in-plane GVEs must equal f + G2 u2 - G1 u1.
+        # The oracle's angle rates and the in-plane GVE rates of p and e
+        # give the rate of x = (p1, e1, nu1, p2, e2, gamma, theta1, theta2,
+        # lambda2), with nu1' = theta1' - lambda1'.  Central differences of
+        # oe_from_orientation and of (p1, ec, es) along that rate are then
+        # an independent d(oe, eta)/dt: along the Keplerian rate it must be
+        # (f, f_eta), and along the rest, which is linear in the input,
+        # (G2 u2 - G1 u1, Geta u1).
+        def p_e_rates(el, uvec):
+            p, e, nu = el.p, el.e, el.nu
+            r = el.radius
+            ur, ut, _ = (r / math.sqrt(MU * p)) * np.asarray(uvec)
+            pdot = 2 * p * ut
+            edot = ((p / r) * math.sin(nu) * ur
+                    + (((p + r) * math.cos(nu) + r * e) / r) * ut)
+            return pdot, edot
+
         rng = np.random.default_rng(35)
-        checked = 0
-        while checked < 25:
+        for _ in range(25):
             el1, el2 = random_pair(rng, min_gamma=5e-2,
                                    e_range=(0.05, 0.6), i_range=(0.2, 2.6))
             rel = relative_orientation(el1, el2)
             u = PerturbationInput(u1=rng.normal(size=3) * 1e-4,
                                   u2=rng.normal(size=3) * 1e-4)
+            x = np.array([el1.p, el1.e, el1.nu, el2.p, el2.e, rel.gamma,
+                          rel.theta1, rel.theta2, rel.lambda2])
+
+            def rate(uin):
+                rates = nodal_variational(
+                    rel.theta1, rel.theta2, rel.gamma, el1.i, el2.i,
+                    rel.alpha1, rel.alpha2, (el1, el2), uin, MU)
+                p1dot, e1dot = p_e_rates(el1, uin.u1)
+                p2dot, e2dot = p_e_rates(el2, uin.u2)
+                return np.array([p1dot, e1dot, rates.theta1 - rates.lambda1,
+                                 p2dot, e2dot, rates.gamma, rates.theta1,
+                                 rates.theta2, rates.lambda2])
+
+            def state(y):
+                p1, e1, nu1, p2, e2, gamma, theta1, theta2, lambda2 = y
+                oe_y = oe_from_orientation(
+                    replace(el1, a=p1 / (1.0 - e1 * e1), e=e1, nu=nu1),
+                    replace(el2, a=p2 / (1.0 - e2 * e2), e=e2),
+                    replace(rel, gamma=gamma, theta1=theta1, theta2=theta2,
+                            lambda2=lambda2))
+                return np.concatenate([oe_y.as_array(), [
+                    p1, e1 * math.cos(nu1), e1 * math.sin(nu1)]])
+
+            def along(xdot):
+                # Each component moves by at most 1e-5 of its unit (p1
+                # and p2 for the semiparameters, 1 for the others).
+                unit = np.array([x[0], 1, 1, x[3], 1, 1, 1, 1, 1])
+                h = 1e-5 / np.abs(xdot / unit).max()
+                d = state(x + h * xdot) - state(x - h * xdot)
+                d[0] = wrap_angle(d[0])
+                return d / (2.0 * h)
+
+            kepler_rate = rate(PerturbationInput.zero())
             oe, eta = oe_from_classical(el1, el2)
-            doe, _ = perturbed_derivative(oe, eta, u, MU)
-            rates = nodal_variational(
-                rel.theta1, rel.theta2, rel.gamma, el1.i, el2.i,
-                rel.alpha1, rel.alpha2, (el1, el2), u, MU)
-
-            def p_e_rates(el, uvec):
-                p, e, nu = el.p, el.e, el.nu
-                r = el.radius
-                ur, ut, _ = (r / math.sqrt(MU * p)) * np.asarray(uvec)
-                pdot = 2 * p * ut
-                edot = ((p / r) * math.sin(nu) * ur
-                        + (((p + r) * math.cos(nu) + r * e) / r) * ut)
-                return pdot, edot
-
-            p1dot, e1dot = p_e_rates(el1, u.u1)
-            p2dot, e2dot = p_e_rates(el2, u.u2)
-            a21 = rel.theta1 - rel.lambda2
-            a11 = el1.nu
-            th1d, th2d = rates.theta1, rates.theta2
-            t_half = math.tan(rel.gamma / 2)
-            assembled = np.array([
-                th2d - th1d,
-                p2dot / el1.p - el2.p / el1.p ** 2 * p1dot,
-                (e2dot * math.cos(a21)
-                 - el2.e * math.sin(a21) * (th1d - rates.lambda2)
-                 - e1dot * math.cos(a11)
-                 + el1.e * math.sin(a11) * (th1d - rates.lambda1)),
-                (e2dot * math.sin(a21)
-                 + el2.e * math.cos(a21) * (th1d - rates.lambda2)
-                 - e1dot * math.sin(a11)
-                 - el1.e * math.cos(a11) * (th1d - rates.lambda1)),
-                (rates.gamma / (2 * math.cos(rel.gamma / 2) ** 2)
-                 * math.cos(rel.theta1)
-                 - t_half * math.sin(rel.theta1) * th1d),
-                (rates.gamma / (2 * math.cos(rel.gamma / 2) ** 2)
-                 * math.sin(rel.theta1)
-                 + t_half * math.cos(rel.theta1) * th1d),
-            ])
-            scale = max(np.abs(doe).max(), 1e-12)
-            assert np.abs(assembled - doe).max() / scale < 1e-9
-            checked += 1
+            g1, g2, geta = input_matrices(oe, eta, MU)
+            for got, want in (
+                    (along(kepler_rate),
+                     np.concatenate([f_unperturbed(oe, eta, MU),
+                                     f_eta(eta, MU)])),
+                    (along(rate(u) - kepler_rate),
+                     np.concatenate([g2 @ u.u2 - g1 @ u.u1, geta @ u.u1]))):
+                assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
     def test_first_order_response_to_constant_input(self):
         # (oe(h) - oe(0))/h converges to the perturbed derivative at first

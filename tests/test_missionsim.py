@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -94,6 +95,14 @@ class TestScenarioConstruction:
                             impact_nu=0.0, transverse_speed=30.0)
         with pytest.raises(InfeasibleEncounter):
             build_collision_scenario(bad, cfg.target, cfg.mu)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-12, 9.9e-10,
+                                       math.pi - 1e-7, math.nan])
+    def test_gamma_outside_the_node_convention_rejected(self, gamma):
+        # Below the coplanar bound the relative node degenerates, and past
+        # the retrograde bound the orientation cannot be extracted.
+        with pytest.raises(ValueError, match="^gamma"):
+            EncounterSpec(gamma=gamma)
 
     def test_truth_zeta_invariant_and_range_shrinks(self):
         cfg = small_config()
@@ -430,6 +439,46 @@ class TestMonteCarlo:
                              delimiter=",", names=True)
         assert np.all(np.isfinite(data["true_3sigma_range"]))
         assert np.all(data["true_3sigma_range"] >= 0.0)
+
+
+def reference_write_csv(path: str, header: list, columns: list) -> None:
+    """The CSV writer as it was before it formatted whole rows: csv.writer
+    with each value formatted on its own as f"{float(x):.17g}"."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow([f"{float(v):.17g}" for v in row])
+
+
+class TestCsvWriter:
+    """The row-at-once writer against the value-at-a-time reference."""
+
+    def test_flyby_csvs_match_reference(self, tmp_path, monkeypatch):
+        cfg = small_config(sample_dt=1800.0)
+        art = run_flyby(cfg, out_dir=str(tmp_path / "new"))
+        monkeypatch.setattr(sim, "_write_csv", reference_write_csv)
+        ref = run_flyby(cfg, out_dir=str(tmp_path / "ref"))
+        for name in ("truth", "filter", "screening"):
+            with open(art.paths[name], "rb") as a, \
+                    open(ref.paths[name], "rb") as b:
+                assert a.read() == b.read()
+
+    def test_special_values_match_reference(self, tmp_path):
+        columns = [
+            np.array([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+            [5e-324, -5e-324, 1.7976931348623157e308,
+             -1.7976931348623157e308, 0.1],
+            np.array([1.0, -2.0, 1e16, 1e17, 3.0]),
+            [np.float64(v) for v in (0.1, 1.0 / 3.0, -7.0, 2.5e-310, 1e22)],
+            range(5),
+        ]
+        header = ["nan_inf_zero", "extremes", "integral", "float64", "ints"]
+        sim._write_csv(str(tmp_path / "new.csv"), header, columns)
+        reference_write_csv(str(tmp_path / "ref.csv"), header, columns)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.count(b"\r\n") == 6
 
 
 class TestInformationBounds:

@@ -4,7 +4,8 @@ analytic Jacobians and the filter's transition row against central
 differences, the coast kernel's float path against its array path and
 the filter's coast against the unperturbed flow, the propagator's forcing
 against the input matrices, the soundness of the C2 search's plane bound;
-and over random element pairs, the nodal round trip."""
+over random element pairs, the nodal round trip; and over random encounter
+specifications, the constructed collision."""
 
 import math
 
@@ -14,11 +15,17 @@ from hypothesis import assume, example, given, strategies as st
 from nodalrel import (
     MU_EARTH,
     ClassicalElements,
+    EncounterSpec,
+    InfeasibleEncounter,
     NodalRelativeState,
     PerturbationInput,
     ReferenceParams,
     RetrogradeSingularity,
+    ScenarioConfig,
+    build_collision_scenario,
+    c1_test,
     classical_from_oe,
+    elements_to_cartesian,
     input_matrices,
     oe_from_classical,
     orbital_period,
@@ -296,3 +303,49 @@ def test_element_round_trip(el1, el2):
     assert abs(rec.gamma - rel.gamma) <= 1e-9
     assert abs(wrap_angle(rec.theta1 - rel.theta1)) <= 1e-9
     assert abs(wrap_angle(rec.theta2 - rel.theta2)) <= 1e-9
+
+
+# gamma stays 1e-4 from coplanar and from retrograde: the relative node
+# that oe_from_classical extracts from the elements carries a rounding
+# error of about 1e-15 / sin(gamma) rad, which moves zeta by as much, so
+# closer to either end a constructed collision reads zeta beyond 1e-9.
+# Satellite 1 stays at e1 <= 0.99: the element conversion's rounding grows
+# as the orbit nears parabolic (e1 = 1 - 7e-6 misplaced it by 1.02e-11
+# of the radius).  The relative speed is drawn as its radial part on top
+# of the in-plane minimum, which most random speeds fall short of.
+@example(gamma=1e-12, impact_nu=0.5, transverse_speed=18.0, radial=5.0,
+         radial_sign=1.0)
+@given(gamma=st.floats(1e-4, math.pi - 1e-4), impact_nu=ANGLE,
+       transverse_speed=st.floats(0.01, 30.0), radial=st.floats(0.0, 30.0),
+       radial_sign=st.sampled_from([-1.0, 1.0]))
+def test_encounter_spec_builds_a_colliding_pair(gamma, impact_nu,
+                                               transverse_speed, radial,
+                                               radial_sign):
+    cfg = ScenarioConfig()
+    target = cfg.target
+    vt2 = math.sqrt(cfg.mu / target.p) * (1.0 + target.e * math.cos(impact_nu))
+    in_plane = (transverse_speed ** 2 + vt2 ** 2
+                - 2.0 * transverse_speed * vt2 * math.cos(gamma))
+    try:
+        spec = EncounterSpec(relative_speed=math.sqrt(in_plane + radial ** 2),
+                             gamma=gamma, impact_nu=impact_nu,
+                             transverse_speed=transverse_speed,
+                             radial_sign=radial_sign)
+    except ValueError:
+        return
+    try:
+        el1, el2 = build_collision_scenario(spec, target, cfg.mu)
+    except InfeasibleEncounter:
+        return
+    assume(el1.e <= 0.99)
+    s1 = elements_to_cartesian(el1, cfg.mu)
+    s2 = elements_to_cartesian(el2, cfg.mu)
+    # Both differences cancel: their rounding scales with the target's
+    # radius and speed, not with the (possibly tiny) relative speed.
+    assert (np.linalg.norm(s1.r - s2.r)
+            <= 1e-11 * np.linalg.norm(s2.r))
+    assert (abs(np.linalg.norm(s2.v - s1.v) - spec.relative_speed)
+            <= 1e-11 * np.linalg.norm(s2.v))
+    oe, eta = oe_from_classical(el1, el2)
+    assert abs(zeta(oe, eta)) <= 1e-9
+    assert c1_test(oe, eta).satisfied
