@@ -76,11 +76,7 @@ from .conjunction import (
     zeta_gradient,
 )
 from .navigation import (
-    EkfUpdate,
-    FilterState,
-    MeasurementTriple,
     NoiseSpec,
-    PredictedMeasurement,
     ekf_propagate,
     ekf_update,
     measure,

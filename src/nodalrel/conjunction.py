@@ -33,6 +33,7 @@ from .dynamics import (
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
+    _floats,
     _kepler_pair,
     _position_kernel,
     _radius_denominator,
@@ -510,7 +511,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     """
     if not tf > t0:
         raise ValueError("tf must exceed t0")
-    pair = _kepler_pair(oe, eta)
+    pair = _kepler_pair(*_floats(oe, eta))
     _, _, a1, _, e2, a2, _ = pair
     p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
     n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))

@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import GeometryError, StepFailure
 from .frames import ClassicalElements, pci_to_pqw, wrap_angle
-from .relstate import (NodalRelativeState, ReferenceParams,
+from .relstate import (NodalRelativeState, ReferenceParams, _floats,
                        _kepler_pair, _radius_denominator, position_jacobians)
 
 #: Eccentricity below which an orbit is treated as circular when extracting
@@ -351,7 +351,7 @@ def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     *_, dtheta, dxx, dxy, hx, hy, ec, es = _anomaly_sweep(
-        _kepler_pair(oe, eta), (oe.dh_x, oe.dh_y), t, mu)
+        _kepler_pair(*_floats(oe, eta)), (oe.dh_x, oe.dh_y), t, mu)
     oe_arr = np.stack([wrap_angle(dtheta), np.full(t.size, oe.dp),
                        dxx, dxy, hx, hy], axis=1)
     eta_arr = np.stack([np.full(t.size, eta.p1), ec, es], axis=1)

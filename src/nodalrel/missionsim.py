@@ -23,8 +23,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import AU_KM, MU_EARTH, MU_SUN
-from .errors import InfeasibleEncounter, GeometryError
-from .frames import RETROGRADE_GAMMA_TOL, ClassicalElements, wrap_angle
+from .errors import GeometryError, InfeasibleEncounter, RetrogradeSingularity
+from .frames import (RETROGRADE_GAMMA_TOL, ClassicalElements,
+                     relative_orientation, wrap_angle)
 from .relstate import (
     NodalRelativeState,
     ReferenceParams,
@@ -46,14 +47,7 @@ from .dynamics import (
 )
 from .conjunction import (DEFAULT_COPLANAR_TOL, _node_margin_arrays, c1_test,
                           c2_check, plan_avoidance)
-from .navigation import (
-    EkfUpdate,
-    FilterState,
-    NoiseSpec,
-    ekf_propagate,
-    ekf_update,
-    measure,
-)
+from .navigation import NoiseSpec, ekf_propagate, ekf_update, measure
 
 DEG = math.pi / 180.0
 
@@ -332,8 +326,10 @@ def build_collision_scenario(spec: EncounterSpec, target: ClassicalElements,
     Raises
     ------
     InfeasibleEncounter
-        If the requested speed cannot be met, or satellite 1's orbit would
-        not be elliptic.
+        If the requested speed cannot be met, satellite 1's orbit would
+        not be elliptic, or the built pair's relative inclination rounds
+        past pi - RETROGRADE_GAMMA_TOL (chained from the
+        RetrogradeSingularity).
     """
     el2 = replace(target, nu=wrap_angle(spec.impact_nu))
     s2 = elements_to_cartesian(el2, mu)
@@ -365,6 +361,10 @@ def build_collision_scenario(spec: EncounterSpec, target: ClassicalElements,
     try:
         el1 = cartesian_to_elements(CartesianState(r=r, v=v1), mu)
     except GeometryError as exc:
+        raise InfeasibleEncounter(str(exc)) from exc
+    try:
+        relative_orientation(el1, el2)
+    except RetrogradeSingularity as exc:
         raise InfeasibleEncounter(str(exc)) from exc
     return el1, el2
 
@@ -496,11 +496,10 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
         np.random.SeedSequence(cfg.seed, spawn_key=(run_index,))))
     n = truth.t.size
     q_rate = np.diag(cfg.q_diag)
+    r_cov = cfg.noise.covariance()
 
-    x0 = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
-    fs = FilterState(oe_hat=NodalRelativeState.from_array(x0),
-                     P=np.diag(cfg.p0_diag))
-    eta_k = ReferenceParams.from_array(truth.eta[0])
+    x = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
+    P, eta = np.diag(cfg.p0_diag), truth.eta[0]
 
     oe_hat = np.empty((n, 6))
     innovations = np.empty((n, 3))
@@ -513,15 +512,12 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
 
     for k in range(n):
         z = measure(truth.dr[k], cfg.d, cfg.noise, rng)
-        upd: EkfUpdate = ekf_update(fs, eta_k, z, cfg.noise, cfg.d,
-                                    chi2_gate=cfg.chi2_gate)
-        fs = upd.state
-        innovations[k] = upd.innovation
-        outliers[k] = upd.outlier
-        oe_hat[k] = fs.oe_hat.as_array()
+        x, P, innovations[k], outliers[k] = ekf_update(
+            x, P, eta, z, r_cov, cfg.d, chi2_gate=cfg.chi2_gate)
+        oe_hat[k] = x
         j = k - start
-        p_block[j] = fs.P
-        eta_block[j] = (eta_k.p1, eta_k.ec, eta_k.es)
+        p_block[j] = P
+        eta_block[j] = eta
         if j == len(p_block) - 1 or k == n - 1:
             rows = slice(start, k + 1)
             for out, block in zip(diagnostics, _posterior_diagnostics(
@@ -530,7 +526,7 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
                 out[rows] = block
             start = k + 1
         if k < n - 1:
-            fs, eta_k = ekf_propagate(fs, eta_k, cfg.sample_dt, q_rate, cfg.mu)
+            x, P, eta = ekf_propagate(x, P, eta, cfg.sample_dt, q_rate, cfg.mu)
 
     (err, sigma, nees, range_err, range_sigma, zeta_hat,
      zeta_sigma) = diagnostics

@@ -10,6 +10,10 @@ anomaly sweep, and dtheta follows from the two anomaly sweeps, so every
 row of the 6x6 state transition matrix is exact (its dtheta row from the
 partials of that timing).  The reference parameters are treated as
 perfectly known and advanced alongside.
+
+The filter works on plain arrays: x is the six state floats (dtheta, dp,
+dxi_x, dxi_y, dh_x, dh_y), P their 6x6 covariance, eta the three reference
+floats (p1, ec, es) and a measurement the three floats (az, el, beta).
 """
 
 from __future__ import annotations
@@ -23,30 +27,14 @@ from scipy.linalg.lapack import dgesv
 
 from .errors import ZeroRange
 from .dynamics import _anomaly_sweep
-from .relstate import (
-    NodalRelativeState,
-    ReferenceParams,
-    _kepler_pair,
-    _scalar_position,
-)
+from .relstate import (_checked_reference, _checked_state, _kepler_pair,
+                       _scalar_position)
 
 #: |elevation| within this distance of pi/2 flags an ill-conditioned azimuth.
 GIMBAL_EL_TOL = 1e-9
 
 _EYE6 = np.eye(6)
 _EYE6.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class MeasurementTriple:
-    """Azimuth, elevation (rad) and apparent angular size (rad)."""
-
-    az: float
-    el: float
-    beta: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.az, self.el, self.beta])
 
 
 @dataclass(frozen=True)
@@ -66,32 +54,6 @@ class NoiseSpec:
                         self.sigma_beta ** 2])
 
 
-@dataclass(frozen=True)
-class FilterState:
-    """Estimate of the relative state with its 6x6 error covariance."""
-
-    oe_hat: NodalRelativeState
-    P: np.ndarray
-
-
-@dataclass(frozen=True)
-class PredictedMeasurement:
-    """Noiseless measurement prediction with its state Jacobian."""
-
-    y: MeasurementTriple
-    H: np.ndarray
-    gimbal_degenerate: bool
-
-
-@dataclass(frozen=True)
-class EkfUpdate:
-    """Posterior state, innovation (az wrapped), and the chi-square gate flag."""
-
-    state: FilterState
-    innovation: np.ndarray
-    outlier: bool
-
-
 def _angles(x: float, y: float, z: float, d: float,
             ) -> tuple[float, float, float, float, float]:
     """(az, el, beta, rho, rho_RT^2) of an RTN1 relative position (x, y, z):
@@ -105,9 +67,8 @@ def _angles(x: float, y: float, z: float, d: float,
 
 
 def measure(dr: np.ndarray, d: float, noise: NoiseSpec,
-            rng: np.random.Generator) -> MeasurementTriple:
-    """Synthesize a noisy angles-plus-size measurement from an RTN1
-    relative position.
+            rng: np.random.Generator) -> np.ndarray:
+    """Noisy (az, el, beta) of an RTN1 relative position, as a (3,) array.
 
     Raises
     ------
@@ -115,44 +76,47 @@ def measure(dr: np.ndarray, d: float, noise: NoiseSpec,
         If the satellites are co-located.
     """
     az, el, beta, _, _ = _angles(*np.asarray(dr, dtype=float).tolist(), d)
-    return MeasurementTriple(
-        az=az + noise.sigma_az * rng.standard_normal(),
-        el=el + noise.sigma_el * rng.standard_normal(),
-        beta=beta + noise.sigma_beta * rng.standard_normal(),
-    )
+    return np.array([az + noise.sigma_az * rng.standard_normal(),
+                     el + noise.sigma_el * rng.standard_normal(),
+                     beta + noise.sigma_beta * rng.standard_normal()])
 
 
-def predict_measurement(oe: NodalRelativeState, eta: ReferenceParams,
-                        d: float) -> PredictedMeasurement:
-    """Noiseless measurement and its 3x6 Jacobian with respect to the
-    relative state, by the chain rule through the position mapping.
+def predict_measurement(x, eta, d: float,
+                        ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(y, H, gimbal_degenerate): the noiseless (az, el, beta) of state x at
+    reference eta, its 3x6 Jacobian with respect to x by the chain rule
+    through the position mapping, and whether the elevation lies within
+    GIMBAL_EL_TOL of a pole.
 
     Raises
     ------
+    ValueError
+        If x or eta is not valid (see :func:`relstate._checked_state` and
+        :func:`relstate._checked_reference`).
     ZeroRange
         If the predicted separation is zero.
     """
-    *_, (x, y, z), j_oe, _ = _scalar_position(oe, eta, jacobians=True)
-    az, el, beta, rho, rho_rt2 = _angles(x, y, z, d)
+    *_, (rx, ry, rz), j_oe, _ = _scalar_position(
+        *_checked_state(x), *_checked_reference(eta), jacobians=True)
+    az, el, beta, rho, rho_rt2 = _angles(rx, ry, rz, d)
     gimbal = abs(abs(el) - 0.5 * math.pi) < GIMBAL_EL_TOL
 
     # d(az, el, beta)/d(dr); the angle rows vanish on the normal axis
     rho3 = rho ** 3
-    dy_ddr = [(0.0,) * 3, (0.0,) * 3, (-d * x / rho3, -d * y / rho3,
-                                      -d * z / rho3)]
+    dy_ddr = [(0.0,) * 3, (0.0,) * 3, (-d * rx / rho3, -d * ry / rho3,
+                                      -d * rz / rho3)]
     if rho_rt2 > 0.0:
         rho_rt = math.sqrt(rho_rt2)
         zk = rho * rho * rho_rt
-        dy_ddr[:2] = ((-y / rho_rt2, x / rho_rt2, 0.0),
-                      (-z * x / zk, -z * y / zk, 1.0 / rho_rt - z * z / zk))
-    return PredictedMeasurement(y=MeasurementTriple(az=az, el=el, beta=beta),
-                                H=np.array(dy_ddr) @ np.array(j_oe),
-                                gimbal_degenerate=gimbal)
+        dy_ddr[:2] = ((-ry / rho_rt2, rx / rho_rt2, 0.0),
+                      (-rz * rx / zk, -rz * ry / zk,
+                       1.0 / rho_rt - rz * rz / zk))
+    return (np.array([az, el, beta]), np.array(dy_ddr) @ np.array(j_oe),
+            gimbal)
 
 
-def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
-           mu: float,
-           ) -> tuple[NodalRelativeState, np.ndarray, ReferenceParams]:
+def _coast(x, eta, dt: float, mu: float,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, 6x6 state transition matrix Phi and reference after dt
     seconds (see :func:`ekf_propagate`): the mean and the reference are the
     coast kernel's, Phi is assembled here.
@@ -163,10 +127,12 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
     anomaly dnu/dM = (1 + e cos nu)^2 / (1 - e^2)^1.5 and dnu/de = sin nu
     (2 + e cos nu) / (1 - e^2), and n2 scales as ((1 - e2^2) / (1 + dp))^1.5.
     The phi column, (r - 1)/e2 = q, has no division by e2."""
-    pair = _kepler_pair(oe0, eta)
+    _, dp, _, _, hx, hy = state = _checked_state(x)
+    p1, ec, es = _checked_reference(eta)
+    pair = _kepler_pair(*state, p1, ec, es)
     nu10, _, _, nu20, e2, a2, dlambda = pair
     _, nu2t, c, s, dtheta, *dxi_dh, ec, es = _anomaly_sweep(
-        pair, (oe0.dh_x, oe0.dh_y), dt, mu)
+        pair, (hx, hy), dt, mu)
 
     om = 1.0 - e2 * e2
     n2dt = math.sqrt(mu / a2 ** 3) * dt
@@ -179,20 +145,19 @@ def _coast(oe0: NodalRelativeState, eta: ReferenceParams, dt: float,
           / om - 3.0 * gt * n2dt * e2 / om)
     cp, sp = math.cos(nu10 - dlambda), math.sin(nu10 - dlambda)  # phi
 
-    phi = np.array([[r, -1.5 * gt * n2dt / (1.0 + oe0.dp),
+    phi = np.array([[r, -1.5 * gt * n2dt / (1.0 + dp),
                      -sp * q + de * cp, cp * q + de * sp, 0.0, 0.0],
                     [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
                     [0.0, 0.0, c, -s, 0.0, 0.0],
                     [0.0, 0.0, s, c, 0.0, 0.0],
                     [0.0, 0.0, 0.0, 0.0, c, -s],
                     [0.0, 0.0, 0.0, 0.0, s, c]])
-    return (NodalRelativeState(dtheta, oe0.dp, *dxi_dh), phi,
-            ReferenceParams(p1=eta.p1, ec=ec, es=es))
+    return (np.array(_checked_state((dtheta, dp, *dxi_dh))), phi,
+            np.array([p1, ec, es]))
 
 
-def ekf_propagate(fs: FilterState, eta: ReferenceParams, dt: float,
-                  Q: np.ndarray, mu: float,
-                  ) -> tuple[FilterState, ReferenceParams]:
+def ekf_propagate(x, P: np.ndarray, eta, dt: float, Q: np.ndarray,
+                  mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Propagate mean and covariance over dt seconds of coasting.
 
     The mean is the exact unperturbed flow at any dt and eccentricity: dp
@@ -202,36 +167,39 @@ def ekf_propagate(fs: FilterState, eta: ReferenceParams, dt: float,
     two rotation blocks and the analytic partials of dtheta.  The
     covariance update is P <- Phi P Phi^T + Q dt, Q a per-second rate.
 
-    Returns the propagated filter state together with the coasted
-    reference parameters; GeometryError if the recovered e2 is not below 1.
+    Returns (x, P, eta) after dt.  ValueError if dt is not positive or x
+    or eta is not valid (see :func:`relstate._checked_state` and
+    :func:`relstate._checked_reference`); GeometryError if the recovered
+    e2 is not below 1.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    oe_new, phi, eta_new = _coast(fs.oe_hat, eta, dt, mu)
-    p_new = phi @ fs.P @ phi.T + np.asarray(Q, dtype=float) * dt
-    p_new = 0.5 * (p_new + p_new.T)
-    return FilterState(oe_hat=oe_new, P=p_new), eta_new
+    x_new, phi, eta_new = _coast(x, eta, dt, mu)
+    p_new = phi @ P @ phi.T + np.asarray(Q, dtype=float) * dt
+    return x_new, 0.5 * (p_new + p_new.T), eta_new
 
 
-def ekf_update(fs: FilterState, eta: ReferenceParams, z: MeasurementTriple,
-               noise: NoiseSpec, d: float,
-               chi2_gate: Optional[float] = None) -> EkfUpdate:
-    """Standard EKF measurement update with Joseph-form covariance.
+def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
+               chi2_gate: Optional[float] = None,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Standard EKF measurement update with Joseph-form covariance, for the
+    measurement z with noise covariance r_cov (3x3).
 
     The azimuth residual is wrapped to (-pi, pi]; elevation and angular
     size are plain scalars.  When ``chi2_gate`` is given, the innovation
     Mahalanobis distance squared is compared against it and the result is
     flagged (never dropped) if it exceeds the gate.
-    """
-    pred = predict_measurement(fs.oe_hat, eta, d)
-    y = pred.y
-    daz = z.az - y.az
-    innov = np.array([math.atan2(math.sin(daz), math.cos(daz)),
-                      z.el - y.el, z.beta - y.beta])
 
-    r_cov = noise.covariance()
-    h = pred.H
-    hp = h @ fs.P
+    Returns (x, P, innovation, outlier).  ValueError if eta, x or the
+    posterior mean (a nan measurement makes it nan) is not valid (see
+    :func:`relstate._checked_state` and :func:`relstate._checked_reference`).
+    """
+    state = _checked_state(x)
+    y, h, _ = predict_measurement(state, eta, d)
+    innov = np.asarray(z, dtype=float) - y
+    innov[0] = math.atan2(math.sin(innov[0]), math.cos(innov[0]))
+
+    hp = h @ P
     # one LAPACK solve with S for the gain and, when gated, the innovation
     *_, sol, info = dgesv(hp @ h.T + r_cov, hp if chi2_gate is None
                           else np.column_stack((hp, innov)))
@@ -240,10 +208,8 @@ def ekf_update(fs: FilterState, eta: ReferenceParams, z: MeasurementTriple,
     gain = sol[:, :6].T  # S symmetric
     outlier = chi2_gate is not None and float(innov @ sol[:, 6]) > chi2_gate
 
-    x = fs.oe_hat.as_array() + gain @ innov
+    x_new = np.array(state) + gain @ innov
     ikh = _EYE6 - gain @ h
-    p_new = ikh @ fs.P @ ikh.T + gain @ r_cov @ gain.T
-    p_new = 0.5 * (p_new + p_new.T)
-    return EkfUpdate(
-        state=FilterState(oe_hat=NodalRelativeState.from_array(x), P=p_new),
-        innovation=innov, outlier=outlier)
+    p_new = ikh @ P @ ikh.T + gain @ r_cov @ gain.T
+    return (np.array(_checked_state(x_new)), 0.5 * (p_new + p_new.T),
+            innov, outlier)

@@ -31,6 +31,40 @@ from .frames import (
 )
 
 
+def _checked_state(x) -> list:
+    """The six floats of a relative state x with dtheta wrapped to (-pi,
+    pi]: the check of every state, validated or filtered.  A checked state
+    comes back bitwise unchanged.  ValueError unless each entry is finite
+    and dp > -1 (p2 > 0)."""
+    vals = np.asarray(x, dtype=float).tolist()
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"nonfinite relative state {tuple(vals)}")
+    if not vals[1] > -1.0:
+        raise ValueError(f"dp must exceed -1 (p2 > 0), got {vals[1]}")
+    vals[0] = wrap_angle(vals[0])
+    return vals
+
+
+def _checked_reference(eta) -> list:
+    """The three floats (p1, ec, es) of a reference eta: the check of
+    every reference, validated or filtered.  ValueError unless p1 > 0 and
+    ec^2 + es^2 < 1."""
+    p1, ec, es = vals = np.asarray(eta, dtype=float).tolist()
+    if not p1 > 0.0:
+        raise ValueError(f"p1 must be positive, got {p1}")
+    if not ec * ec + es * es < 1.0:
+        raise ValueError("eccentricity phasor magnitude must be < 1")
+    return vals
+
+
+def _reference_anomaly(ec: float, es: float) -> float:
+    """True anomaly nu1 of the reference from its eccentricity phasor; 0
+    by convention when e1 = 0."""
+    if ec == 0.0 and es == 0.0:
+        return 0.0
+    return math.atan2(es, ec)
+
+
 @dataclass(frozen=True)
 class NodalRelativeState:
     """Relative state of satellite 2 with respect to reference satellite 1."""
@@ -43,13 +77,9 @@ class NodalRelativeState:
     dh_y: float
 
     def __post_init__(self):
-        vals = (self.dtheta, self.dp, self.dxi_x, self.dxi_y,
-                self.dh_x, self.dh_y)
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"nonfinite relative state {vals}")
-        if not self.dp > -1.0:
-            raise ValueError(f"dp must exceed -1 (p2 > 0), got {self.dp}")
-        object.__setattr__(self, "dtheta", wrap_angle(self.dtheta))
+        object.__setattr__(self, "dtheta", _checked_state(
+            (self.dtheta, self.dp, self.dxi_x, self.dxi_y, self.dh_x,
+             self.dh_y))[0])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dtheta, self.dp, self.dxi_x, self.dxi_y,
@@ -79,10 +109,7 @@ class ReferenceParams:
     es: float  # e1 * sin(nu1)
 
     def __post_init__(self):
-        if not self.p1 > 0.0:
-            raise ValueError(f"p1 must be positive, got {self.p1}")
-        if not self.ec * self.ec + self.es * self.es < 1.0:
-            raise ValueError("eccentricity phasor magnitude must be < 1")
+        _checked_reference((self.p1, self.ec, self.es))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.p1, self.ec, self.es])
@@ -99,9 +126,7 @@ class ReferenceParams:
     @property
     def nu1(self) -> float:
         """True anomaly of the reference; 0 by convention when e1 = 0."""
-        if self.ec == 0.0 and self.es == 0.0:
-            return 0.0
-        return math.atan2(self.es, self.ec)
+        return _reference_anomaly(self.ec, self.es)
 
     @property
     def r1(self) -> float:
@@ -195,19 +220,27 @@ def oe_from_orientation(el1: ClassicalElements, el2: ClassicalElements,
     )
 
 
-def _kepler_pair(oe: NodalRelativeState, eta: ReferenceParams):
+def _floats(oe: NodalRelativeState, eta: ReferenceParams) -> tuple:
+    """The nine floats (dtheta, dp, dxi_x, dxi_y, dh_x, dh_y, p1, ec, es)
+    of a state and its reference, the arguments of the float kernels."""
+    return (oe.dtheta, oe.dp, oe.dxi_x, oe.dxi_y, oe.dh_x, oe.dh_y,
+            eta.p1, eta.ec, eta.es)
+
+
+def _kepler_pair(dtheta, dp, dxi_x, dxi_y, dh_x, dh_y, p1, ec, es):
     """Kepler timing invariants of both orbits, (nu1, e1, a1, nu2, e2, a2,
-    dlambda), nu2 = nu1 + dtheta - dlambda being satellite 2's true anomaly;
-    see :func:`classical_from_oe`, which raises as this does."""
-    e1, nu1 = eta.e1, eta.nu1
-    e2 = math.hypot(oe.dxi_x + eta.ec, oe.dxi_y + eta.es)
+    dlambda), nu2 = nu1 + dtheta - dlambda being satellite 2's true anomaly,
+    from the nine floats of :func:`_floats` (dh unused); see
+    :func:`classical_from_oe`, which raises as this does."""
+    e1, nu1 = math.hypot(ec, es), _reference_anomaly(ec, es)
+    e2 = math.hypot(dxi_x + ec, dxi_y + es)
     if not e2 < 1.0:
         raise GeometryError(f"recovered eccentricity e2 = {e2} is not < 1")
     dlambda = math.atan2(
-        oe.dxi_x * math.sin(nu1) - oe.dxi_y * math.cos(nu1),
-        oe.dxi_x * math.cos(nu1) + oe.dxi_y * math.sin(nu1) + e1)
-    return (nu1, e1, eta.p1 / (1.0 - e1 * e1), nu1 + oe.dtheta - dlambda,
-            e2, eta.p1 * (1.0 + oe.dp) / (1.0 - e2 * e2), dlambda)
+        dxi_x * math.sin(nu1) - dxi_y * math.cos(nu1),
+        dxi_x * math.cos(nu1) + dxi_y * math.sin(nu1) + e1)
+    return (nu1, e1, p1 / (1.0 - e1 * e1), nu1 + dtheta - dlambda,
+            e2, p1 * (1.0 + dp) / (1.0 - e2 * e2), dlambda)
 
 
 def classical_from_oe(oe: NodalRelativeState, eta: ReferenceParams,
@@ -227,7 +260,7 @@ def classical_from_oe(oe: NodalRelativeState, eta: ReferenceParams,
     GeometryError
         If the recovered e2 is not below 1 (no closed orbit matches).
     """
-    nu1, _, _, _, e2, a2, dlambda = _kepler_pair(oe, eta)
+    nu1, _, _, _, e2, a2, dlambda = _kepler_pair(*_floats(oe, eta))
     dh = oe.dh
     gamma = 2.0 * math.atan(dh)
 
@@ -332,18 +365,18 @@ def _position_kernel(c, s, denom, dp, dxi_x, dxi_y, hx, hy, p1, ec, es,
     return r1, r2, q, (b0, b1, b2), dr, j_oe, j_eta
 
 
-def _scalar_position(oe: NodalRelativeState, eta: ReferenceParams,
+def _scalar_position(dtheta, dp, dxi_x, dxi_y, dh_x, dh_y, p1, ec, es,
                      jacobians: bool = False):
-    """:func:`_position_kernel` on one state; GeometryError if the radius
-    denominator is not positive."""
-    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
-    denom = _radius_denominator(c, s, oe.dxi_x, oe.dxi_y, eta.ec, eta.es)
+    """:func:`_position_kernel` on the nine floats of one state (see
+    :func:`_floats`); GeometryError if the radius denominator is not
+    positive."""
+    c, s = math.cos(dtheta), math.sin(dtheta)
+    denom = _radius_denominator(c, s, dxi_x, dxi_y, ec, es)
     if not denom > 0.0:
         raise GeometryError(
             f"radius denominator {denom} <= 0: state outside elliptic geometry")
-    return _position_kernel(c, s, denom, oe.dp, oe.dxi_x, oe.dxi_y,
-                            oe.dh_x, oe.dh_y, eta.p1, eta.ec, eta.es,
-                            jacobians)
+    return _position_kernel(c, s, denom, dp, dxi_x, dxi_y, dh_x, dh_y,
+                            p1, ec, es, jacobians)
 
 
 def _position_arrays(oe_arr, eta_arr, jacobians: bool = False):
@@ -371,7 +404,7 @@ def relative_position(oe: NodalRelativeState, eta: ReferenceParams,
     GeometryError
         If the radius denominator of satellite 2 is not positive.
     """
-    r1, r2, q, b, dr, _, _ = _scalar_position(oe, eta)
+    r1, r2, q, b, dr, _, _ = _scalar_position(*_floats(oe, eta))
     return RelativePosition(dr=np.array(dr), r1=r1, r2=r2, q=q,
                             b=np.array(b))
 
@@ -438,7 +471,7 @@ def _position_and_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RTN1 position dr = r1*(q*b - [1, 0, 0]) with its 3x6 state Jacobian
     and 3x3 reference Jacobian, from one evaluation of the geometry and b."""
-    *_, dr, j_oe, j_eta = _scalar_position(oe, eta, jacobians=True)
+    *_, dr, j_oe, j_eta = _scalar_position(*_floats(oe, eta), jacobians=True)
     return np.array(dr), np.array(j_oe), np.array(j_eta)
 
 

@@ -21,7 +21,7 @@ from nodalrel import (
     rot_z,
     unperturbed_flow,
 )
-from nodalrel.navigation import FilterState, ekf_propagate
+from nodalrel.navigation import ekf_propagate
 
 
 def pytest_configure(config):
@@ -273,13 +273,14 @@ def recursion_final_range_sigma(cfg, truth) -> float:
     for k in range(n):
         oe_k = NodalRelativeState.from_array(truth.oe[k])
         eta_k = ReferenceParams.from_array(truth.eta[k])
-        h = predict_measurement(oe_k, eta_k, cfg.d).H
+        h = predict_measurement(oe_k.as_array(), eta_k.as_array(),
+                                cfg.d)[1]
         gain = np.linalg.solve(h @ p_cov @ h.T + r_cov, h @ p_cov).T
         ikh = np.eye(6) - gain @ h
         p_cov = ikh @ p_cov @ ikh.T + gain @ r_cov @ gain.T
         if k < n - 1:
-            p_cov = ekf_propagate(FilterState(oe_hat=oe_k, P=p_cov), eta_k,
-                                  cfg.sample_dt, q_rate, cfg.mu)[0].P
+            p_cov = ekf_propagate(oe_k.as_array(), p_cov, eta_k.as_array(),
+                                 cfg.sample_dt, q_rate, cfg.mu)[1]
     j_oe, _ = position_jacobians(oe_k, eta_k)
     grad_rho = (truth.dr[-1] / truth.range_km[-1]) @ j_oe
     return math.sqrt(float(grad_rho @ p_cov @ grad_rho))

@@ -42,7 +42,7 @@ from nodalrel import (
 from nodalrel import conjunction
 from nodalrel.dynamics import _anomaly_sweep, true_to_mean_anomaly
 from nodalrel.missionsim import SCREENING_ROWS, ScenarioConfig, run_flyby
-from nodalrel.relstate import _kepler_pair, _separation
+from nodalrel.relstate import _floats, _kepler_pair, _separation
 
 from conftest import EL1, EL2, random_elements
 
@@ -481,7 +481,7 @@ def coast_distance(oe, eta, t0):
     evaluated it: the coast kernel's anomalies, phase and rotated
     inclination vector, and the half-phase separation, on float or array
     times."""
-    pair = _kepler_pair(oe, eta)
+    pair = _kepler_pair(*_floats(oe, eta))
     p1, p2, e2 = eta.p1, eta.p1 * (1.0 + oe.dp), pair[4]
 
     def distance(t):
@@ -632,8 +632,8 @@ class TestNodeWindowSearch:
         oe, eta = oe_from_classical(el1, el2)
         t0, tf = 100.0, 700.0
         distance = coast_distance(oe, eta, t0)
-        assert conjunction._node_bound(oe, _kepler_pair(oe, eta), distance,
-                                       t0, tf, MU) is None
+        assert conjunction._node_bound(oe, _kepler_pair(*_floats(oe, eta)),
+                                       distance, t0, tf, MU) is None
         ref = reference_c2(oe, eta, t0, tf, MU, 1.0, distance, distance)
         assert c2_check(oe, eta, t0, tf, MU, miss_tol=1.0) == ref
 

@@ -32,7 +32,7 @@ from nodalrel import (
     wrap_angle,
 )
 from nodalrel import dynamics, missionsim
-from nodalrel.relstate import _kepler_pair, oe_from_orientation
+from nodalrel.relstate import _floats, _kepler_pair, oe_from_orientation
 from nodalrel.dynamics import (_nodal_rhs, advance_true_anomaly,
                                mean_to_true_anomaly, true_to_mean_anomaly)
 
@@ -519,7 +519,7 @@ class TestKeplerScalarPath:
                 return _fn(*args)
             monkeypatch.setattr(dynamics, name, counted)
         oe, eta = oe_from_classical(EL1, EL2)
-        pair = _kepler_pair(oe, eta)
+        pair = _kepler_pair(*_floats(oe, eta))
         for t in (100.0, np.array([0.0, 100.0, 1e4])):
             calls.update(_trig=0, advance_true_anomaly=0)
             dynamics._anomaly_sweep(pair, (oe.dh_x, oe.dh_y), t, MU)

@@ -15,6 +15,7 @@ from nodalrel import (
     InfeasibleEncounter,
     NodalRelativeState,
     ReferenceParams,
+    RetrogradeSingularity,
     c1_test,
     c2_check,
     classical_from_oe,
@@ -30,8 +31,7 @@ from nodalrel import (
     zeta_gradient,
 )
 from nodalrel import missionsim as sim
-from nodalrel.navigation import (FilterState, ekf_propagate, ekf_update,
-                                 measure)
+from nodalrel.navigation import ekf_propagate, ekf_update, measure
 from nodalrel.relstate import _position_and_jacobians
 from nodalrel.missionsim import (
     EncounterSpec,
@@ -95,6 +95,20 @@ class TestScenarioConstruction:
                             impact_nu=0.0, transverse_speed=30.0)
         with pytest.raises(InfeasibleEncounter):
             build_collision_scenario(bad, cfg.target, cfg.mu)
+
+    def test_pair_rounding_past_retrograde_bound_rejected(self):
+        # gamma at the retrograde bound that the built elements recover as
+        # 3.1415916535897934 rad, past pi - RETROGRADE_GAMMA_TOL
+        target = ClassicalElements(
+            a=7139.387255183886, e=0.8969783344983191, i=1.5403597713805501,
+            raan=-1.3080877055982967, argp=3.1145335199114106, nu=0.0)
+        spec = EncounterSpec(
+            relative_speed=9.393432824696562, gamma=math.pi - 1e-6,
+            impact_nu=-2.6455710684138616,
+            transverse_speed=3.069616019953031, radial_sign=1.0)
+        with pytest.raises(InfeasibleEncounter) as info:
+            build_collision_scenario(spec, target, MU_EARTH)
+        assert isinstance(info.value.__cause__, RetrogradeSingularity)
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-12, 9.9e-10,
                                        math.pi - 1e-7, math.nan])
@@ -323,15 +337,17 @@ class TestFlybyRun:
 
 def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
     """The filter loop with its diagnostics evaluated one sample at a time
-    from the posterior, inside the step (the slow reference for the
-    blocked pass of ``_run_filter``)."""
+    from the posterior, inside the step, a validated NodalRelativeState and
+    ReferenceParams rebuilt around every update and coast, and R taken from
+    NoiseSpec.covariance() at each step (the slow reference for the array
+    plumbing and the blocked pass of ``_run_filter``)."""
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(cfg.seed, spawn_key=(run_index,))))
     n = truth.t.size
     q_rate = np.diag(cfg.q_diag)
     x0 = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
-    fs = FilterState(oe_hat=NodalRelativeState.from_array(x0),
-                     P=np.diag(cfg.p0_diag))
+    oe_hat = NodalRelativeState.from_array(x0)
+    p_cov = np.diag(cfg.p0_diag)
     eta_k = ReferenceParams.from_array(truth.eta[0])
     out = {name: np.empty((n, 6)) for name in ("oe_hat", "err", "sigma")}
     out.update({name: np.empty(n) for name in (
@@ -341,33 +357,38 @@ def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
 
     for k in range(n):
         z = measure(truth.dr[k], cfg.d, cfg.noise, rng)
-        upd = ekf_update(fs, eta_k, z, cfg.noise, cfg.d,
-                         chi2_gate=cfg.chi2_gate)
-        fs = upd.state
-        out["innovations"][k] = upd.innovation
-        out["outliers"][k] = upd.outlier
+        x, p_cov, innovation, outlier = ekf_update(
+            oe_hat.as_array(), p_cov, eta_k.as_array(), z,
+            cfg.noise.covariance(), cfg.d, chi2_gate=cfg.chi2_gate)
+        oe_hat = NodalRelativeState.from_array(x)
+        out["innovations"][k] = innovation
+        out["outliers"][k] = outlier
 
-        x = fs.oe_hat.as_array()
+        x = oe_hat.as_array()
         out["oe_hat"][k] = x
         e = x - truth.oe[k]
         e[0] = wrap_angle(e[0])
         out["err"][k] = e
-        out["sigma"][k] = np.sqrt(np.maximum(np.diag(fs.P), 0.0))
-        out["nees"][k] = float(e @ np.linalg.solve(fs.P, e))
+        out["sigma"][k] = np.sqrt(np.maximum(np.diag(p_cov), 0.0))
+        out["nees"][k] = float(e @ np.linalg.solve(p_cov, e))
 
-        rel, j_oe, _ = _position_and_jacobians(fs.oe_hat, eta_k)
+        rel, j_oe, _ = _position_and_jacobians(oe_hat, eta_k)
         rho_hat = float(np.linalg.norm(rel))
         out["range_err"][k] = rho_hat - truth.range_km[k]
         grad_rho = (rel / rho_hat) @ j_oe
         out["range_sigma"][k] = math.sqrt(
-            max(float(grad_rho @ fs.P @ grad_rho), 0.0))
+            max(float(grad_rho @ p_cov @ grad_rho), 0.0))
 
-        out["zeta_hat"][k] = zeta(fs.oe_hat, eta_k)
-        gz, _ = zeta_gradient(fs.oe_hat, eta_k)
-        out["zeta_sigma"][k] = math.sqrt(max(float(gz @ fs.P @ gz), 0.0))
+        out["zeta_hat"][k] = zeta(oe_hat, eta_k)
+        gz, _ = zeta_gradient(oe_hat, eta_k)
+        out["zeta_sigma"][k] = math.sqrt(max(float(gz @ p_cov @ gz), 0.0))
 
         if k < n - 1:
-            fs, eta_k = ekf_propagate(fs, eta_k, cfg.sample_dt, q_rate, cfg.mu)
+            x, p_cov, eta = ekf_propagate(oe_hat.as_array(), p_cov,
+                                          eta_k.as_array(), cfg.sample_dt,
+                                          q_rate, cfg.mu)
+            oe_hat = NodalRelativeState.from_array(x)
+            eta_k = ReferenceParams.from_array(eta)
 
     k0 = int(math.ceil(cfg.transient_fraction * n))
     out["detected"] = bool(np.all(np.abs(out["zeta_hat"][k0:])

@@ -6,8 +6,6 @@ import pytest
 from nodalrel import (
     MU_EARTH,
     MU_SUN,
-    FilterState,
-    MeasurementTriple,
     NodalRelativeState,
     NoiseSpec,
     ReferenceParams,
@@ -48,20 +46,21 @@ def default_state():
 
 class TestMeasure:
     def test_radial_target_noiseless(self):
-        z = measure(np.array([5e3, 0.0, 0.0]), 90.0, NOISE, _ZeroRng())
-        assert z.az == 0.0
-        assert z.el == 0.0
-        assert abs(z.beta - 90.0 / 5e3) < 1e-18
+        az, el, beta = measure(np.array([5e3, 0.0, 0.0]), 90.0, NOISE,
+                               _ZeroRng())
+        assert az == 0.0
+        assert el == 0.0
+        assert abs(beta - 90.0 / 5e3) < 1e-18
 
     def test_transverse_target_quarter_azimuth(self):
-        z = measure(np.array([0.0, 7e3, 0.0]), 90.0, NOISE, _ZeroRng())
-        assert abs(z.az - math.pi / 2) < 1e-15
+        az = measure(np.array([0.0, 7e3, 0.0]), 90.0, NOISE, _ZeroRng())[0]
+        assert abs(az - math.pi / 2) < 1e-15
 
     def test_pixel_crossover_scale(self):
         # a 90 km target at 5e6 km subtends about the 0.001 deg noise floor
-        z = measure(np.array([5e6, 0.0, 0.0]), 90.0, NOISE, _ZeroRng())
-        assert abs(z.beta - 1.8e-5) < 1e-12
-        assert abs(z.beta / NOISE.sigma_beta - 1.031) < 0.01
+        beta = measure(np.array([5e6, 0.0, 0.0]), 90.0, NOISE, _ZeroRng())[2]
+        assert abs(beta - 1.8e-5) < 1e-12
+        assert abs(beta / NOISE.sigma_beta - 1.031) < 0.01
 
     def test_zero_range_raises(self):
         with pytest.raises(ZeroRange):
@@ -72,32 +71,28 @@ class TestMeasure:
         z1 = measure(np.array([5e3, 1e3, -2e2]), 90.0, NOISE, rng)
         rng = np.random.default_rng(0)
         z2 = measure(np.array([5e3, 1e3, -2e2]), 90.0, NOISE, rng)
-        assert z1 == z2
+        assert np.array_equal(z1, z2)
 
 
 class TestPredictMeasurement:
     def test_jacobian_matches_finite_differences(self):
         oe, eta = default_state()
-        pred = predict_measurement(oe, eta, 90.0)
+        _, h, _ = predict_measurement(oe.as_array(), eta.as_array(), 90.0)
         x = oe.as_array()
         for col in range(6):
             step = 1e-7
             xp, xm = x.copy(), x.copy()
             xp[col] += step
             xm[col] -= step
-            yp = predict_measurement(
-                NodalRelativeState.from_array(xp), eta, 90.0).y.as_array()
-            ym = predict_measurement(
-                NodalRelativeState.from_array(xm), eta, 90.0).y.as_array()
+            yp = predict_measurement(xp, eta.as_array(), 90.0)[0]
+            ym = predict_measurement(xm, eta.as_array(), 90.0)[0]
             fd = (yp - ym) / (2 * step)
-            scale = max(np.abs(pred.H).max(), 1e-12)
-            assert np.abs(pred.H[:, col] - fd).max() / scale < 1e-6
+            scale = max(np.abs(h).max(), 1e-12)
+            assert np.abs(h[:, col] - fd).max() / scale < 1e-6
 
     def test_zero_range_raises(self):
-        oe = NodalRelativeState(0, 0, 0, 0, 0, 0)
-        eta = ReferenceParams(p1=1e4, ec=0.1, es=0.0)
         with pytest.raises(ZeroRange):
-            predict_measurement(oe, eta, 90.0)
+            predict_measurement(np.zeros(6), [1e4, 0.1, 0.0], 90.0)
 
     def test_beta_decreases_with_range(self):
         oe, eta = default_state()
@@ -107,8 +102,8 @@ class TestPredictMeasurement:
         for k in range(t.size):
             oe_k = NodalRelativeState.from_array(oe_arr[k])
             eta_k = ReferenceParams.from_array(eta_arr[k])
-            pred = predict_measurement(oe_k, eta_k, 90.0)
-            betas.append(pred.y.beta)
+            y, _, _ = predict_measurement(oe_arr[k], eta_arr[k], 90.0)
+            betas.append(y[2])
             ranges.append(np.linalg.norm(relative_position(oe_k, eta_k).dr))
         betas = np.array(betas)
         ranges = np.array(ranges)
@@ -118,64 +113,63 @@ class TestPredictMeasurement:
         # gamma = pi/2 (|dh| = 1) with q = 1/cos(dtheta) puts satellite 2
         # exactly on the RTN1 normal axis, so elevation hits the pole
         dtheta = 0.5
-        oe_polar = NodalRelativeState(dtheta, 1.0 / math.cos(dtheta) - 1.0,
-                                      0.0, 0.0, 1.0, 0.0)
-        eta = ReferenceParams(p1=1e4, ec=0.0, es=0.0)
-        pred = predict_measurement(oe_polar, eta, 90.0)
-        assert abs(abs(pred.y.el) - math.pi / 2) < 1e-9
-        assert pred.gimbal_degenerate
-        oe_benign = NodalRelativeState(0.3, 0.0, 0.0, 0.0, 0.0, 0.3)
-        assert not predict_measurement(oe_benign, eta, 90.0).gimbal_degenerate
+        x_polar = [dtheta, 1.0 / math.cos(dtheta) - 1.0, 0.0, 0.0, 1.0, 0.0]
+        eta = [1e4, 0.0, 0.0]
+        y, _, gimbal = predict_measurement(x_polar, eta, 90.0)
+        assert abs(abs(y[1]) - math.pi / 2) < 1e-9
+        assert gimbal
+        x_benign = [0.3, 0.0, 0.0, 0.0, 0.0, 0.3]
+        assert not predict_measurement(x_benign, eta, 90.0)[2]
 
 
 class TestEkfPropagate:
     def test_zero_error_tracks_truth(self):
         oe, eta = default_state()
-        fs = FilterState(oe_hat=oe, P=np.eye(6) * 1e-8)
         dt = 30.0
         n = 40
-        fs_k, eta_k = fs, eta
+        x_k, p_k, eta_k = oe.as_array(), np.eye(6) * 1e-8, eta.as_array()
         for _ in range(n):
-            fs_k, eta_k = ekf_propagate(fs_k, eta_k, dt, np.zeros((6, 6)), MU)
+            x_k, p_k, eta_k = ekf_propagate(x_k, p_k, eta_k, dt,
+                                            np.zeros((6, 6)), MU)
         oe_true, eta_true = unperturbed_flow(oe, eta, MU, [n * dt])
-        err = fs_k.oe_hat.as_array() - oe_true[0]
+        err = x_k - oe_true[0]
         err[0] = wrap_angle(err[0])
         assert np.abs(err).max() < 1e-10
-        assert np.abs(eta_k.as_array() - eta_true[0]).max() < 1e-6
+        assert np.abs(eta_k - eta_true[0]).max() < 1e-6
 
     def test_covariance_grows_with_process_noise(self):
         oe, eta = default_state()
-        fs = FilterState(oe_hat=oe, P=np.zeros((6, 6)))
         q = np.diag([1e-12] * 6)
-        fs1, _ = ekf_propagate(fs, eta, 100.0, q, MU)
-        assert np.trace(fs1.P) >= 100.0 * 6 * 1e-12 * 0.5
-        assert np.abs(fs1.P - fs1.P.T).max() == 0.0
+        _, p1, _ = ekf_propagate(oe.as_array(), np.zeros((6, 6)),
+                                 eta.as_array(), 100.0, q, MU)
+        assert np.trace(p1) >= 100.0 * 6 * 1e-12 * 0.5
+        assert np.abs(p1 - p1.T).max() == 0.0
 
     def test_transition_rotates_vector_blocks_full_orbit(self):
         # over one reference period the (dxi, dh) blocks of the transition
         # matrix are full 2-pi rotations, i.e. identity
-        oe = NodalRelativeState(0.0, 0.0, 1e-6, 0.0, 1e-6, 0.0)
-        eta = ReferenceParams(p1=1.2e4, ec=0.0, es=0.0)
+        x = [0.0, 0.0, 1e-6, 0.0, 1e-6, 0.0]
+        eta = [1.2e4, 0.0, 0.0]
         period = orbital_period(1.2e4, MU)
         p0 = np.diag([1e-10] * 6)
-        fs = FilterState(oe_hat=oe, P=p0)
-        fs1, _ = ekf_propagate(fs, eta, period, np.zeros((6, 6)), MU)
+        _, p1, _ = ekf_propagate(x, p0, eta, period, np.zeros((6, 6)), MU)
         # the xi and h diagonal blocks must return to their initial values
-        assert np.abs(fs1.P[2:4, 2:4] - p0[2:4, 2:4]).max() < 1e-13
-        assert np.abs(fs1.P[4:6, 4:6] - p0[4:6, 4:6]).max() < 1e-13
+        assert np.abs(p1[2:4, 2:4] - p0[2:4, 2:4]).max() < 1e-13
+        assert np.abs(p1[4:6, 4:6] - p0[4:6, 4:6]).max() < 1e-13
 
     def test_invalid_dt_rejected(self):
         oe, eta = default_state()
-        fs = FilterState(oe_hat=oe, P=np.eye(6))
         with pytest.raises(ValueError):
-            ekf_propagate(fs, eta, 0.0, np.zeros((6, 6)), MU)
+            ekf_propagate(oe.as_array(), np.eye(6), eta.as_array(), 0.0,
+                          np.zeros((6, 6)), MU)
 
 
-def reference_propagate(fs, eta, dt, Q, mu, substeps=1):
+def reference_propagate(oe0, P, eta, dt, Q, mu, substeps=1):
     """Full 6x6 RK4 of Phi' = (df/dx) Phi with f_unperturbed_jacobian over
     `substeps` steps: the reference for ekf_propagate's closed-form mean
-    and transition.  Returns (FilterState, ReferenceParams, Phi)."""
-    oe0 = fs.oe_hat
+    and transition, from the validated state oe0 with covariance P at the
+    reference eta.  Returns (NodalRelativeState, P, ReferenceParams,
+    Phi)."""
     e1 = eta.e1
     nu0 = eta.nu1
     a1 = eta.p1 / (1.0 - e1 * e1)
@@ -230,40 +224,39 @@ def reference_propagate(fs, eta, dt, Q, mu, substeps=1):
         dtheta=dtheta, dp=oe_end.dp,
         dxi_x=oe_end.dxi_x, dxi_y=oe_end.dxi_y,
         dh_x=oe_end.dh_x, dh_y=oe_end.dh_y)
-    p_new = phi @ fs.P @ phi.T + np.asarray(Q, dtype=float) * dt
+    p_new = phi @ P @ phi.T + np.asarray(Q, dtype=float) * dt
     p_new = 0.5 * (p_new + p_new.T)
-    return FilterState(oe_hat=oe_new, P=p_new), eta_new, phi
+    return oe_new, p_new, eta_new, phi
 
 
 def desk_state():
     """Heliocentric desk scenario 20 days before impact, off the truth by
-    the prior's 1-sigma in every component."""
+    the prior's 1-sigma in every component: (state, P, reference, Q)."""
     cfg = ScenarioConfig()
     el1, el2 = scenario_orbits(cfg)
     oe, eta = oe_from_classical(*(kepler_advance(el, cfg.t_start, MU_SUN)
                                   for el in (el1, el2)))
     x = oe.as_array() + np.sqrt(cfg.p0_diag)
-    return (FilterState(oe_hat=NodalRelativeState.from_array(x),
-                        P=np.diag(cfg.p0_diag)),
-            eta, np.diag(cfg.q_diag))
+    return (NodalRelativeState.from_array(x), np.diag(cfg.p0_diag), eta,
+            np.diag(cfg.q_diag))
 
 
-def assert_matches_reference(fs, eta, q, dt, substeps):
+def assert_matches_reference(oe, P, eta, q, dt, substeps):
     """ekf_propagate and _coast's Phi against reference_propagate."""
-    ref_fs, ref_eta, ref_phi = reference_propagate(fs, eta, dt, q, MU_SUN,
-                                                   substeps)
-    new_fs, new_eta = ekf_propagate(fs, eta, dt, q, MU_SUN)
-    _, phi, _ = _coast(fs.oe_hat, eta, dt, MU_SUN)
+    ref_oe, ref_p, ref_eta, ref_phi = reference_propagate(oe, P, eta, dt, q,
+                                                          MU_SUN, substeps)
+    x_new, p_new, eta_new = ekf_propagate(oe.as_array(), P, eta.as_array(),
+                                          dt, q, MU_SUN)
+    _, phi, _ = _coast(oe.as_array(), eta.as_array(), dt, MU_SUN)
 
-    err = new_fs.oe_hat.as_array() - ref_fs.oe_hat.as_array()
+    err = x_new - ref_oe.as_array()
     err[0] = wrap_angle(err[0])
     assert np.abs(err).max() <= 1e-12
-    assert np.abs(new_eta.as_array() - ref_eta.as_array()).max() \
-        <= 1e-12 * eta.p1
+    assert np.abs(eta_new - ref_eta.as_array()).max() <= 1e-12 * eta.p1
     assert np.abs(phi - ref_phi).max() <= 1e-10 * np.abs(ref_phi).max()
     # covariance entries against the reference, scaled per pair
-    scale = np.sqrt(np.outer(np.diag(ref_fs.P), np.diag(ref_fs.P)))
-    assert np.all(np.abs(new_fs.P - ref_fs.P) <= 1e-9 * scale)
+    scale = np.sqrt(np.outer(np.diag(ref_p), np.diag(ref_p)))
+    assert np.all(np.abs(p_new - ref_p) <= 1e-9 * scale)
 
 
 class TestEkfPropagateReference:
@@ -276,41 +269,42 @@ class TestEkfPropagateReference:
         assert_matches_reference(*desk_state(), dt, substeps)
 
     def test_matches_over_one_reference_period(self):
-        fs, eta, q = desk_state()
+        oe, P, eta, q = desk_state()
         period = orbital_period(eta.p1 / (1.0 - eta.e1 ** 2), MU_SUN)
-        assert_matches_reference(fs, eta, q, period, substeps=8000)
+        assert_matches_reference(oe, P, eta, q, period, substeps=8000)
 
     @pytest.mark.parametrize("dt", [600.0, 86400.0])
     def test_circular_satellite2(self, dt):
         # dxi = -(ec, es) puts satellite 2 on a circle: e2 = 0 exactly
-        fs, eta, q = desk_state()
-        x = fs.oe_hat.as_array()
+        oe, P, eta, q = desk_state()
+        x = oe.as_array()
         x[2:4] = -eta.ec, -eta.es
-        fs = FilterState(oe_hat=NodalRelativeState.from_array(x), P=fs.P)
-        assert_matches_reference(fs, eta, q, dt, substeps=64)
+        assert_matches_reference(NodalRelativeState.from_array(x), P, eta, q,
+                                 dt, substeps=64)
 
 
 class TestEkfUpdate:
     def test_uninformative_jacobian_leaves_state(self):
         oe, eta = default_state()
-        fs = FilterState(oe_hat=oe, P=np.diag([1e-8] * 6))
-        z = predict_measurement(oe, eta, 90.0).y
-        upd = ekf_update(fs, eta, z, NOISE, 90.0)
+        x, e = oe.as_array(), eta.as_array()
+        z = predict_measurement(x, e, 90.0)[0]
+        x_post, _, innov, _ = ekf_update(x, np.diag([1e-8] * 6), e, z,
+                                         NOISE.covariance(), 90.0)
         # zero innovation: posterior mean unchanged
-        assert np.abs(upd.innovation).max() < 1e-15
-        assert np.abs(upd.state.oe_hat.as_array() - oe.as_array()).max() < 1e-14
+        assert np.abs(innov).max() < 1e-15
+        assert np.abs(x_post - x).max() < 1e-14
 
     def test_large_prior_consistent_with_measurement(self):
         # diffuse prior: posterior must reproduce the measured directions
         oe, eta = default_state()
+        e = eta.as_array()
         x_wrong = oe.as_array() + np.array([3e-4, -2e-4, 1e-4, 2e-4,
                                             -1e-4, 2e-4])
-        fs = FilterState(oe_hat=NodalRelativeState.from_array(x_wrong),
-                         P=np.diag([1e-2] * 6))
-        z = predict_measurement(oe, eta, 90.0).y  # truth, noiseless
-        upd = ekf_update(fs, eta, z, NOISE, 90.0)
-        y_post = predict_measurement(upd.state.oe_hat, eta, 90.0).y.as_array()
-        resid = z.as_array() - y_post
+        z = predict_measurement(oe.as_array(), e, 90.0)[0]  # truth, noiseless
+        x_post = ekf_update(x_wrong, np.diag([1e-2] * 6), e, z,
+                            NOISE.covariance(), 90.0)[0]
+        y_post = predict_measurement(x_post, e, 90.0)[0]
+        resid = z - y_post
         resid[0] = wrap_angle(resid[0])
         # consistent within a few measurement sigmas in all 3 channels
         assert abs(resid[0]) < 3 * NOISE.sigma_az
@@ -319,59 +313,105 @@ class TestEkfUpdate:
 
     def test_innovation_azimuth_wrapping(self):
         oe, eta = default_state()
-        fs = FilterState(oe_hat=oe, P=np.diag([1e-12] * 6))
-        y = predict_measurement(oe, eta, 90.0).y
-        z = MeasurementTriple(az=y.az + 2 * math.pi, el=y.el, beta=y.beta)
-        upd = ekf_update(fs, eta, z, NOISE, 90.0)
-        assert abs(upd.innovation[0]) < 1e-12
+        x, e = oe.as_array(), eta.as_array()
+        z = predict_measurement(x, e, 90.0)[0] + [2 * math.pi, 0.0, 0.0]
+        innov = ekf_update(x, np.diag([1e-12] * 6), e, z,
+                           NOISE.covariance(), 90.0)[2]
+        assert abs(innov[0]) < 1e-12
 
     def test_covariance_stays_symmetric_psd(self):
         rng = np.random.default_rng(70)
         oe, eta = default_state()
-        fs = FilterState(oe_hat=oe, P=np.diag([1e-8] * 6))
+        x, P, e = oe.as_array(), np.diag([1e-8] * 6), eta.as_array()
         for _ in range(50):
-            z = measure(relative_position(fs.oe_hat, eta).dr, 90.0, NOISE,
-                        rng)
-            upd = ekf_update(fs, eta, z, NOISE, 90.0)
-            fs = upd.state
-            assert np.abs(fs.P - fs.P.T).max() == 0.0
-            assert np.linalg.eigvalsh(fs.P).min() > -1e-18
+            z = measure(relative_position(NodalRelativeState.from_array(x),
+                                          eta).dr, 90.0, NOISE, rng)
+            x, P, _, _ = ekf_update(x, P, e, z, NOISE.covariance(), 90.0)
+            assert np.abs(P - P.T).max() == 0.0
+            assert np.linalg.eigvalsh(P).min() > -1e-18
 
     def test_outlier_gate_flags_not_drops(self):
         oe, eta = default_state()
-        fs = FilterState(oe_hat=oe, P=np.diag([1e-12] * 6))
-        y = predict_measurement(oe, eta, 90.0).y
-        z = MeasurementTriple(az=y.az + 50 * NOISE.sigma_az, el=y.el,
-                              beta=y.beta)
-        upd = ekf_update(fs, eta, z, NOISE, 90.0, chi2_gate=16.27)
-        assert upd.outlier
+        x, e = oe.as_array(), eta.as_array()
+        z = predict_measurement(x, e, 90.0)[0] + [50 * NOISE.sigma_az, 0.0,
+                                                  0.0]
+        x_post, _, _, outlier = ekf_update(x, np.diag([1e-12] * 6), e, z,
+                                           NOISE.covariance(), 90.0,
+                                           chi2_gate=16.27)
+        assert outlier
         # update still applied
-        assert np.abs(upd.state.oe_hat.as_array()
-                      - oe.as_array()).max() > 0.0
+        assert np.abs(x_post - x).max() > 0.0
 
     def test_gate_matches_reference_distance_and_keeps_posterior(self):
         # The flag must match the Mahalanobis distance solved on its own,
         # and a gate must leave the posterior as the ungated update has it.
         rng = np.random.default_rng(71)
         oe, eta = default_state()
-        fs = FilterState(oe_hat=oe, P=np.diag([1e-10] * 6))
-        pred = predict_measurement(oe, eta, 90.0)
-        s_cov = pred.H @ fs.P @ pred.H.T + NOISE.covariance()
+        x, P, e = oe.as_array(), np.diag([1e-10] * 6), eta.as_array()
+        r_cov = NOISE.covariance()
+        y, h, _ = predict_measurement(x, e, 90.0)
+        s_cov = h @ P @ h.T + r_cov
         flags = []
         for _ in range(40):
-            z = MeasurementTriple(
-                *(pred.y.as_array() + rng.normal(scale=3.0, size=3)
-                  * np.array([NOISE.sigma_az, NOISE.sigma_el,
-                              NOISE.sigma_beta])))
-            gated = ekf_update(fs, eta, z, NOISE, 90.0, chi2_gate=7.81)
-            plain = ekf_update(fs, eta, z, NOISE, 90.0)
-            innov = plain.innovation
+            z = y + rng.normal(scale=3.0, size=3) * np.array(
+                [NOISE.sigma_az, NOISE.sigma_el, NOISE.sigma_beta])
+            gated = ekf_update(x, P, e, z, r_cov, 90.0, chi2_gate=7.81)
+            plain = ekf_update(x, P, e, z, r_cov, 90.0)
+            innov = plain[2]
             maha2 = float(innov @ np.linalg.solve(s_cov, innov))
-            assert gated.outlier == (maha2 > 7.81)
-            flags.append(gated.outlier)
-            for a, b in ((gated.state.oe_hat.as_array(),
-                          plain.state.oe_hat.as_array()),
-                         (gated.state.P, plain.state.P)):
+            assert gated[3] == (maha2 > 7.81)
+            flags.append(gated[3])
+            for a, b in zip(gated[:2], plain[:2]):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
         assert any(flags) and not all(flags)
 
+
+class TestStateCheck:
+    """The measurement prediction and the filter step reject, with
+    ValueError, the states that NodalRelativeState rejects: a nonfinite
+    entry or dp <= -1, on entry or as a posterior (which a nan measurement
+    makes nan); and the references that ReferenceParams rejects."""
+
+    def test_nan_measurement_rejected(self):
+        oe, eta = default_state()
+        x, e = oe.as_array(), eta.as_array()
+        for i in range(3):
+            z = predict_measurement(x, e, 90.0)[0]
+            z[i] = math.nan
+            with pytest.raises(ValueError):
+                ekf_update(x, np.diag([1e-8] * 6), e, z, NOISE.covariance(),
+                           90.0)
+
+    @pytest.mark.parametrize("index, value", [(0, math.nan), (3, math.nan),
+                                              (1, -1.0)])
+    def test_invalid_state_rejected(self, index, value):
+        oe, eta = default_state()
+        x, e = oe.as_array(), eta.as_array()
+        z = predict_measurement(x, e, 90.0)[0]
+        x[index] = value
+        with pytest.raises(ValueError):
+            NodalRelativeState.from_array(x)
+        with pytest.raises(ValueError):
+            predict_measurement(x, e, 90.0)
+        with pytest.raises(ValueError):
+            ekf_update(x, np.diag([1e-8] * 6), e, z, NOISE.covariance(), 90.0)
+        with pytest.raises(ValueError):
+            ekf_propagate(x, np.diag([1e-8] * 6), e, 600.0, np.zeros((6, 6)),
+                          MU)
+
+    @pytest.mark.parametrize("eta", [(0.0, 0.1, 0.0), (math.nan, 0.1, 0.0),
+                                     (1e4, 0.8, 0.6), (1e4, math.nan, 0.0)])
+    def test_invalid_reference_rejected(self, eta):
+        oe, eta_ok = default_state()
+        x = oe.as_array()
+        z = predict_measurement(x, eta_ok.as_array(), 90.0)[0]
+        with pytest.raises(ValueError):
+            ReferenceParams(*eta)
+        with pytest.raises(ValueError):
+            predict_measurement(x, eta, 90.0)
+        with pytest.raises(ValueError):
+            ekf_update(x, np.diag([1e-8] * 6), eta, z, NOISE.covariance(),
+                       90.0)
+        with pytest.raises(ValueError):
+            ekf_propagate(x, np.diag([1e-8] * 6), eta, 600.0,
+                          np.zeros((6, 6)), MU)

@@ -43,8 +43,8 @@ from nodalrel.conjunction import (_closing_speed, _node_margin_arrays,
                                   _plane_geometry, _plane_windows)
 from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
 from nodalrel.navigation import _coast
-from nodalrel.relstate import (_kepler_pair, _position_and_jacobians,
-                               _position_arrays)
+from nodalrel.relstate import (_floats, _kepler_pair,
+                               _position_and_jacobians, _position_arrays)
 
 ANGLE = st.floats(-math.pi, math.pi)
 
@@ -179,11 +179,11 @@ def coast_window(pair, fraction):
 def test_coast_transition_row_matches_central_differences(pair, fraction):
     oe, eta = pair
     dt = coast_window(pair, fraction)
-    oe_t, phi, _ = _coast(oe, eta, dt, MU_EARTH)
+    x_t, phi, _ = _coast(oe.as_array(), eta.as_array(), dt, MU_EARTH)
 
     def dtheta_t(x):  # offset, so that no difference crosses the wrap
-        return wrap_angle(_coast(NodalRelativeState.from_array(x), eta, dt,
-                                 MU_EARTH)[0].dtheta - oe_t.dtheta)
+        return wrap_angle(_coast(x, eta.as_array(), dt, MU_EARTH)[0][0]
+                          - x_t[0])
 
     fd = central_differences(dtheta_t, oe.as_array(), np.full(6, 1e-7))
     assert rel_dev(phi[0], fd, np.abs(phi[0]).max()) <= 1e-6
@@ -194,7 +194,7 @@ def kernel_scales(oe, eta):
     s, dtheta, dxi_x, dxi_y, dh_x, dh_y, ec, es): one turn, the size of the
     angles they are computed from, times the output's amplitude (1 for the
     angles and the sweep's cosine and sine, e1 + e2, |dh| and e1)."""
-    e1, e2 = eta.e1, _kepler_pair(oe, eta)[4]
+    e1, e2 = eta.e1, _kepler_pair(*_floats(oe, eta))[4]
     return 2.0 * math.pi * np.array([1.0] * 5 + [e1 + e2] * 2
                                     + [oe.dh] * 2 + [e1] * 2)
 
@@ -206,7 +206,7 @@ def test_coast_kernel_float_and_array_rows_agree(pair, fractions):
     # A float t takes the math path, an array the numpy path (its Newton
     # loop runs until the worst element converges); angles compared wrapped.
     oe, eta = pair
-    kp, dh = _kepler_pair(oe, eta), (oe.dh_x, oe.dh_y)
+    kp, dh = _kepler_pair(*_floats(oe, eta)), (oe.dh_x, oe.dh_y)
     times = [3.0 * orbital_period(kp[2], MU_EARTH) * f for f in fractions]
     rows = np.array(_anomaly_sweep(kp, dh, np.array(times), MU_EARTH)).T
     scales = kernel_scales(oe, eta)
@@ -223,14 +223,14 @@ def test_coast_mean_matches_unperturbed_flow(pair, fraction):
     # array rows do.
     oe, eta = pair
     dt = coast_window(pair, fraction)
-    oe_t, _, eta_t = _coast(oe, eta, dt, MU_EARTH)
+    x_t, _, eta_t = _coast(oe.as_array(), eta.as_array(), dt, MU_EARTH)
     oe_flow, eta_flow = unperturbed_flow(oe, eta, MU_EARTH, [dt])
-    err = oe_t.as_array() - oe_flow[0]
+    err = x_t - oe_flow[0]
     err[0] = wrap_angle(err[0])
     scales = kernel_scales(oe, eta)
     assert np.all(np.abs(err) <= 1e-15 * scales[[4, 4, 5, 6, 7, 8]])
-    assert eta_t.p1 == eta_flow[0, 0]
-    assert np.all(np.abs(eta_t.as_array()[1:] - eta_flow[0, 1:])
+    assert eta_t[0] == eta_flow[0, 0]
+    assert np.all(np.abs(eta_t[1:] - eta_flow[0, 1:])
                   <= 1e-15 * scales[9:])
 
 
@@ -253,18 +253,30 @@ def test_forced_rhs_matches_input_matrices(pair, u):
     assert np.all(np.abs(increment - expected) <= tol)
 
 
+#: share just below 1 rounds reach up to the larger floor r_p sin(gamma),
+#: where no time is excluded and _plane_windows returns None.
+ROUNDED_REACH = ((NodalRelativeState(0.0, 1.125, 0.0, 0.0, math.tan(1.0),
+                                     0.0),
+                  ReferenceParams(p1=7000.0, ec=0.0, es=0.0)),
+                 1.0 - 2.0 ** -53, 1.0, 0.0)
+
+
+@example(*ROUNDED_REACH)
 @given(state_and_reference(), st.floats(1e-3, 1.0, exclude_max=True),
        st.floats(0.05, 2.0), st.floats(-2e6, 2e6))
 def test_plane_windows_hold_every_close_approach(pair, share, revolutions,
                                                  t0):
     # The plane bound of the C2 search is sound: wherever the separation is
-    # below the threshold, the time lies in one of the windows.
+    # below the threshold, the time lies in one of the windows.  None
+    # excludes no time: c2_check then searches all of [t0, tf].
     oe, eta = pair
-    sin_gamma, sats = _plane_geometry(oe, _kepler_pair(oe, eta))
+    sin_gamma, sats = _plane_geometry(oe, _kepler_pair(*_floats(oe, eta)))
     reach = share * sin_gamma * max(a * (1.0 - e) for _, e, a, _ in sats)
     period = min(orbital_period(a, MU_EARTH) for _, _, a, _ in sats)
     tf = t0 + revolutions * period
     windows = _plane_windows(sin_gamma, sats, reach, t0, tf, MU_EARTH)
+    if windows is None:
+        windows = [(t0, tf)]
     t = np.linspace(t0, tf, 4001)
     close = t[separation_distance(
         *unperturbed_flow(oe, eta, MU_EARTH, t - t0)) < reach]
@@ -277,7 +289,7 @@ def test_separation_rate_within_closing_speed(pair, revolutions):
     # The C2 search skips a bracket where this rate bound shows that no
     # time in it can beat the best distance so far.
     oe, eta = pair
-    _, sats = _plane_geometry(oe, _kepler_pair(oe, eta))
+    _, sats = _plane_geometry(oe, _kepler_pair(*_floats(oe, eta)))
     period = min(orbital_period(a, MU_EARTH) for _, _, a, _ in sats)
     t = np.linspace(0.0, revolutions * period, 4001)
     d = separation_distance(*unperturbed_flow(oe, eta, MU_EARTH, t))
