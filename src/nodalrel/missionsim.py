@@ -510,10 +510,10 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
     eta_block = np.empty((_DIAGNOSTIC_BLOCK, 3))
     start = 0
 
+    z = measure(truth.dr, cfg.d, cfg.noise, rng)
     for k in range(n):
-        z = measure(truth.dr[k], cfg.d, cfg.noise, rng)
         x, P, innovations[k], outliers[k] = ekf_update(
-            x, P, eta, z, r_cov, cfg.d, chi2_gate=cfg.chi2_gate)
+            x, P, eta, z[k], r_cov, cfg.d, chi2_gate=cfg.chi2_gate)
         oe_hat[k] = x
         j = k - start
         p_block[j] = P

@@ -68,17 +68,25 @@ def _angles(x: float, y: float, z: float, d: float,
 
 def measure(dr: np.ndarray, d: float, noise: NoiseSpec,
             rng: np.random.Generator) -> np.ndarray:
-    """Noisy (az, el, beta) of an RTN1 relative position, as a (3,) array.
+    """Noisy (az, el, beta) of RTN1 relative positions dr (..., 3), as an
+    array of the same shape.  The noise is one standard-normal draw of that
+    shape, so n rows take the draws of n single-row calls, in row order.
 
     Raises
     ------
+    ValueError
+        If the last axis of dr is not of length 3.
     ZeroRange
-        If the satellites are co-located.
+        If the satellites are co-located in any row.
     """
-    az, el, beta, _, _ = _angles(*np.asarray(dr, dtype=float).tolist(), d)
-    return np.array([az + noise.sigma_az * rng.standard_normal(),
-                     el + noise.sigma_el * rng.standard_normal(),
-                     beta + noise.sigma_beta * rng.standard_normal()])
+    dr = np.asarray(dr, dtype=float)
+    if dr.shape[-1:] != (3,):
+        raise ValueError(f"positions must have shape (..., 3), got {dr.shape}")
+    z = np.empty(dr.shape)
+    for row, pos in zip(z.reshape(-1, 3), dr.reshape(-1, 3)):
+        row[:] = _angles(*pos.tolist(), d)[:3]
+    sigma = np.array([noise.sigma_az, noise.sigma_el, noise.sigma_beta])
+    return z + sigma * rng.standard_normal(dr.shape)
 
 
 def predict_measurement(x, eta, d: float,
@@ -96,30 +104,40 @@ def predict_measurement(x, eta, d: float,
     ZeroRange
         If the predicted separation is zero.
     """
-    *_, (rx, ry, rz), j_oe, _ = _scalar_position(
-        *_checked_state(x), *_checked_reference(eta), jacobians=True)
+    y, h, gimbal = _predict(_checked_state(x), _checked_reference(eta), d)
+    return np.array(y), h, gimbal
+
+
+def _predict(state, ref, d: float) -> tuple[tuple, np.ndarray, bool]:
+    """:func:`predict_measurement` of the checked floats of a state and its
+    reference, with y as a 3-tuple."""
+    *_, (rx, ry, rz), j_oe, _ = _scalar_position(*state, *ref,
+                                                 jacobians=True)
     az, el, beta, rho, rho_rt2 = _angles(rx, ry, rz, d)
     gimbal = abs(abs(el) - 0.5 * math.pi) < GIMBAL_EL_TOL
 
-    # d(az, el, beta)/d(dr); the angle rows vanish on the normal axis
+    # d(az, el, beta)/d(dr), its angle rows vanishing on the normal axis,
+    # and j_oe in one flat array
     rho3 = rho ** 3
-    dy_ddr = [(0.0,) * 3, (0.0,) * 3, (-d * rx / rho3, -d * ry / rho3,
-                                      -d * rz / rho3)]
+    angle_rows = (0.0,) * 6
     if rho_rt2 > 0.0:
         rho_rt = math.sqrt(rho_rt2)
         zk = rho * rho * rho_rt
-        dy_ddr[:2] = ((-ry / rho_rt2, rx / rho_rt2, 0.0),
-                      (-rz * rx / zk, -rz * ry / zk,
-                       1.0 / rho_rt - rz * rz / zk))
-    return (np.array([az, el, beta]), np.array(dy_ddr) @ np.array(j_oe),
+        angle_rows = (-ry / rho_rt2, rx / rho_rt2, 0.0,
+                      -rz * rx / zk, -rz * ry / zk,
+                      1.0 / rho_rt - rz * rz / zk)
+    flat = np.array((*angle_rows, -d * rx / rho3, -d * ry / rho3,
+                     -d * rz / rho3, *j_oe[0], *j_oe[1], *j_oe[2]))
+    return ((az, el, beta), flat[:9].reshape(3, 3) @ flat[9:].reshape(3, 6),
             gimbal)
 
 
-def _coast(x, eta, dt: float, mu: float,
+def _coast(state, ref, dt: float, mu: float,
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, 6x6 state transition matrix Phi and reference after dt
-    seconds (see :func:`ekf_propagate`): the mean and the reference are the
-    coast kernel's, Phi is assembled here.
+    seconds (see :func:`ekf_propagate`) from the checked floats of a state
+    and its reference: the mean and the reference are the coast kernel's,
+    Phi is assembled here.
 
     Phi's row 0 differentiates dtheta_t = dtheta + (nu2t - nu20) - (nu1t -
     nu10) through Kepler timing of satellite 2, whose phasor (dxi_x + ec,
@@ -127,8 +145,8 @@ def _coast(x, eta, dt: float, mu: float,
     anomaly dnu/dM = (1 + e cos nu)^2 / (1 - e^2)^1.5 and dnu/de = sin nu
     (2 + e cos nu) / (1 - e^2), and n2 scales as ((1 - e2^2) / (1 + dp))^1.5.
     The phi column, (r - 1)/e2 = q, has no division by e2."""
-    _, dp, _, _, hx, hy = state = _checked_state(x)
-    p1, ec, es = _checked_reference(eta)
+    _, dp, _, _, hx, hy = state
+    p1, ec, es = ref
     pair = _kepler_pair(*state, p1, ec, es)
     nu10, _, _, nu20, e2, a2, dlambda = pair
     _, nu2t, c, s, dtheta, *dxi_dh, ec, es = _anomaly_sweep(
@@ -145,13 +163,13 @@ def _coast(x, eta, dt: float, mu: float,
           / om - 3.0 * gt * n2dt * e2 / om)
     cp, sp = math.cos(nu10 - dlambda), math.sin(nu10 - dlambda)  # phi
 
-    phi = np.array([[r, -1.5 * gt * n2dt / (1.0 + dp),
-                     -sp * q + de * cp, cp * q + de * sp, 0.0, 0.0],
-                    [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-                    [0.0, 0.0, c, -s, 0.0, 0.0],
-                    [0.0, 0.0, s, c, 0.0, 0.0],
-                    [0.0, 0.0, 0.0, 0.0, c, -s],
-                    [0.0, 0.0, 0.0, 0.0, s, c]])
+    phi = np.array((r, -1.5 * gt * n2dt / (1.0 + dp),
+                    -sp * q + de * cp, cp * q + de * sp, 0.0, 0.0,
+                    0.0, 1.0, 0.0, 0.0, 0.0, 0.0,
+                    0.0, 0.0, c, -s, 0.0, 0.0,
+                    0.0, 0.0, s, c, 0.0, 0.0,
+                    0.0, 0.0, 0.0, 0.0, c, -s,
+                    0.0, 0.0, 0.0, 0.0, s, c)).reshape(6, 6)
     return (np.array(_checked_state((dtheta, dp, *dxi_dh))), phi,
             np.array([p1, ec, es]))
 
@@ -174,7 +192,8 @@ def ekf_propagate(x, P: np.ndarray, eta, dt: float, Q: np.ndarray,
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    x_new, phi, eta_new = _coast(x, eta, dt, mu)
+    x_new, phi, eta_new = _coast(_checked_state(x), _checked_reference(eta),
+                                 dt, mu)
     p_new = phi @ P @ phi.T + np.asarray(Q, dtype=float) * dt
     return x_new, 0.5 * (p_new + p_new.T), eta_new
 
@@ -195,9 +214,11 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
     :func:`relstate._checked_state` and :func:`relstate._checked_reference`).
     """
     state = _checked_state(x)
-    y, h, _ = predict_measurement(state, eta, d)
-    innov = np.asarray(z, dtype=float) - y
-    innov[0] = math.atan2(math.sin(innov[0]), math.cos(innov[0]))
+    (az, el, beta), h, _ = _predict(state, _checked_reference(eta), d)
+    z_az, z_el, z_beta = np.asarray(z, dtype=float).tolist()
+    d_az = z_az - az
+    innov = np.array((math.atan2(math.sin(d_az), math.cos(d_az)),
+                      z_el - el, z_beta - beta))
 
     hp = h @ P
     # one LAPACK solve with S for the gain and, when gated, the innovation

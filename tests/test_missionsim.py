@@ -30,7 +30,7 @@ from nodalrel import (
     zeta,
     zeta_gradient,
 )
-from nodalrel import missionsim as sim
+from nodalrel import missionsim as sim, navigation
 from nodalrel.navigation import ekf_propagate, ekf_update, measure
 from nodalrel.relstate import _position_and_jacobians
 from nodalrel.missionsim import (
@@ -422,6 +422,22 @@ class TestReferenceFilterPath:
                 dev = np.abs(getattr(run, name) - ref[name]) / ref[sigma]
                 assert dev.max() <= 1e-8, name
             assert np.abs(run.nees / ref["nees"] - 1.0).max() <= 1e-10
+
+    def test_states_checked_at_most_four_times_per_step(self, monkeypatch):
+        # Each public entry checks the x and eta it is given once; the
+        # update checks its posterior and the coast its output.
+        calls = {"_checked_state": 0, "_checked_reference": 0}
+        for name in calls:
+            def counted(arg, _name=name, _fn=getattr(navigation, name)):
+                calls[_name] += 1
+                return _fn(arg)
+            monkeypatch.setattr(navigation, name, counted)
+        cfg = small_config()
+        truth = build_truth(cfg)
+        sim._run_filter(cfg, truth, 0)
+        n = truth.t.size
+        assert 0 < calls["_checked_state"] <= 4 * n
+        assert 0 < calls["_checked_reference"] <= 2 * n
 
     def test_nonelliptic_posterior_rejected(self):
         x = np.array([[math.pi, 0.0, 0.9, 0.0, 0.1, 0.0]])

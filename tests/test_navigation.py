@@ -73,6 +73,38 @@ class TestMeasure:
         z2 = measure(np.array([5e3, 1e3, -2e2]), 90.0, NOISE, rng)
         assert np.array_equal(z1, z2)
 
+    def test_single_row_draws_three_normals(self):
+        # A (3,) position adds one standard normal to each angle, in order.
+        dr = np.array([5e3, 1e3, -2e2])
+        rho = math.sqrt(5e3 ** 2 + 1e3 ** 2 + 2e2 ** 2)
+        rng = np.random.default_rng(3)
+        want = np.array([
+            math.atan2(1e3, 5e3) + NOISE.sigma_az * rng.standard_normal(),
+            math.asin(-2e2 / rho) + NOISE.sigma_el * rng.standard_normal(),
+            90.0 / rho + NOISE.sigma_beta * rng.standard_normal()])
+        got = measure(dr, 90.0, NOISE, np.random.default_rng(3))
+        assert got.shape == (3,)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64,
+                                               np.random.Philox])
+    def test_rows_match_single_row_calls(self, bit_generator):
+        dr = np.random.default_rng(1).normal(scale=1e4, size=(7, 3))
+        bulk = measure(dr, 90.0, NOISE, np.random.Generator(bit_generator(5)))
+        rng = np.random.Generator(bit_generator(5))
+        rows = np.array([measure(row, 90.0, NOISE, rng) for row in dr])
+        assert bulk.shape == (7, 3)
+        assert bulk.tobytes() == rows.tobytes()
+
+    def test_co_located_row_raises(self):
+        dr = np.array([[5e3, 1e3, -2e2], [0.0, 0.0, 0.0], [1e3, 0.0, 0.0]])
+        with pytest.raises(ZeroRange):
+            measure(dr, 90.0, NOISE, np.random.default_rng(0))
+
+    def test_last_axis_must_hold_three_components(self):
+        with pytest.raises(ValueError):
+            measure(np.ones((2, 2)), 90.0, NOISE, np.random.default_rng(0))
+
 
 class TestPredictMeasurement:
     def test_jacobian_matches_finite_differences(self):

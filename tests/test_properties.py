@@ -4,8 +4,8 @@ analytic Jacobians and the filter's transition row against central
 differences, the coast kernel's float path against its array path and
 the filter's coast against the unperturbed flow, the propagator's forcing
 against the input matrices, the soundness of the C2 search's plane bound;
-over random element pairs, the nodal round trip; and over random encounter
-specifications, the constructed collision."""
+over random element pairs, the nodal round trip and the soundness of C1;
+and over random encounter specifications, the constructed collision."""
 
 import math
 
@@ -45,6 +45,8 @@ from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
 from nodalrel.navigation import _coast
 from nodalrel.relstate import (_floats, _kepler_pair,
                                _position_and_jacobians, _position_arrays)
+
+from test_conjunction import node_crossing_radii
 
 ANGLE = st.floats(-math.pi, math.pi)
 
@@ -315,6 +317,30 @@ def test_element_round_trip(el1, el2):
     assert abs(rec.gamma - rel.gamma) <= 1e-9
     assert abs(wrap_angle(rec.theta1 - rel.theta1)) <= 1e-9
     assert abs(wrap_angle(rec.theta2 - rel.theta2)) <= 1e-9
+
+
+# The hypothesis form of TestC1Branches.test_separated_pairs_fail_c1:
+# orbits whose radii differ by 1 km or more at both relative-node
+# crossings (by the Cartesian oracle) do not intersect.  Each margin is
+# that crossing's radial gap r2 - r1 scaled by p2 / (r1 r2), so a gap of
+# 1 km puts it far outside node_tol.  gamma stays 1e-3 from coplanar and
+# from retrograde, where the rounding of the relative node (below)
+# outgrows the absolute node_tol.
+@given(ELEMENTS, ELEMENTS)
+def test_separated_node_crossings_fail_c1(el1, el2):
+    try:
+        rel = relative_orientation(el1, el2)
+    except RetrogradeSingularity:
+        rel = None
+    assume(rel is not None and 1e-3 <= rel.gamma <= math.pi - 1e-3)
+    radii = node_crossing_radii(el1, el2)
+    assume(min(abs(r1 - r2) for r1, r2 in radii.values()) >= 1.0)  # km
+    verdict = c1_test(*oe_from_classical(el1, el2))
+    assert not verdict.satisfied
+    for margin, (r1, r2) in ((verdict.margin_ascending, radii["asc"]),
+                             (verdict.margin_descending, radii["desc"])):
+        gap = el2.p * (r2 - r1) / (r1 * r2)
+        assert abs(margin - gap) <= 1e-8 * abs(gap)
 
 
 # gamma stays 1e-4 from coplanar and from retrograde: the relative node
