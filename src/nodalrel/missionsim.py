@@ -166,25 +166,29 @@ class ScenarioConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.t_start < self.t_end <= 0.0:
-            raise ValueError("require t_start < t_end <= 0 (relative to impact)")
-        if not self.sample_dt > 0.0:
-            raise ValueError("sample_dt must be positive")
+        if not -math.inf < self.t_start < self.t_end <= 0.0:
+            raise ValueError("require finite t_start < t_end <= 0")
+        if not 0.0 < self.sample_dt < math.inf:
+            raise ValueError("sample_dt must be finite and > 0")
         if self.truth_mode not in ("kepler", "cowell"):
             raise ValueError(f"unknown truth_mode {self.truth_mode!r}")
         q, p0, frac = self.q_diag, self.p0_diag, self.transient_fraction
         n, gate = self.sample_times().size, self.chi2_gate
         problems = [f"{name} must {what}" for name, ok, what in (
-            ("q_diag", len(q) == 6 and all(v >= 0.0 for v in q),
-             "be 6 rates >= 0"),
-            ("p0_diag", len(p0) == 6 and all(v > 0.0 for v in p0),
-             "be 6 variances > 0"),
-            ("d", self.d > 0.0, "be positive"),
+            ("mu", 0.0 < self.mu < math.inf, "be finite and > 0"),
+            ("q_diag", len(q) == 6 and all(0.0 <= v < math.inf for v in q),
+             "be 6 finite rates >= 0"),
+            ("p0_diag", len(p0) == 6 and all(0.0 < v < math.inf for v in p0),
+             "be 6 finite variances > 0"),
+            ("d", 0.0 < self.d < math.inf, "be finite and > 0"),
+            ("init_perturb_sigma", 0.0 <= self.init_perturb_sigma < math.inf,
+             "be finite and >= 0"),
+            ("miss_tol", math.isfinite(self.miss_tol), "be finite"),
             ("transient_fraction", 0.0 <= frac < 1.0
              and math.ceil(frac * n) < n,
              f"lie in [0, 1) and leave a post-transient sample of {n}"),
             ("jobs", self.jobs >= 1, "be at least 1"),
-            ("rel_tol", self.rel_tol > 0.0, "be positive"),
+            ("rel_tol", 0.0 < self.rel_tol < math.inf, "be finite and > 0"),
             ("chi2_gate", gate is None or gate > 0.0, "be positive"),
         ) if not ok]
         if problems:

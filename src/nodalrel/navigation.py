@@ -14,6 +14,12 @@ perfectly known and advanced alongside.
 The filter works on plain arrays: x is the six state floats (dtheta, dp,
 dxi_x, dxi_y, dh_x, dh_y), P their 6x6 covariance, eta the three reference
 floats (p1, ec, es) and a measurement the three floats (az, el, beta).
+
+Each small product of a step is an ``ndarray.dot`` call: the BLAS routine
+of ``@`` at about half its dispatch cost, which dominates on 6x6.  None
+passes one buffer as both operands (``A.dot(A.T)`` goes to ``syrk``, which
+can round differently from ``gemm``); sums accumulate only into arrays the
+step made.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ class NoiseSpec:
     sigma_beta: float
 
     def __post_init__(self):
-        if not (self.sigma_az > 0 and self.sigma_el > 0 and self.sigma_beta > 0):
-            raise ValueError("noise standard deviations must be positive")
+        bad = [k for k, s in vars(self).items() if not 0.0 < s < math.inf]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite and > 0")
 
     def covariance(self) -> np.ndarray:
         return np.diag([self.sigma_az ** 2, self.sigma_el ** 2,
@@ -128,8 +135,8 @@ def _predict(state, ref, d: float) -> tuple[tuple, np.ndarray, bool]:
                       1.0 / rho_rt - rz * rz / zk)
     flat = np.array((*angle_rows, -d * rx / rho3, -d * ry / rho3,
                      -d * rz / rho3, *j_oe[0], *j_oe[1], *j_oe[2]))
-    return ((az, el, beta), flat[:9].reshape(3, 3) @ flat[9:].reshape(3, 6),
-            gimbal)
+    h = flat[:9].reshape(3, 3).dot(flat[9:].reshape(3, 6))
+    return (az, el, beta), h, gimbal
 
 
 def _coast(state, ref, dt: float, mu: float,
@@ -194,8 +201,11 @@ def ekf_propagate(x, P: np.ndarray, eta, dt: float, Q: np.ndarray,
         raise ValueError("dt must be positive")
     x_new, phi, eta_new = _coast(_checked_state(x), _checked_reference(eta),
                                  dt, mu)
-    p_new = phi @ P @ phi.T + np.asarray(Q, dtype=float) * dt
-    return x_new, 0.5 * (p_new + p_new.T), eta_new
+    p_new = phi.dot(P).dot(phi.T)
+    p_new += np.asarray(Q, dtype=float) * dt
+    p_new += p_new.T
+    p_new *= 0.5
+    return x_new, p_new, eta_new
 
 
 def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
@@ -220,17 +230,24 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
     innov = np.array((math.atan2(math.sin(d_az), math.cos(d_az)),
                       z_el - el, z_beta - beta))
 
-    hp = h @ P
+    hp = h.dot(P)
+    s_cov = hp.dot(h.T)
+    s_cov += r_cov
     # one LAPACK solve with S for the gain and, when gated, the innovation
-    *_, sol, info = dgesv(hp @ h.T + r_cov, hp if chi2_gate is None
+    *_, sol, info = dgesv(s_cov, hp if chi2_gate is None
                           else np.column_stack((hp, innov)))
     if info != 0:
         raise np.linalg.LinAlgError(f"singular innovation covariance ({info})")
-    gain = sol[:, :6].T  # S symmetric
-    outlier = chi2_gate is not None and float(innov @ sol[:, 6]) > chi2_gate
+    gain = sol.T if chi2_gate is None else sol[:, :6].T  # S symmetric
+    outlier = (chi2_gate is not None
+               and float(innov.dot(sol[:, 6])) > chi2_gate)
 
-    x_new = np.array(state) + gain @ innov
-    ikh = _EYE6 - gain @ h
-    p_new = ikh @ P @ ikh.T + gain @ r_cov @ gain.T
-    return (np.array(_checked_state(x_new)), 0.5 * (p_new + p_new.T),
-            innov, outlier)
+    x_new = np.array(state)
+    x_new += gain.dot(innov)
+    ikh = gain.dot(h)
+    np.subtract(_EYE6, ikh, out=ikh)
+    p_new = ikh.dot(P).dot(ikh.T)
+    p_new += gain.dot(r_cov).dot(gain.T)
+    p_new += p_new.T
+    p_new *= 0.5
+    return np.array(_checked_state(x_new)), p_new, innov, outlier

@@ -216,6 +216,8 @@ class TestConfigRoundTrip:
         ("jobs", {"jobs": 0}),
         ("rel_tol", {"rel_tol": 0.0}),
         ("chi2_gate", {"chi2_gate": -1.0}),
+        ("mu", {"mu": 0.0}),
+        ("init_perturb_sigma", {"init_perturb_sigma": -1e-4}),
     ])
     def test_config_that_cannot_run_rejected(self, field, overrides):
         with pytest.raises(ValueError, match=rf"^{field} must"):
@@ -224,6 +226,24 @@ class TestConfigRoundTrip:
         d = {**config_to_dict(ScenarioConfig()),
              **{json_key[name]: value for name, value in overrides.items()}}
         with pytest.raises(ValueError, match=rf"^{field} must"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", [
+        "mu", "d", "q_diag", "p0_diag", "rel_tol", "init_perturb_sigma",
+        "miss_tol", "t_start", "sample_dt", "sigma_az", "sigma_el",
+        "sigma_beta"])
+    def test_nonfinite_field_rejected(self, field, value):
+        # rejected when the config is built, naming the field, not deep in
+        # the truth build or the filter
+        json_key = {name: key for key, (name, _) in
+                    {**sim._SCENARIO_KEYS, **sim._NOISE_KEYS}.items()}[field]
+        d = config_to_dict(ScenarioConfig())
+        if field in ("q_diag", "p0_diag"):
+            d[json_key] = [value] + d[json_key][1:]
+        else:
+            d[json_key] = -value if field == "t_start" else value
+        with pytest.raises(ValueError, match=field):
             config_from_dict(d)
 
     def test_misspelt_key_rejected(self):

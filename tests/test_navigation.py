@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgesv
 
 from nodalrel import (
     MU_EARTH,
@@ -24,8 +26,10 @@ from nodalrel import (
     wrap_angle,
 )
 from nodalrel.dynamics import advance_true_anomaly
-from nodalrel.missionsim import scenario_orbits
-from nodalrel.navigation import _coast
+from nodalrel.missionsim import build_truth, scenario_orbits
+from nodalrel.navigation import GIMBAL_EL_TOL, _EYE6, _angles, _coast
+from nodalrel.relstate import (_checked_reference, _checked_state,
+                               _scalar_position)
 
 from conftest import EL1, EL2
 
@@ -447,3 +451,133 @@ class TestStateCheck:
         with pytest.raises(ValueError):
             ekf_propagate(x, np.diag([1e-8] * 6), eta, 600.0,
                           np.zeros((6, 6)), MU)
+
+
+# The filter step in the ``@`` operator form, one product per operator and
+# out-of-place sums: the reference that navigation's step, with
+# ndarray.dot products and in-place sums, must match bit for bit.
+
+def reference_predict(state, ref, d: float) -> tuple[tuple, np.ndarray, bool]:
+    """:func:`predict_measurement` of the checked floats of a state and its
+    reference, with y as a 3-tuple."""
+    *_, (rx, ry, rz), j_oe, _ = _scalar_position(*state, *ref,
+                                                 jacobians=True)
+    az, el, beta, rho, rho_rt2 = _angles(rx, ry, rz, d)
+    gimbal = abs(abs(el) - 0.5 * math.pi) < GIMBAL_EL_TOL
+
+    # d(az, el, beta)/d(dr), its angle rows vanishing on the normal axis,
+    # and j_oe in one flat array
+    rho3 = rho ** 3
+    angle_rows = (0.0,) * 6
+    if rho_rt2 > 0.0:
+        rho_rt = math.sqrt(rho_rt2)
+        zk = rho * rho * rho_rt
+        angle_rows = (-ry / rho_rt2, rx / rho_rt2, 0.0,
+                      -rz * rx / zk, -rz * ry / zk,
+                      1.0 / rho_rt - rz * rz / zk)
+    flat = np.array((*angle_rows, -d * rx / rho3, -d * ry / rho3,
+                     -d * rz / rho3, *j_oe[0], *j_oe[1], *j_oe[2]))
+    return ((az, el, beta), flat[:9].reshape(3, 3) @ flat[9:].reshape(3, 6),
+            gimbal)
+
+
+def reference_ekf_propagate(x, P, eta, dt, Q, mu):
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    x_new, phi, eta_new = _coast(_checked_state(x), _checked_reference(eta),
+                                 dt, mu)
+    p_new = phi @ P @ phi.T + np.asarray(Q, dtype=float) * dt
+    return x_new, 0.5 * (p_new + p_new.T), eta_new
+
+
+def reference_ekf_update(x, P, eta, z, r_cov, d, chi2_gate=None):
+    state = _checked_state(x)
+    (az, el, beta), h, _ = reference_predict(state, _checked_reference(eta),
+                                             d)
+    z_az, z_el, z_beta = np.asarray(z, dtype=float).tolist()
+    d_az = z_az - az
+    innov = np.array((math.atan2(math.sin(d_az), math.cos(d_az)),
+                      z_el - el, z_beta - beta))
+
+    hp = h @ P
+    # one LAPACK solve with S for the gain and, when gated, the innovation
+    *_, sol, info = dgesv(hp @ h.T + r_cov, hp if chi2_gate is None
+                          else np.column_stack((hp, innov)))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular innovation covariance ({info})")
+    gain = sol[:, :6].T  # S symmetric
+    outlier = chi2_gate is not None and float(innov @ sol[:, 6]) > chi2_gate
+
+    x_new = np.array(state) + gain @ innov
+    ikh = _EYE6 - gain @ h
+    p_new = ikh @ P @ ikh.T + gain @ r_cov @ gain.T
+    return (np.array(_checked_state(x_new)), 0.5 * (p_new + p_new.T),
+            innov, outlier)
+
+
+class TestStepMatchesReference:
+    """The filter step is the reference step, bit for bit, over a chain of
+    desk steps: each chain carries its own state, so a difference in any
+    last digit shows at the step where it arises and stays."""
+
+    @pytest.mark.parametrize("chi2_gate", [None, 7.81])
+    def test_desk_chain_bitwise(self, chi2_gate):
+        # the first 320 desk samples at 600 s, started as a run is
+        cfg = replace(ScenarioConfig(), sample_dt=600.0)
+        truth = build_truth(cfg)
+        rng = np.random.default_rng(15)
+        z = measure(truth.dr[:320], cfg.d, cfg.noise, rng)
+        x = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
+        P, eta = np.diag(cfg.p0_diag), truth.eta[0]
+        r_cov, q = cfg.noise.covariance(), np.diag(cfg.q_diag)
+        xr, pr, etar = x, P, eta
+        flags = []
+        for k, zk in enumerate(z):
+            x, P, innov, outlier = ekf_update(x, P, eta, zk, r_cov, cfg.d,
+                                              chi2_gate)
+            xr, pr, innov_r, outlier_r = reference_ekf_update(
+                xr, pr, etar, zk, r_cov, cfg.d, chi2_gate)
+            for got, want in ((x, xr), (P, pr), (innov, innov_r)):
+                assert np.array_equal(got, want), k
+            assert outlier == outlier_r
+            flags.append(outlier)
+            x, P, eta = ekf_propagate(x, P, eta, cfg.sample_dt, q, cfg.mu)
+            xr, pr, etar = reference_ekf_propagate(xr, pr, etar,
+                                                   cfg.sample_dt, q, cfg.mu)
+            for got, want in ((x, xr), (P, pr), (eta, etar)):
+                assert np.array_equal(got, want), k
+        assert any(flags) == (chi2_gate is not None)
+
+
+class TestStepAliasing:
+    """A step writes into no array it is given, and returns arrays that
+    share no memory with its inputs or with the shared identity: its
+    in-place sums run on arrays it made itself."""
+
+    @pytest.mark.parametrize("step", [
+        lambda x, P, eta, z, r_cov, Q: ekf_update(x, P, eta, z, r_cov, 90.0),
+        lambda x, P, eta, z, r_cov, Q: ekf_update(x, P, eta, z, r_cov, 90.0,
+                                                  chi2_gate=7.81),
+        lambda x, P, eta, z, r_cov, Q: ekf_propagate(x, P, eta, 600.0, Q, MU),
+    ], ids=["update", "update_gated", "propagate"])
+    def test_inputs_untouched_and_outputs_fresh(self, step):
+        # a full (not diagonal) covariance, so that every product carries
+        # data, and an innovation of 3 sigma per channel
+        oe, eta = default_state()
+        x, e = oe.as_array(), eta.as_array()
+        m = np.random.default_rng(16).standard_normal((6, 6))
+        z = predict_measurement(x, e, 90.0)[0] + 3.0 * np.array(
+            [NOISE.sigma_az, -NOISE.sigma_el, NOISE.sigma_beta])
+        inputs = dict(x=x, P=1e-9 * (m @ m.T + np.eye(6)), eta=e, z=z,
+                      r_cov=NOISE.covariance(),
+                      Q=np.diag([1e-16, 1e-20, 1e-20, 1e-20, 1e-20, 1e-20]))
+        before = {name: a.copy() for name, a in inputs.items()}
+        out = step(**inputs)
+        for name, a in inputs.items():
+            assert a.tobytes() == before[name].tobytes(), name
+        assert np.array_equal(_EYE6, np.eye(6))
+        for got in out:
+            if isinstance(got, np.ndarray):
+                for a in (*inputs.values(), _EYE6):
+                    assert not np.shares_memory(got, a)
+        assert np.array_equal(out[1], out[1].T)
