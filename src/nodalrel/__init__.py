@@ -21,7 +21,6 @@ from .errors import (
 from .frames import (
     ClassicalElements,
     RelativeOrientation,
-    dcm_rtn2_to_rtn1,
     pci_to_pqw,
     relative_orientation,
     rot_x,
@@ -29,14 +28,11 @@ from .frames import (
     wrap_angle,
 )
 from .relstate import (
-    EccIncVectors,
     NodalRelativeState,
     RecoveredInvariants,
     ReferenceParams,
     RelativePosition,
     classical_from_oe,
-    ecc_inc_vectors,
-    haversine_psi,
     oe_from_classical,
     position_jacobians,
     relative_position,
@@ -52,15 +48,10 @@ from .dynamics import (
     cartesian_to_elements,
     cowell_propagate,
     elements_to_cartesian,
-    f_eta,
-    f_unperturbed,
-    f_unperturbed_jacobian,
     input_matrices,
     kepler_advance,
     orbital_period,
-    perturbed_derivative,
     propagate,
-    relative_velocity,
     rtn_basis,
     unperturbed_flow,
 )
@@ -72,7 +63,6 @@ from .conjunction import (
     c2_check,
     plan_avoidance,
     zeta,
-    zeta_descending,
     zeta_gradient,
 )
 from .navigation import (

@@ -136,14 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nodal-element relative motion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True, mu=True):
-        p.add_argument("--out", type=str, default=None,
-                       help="output directory for CSV/JSON artifacts")
+    def common(p, scenario=True, mu=True, writes=True):
+        if writes:
+            p.add_argument("--out", type=str, default=None,
+                           help="output directory for CSV/JSON artifacts")
+            p.add_argument("--tol", type=float, default=None,
+                           help="integrator relative tolerance")
         if mu:
             p.add_argument("--mu", type=float, default=None,
                            help="gravitational parameter, km^3/s^2")
-        p.add_argument("--tol", type=float, default=None,
-                       help="integrator relative tolerance")
         if scenario:
             p.add_argument("--config", type=str, default=None,
                            help="JSON scenario config")
@@ -157,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, scenario=False, mu=False)  # the validation pair fixes mu
     p.set_defaults(func=_cmd_validate)
 
-    def orbit_pair(p):
-        common(p, scenario=False)
+    def orbit_pair(p, writes=True):
+        common(p, scenario=False, writes=writes)
         for flag in ("--orbit1", "--orbit2"):
             p.add_argument(flag, type=float, nargs=6, required=True,
                            metavar=("a_km", "e", "i_deg", "raan_deg",
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("screen", help="C1/zeta screening for an orbit pair")
-    orbit_pair(p)
+    orbit_pair(p, writes=False)  # prints its report and integrates nothing
     p.add_argument("--tf", type=float, default=None,
                    help="also run the C2 check over [0, tf] s")
     p.add_argument("--miss-tol", type=float, default=1.0,

@@ -198,12 +198,6 @@ def zeta(oe: NodalRelativeState, eta: ReferenceParams) -> float:
     return _node_margins(oe, eta)[0]
 
 
-def zeta_descending(oe: NodalRelativeState, eta: ReferenceParams) -> float:
-    """Descending-node analogue of :func:`zeta` (same margins, opposite
-    crossing)."""
-    return _node_margins(oe, eta)[1]
-
-
 def zeta_gradient(oe: NodalRelativeState, eta: ReferenceParams,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic partials of zeta with respect to the relative state
@@ -249,6 +243,9 @@ def plan_avoidance(oe: NodalRelativeState, eta: ReferenceParams,
 
 #: Relative slack on the plane bound's distance threshold.
 PLANE_BOUND_SLACK = 1e-12
+
+#: Relative tolerance of the forced C2 search's DOP853 solve.
+C2_RTOL = 1e-12
 
 #: Rounding allowance of the plane bound, in units of eps: on distances
 #: (times the larger apoapsis radius) and on Kepler-timed window ends
@@ -457,7 +454,7 @@ def _node_window_minimum(distance, t_grid, cand: list, windows: list,
 def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
              t0: float, tf: float, mu: float, miss_tol: float,
              u: Optional[Callable[[float], PerturbationInput]] = None,
-             rtol: float = 1e-12) -> C2Result:
+             ) -> C2Result:
     """Search the window [t0, tf] for an actual close approach.
 
     The window grid has one sample per 1/200 of the shorter orbital period,
@@ -499,10 +496,10 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
       which is the result without the bound, bit for bit.
 
     With ``u`` the planes move, so the window grid is searched whole: the
-    window is integrated once (DOP853 at tolerance rtol), the samples are
-    that solve's outputs at the grid times, and the refinement evaluates
-    its dense interpolant in float arithmetic, so the objective and the
-    grid come from one source.
+    window is integrated once (DOP853 at relative tolerance C2_RTOL), the
+    samples are that solve's outputs at the grid times, and the refinement
+    evaluates its dense interpolant in float arithmetic, so the objective
+    and the grid come from one source.
 
     Raises
     ------
@@ -536,7 +533,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
         else:
             t_best, d_best = _node_window_minimum(distance, t_grid, *bound)
     else:
-        sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_grid,
+        sol = _solve_nodal(oe, eta, t0, tf, mu, u, C2_RTOL, t_grid,
                            dense_output=True)
 
         def distance(t):

@@ -1,8 +1,8 @@
 """Exact time evolution of the nodal relative state and reference
 parameters: unperturbed vector fields and their analytic sub-solutions,
-input matrices for perturbing RTN accelerations, the RTN1 relative
-velocity, adaptive propagation, and an independent Cowell (inertial
-two-body) oracle with standard element conversions.
+input matrices for perturbing RTN accelerations, adaptive propagation,
+and an independent Cowell (inertial two-body) oracle with standard
+element conversions.
 
 Keplerian motion is advanced in closed form by Kepler timing of both
 orbits (:func:`_anomaly_sweep`, the one coast kernel of the truth, the
@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from .errors import GeometryError, StepFailure
 from .frames import ClassicalElements, pci_to_pqw, wrap_angle
 from .relstate import (NodalRelativeState, ReferenceParams, _floats,
-                       _kepler_pair, _radius_denominator, position_jacobians)
+                       _kepler_pair, _radius_denominator)
 
 #: Eccentricity below which an orbit is treated as circular when extracting
 #: elements from a Cartesian state (argp = 0, phase folded into nu).
@@ -276,67 +276,20 @@ def cartesian_to_elements(state: CartesianState, mu: float,
 
 # --- Unperturbed vector fields ---
 
-def _dtheta_rate(k, c, s, dxi_x, dxi_y, ec, es, opd, opd15, gradient=False):
-    """Rate k [D^2 / opd15 - (1 + ec)^2] of dtheta, k = sqrt(mu / p1^3),
-    D the radius denominator at phase dtheta (cos c, sin s), opd = 1 + dp,
-    opd15 = opd^1.5; with ``gradient`` also its partials in (dtheta, dp,
-    dxi_x, dxi_y), else None.  Arithmetic only: floats and arrays share it.
-    """
-    denom = _radius_denominator(c, s, dxi_x, dxi_y, ec, es)
-    rate = k * (denom * denom / opd15 - (1.0 + ec) * (1.0 + ec))
-    if not gradient:
-        return rate, None
-    kd = 2.0 * k * denom / opd15
-    return rate, (kd * (-(dxi_x + ec) * s - (dxi_y + es) * c),
-                  -1.5 * k * denom * denom / (opd15 * opd), kd * c, -kd * s)
-
-
 def _unperturbed_rates(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu):
     """Keplerian derivative of the six relative states and of (p1, ec, es),
-    as a 9-tuple, from the nine components as floats."""
+    as a 9-tuple, from the nine components as floats: dtheta moves at the
+    anomaly-rate mismatch k [D^2 / (1 + dp)^1.5 - (1 + ec)^2], k =
+    sqrt(mu / p1^3) and D the radius denominator, dp and p1 are constant,
+    and both eccentricity phasors and the inclination vector rotate at the
+    reference anomaly rate."""
     k = math.sqrt(mu / p1 ** 3)
     nudot = k * (1.0 + ec) ** 2
-    return (_dtheta_rate(k, math.cos(dtheta), math.sin(dtheta), dxx, dxy,
-                         ec, es, 1.0 + dp, (1.0 + dp) ** 1.5)[0], 0.0,
-            -nudot * dxy, nudot * dxx, -nudot * hy, nudot * hx,
+    denom = _radius_denominator(math.cos(dtheta), math.sin(dtheta), dxx, dxy,
+                                ec, es)
+    return (k * (denom * denom / (1.0 + dp) ** 1.5 - (1.0 + ec) * (1.0 + ec)),
+            0.0, -nudot * dxy, nudot * dxx, -nudot * hy, nudot * hx,
             0.0, -nudot * es, nudot * ec)
-
-
-def f_unperturbed(oe: NodalRelativeState, eta: ReferenceParams,
-                  mu: float) -> np.ndarray:
-    """Exact Keplerian derivative of the six relative states.
-
-    dp is constant; the eccentricity/inclination pairs rotate at the
-    reference anomaly rate; dtheta evolves with the anomaly-rate mismatch
-    of the two orbits.
-    """
-    return perturbed_derivative(oe, eta, None, mu)[0]
-
-
-def f_eta(eta: ReferenceParams, mu: float) -> np.ndarray:
-    """Unperturbed derivative of (p1, e1 cos nu1, e1 sin nu1): p1 is constant
-    and the eccentricity phasor rotates at the anomaly rate.  It does not
-    depend on the relative state, taken here as zero."""
-    return np.array(_unperturbed_rates(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, eta.p1,
-                                       eta.ec, eta.es, mu)[6:])
-
-
-def f_unperturbed_jacobian(oe: NodalRelativeState, eta: ReferenceParams,
-                           mu: float) -> np.ndarray:
-    """Analytic Jacobian of :func:`f_unperturbed` with respect to the
-    relative state (used for covariance transition in the filter)."""
-    k = math.sqrt(mu / eta.p1 ** 3)
-    opd = 1.0 + oe.dp
-    _, grad = _dtheta_rate(k, math.cos(oe.dtheta), math.sin(oe.dtheta),
-                           oe.dxi_x, oe.dxi_y, eta.ec, eta.es, opd,
-                           opd ** 1.5, gradient=True)
-    nudot = k * (1.0 + eta.ec) ** 2
-
-    jac = np.zeros((6, 6))
-    jac[0, :4] = grad
-    jac[[2, 4], [3, 5]] = -nudot  # the two rotations at the anomaly rate
-    jac[[3, 5], [2, 4]] = nudot
-    return jac
 
 
 def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
@@ -425,25 +378,6 @@ def input_matrices(oe: NodalRelativeState, eta: ReferenceParams, mu: float,
     by_u1 = np.array([_forcing(*y, e, zero) for e in unit]).T
     by_u2 = np.array([_forcing(*y, zero, e) for e in unit]).T
     return -by_u1[:6], by_u2[:6], by_u1[6:]
-
-
-def perturbed_derivative(oe: NodalRelativeState, eta: ReferenceParams,
-                         u: Optional[PerturbationInput], mu: float,
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Full derivative of (oe, eta) under perturbing RTN accelerations: the
-    propagator's right-hand side with the input held at u."""
-    dy = _nodal_rhs(0.0, np.concatenate([oe.as_array(), eta.as_array()]),
-                    None if u is None else lambda t: u, mu)
-    return dy[:6], dy[6:]
-
-
-def relative_velocity(oe: NodalRelativeState, eta: ReferenceParams,
-                      mu: float) -> np.ndarray:
-    """Time derivative of the RTN1 relative position under unperturbed
-    motion, by the chain rule through the analytic position Jacobians."""
-    doe, deta = perturbed_derivative(oe, eta, None, mu)
-    j_oe, j_eta = position_jacobians(oe, eta)
-    return j_oe @ doe + j_eta @ deta
 
 
 # --- Propagation ---

@@ -190,8 +190,3 @@ def relative_orientation(el1: ClassicalElements,
         coplanar=coplanar,
     )
 
-
-def dcm_rtn2_to_rtn1(theta1: float, gamma: float, theta2: float) -> np.ndarray:
-    """Minimal rotation sequence taking RTN2 coordinates to RTN1:
-    rot_z(theta1) @ rot_x(-gamma) @ rot_z(-theta2)."""
-    return rot_z(theta1) @ rot_x(-gamma) @ rot_z(-theta2)

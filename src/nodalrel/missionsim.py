@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -138,7 +139,8 @@ class ScenarioConfig:
     impact anomaly when ``encounter`` is given); satellite 1 either comes
     from ``reference`` or is solved by :func:`build_collision_scenario`.
     ``q_diag`` is a per-second process-noise rate; ``p0_diag`` the initial
-    covariance diagonal.  Times are seconds relative to impact.  A config
+    covariance diagonal.  ``miss_tol`` (km) decides the screening report's
+    ``collides`` column.  Times are seconds relative to impact.  A config
     that cannot run raises ValueError at construction, naming each bad
     field.
     """
@@ -184,6 +186,9 @@ class ScenarioConfig:
             ("init_perturb_sigma", 0.0 <= self.init_perturb_sigma < math.inf,
              "be finite and >= 0"),
             ("miss_tol", math.isfinite(self.miss_tol), "be finite"),
+            ("seed", isinstance(self.seed, numbers.Integral)
+             and not isinstance(self.seed, bool) and self.seed >= 0,
+             "be an integer >= 0"),
             ("transient_fraction", 0.0 <= frac < 1.0
              and math.ceil(frac * n) < n,
              f"lie in [0, 1) and leave a post-transient sample of {n}"),
@@ -861,14 +866,15 @@ def write_filter_csv(path: str, run: FlybyRun) -> None:
 def write_screening_csv(path: str, cfg: ScenarioConfig,
                         truth: TruthTrajectory, run: FlybyRun) -> None:
     """Screening report along the estimate: safety margin with its band,
-    branch margins, and a minimum-distance estimate over the remaining
-    window."""
+    branch margins, a minimum-distance estimate over the remaining window,
+    and C2's verdict on it (``collides``, 1 when d_min_est <= miss_tol)."""
     n = truth.t.size
     idx = np.arange(0, n, max(1, n // SCREENING_ROWS))
     t_hi = -cfg.t_end
 
     rows = {"t": [], "zeta": [], "zeta_3sigma": [], "margin_coplanar": [],
-            "margin_ascending": [], "margin_descending": [], "d_min_est": []}
+            "margin_ascending": [], "margin_descending": [], "d_min_est": [],
+            "collides": []}
     for k in idx:
         oe_k = NodalRelativeState.from_array(run.oe_hat[k])
         eta_k = ReferenceParams.from_array(truth.eta[k])
@@ -882,5 +888,6 @@ def write_screening_csv(path: str, cfg: ScenarioConfig,
         rows["margin_ascending"].append(verdict.margin_ascending)
         rows["margin_descending"].append(verdict.margin_descending)
         rows["d_min_est"].append(c2.d_min)
+        rows["collides"].append(c2.collides)
     header = list(rows.keys())
     _write_csv(path, header, [np.asarray(rows[h]) for h in header])

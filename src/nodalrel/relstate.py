@@ -1,6 +1,6 @@
 """The six-state nodal relative parametrization, its inverse invariant
-recovery, relative eccentricity/inclination vectors, and the exact mapping
-to local (RTN1) position with its Jacobians.
+recovery, and the exact mapping to local (RTN1) position with its
+Jacobians.
 
 State conventions, with satellite 1 as the reference:
 
@@ -135,24 +135,6 @@ class ReferenceParams:
 
 
 @dataclass(frozen=True)
-class EccIncVectors:
-    """Relative eccentricity/inclination vectors in the node-aligned frame.
-
-    ``de`` and ``di`` are expressed in a planar frame whose X axis points
-    along the relative line of nodes.  ``dphi`` is the phase angle between
-    the inclination and eccentricity vectors; ``dphi_defined`` is False when
-    either vector vanishes (the phase is then meaningless and dphi is nan).
-    """
-
-    de: np.ndarray
-    di: np.ndarray
-    dxi_mag: float
-    dh_mag: float
-    dphi: float
-    dphi_defined: bool
-
-
-@dataclass(frozen=True)
 class RelativePosition:
     """Output of the state-to-position mapping.
 
@@ -277,36 +259,6 @@ def classical_from_oe(oe: NodalRelativeState, eta: ReferenceParams,
         a2=a2, e2=e2, gamma=gamma, dlambda=dlambda,
         lambda1=lambda1, lambda2=lambda2, theta1=theta1, theta2=theta2,
         dtheta=oe.dtheta, theta1_degenerate=degenerate)
-
-
-def ecc_inc_vectors(oe: NodalRelativeState, eta: ReferenceParams,
-                    ) -> EccIncVectors:
-    """Relative eccentricity/inclination vectors, magnitudes, and phase.
-
-    The state components (dxi_x, dxi_y) and (dh_x, dh_y) are the node-frame
-    vectors rotated by theta1 (with the eccentricity Y component reflected),
-    so the magnitudes transfer directly and the node-frame vectors follow by
-    back-rotation.  When |dh| = 0 the node direction is unknown and de is
-    reported in the theta1 = 0 convention.
-    """
-    dxi_mag = oe.dxi
-    dh_mag = oe.dh
-    if dh_mag > 0.0:
-        theta1 = math.atan2(oe.dh_y, oe.dh_x)
-        c, s = math.cos(theta1), math.sin(theta1)
-        ex = c * oe.dxi_x + s * oe.dxi_y
-        ey = -(-s * oe.dxi_x + c * oe.dxi_y)
-        de = np.array([ex, ey])
-        di = np.array([dh_mag, 0.0])
-    else:
-        de = np.array([oe.dxi_x, -oe.dxi_y])
-        di = np.array([0.0, 0.0])
-
-    defined = dxi_mag > 0.0 and dh_mag > 0.0
-    dphi = (wrap_angle(theta1 - math.atan2(oe.dxi_y, oe.dxi_x)) if defined
-            else math.nan)
-    return EccIncVectors(de=de, di=di, dxi_mag=dxi_mag, dh_mag=dh_mag,
-                         dphi=dphi, dphi_defined=defined)
 
 
 def _radius_denominator(c, s, dxi_x, dxi_y, ec, es):
@@ -467,14 +419,6 @@ def separation_distance(oe_arr: np.ndarray, eta_arr: np.ndarray) -> np.ndarray:
                        oe_arr[:, 4], oe_arr[:, 5])
 
 
-def _position_and_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RTN1 position dr = r1*(q*b - [1, 0, 0]) with its 3x6 state Jacobian
-    and 3x3 reference Jacobian, from one evaluation of the geometry and b."""
-    *_, dr, j_oe, j_eta = _scalar_position(*_floats(oe, eta), jacobians=True)
-    return np.array(dr), np.array(j_oe), np.array(j_eta)
-
-
 def position_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic partials of the position mapping.
@@ -486,18 +430,6 @@ def position_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
         state ordering (dtheta, dp, dxi_x, dxi_y, dh_x, dh_y); ``j_eta`` the
         3x3 Jacobian with respect to (p1, ec, es).
     """
-    return _position_and_jacobians(oe, eta)[1:]
+    *_, j_oe, j_eta = _scalar_position(*_floats(oe, eta), jacobians=True)
+    return np.array(j_oe), np.array(j_eta)
 
-
-def haversine_psi(theta1: float, theta2: float, gamma: float) -> float:
-    """Central angle between the two satellite position directions.
-
-    Uses hav(psi) = hav(theta2 - theta1) + sin(theta1) sin(theta2) hav(gamma)
-    with hav(x) = sin^2(x/2); the result is clamped to a valid haversine
-    before inversion and returned in [0, pi].
-    """
-    hav = (math.sin(0.5 * (theta2 - theta1)) ** 2
-           + math.sin(theta1) * math.sin(theta2)
-           * math.sin(0.5 * gamma) ** 2)
-    hav = min(max(hav, 0.0), 1.0)
-    return 2.0 * math.asin(math.sqrt(hav))

@@ -129,6 +129,98 @@ def cartesian_relative_state(el1, el2, mu=MU_EARTH):
     return dr, dv
 
 
+def perturbed_derivative(oe, eta, u, mu):
+    """Full derivative (d oe/dt, d eta/dt) under perturbing RTN
+    accelerations held at u (None: Keplerian motion): the propagator's
+    right-hand side at one state."""
+    from nodalrel.dynamics import _nodal_rhs
+    dy = _nodal_rhs(0.0, np.concatenate([oe.as_array(), eta.as_array()]),
+                    None if u is None else lambda t: u, mu)
+    return dy[:6], dy[6:]
+
+
+def f_unperturbed_jacobian(oe, eta, mu) -> np.ndarray:
+    """Analytic Jacobian of the Keplerian state derivative
+    ``perturbed_derivative(oe, eta, None, mu)[0]`` with respect to the
+    relative state: the reference of the filter's closed-form transition."""
+    k = math.sqrt(mu / eta.p1 ** 3)
+    c, s = math.cos(oe.dtheta), math.sin(oe.dtheta)
+    opd = 1.0 + oe.dp
+    opd15 = opd ** 1.5
+    denom = 1.0 + (oe.dxi_x + eta.ec) * c - (oe.dxi_y + eta.es) * s
+    kd = 2.0 * k * denom / opd15
+    nudot = k * (1.0 + eta.ec) ** 2
+
+    jac = np.zeros((6, 6))
+    jac[0, :4] = (kd * (-(oe.dxi_x + eta.ec) * s - (oe.dxi_y + eta.es) * c),
+                  -1.5 * k * denom * denom / (opd15 * opd), kd * c, -kd * s)
+    jac[[2, 4], [3, 5]] = -nudot  # the two rotations at the anomaly rate
+    jac[[3, 5], [2, 4]] = nudot
+    return jac
+
+
+@dataclass(frozen=True)
+class EccIncVectors:
+    """Relative eccentricity/inclination vectors in the node-aligned frame.
+
+    ``de`` and ``di`` are expressed in a planar frame whose X axis points
+    along the relative line of nodes.  ``dphi`` is the phase angle between
+    the inclination and eccentricity vectors; ``dphi_defined`` is False when
+    either vector vanishes (the phase is then meaningless and dphi is nan).
+    """
+
+    de: np.ndarray
+    di: np.ndarray
+    dxi_mag: float
+    dh_mag: float
+    dphi: float
+    dphi_defined: bool
+
+
+def ecc_inc_vectors(oe, eta) -> EccIncVectors:
+    """Relative eccentricity/inclination vectors, magnitudes, and phase.
+
+    The state components (dxi_x, dxi_y) and (dh_x, dh_y) are the node-frame
+    vectors rotated by theta1 (with the eccentricity Y component reflected),
+    so the magnitudes transfer directly and the node-frame vectors follow by
+    back-rotation.  When |dh| = 0 the node direction is unknown and de is
+    reported in the theta1 = 0 convention.
+    """
+    from nodalrel import wrap_angle
+    dxi_mag = oe.dxi
+    dh_mag = oe.dh
+    if dh_mag > 0.0:
+        theta1 = math.atan2(oe.dh_y, oe.dh_x)
+        c, s = math.cos(theta1), math.sin(theta1)
+        ex = c * oe.dxi_x + s * oe.dxi_y
+        ey = -(-s * oe.dxi_x + c * oe.dxi_y)
+        de = np.array([ex, ey])
+        di = np.array([dh_mag, 0.0])
+    else:
+        de = np.array([oe.dxi_x, -oe.dxi_y])
+        di = np.array([0.0, 0.0])
+
+    defined = dxi_mag > 0.0 and dh_mag > 0.0
+    dphi = (wrap_angle(theta1 - math.atan2(oe.dxi_y, oe.dxi_x)) if defined
+            else math.nan)
+    return EccIncVectors(de=de, di=di, dxi_mag=dxi_mag, dh_mag=dh_mag,
+                         dphi=dphi, dphi_defined=defined)
+
+
+def haversine_psi(theta1: float, theta2: float, gamma: float) -> float:
+    """Central angle between the two satellite position directions.
+
+    Uses hav(psi) = hav(theta2 - theta1) + sin(theta1) sin(theta2) hav(gamma)
+    with hav(x) = sin^2(x/2); the result is clamped to a valid haversine
+    before inversion and returned in [0, pi].
+    """
+    hav = (math.sin(0.5 * (theta2 - theta1)) ** 2
+           + math.sin(theta1) * math.sin(theta2)
+           * math.sin(0.5 * gamma) ** 2)
+    hav = min(max(hav, 0.0), 1.0)
+    return 2.0 * math.asin(math.sqrt(hav))
+
+
 #: sin(gamma) guard of :func:`nodal_variational`.
 COPLANAR_SIN_TOL = 1e-9
 

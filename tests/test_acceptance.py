@@ -24,9 +24,7 @@ from nodalrel import (
     c2_check,
     cartesian_to_elements,
     classical_from_oe,
-    ecc_inc_vectors,
     elements_to_cartesian,
-    haversine_psi,
     oe_from_classical,
     orbital_period,
     position_jacobians,
@@ -44,6 +42,7 @@ from nodalrel.dynamics import advance_true_anomaly
 
 from conftest import (
     crlb_final_range_sigma,
+    haversine_psi,
     random_elements,
     recursion_final_range_sigma,
 )

@@ -82,6 +82,17 @@ def test_validate_rejects_mu(capsys):
     assert "--mu" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--out", "screen_out"], ["--tol", "-5"]])
+def test_screen_rejects_unused_flags(tmp_path, monkeypatch, capsys, flag):
+    # screen writes no file and integrates nothing, so it takes neither.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["screen", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2, *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", [
     ["validate"], ["propagate", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2,
                    "--tf", "5000"]])

@@ -23,7 +23,6 @@ from nodalrel import (
     PerturbationInput,
     classical_from_oe,
     cowell_propagate,
-    ecc_inc_vectors,
     elements_to_cartesian,
     input_matrices,
     kepler_advance,
@@ -35,7 +34,6 @@ from nodalrel import (
     separation_distance,
     unperturbed_flow,
     zeta,
-    zeta_descending,
     zeta_gradient,
 )
 
@@ -44,7 +42,7 @@ from nodalrel.dynamics import _anomaly_sweep, true_to_mean_anomaly
 from nodalrel.missionsim import SCREENING_ROWS, ScenarioConfig, run_flyby
 from nodalrel.relstate import _floats, _kepler_pair, _separation
 
-from conftest import EL1, EL2, random_elements
+from conftest import EL1, EL2, ecc_inc_vectors, random_elements
 
 MU = MU_EARTH
 
@@ -675,7 +673,7 @@ class TestZeta:
             oe, eta = random_state(rng)
             verdict = c1_test(oe, eta)
             assert abs(zeta(oe, eta) - verdict.margin_ascending) < 1e-15
-            assert abs(zeta_descending(oe, eta)
+            assert abs(conjunction._node_margins(oe, eta)[1]
                        - verdict.margin_descending) < 1e-15
 
     def test_invariant_along_unperturbed_flow(self):

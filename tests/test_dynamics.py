@@ -17,14 +17,10 @@ from nodalrel import (
     cartesian_to_elements,
     cowell_propagate,
     elements_to_cartesian,
-    f_eta,
-    f_unperturbed,
-    f_unperturbed_jacobian,
     input_matrices,
     kepler_advance,
     oe_from_classical,
     orbital_period,
-    perturbed_derivative,
     propagate,
     relative_orientation,
     rtn_basis,
@@ -36,10 +32,14 @@ from nodalrel.relstate import _floats, _kepler_pair, oe_from_orientation
 from nodalrel.dynamics import (_nodal_rhs, advance_true_anomaly,
                                mean_to_true_anomaly, true_to_mean_anomaly)
 
-from conftest import (EL1, EL2, CoplanarNormalInput, nodal_variational,
+from conftest import (EL1, EL2, CoplanarNormalInput, f_unperturbed_jacobian,
+                      nodal_variational, perturbed_derivative,
                       random_elements, random_pair)
 
 MU = MU_EARTH
+#: The zero relative state, at which the eta rates of perturbed_derivative
+#: are read (they do not depend on the relative state).
+ORIGIN = NodalRelativeState(0, 0, 0, 0, 0, 0)
 
 
 def random_state(rng):
@@ -65,12 +65,12 @@ class TestUnperturbedField:
     def test_zero_state_is_equilibrium(self):
         oe = NodalRelativeState(0, 0, 0, 0, 0, 0)
         eta = ReferenceParams(p1=1e4, ec=0.3, es=0.1)
-        assert np.abs(f_unperturbed(oe, eta, MU)).max() == 0.0
+        assert np.abs(perturbed_derivative(oe, eta, None, MU)[0]).max() == 0.0
 
     def test_circular_reference_dtheta_rate(self):
         oe = NodalRelativeState(0.4, 0.2, 0.05, -0.03, 0.0, 0.0)
         eta = ReferenceParams(p1=1e4, ec=0.0, es=0.0)
-        f = f_unperturbed(oe, eta, MU)
+        f = perturbed_derivative(oe, eta, None, MU)[0]
         nudot = math.sqrt(MU / eta.p1 ** 3)
         expected = nudot * (
             (1 + oe.dxi_x * math.cos(oe.dtheta)
@@ -82,12 +82,12 @@ class TestUnperturbedField:
         rng = np.random.default_rng(30)
         for _ in range(20):
             oe, eta = random_state(rng)
-            assert f_unperturbed(oe, eta, MU)[1] == 0.0
+            assert perturbed_derivative(oe, eta, None, MU)[0][1] == 0.0
 
     def test_rotation_structure_of_tail(self):
         oe = NodalRelativeState(0.1, 0.0, 0.2, -0.1, 0.3, 0.4)
         eta = ReferenceParams(p1=1e4, ec=0.2, es=0.1)
-        f = f_unperturbed(oe, eta, MU)
+        f = perturbed_derivative(oe, eta, None, MU)[0]
         nudot = math.sqrt(MU / eta.p1 ** 3) * (1 + eta.ec) ** 2
         assert np.abs(f[2:] - nudot * np.array(
             [-oe.dxi_y, oe.dxi_x, -oe.dh_y, oe.dh_x])).max() < 1e-18
@@ -103,9 +103,10 @@ class TestUnperturbedField:
                 xp, xm = x.copy(), x.copy()
                 xp[col] += step
                 xm[col] -= step
-                fd = (f_unperturbed(NodalRelativeState.from_array(xp), eta, MU)
-                      - f_unperturbed(NodalRelativeState.from_array(xm),
-                                      eta, MU)) / (2 * step)
+                fd = (perturbed_derivative(NodalRelativeState.from_array(xp),
+                                           eta, None, MU)[0]
+                      - perturbed_derivative(NodalRelativeState.from_array(xm),
+                                             eta, None, MU)[0]) / (2 * step)
                 scale = max(np.abs(jac).max(), 1e-12)
                 assert np.abs(jac[:, col] - fd).max() / scale < 1e-6
 
@@ -113,11 +114,12 @@ class TestUnperturbedField:
 class TestEtaField:
     def test_circular_reference_constant(self):
         eta = ReferenceParams(p1=1e4, ec=0.0, es=0.0)
-        assert np.abs(f_eta(eta, MU)).max() == 0.0
+        deta = perturbed_derivative(ORIGIN, eta, None, MU)[1]
+        assert np.abs(deta).max() == 0.0
 
     def test_phasor_rotation_preserves_magnitude(self):
         eta = ReferenceParams(p1=1e4, ec=0.3, es=0.2)
-        d = f_eta(eta, MU)
+        d = perturbed_derivative(ORIGIN, eta, None, MU)[1]
         assert abs(d[0]) == 0.0
         # d(ec^2 + es^2)/dt = 2 ec ec_dot + 2 es es_dot = 0
         assert abs(eta.ec * d[1] + eta.es * d[2]) < 1e-20
@@ -126,7 +128,7 @@ class TestEtaField:
         p1 = 8.9e3 * (1 - 0.25)
         eta = ReferenceParams(p1=p1, ec=0.5 * math.cos(math.radians(30)),
                               es=0.5 * math.sin(math.radians(30)))
-        d = f_eta(eta, MU)
+        d = perturbed_derivative(ORIGIN, eta, None, MU)[1]
         nudot = math.sqrt(MU / p1 ** 3) * (1 + 0.5 * math.cos(
             math.radians(30))) ** 2
         assert abs(d[2] - nudot * eta.ec) < 1e-15
@@ -146,7 +148,8 @@ class TestInputMatrices:
         u = PerturbationInput(u1=np.array([1e-4, -2e-4, 3e-4]),
                               u2=np.array([1e-4, -2e-4, 3e-4]))
         doe, _ = perturbed_derivative(oe, eta, u, MU)
-        assert np.abs(doe - f_unperturbed(oe, eta, MU)).max() < 1e-18
+        kepler_oe, _ = perturbed_derivative(oe, eta, None, MU)
+        assert np.abs(doe - kepler_oe).max() < 1e-18
 
     def test_row2_transverse_gain(self):
         rng = np.random.default_rng(32)
@@ -199,8 +202,9 @@ class TestPerturbedConsistency:
         rng = np.random.default_rng(34)
         oe, eta = random_state(rng)
         doe, deta = perturbed_derivative(oe, eta, PerturbationInput.zero(), MU)
-        assert np.abs(doe - f_unperturbed(oe, eta, MU)).max() == 0.0
-        assert np.abs(deta - f_eta(eta, MU)).max() == 0.0
+        kepler_oe, kepler_eta = perturbed_derivative(oe, eta, None, MU)
+        assert np.abs(doe - kepler_oe).max() == 0.0
+        assert np.abs(deta - kepler_eta).max() == 0.0
 
     def test_equals_propagator_rhs_bitwise(self):
         # One forced-derivative formula: the propagator's right-hand side
@@ -319,8 +323,7 @@ class TestPerturbedConsistency:
             g1, g2, geta = input_matrices(oe, eta, MU)
             for got, want in (
                     (along(kepler_rate),
-                     np.concatenate([f_unperturbed(oe, eta, MU),
-                                     f_eta(eta, MU)])),
+                     np.concatenate(perturbed_derivative(oe, eta, None, MU))),
                     (along(rate(u) - kepler_rate),
                      np.concatenate([g2 @ u.u2 - g1 @ u.u1, geta @ u.u1]))):
                 assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()

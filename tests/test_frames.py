@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 from nodalrel import (
     ClassicalElements,
     RetrogradeSingularity,
-    dcm_rtn2_to_rtn1,
     pci_to_pqw,
     relative_orientation,
     rot_x,
@@ -23,6 +22,12 @@ from conftest import (
     random_pair,
     rtn1_chain_oracle,
 )
+
+
+def dcm_rtn2_to_rtn1(theta1: float, gamma: float, theta2: float) -> np.ndarray:
+    """Minimal rotation sequence taking RTN2 coordinates to RTN1:
+    rot_z(theta1) @ rot_x(-gamma) @ rot_z(-theta2)."""
+    return rot_z(theta1) @ rot_x(-gamma) @ rot_z(-theta2)
 
 
 def assert_dcm_valid(m, tol=1e-12):

@@ -22,7 +22,9 @@ from nodalrel import (
     elements_to_cartesian,
     oe_from_classical,
     orbital_period,
+    position_jacobians,
     relative_orientation,
+    relative_position,
     relative_position_batch,
     separation_distance,
     unperturbed_flow,
@@ -32,7 +34,6 @@ from nodalrel import (
 )
 from nodalrel import missionsim as sim, navigation
 from nodalrel.navigation import ekf_propagate, ekf_update, measure
-from nodalrel.relstate import _position_and_jacobians
 from nodalrel.missionsim import (
     EncounterSpec,
     ScenarioConfig,
@@ -218,6 +219,8 @@ class TestConfigRoundTrip:
         ("chi2_gate", {"chi2_gate": -1.0}),
         ("mu", {"mu": 0.0}),
         ("init_perturb_sigma", {"init_perturb_sigma": -1e-4}),
+        ("seed", {"seed": -1}),
+        ("seed", {"seed": 1.5}),
     ])
     def test_config_that_cannot_run_rejected(self, field, overrides):
         with pytest.raises(ValueError, match=rf"^{field} must"):
@@ -304,11 +307,23 @@ class TestFlybyRun:
             header = f.readline().strip().split(",")
         assert header == ["t", "zeta", "zeta_3sigma", "margin_coplanar",
                           "margin_ascending", "margin_descending",
-                          "d_min_est"]
+                          "d_min_est", "collides"]
         data = np.genfromtxt(art.paths["screening"], delimiter=",",
                              names=True)
         assert np.all(np.isfinite(data["zeta_3sigma"]))
         assert np.all(data["zeta_3sigma"] >= 0.0)
+
+    @pytest.mark.parametrize("miss_tol, verdict", [(-1.0, 0.0), (1e12, 1.0)])
+    def test_screening_collides_is_the_miss_tol_verdict(self, tmp_path,
+                                                       miss_tol, verdict):
+        cfg = small_config(sample_dt=1800.0, miss_tol=miss_tol)
+        art = run_flyby(cfg, out_dir=str(tmp_path))
+        data = np.genfromtxt(art.paths["screening"], delimiter=",",
+                             names=True)
+        assert data.size > 0
+        assert np.array_equal(data["collides"],
+                              data["d_min_est"] <= miss_tol)
+        assert np.all(data["collides"] == verdict)
 
     def test_same_seed_same_run(self):
         cfg = small_config(sample_dt=3600.0)
@@ -392,7 +407,8 @@ def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
         out["sigma"][k] = np.sqrt(np.maximum(np.diag(p_cov), 0.0))
         out["nees"][k] = float(e @ np.linalg.solve(p_cov, e))
 
-        rel, j_oe, _ = _position_and_jacobians(oe_hat, eta_k)
+        rel = relative_position(oe_hat, eta_k).dr
+        j_oe, _ = position_jacobians(oe_hat, eta_k)
         rho_hat = float(np.linalg.norm(rel))
         out["range_err"][k] = rho_hat - truth.range_km[k]
         grad_rho = (rel / rho_hat) @ j_oe

@@ -15,7 +15,6 @@ from nodalrel import (
     ZeroRange,
     ekf_propagate,
     ekf_update,
-    f_unperturbed_jacobian,
     kepler_advance,
     measure,
     oe_from_classical,
@@ -31,7 +30,7 @@ from nodalrel.navigation import GIMBAL_EL_TOL, _EYE6, _angles, _coast
 from nodalrel.relstate import (_checked_reference, _checked_state,
                                _scalar_position)
 
-from conftest import EL1, EL2
+from conftest import EL1, EL2, f_unperturbed_jacobian
 
 MU = MU_EARTH
 NOISE = NoiseSpec(sigma_az=math.radians(0.001), sigma_el=math.radians(0.001),

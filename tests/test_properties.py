@@ -36,15 +36,14 @@ from nodalrel import (
     unperturbed_flow,
     wrap_angle,
     zeta,
-    zeta_descending,
     zeta_gradient,
 )
 from nodalrel.conjunction import (_closing_speed, _node_margin_arrays,
-                                  _plane_geometry, _plane_windows)
+                                  _node_margins, _plane_geometry,
+                                  _plane_windows)
 from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
 from nodalrel.navigation import _coast
-from nodalrel.relstate import (_floats, _kepler_pair,
-                               _position_and_jacobians, _position_arrays)
+from nodalrel.relstate import _floats, _kepler_pair, _position_arrays
 
 from test_conjunction import node_crossing_radii
 
@@ -85,7 +84,8 @@ def test_position_rows_match_scalar_path(pairs):
                                                      jacobians=True)
     for i, (oe, eta) in enumerate(pairs):
         rp = relative_position(oe, eta)
-        dr_s, j_oe_s, j_eta_s = _position_and_jacobians(oe, eta)
+        dr_s = rp.dr
+        j_oe_s, j_eta_s = position_jacobians(oe, eta)
         # dr = r2 b - r1 e_R: its rounding scales with the radii.
         assert rel_dev([x[i] for x in dr], dr_s, rp.r1 + rp.r2) <= 1e-12
         assert rel_dev([x[i] for x in b], rp.b, 1.0) <= 1e-12
@@ -111,7 +111,7 @@ def test_margin_rows_match_scalar_path(pairs):
         scale = abs(oe.dp) + math.hypot(oe.dxi_x - oe.dp * eta.ec,
                                         oe.dxi_y - oe.dp * eta.es) or 1.0
         assert rel_dev([asc[i], desc[i]],
-                       [zeta(oe, eta), zeta_descending(oe, eta)],
+                       [zeta(oe, eta), _node_margins(oe, eta)[1]],
                        scale) <= 1e-12
         g_oe, g_eta = zeta_gradient(oe, eta)
         got = np.broadcast_arrays(*d_oe, *d_eta)
