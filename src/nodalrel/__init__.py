@@ -29,10 +29,8 @@ from .frames import (
 )
 from .relstate import (
     NodalRelativeState,
-    RecoveredInvariants,
     ReferenceParams,
     RelativePosition,
-    classical_from_oe,
     oe_from_classical,
     position_jacobians,
     relative_position,

@@ -130,70 +130,76 @@ def _cmd_maneuver(args) -> int:
     return 0
 
 
+_ORBIT = dict(type=float, nargs=6, required=True,
+              metavar=("a_km", "e", "i_deg", "raan_deg", "argp_deg", "nu_deg"))
+
+#: The options shared between subcommands; each subcommand takes those
+#: that act on it, so argparse rejects the rest.
+_OPTIONS = {
+    "--out": dict(type=str, default=None,
+                  help="output directory for CSV/JSON artifacts"),
+    "--tol": dict(type=float, default=None,
+                  help="integrator relative tolerance"),
+    "--mu": dict(type=float, default=None,
+                 help="gravitational parameter, km^3/s^2"),
+    "--config": dict(type=str, default=None, help="JSON scenario config"),
+    "--seed": dict(type=int, default=None),
+    "--paper-scale": dict(action="store_true",
+                          help="200 runs at 5 s cadence"),
+    "--jobs": dict(type=int, default=None,
+                   help="parallel Monte Carlo workers"),
+    "--orbit1": _ORBIT,
+    "--orbit2": _ORBIT,
+}
+
+#: The options of the orbit-pair subcommands (propagate, screen).
+_PAIR = ("--mu", "--orbit1", "--orbit2")
+
+#: The options of the scenario subcommands (flyby, montecarlo, maneuver).
+_SCENARIO = ("--out", "--mu", "--config", "--seed", "--paper-scale")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodalrel",
         description="Nodal-element relative motion toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True, mu=True, writes=True):
-        if writes:
-            p.add_argument("--out", type=str, default=None,
-                           help="output directory for CSV/JSON artifacts")
-            p.add_argument("--tol", type=float, default=None,
-                           help="integrator relative tolerance")
-        if mu:
-            p.add_argument("--mu", type=float, default=None,
-                           help="gravitational parameter, km^3/s^2")
-        if scenario:
-            p.add_argument("--config", type=str, default=None,
-                           help="JSON scenario config")
-            p.add_argument("--seed", type=int, default=None)
-            p.add_argument("--paper-scale", action="store_true",
-                           help="200 runs at 5 s cadence")
-            p.add_argument("--jobs", type=int, default=None,
-                           help="parallel Monte Carlo workers")
+    def add(name, help_, func, *options):
+        p = sub.add_parser(name, help=help_)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="model-vs-Cowell equivalence run")
-    common(p, scenario=False, mu=False)  # the validation pair fixes mu
-    p.set_defaults(func=_cmd_validate)
+    # The validation pair fixes mu; screen writes no file and integrates
+    # nothing; only montecarlo runs workers, and of the scenario
+    # subcommands only maneuver integrates (its Cowell replay).
+    add("validate", "model-vs-Cowell equivalence run", _cmd_validate,
+        "--out", "--tol")
 
-    def orbit_pair(p, writes=True):
-        common(p, scenario=False, writes=writes)
-        for flag in ("--orbit1", "--orbit2"):
-            p.add_argument(flag, type=float, nargs=6, required=True,
-                           metavar=("a_km", "e", "i_deg", "raan_deg",
-                                    "argp_deg", "nu_deg"))
-
-    p = sub.add_parser("propagate", help="propagate a pair and export CSV")
-    orbit_pair(p)
+    p = add("propagate", "propagate a pair and export CSV", _cmd_propagate,
+            "--out", "--tol", *_PAIR)
     p.add_argument("--tf", type=float, required=True, help="final time, s")
     p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=_cmd_propagate)
 
-    p = sub.add_parser("screen", help="C1/zeta screening for an orbit pair")
-    orbit_pair(p, writes=False)  # prints its report and integrates nothing
+    p = add("screen", "C1/zeta screening for an orbit pair", _cmd_screen,
+            *_PAIR)
     p.add_argument("--tf", type=float, default=None,
                    help="also run the C2 check over [0, tf] s")
     p.add_argument("--miss-tol", type=float, default=1.0,
                    help="C2 distance tolerance, km")
-    p.set_defaults(func=_cmd_screen)
 
-    p = sub.add_parser("flyby", help="single flyby navigation run")
-    common(p)
-    p.set_defaults(func=_cmd_flyby)
+    add("flyby", "single flyby navigation run", _cmd_flyby, *_SCENARIO)
+    add("montecarlo", "Monte Carlo campaign", _cmd_montecarlo, *_SCENARIO,
+        "--jobs")
 
-    p = sub.add_parser("montecarlo", help="Monte Carlo campaign")
-    common(p)
-    p.set_defaults(func=_cmd_montecarlo)
-
-    p = sub.add_parser("maneuver", help="delta-v sweep and applied impulse")
-    common(p)
+    p = add("maneuver", "delta-v sweep and applied impulse", _cmd_maneuver,
+            *_SCENARIO, "--tol")
     p.add_argument("--offsets", type=float, nargs="+", default=[1e-4],
                    help="zeta correction offsets")
     p.add_argument("--apply-at", type=float, default=None,
                    help="impulse epoch, s relative to impact")
-    p.set_defaults(func=_cmd_maneuver)
     return parser
 
 

@@ -38,7 +38,6 @@ from .relstate import (
     _position_kernel,
     _radius_denominator,
     _separation,
-    classical_from_oe,
     separation_distance,
 )
 
@@ -102,10 +101,11 @@ def coplanar_radial_terms(oe: NodalRelativeState, eta: ReferenceParams,
                           ) -> tuple[float, float]:
     """Amplitude and phase (drho, phi_c) of the coplanar radial mismatch
     dp + drho cos(nu1 + phi_c); intersection is possible iff |dp| <= drho.
-    GeometryError, as in :func:`classical_from_oe`, if e2 is not below 1."""
-    rec = classical_from_oe(oe, eta)
-    a_ = (1.0 + oe.dp) * eta.e1 - rec.e2 * math.cos(rec.dlambda)
-    b_ = rec.e2 * math.sin(rec.dlambda)
+    GeometryError, as in :func:`relstate._kepler_pair`, if e2 is not below
+    1."""
+    _, e1, _, _, e2, _, dlambda = _kepler_pair(*_floats(oe, eta))
+    a_ = (1.0 + oe.dp) * e1 - e2 * math.cos(dlambda)
+    b_ = e2 * math.sin(dlambda)
     drho = math.hypot(a_, b_)
     phi_c = math.atan2(b_, a_)
     return drho, phi_c

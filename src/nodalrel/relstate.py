@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import GeometryError
 from .frames import (
-    COPLANAR_GAMMA_TOL,
     ClassicalElements,
     RelativeOrientation,
     relative_orientation,
@@ -150,27 +149,6 @@ class RelativePosition:
     b: np.ndarray
 
 
-@dataclass(frozen=True)
-class RecoveredInvariants:
-    """Keplerian invariants recovered from a nodal relative state.
-
-    When ``theta1_degenerate`` is set (gamma below the coplanar threshold),
-    theta1 cannot be recovered from the inclination vector and the fields
-    theta1, theta2, lambda1, lambda2 are nan; dlambda remains well defined.
-    """
-
-    a2: float
-    e2: float
-    gamma: float
-    dlambda: float
-    lambda1: float
-    lambda2: float
-    theta1: float
-    theta2: float
-    dtheta: float
-    theta1_degenerate: bool
-
-
 def oe_from_classical(el1: ClassicalElements, el2: ClassicalElements,
                       ) -> tuple[NodalRelativeState, ReferenceParams]:
     """Map a classical-element pair to the nodal relative state and the
@@ -212,8 +190,11 @@ def _floats(oe: NodalRelativeState, eta: ReferenceParams) -> tuple:
 def _kepler_pair(dtheta, dp, dxi_x, dxi_y, dh_x, dh_y, p1, ec, es):
     """Kepler timing invariants of both orbits, (nu1, e1, a1, nu2, e2, a2,
     dlambda), nu2 = nu1 + dtheta - dlambda being satellite 2's true anomaly,
-    from the nine floats of :func:`_floats` (dh unused); see
-    :func:`classical_from_oe`, which raises as this does."""
+    from the nine floats of :func:`_floats` (dh unused).  The eccentricity
+    phasor of satellite 2 is (dxi_x + ec, dxi_y + es), from which e2 and
+    the periapsis offset dlambda follow; a2 comes from the semiparameter
+    ratio.  GeometryError if e2 is not below 1 (no closed orbit matches).
+    """
     e1, nu1 = math.hypot(ec, es), _reference_anomaly(ec, es)
     e2 = math.hypot(dxi_x + ec, dxi_y + es)
     if not e2 < 1.0:
@@ -223,42 +204,6 @@ def _kepler_pair(dtheta, dp, dxi_x, dxi_y, dh_x, dh_y, p1, ec, es):
         dxi_x * math.cos(nu1) + dxi_y * math.sin(nu1) + e1)
     return (nu1, e1, p1 / (1.0 - e1 * e1), nu1 + dtheta - dlambda,
             e2, p1 * (1.0 + dp) / (1.0 - e2 * e2), dlambda)
-
-
-def classical_from_oe(oe: NodalRelativeState, eta: ReferenceParams,
-                      ) -> RecoveredInvariants:
-    """Recover the Keplerian invariants of satellite 2 and the nodal angles.
-
-    The eccentricity phasor of satellite 2 is (dxi_x + ec, dxi_y + es), from
-    which e2 and the periapsis offset dlambda follow; a2 comes from the
-    semiparameter ratio, gamma from |dh|, and theta1 from the direction of
-    the inclination vector whenever gamma is at least COPLANAR_GAMMA_TOL.
-
-    For a circular reference (e1 = 0) the split of theta1 into nu1 + lambda1
-    uses the nu1 = 0 convention of :class:`ReferenceParams`.
-
-    Raises
-    ------
-    GeometryError
-        If the recovered e2 is not below 1 (no closed orbit matches).
-    """
-    nu1, _, _, _, e2, a2, dlambda = _kepler_pair(*_floats(oe, eta))
-    dh = oe.dh
-    gamma = 2.0 * math.atan(dh)
-
-    degenerate = gamma < COPLANAR_GAMMA_TOL
-    if degenerate:
-        theta1 = theta2 = lambda1 = lambda2 = math.nan
-    else:
-        theta1 = math.atan2(oe.dh_y, oe.dh_x)
-        lambda1 = wrap_angle(theta1 - nu1)
-        lambda2 = wrap_angle(lambda1 + dlambda)
-        theta2 = wrap_angle(theta1 + oe.dtheta)
-
-    return RecoveredInvariants(
-        a2=a2, e2=e2, gamma=gamma, dlambda=dlambda,
-        lambda1=lambda1, lambda2=lambda2, theta1=theta1, theta2=theta2,
-        dtheta=oe.dtheta, theta1_degenerate=degenerate)
 
 
 def _radius_denominator(c, s, dxi_x, dxi_y, ec, es):

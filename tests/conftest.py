@@ -207,6 +207,58 @@ def ecc_inc_vectors(oe, eta) -> EccIncVectors:
                          dphi=dphi, dphi_defined=defined)
 
 
+@dataclass(frozen=True)
+class RecoveredInvariants:
+    """Keplerian invariants recovered from a nodal relative state.
+
+    When ``theta1_degenerate`` is set (gamma below the coplanar threshold),
+    theta1 cannot be recovered from the inclination vector and the fields
+    theta1, theta2, lambda1, lambda2 are nan; dlambda remains well defined.
+    """
+
+    a2: float
+    e2: float
+    gamma: float
+    dlambda: float
+    lambda1: float
+    lambda2: float
+    theta1: float
+    theta2: float
+    dtheta: float
+    theta1_degenerate: bool
+
+
+def classical_from_oe(oe, eta) -> RecoveredInvariants:
+    """Recover the Keplerian invariants of satellite 2 and the nodal angles:
+    e2, dlambda and a2 from the package's Kepler-timing kernel, gamma from
+    |dh|, and theta1 from the direction of the inclination vector whenever
+    gamma is at least COPLANAR_GAMMA_TOL.
+
+    For a circular reference (e1 = 0) the split of theta1 into nu1 + lambda1
+    uses the nu1 = 0 convention of ReferenceParams.  GeometryError if the
+    recovered e2 is not below 1 (no closed orbit matches).
+    """
+    from nodalrel.frames import COPLANAR_GAMMA_TOL, wrap_angle
+    from nodalrel.relstate import _floats, _kepler_pair
+    nu1, _, _, _, e2, a2, dlambda = _kepler_pair(*_floats(oe, eta))
+    dh = oe.dh
+    gamma = 2.0 * math.atan(dh)
+
+    degenerate = gamma < COPLANAR_GAMMA_TOL
+    if degenerate:
+        theta1 = theta2 = lambda1 = lambda2 = math.nan
+    else:
+        theta1 = math.atan2(oe.dh_y, oe.dh_x)
+        lambda1 = wrap_angle(theta1 - nu1)
+        lambda2 = wrap_angle(lambda1 + dlambda)
+        theta2 = wrap_angle(theta1 + oe.dtheta)
+
+    return RecoveredInvariants(
+        a2=a2, e2=e2, gamma=gamma, dlambda=dlambda,
+        lambda1=lambda1, lambda2=lambda2, theta1=theta1, theta2=theta2,
+        dtheta=oe.dtheta, theta1_degenerate=degenerate)
+
+
 def haversine_psi(theta1: float, theta2: float, gamma: float) -> float:
     """Central angle between the two satellite position directions.
 

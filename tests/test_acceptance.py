@@ -23,7 +23,6 @@ from nodalrel import (
     c1_test,
     c2_check,
     cartesian_to_elements,
-    classical_from_oe,
     elements_to_cartesian,
     oe_from_classical,
     orbital_period,
@@ -41,6 +40,7 @@ from nodalrel import missionsim as sim
 from nodalrel.dynamics import advance_true_anomaly
 
 from conftest import (
+    classical_from_oe,
     crlb_final_range_sigma,
     haversine_psi,
     random_elements,

@@ -1,11 +1,15 @@
 """The public API is the pipeline: each function that ``nodalrel`` exports
-is called by the package itself or used by the benchmark."""
+is called by the package itself or used by the benchmark, and each
+scenario option is read by the code it configures."""
 
+import ast
+import dataclasses
 import inspect
 import re
 from pathlib import Path
 
 import nodalrel
+from nodalrel.missionsim import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,3 +25,19 @@ def test_every_export_has_a_caller_outside_tests():
                 and not re.search(rf"(?<!def )\b{name}\(", package)
                 and not re.search(rf"\b{name}\b", bench)]
     assert uncalled == []
+
+
+def test_every_config_field_is_read_outside_its_checks():
+    # The package names a ScenarioConfig ``cfg`` wherever it reads one; the
+    # class body (its checks) reads ``self`` and the JSON schema tables name
+    # fields as strings, so neither counts. A field no ``cfg.<field>`` reads
+    # decides no output.
+    read = set()
+    for path in sorted((ROOT / "src" / "nodalrel").glob("*.py")):
+        read.update(node.attr for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "cfg")
+    unread = [f.name for f in dataclasses.fields(ScenarioConfig)
+              if f.name not in read]
+    assert unread == []

@@ -82,14 +82,23 @@ def test_validate_rejects_mu(capsys):
     assert "--mu" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", [["--out", "screen_out"], ["--tol", "-5"]])
+@pytest.mark.parametrize("flag", [
+    # screen writes no file and integrates nothing
+    ["screen", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2, "--out", "out"],
+    ["screen", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2, "--tol", "-5"],
+    # flyby and montecarlo integrate nothing; only montecarlo has workers
+    ["flyby", "--out", "out", "--tol", "1e-9"],
+    ["flyby", "--out", "out", "--jobs", "2"],
+    ["montecarlo", "--out", "out", "--tol", "1e-9"],
+    ["maneuver", "--out", "out", "--jobs", "2"],
+])
 def test_screen_rejects_unused_flags(tmp_path, monkeypatch, capsys, flag):
-    # screen writes no file and integrates nothing, so it takes neither.
+    # Each subcommand takes only the flags that act on it.
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["screen", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2, *flag])
+        main(flag)
     assert exc.value.code == 2
-    assert flag[0] in capsys.readouterr().err
+    assert flag[-2] in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 

@@ -12,6 +12,7 @@ from nodalrel import (
     C2Result,
     CartesianState,
     ClassicalElements,
+    GeometryError,
     NodalRelativeState,
     ReferenceParams,
     ZeroSensitivity,
@@ -21,7 +22,6 @@ from nodalrel import (
     c2_check,
     cartesian_to_elements,
     PerturbationInput,
-    classical_from_oe,
     cowell_propagate,
     elements_to_cartesian,
     input_matrices,
@@ -42,7 +42,8 @@ from nodalrel.dynamics import _anomaly_sweep, true_to_mean_anomaly
 from nodalrel.missionsim import SCREENING_ROWS, ScenarioConfig, run_flyby
 from nodalrel.relstate import _floats, _kepler_pair, _separation
 
-from conftest import EL1, EL2, ecc_inc_vectors, random_elements
+from conftest import (EL1, EL2, classical_from_oe, ecc_inc_vectors,
+                      random_elements)
 
 MU = MU_EARTH
 
@@ -141,6 +142,13 @@ class TestC1Branches:
         assert verdict.coplanar
         assert verdict.margin_coplanar <= 0.0
         assert verdict.satisfied
+
+    def test_coplanar_nonelliptic_satellite_2_rejected(self):
+        # e2 = |(dxi_x + ec, dxi_y + es)| = 1: no closed orbit matches.
+        oe = NodalRelativeState(0.4, 0.0, 0.8, -0.1, 0.0, 0.0)
+        eta = ReferenceParams(p1=1e4, ec=0.2, es=0.1)
+        with pytest.raises(GeometryError, match="e2"):
+            c1_test(oe, eta)
 
     def test_unsafe_at_quarter_phase(self):
         # dp = 0 with the eccentricity/inclination vectors at right angles:
@@ -559,7 +567,7 @@ class TestNodeWindowSearch:
             assert_no_worse_than_grid(
                 NodalRelativeState.from_array(flyby.run.oe_hat[k]),
                 ReferenceParams.from_array(flyby.truth.eta[k]),
-                float(flyby.truth.t[k]), -cfg.t_end, cfg.mu, cfg.miss_tol)
+                float(flyby.truth.t[k]), -cfg.t_end, cfg.mu, 1.0)
 
     def test_refinement_does_not_depend_on_time_origin(self, desk_flyby):
         # One desk estimate row screened over the same span with its times
@@ -570,10 +578,10 @@ class TestNodeWindowSearch:
         oe = NodalRelativeState.from_array(flyby.run.oe_hat[k])
         eta = ReferenceParams.from_array(flyby.truth.eta[k])
         t0, tf = float(flyby.truth.t[k]), -cfg.t_end
-        ref = c2_check(oe, eta, t0, tf, cfg.mu, miss_tol=cfg.miss_tol)
+        ref = c2_check(oe, eta, t0, tf, cfg.mu, miss_tol=1.0)
         for shift in (1.7e6, 1.7e8):
             res = c2_check(oe, eta, t0 + shift, tf + shift, cfg.mu,
-                           miss_tol=cfg.miss_tol)
+                           miss_tol=1.0)
             assert abs(res.d_min - ref.d_min) <= 1e-6 * ref.d_min
             assert abs(res.t_min - shift - ref.t_min) <= 1e-3
 

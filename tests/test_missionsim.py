@@ -10,6 +10,7 @@ from dataclasses import replace
 
 from nodalrel import (
     MU_EARTH,
+    CartesianState,
     ClassicalElements,
     GeometryError,
     InfeasibleEncounter,
@@ -18,8 +19,10 @@ from nodalrel import (
     RetrogradeSingularity,
     c1_test,
     c2_check,
-    classical_from_oe,
+    cartesian_to_elements,
+    cowell_propagate,
     elements_to_cartesian,
+    kepler_advance,
     oe_from_classical,
     orbital_period,
     position_jacobians,
@@ -47,7 +50,8 @@ from nodalrel.missionsim import (
     run_validation,
 )
 
-from conftest import crlb_final_range_sigma, recursion_final_range_sigma
+from conftest import (classical_from_oe, crlb_final_range_sigma,
+                      recursion_final_range_sigma)
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -80,7 +84,6 @@ class TestScenarioConstruction:
     def test_collision_confirmed_by_c2(self):
         cfg = small_config()
         el1, el2 = sim.scenario_orbits(cfg)
-        from nodalrel import kepler_advance
         el1_0 = kepler_advance(el1, cfg.t_start, cfg.mu)
         el2_0 = kepler_advance(el2, cfg.t_start, cfg.mu)
         oe, eta = oe_from_classical(el1_0, el2_0)
@@ -137,8 +140,31 @@ class TestScenarioConstruction:
     def test_truth_modes_agree(self):
         cfg = small_config(sample_dt=3600.0)
         kepler = build_truth(cfg)
-        cowell = build_truth(replace(cfg, truth_mode="cowell"))
-        assert np.abs(kepler.dr - cowell.dr).max() < 1e-3
+        assert np.abs(kepler.dr - cowell_truth_dr(cfg)).max() < 1e-3
+
+
+def cowell_truth_dr(cfg: ScenarioConfig) -> np.ndarray:
+    """RTN1 relative positions of the truth by an independent route (the
+    slow reference for build_truth's exact flow): both satellites
+    integrated inertially at rel_tol, each sample converted to elements
+    and then to the nodal state."""
+    t = cfg.sample_times()
+    s1, s2 = (elements_to_cartesian(kepler_advance(el, cfg.t_start, cfg.mu),
+                                    cfg.mu)
+              for el in sim.scenario_orbits(cfg))
+    cw = cowell_propagate(s1, s2, cfg.t_start, float(t[-1]), cfg.mu,
+                          rtol=cfg.rel_tol, t_eval=t)
+    oe_arr = np.empty((t.size, 6))
+    eta_arr = np.empty((t.size, 3))
+    for k in range(t.size):
+        e1 = cartesian_to_elements(
+            CartesianState(r=cw.r1[k], v=cw.v1[k]), cfg.mu)
+        e2 = cartesian_to_elements(
+            CartesianState(r=cw.r2[k], v=cw.v2[k]), cfg.mu)
+        oe_k, eta_k = oe_from_classical(e1, e2)
+        oe_arr[k] = oe_k.as_array()
+        eta_arr[k] = eta_k.as_array()
+    return relative_position_batch(oe_arr, eta_arr)
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +186,7 @@ class TestHeliocentricSeparation:
             res = c2_check(NodalRelativeState.from_array(truth.oe[k]),
                            ReferenceParams.from_array(truth.eta[k]),
                            float(truth.t[k]), -cfg.t_end, cfg.mu,
-                           miss_tol=cfg.miss_tol)
+                           miss_tol=1.0)
             assert res.collides
             assert res.d_min <= 1e-3
             assert abs(res.t_min) <= 1e-3
@@ -234,8 +260,7 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("field", [
         "mu", "d", "q_diag", "p0_diag", "rel_tol", "init_perturb_sigma",
-        "miss_tol", "t_start", "sample_dt", "sigma_az", "sigma_el",
-        "sigma_beta"])
+        "t_start", "sample_dt", "sigma_az", "sigma_el", "sigma_beta"])
     def test_nonfinite_field_rejected(self, field, value):
         # rejected when the config is built, naming the field, not deep in
         # the truth build or the filter
@@ -259,6 +284,9 @@ class TestConfigRoundTrip:
         no_nu = {k: v for k, v in d["target"].items() if k != "nu_deg"}
         cases = [("unknown", "config", ("mc_run", "seeds"),
                   {"mc_run": 3, "seeds": 1}),
+                 # keys that configs of older versions hold
+                 ("unknown", "config", ("miss_tol_km", "truth_mode"),
+                  {"miss_tol_km": 1.0, "truth_mode": "kepler"}),
                  ("unknown", "encounter", ("gama_deg",),
                   {"encounter": {**d["encounter"], "gama_deg": 8.0}}),
                  ("unknown", "target", ("nu",),
@@ -315,8 +343,19 @@ class TestFlybyRun:
 
     @pytest.mark.parametrize("miss_tol, verdict", [(-1.0, 0.0), (1e12, 1.0)])
     def test_screening_collides_is_the_miss_tol_verdict(self, tmp_path,
+                                                       monkeypatch,
                                                        miss_tol, verdict):
-        cfg = small_config(sample_dt=1800.0, miss_tol=miss_tol)
+        # The screening's collides column is c2_check's verdict at the
+        # miss_tol it is handed (d/2 in a run); handing it a tolerance no
+        # distance meets, and one every distance meets, pins both sides.
+        real_c2_check = sim.c2_check
+
+        def c2_check_at(*args, **kwargs):
+            kwargs["miss_tol"] = miss_tol
+            return real_c2_check(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "c2_check", c2_check_at)
+        cfg = small_config(sample_dt=1800.0)
         art = run_flyby(cfg, out_dir=str(tmp_path))
         data = np.genfromtxt(art.paths["screening"], delimiter=",",
                              names=True)
@@ -324,6 +363,20 @@ class TestFlybyRun:
         assert np.array_equal(data["collides"],
                               data["d_min_est"] <= miss_tol)
         assert np.all(data["collides"] == verdict)
+
+    def test_screening_collides_within_half_the_diameter(self, tmp_path):
+        # The desk flyby is built to collide: the observer, a point, meets
+        # the target of diameter d when the centre distance is <= d/2, and
+        # the estimate's d_min_est falls below it late in the window (on
+        # the last 4 of 204 rows at seed 1).
+        cfg = replace(ScenarioConfig(), sample_dt=600.0, seed=1)
+        art = run_flyby(cfg, out_dir=str(tmp_path))
+        data = np.genfromtxt(art.paths["screening"], delimiter=",",
+                             names=True)
+        assert data.size > 0
+        assert np.array_equal(data["collides"],
+                              data["d_min_est"] <= cfg.d / 2)
+        assert np.any(data["collides"][-10:] == 1.0)
 
     def test_same_seed_same_run(self):
         cfg = small_config(sample_dt=3600.0)
@@ -366,7 +419,7 @@ class TestFlybyRun:
             p_short = orbital_period(min(a1, a2), MU_EARTH)
             assert (t_hi - art.truth.t[k]) / (p_short / 200.0) > 2000
             c2 = c2_check(oe, eta, float(art.truth.t[k]), t_hi, MU_EARTH,
-                          miss_tol=cfg.miss_tol)
+                          miss_tol=1.0)
             assert rows["d_min_est"][k] == c2.d_min
 
 

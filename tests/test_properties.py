@@ -24,7 +24,6 @@ from nodalrel import (
     ScenarioConfig,
     build_collision_scenario,
     c1_test,
-    classical_from_oe,
     elements_to_cartesian,
     input_matrices,
     oe_from_classical,
@@ -45,6 +44,7 @@ from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
 from nodalrel.navigation import _coast
 from nodalrel.relstate import _floats, _kepler_pair, _position_arrays
 
+from conftest import classical_from_oe
 from test_conjunction import node_crossing_radii
 
 ANGLE = st.floats(-math.pi, math.pi)

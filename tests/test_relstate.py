@@ -9,7 +9,6 @@ from nodalrel import (
     GeometryError,
     NodalRelativeState,
     ReferenceParams,
-    classical_from_oe,
     oe_from_classical,
     position_jacobians,
     relative_orientation,
@@ -21,8 +20,9 @@ from nodalrel import (
 )
 from nodalrel.relstate import _floats, _scalar_position
 
-from conftest import (EL1, EL2, cartesian_relative_state, ecc_inc_vectors,
-                      haversine_psi, perturbed_derivative, random_pair)
+from conftest import (EL1, EL2, cartesian_relative_state, classical_from_oe,
+                      ecc_inc_vectors, haversine_psi, perturbed_derivative,
+                      random_pair)
 
 
 def relative_velocity(oe, eta, mu) -> np.ndarray:
