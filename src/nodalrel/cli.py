@@ -19,7 +19,7 @@ import numpy as np
 from .constants import MU_EARTH
 from .frames import ClassicalElements
 from .relstate import oe_from_classical
-from .dynamics import propagate
+from .dynamics import RTOL, propagate
 from .conjunction import c1_test, c2_check, zeta
 from . import missionsim as sim
 
@@ -30,7 +30,7 @@ def _load_cfg(args) -> sim.ScenarioConfig:
     cfg = (sim.load_config(args.config) if args.config
            else sim.ScenarioConfig())
     cfg = replace(cfg, **{name: getattr(args, flag) for flag, name in (
-        ("seed", "seed"), ("mu", "mu"), ("tol", "rel_tol"), ("jobs", "jobs"))
+        ("seed", "seed"), ("mu", "mu"), ("jobs", "jobs"))
         if getattr(args, flag, None) is not None})
     return cfg.paper_scale() if getattr(args, "paper_scale", False) else cfg
 
@@ -46,10 +46,10 @@ def _pair_from_args(args):
 
 
 def _tol(args) -> float:
-    """--tol, 1e-12 when absent; like rel_tol it must be positive."""
+    """--tol, RTOL when absent; it must be positive."""
     if args.tol is not None and not args.tol > 0.0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
-    return 1e-12 if args.tol is None else args.tol
+    return RTOL if args.tol is None else args.tol
 
 
 def _cmd_validate(args) -> int:
@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     # The validation pair fixes mu; screen writes no file and integrates
-    # nothing; only montecarlo runs workers, and of the scenario
-    # subcommands only maneuver integrates (its Cowell replay).
+    # nothing; only montecarlo runs workers; the scenario subcommands
+    # integrate at dynamics.RTOL or not at all.
     add("validate", "model-vs-Cowell equivalence run", _cmd_validate,
         "--out", "--tol")
 
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs")
 
     p = add("maneuver", "delta-v sweep and applied impulse", _cmd_maneuver,
-            *_SCENARIO, "--tol")
+            *_SCENARIO)
     p.add_argument("--offsets", type=float, nargs="+", default=[1e-4],
                    help="zeta correction offsets")
     p.add_argument("--apply-at", type=float, default=None,

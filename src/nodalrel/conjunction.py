@@ -22,6 +22,7 @@ from scipy.optimize import minimize_scalar
 from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
     _MATH,
+    RTOL,
     PerturbationInput,
     _phase_sweep,
     _solve_nodal,
@@ -243,9 +244,6 @@ def plan_avoidance(oe: NodalRelativeState, eta: ReferenceParams,
 
 #: Relative slack on the plane bound's distance threshold.
 PLANE_BOUND_SLACK = 1e-12
-
-#: Relative tolerance of the forced C2 search's DOP853 solve.
-C2_RTOL = 1e-12
 
 #: Rounding allowance of the plane bound, in units of eps: on distances
 #: (times the larger apoapsis radius) and on Kepler-timed window ends
@@ -496,7 +494,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
       which is the result without the bound, bit for bit.
 
     With ``u`` the planes move, so the window grid is searched whole: the
-    window is integrated once (DOP853 at relative tolerance C2_RTOL), the
+    window is integrated once (DOP853 at relative tolerance RTOL), the
     samples are that solve's outputs at the grid times, and the refinement
     evaluates its dense interpolant in float arithmetic, so the objective
     and the grid come from one source.
@@ -533,8 +531,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
         else:
             t_best, d_best = _node_window_minimum(distance, t_grid, *bound)
     else:
-        sol = _solve_nodal(oe, eta, t0, tf, mu, u, C2_RTOL, t_grid,
-                           dense_output=True)
+        sol = _solve_nodal(oe, eta, t0, tf, mu, u, RTOL, t_grid)
 
         def distance(t):
             dtheta, dp, dxx, dxy, hx, hy, p1, ec, es = sol.sol(t).tolist()

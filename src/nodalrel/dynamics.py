@@ -7,8 +7,8 @@ element conversions.
 Keplerian motion is advanced in closed form by Kepler timing of both
 orbits (:func:`_anomaly_sweep`, the one coast kernel of the truth, the
 filter and the C2 search); perturbed motion and the Cowell oracle are
-integrated by the adaptive Dormand-Prince 8(5,3) method (scipy's DOP853)
-at a configurable relative tolerance.
+integrated by the adaptive Dormand-Prince 8(5,3) method (scipy's DOP853),
+one dense solve per trajectory at relative tolerance RTOL by default.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ CIRCULAR_E_TOL = 1e-11
 
 #: Inclination below which the ascending node is undefined (raan = 0).
 EQUATORIAL_I_TOL = 1e-11
+
+#: Relative tolerance of the DOP853 solves: the propagators' default, the
+#: forced C2 search's and the maneuver replay's.
+RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -395,34 +399,38 @@ def _nodal_rhs(t: float, y: np.ndarray,
         np.asarray(uin.u2, dtype=float).tolist()))])
 
 
+def _dop853(rhs, y0, t0: float, tf: float, rtol: float, atol, args,
+            t_eval, what: str):
+    """The package's one integration: DOP853 from t0 to tf > t0, dense in
+    ``sol.sol`` and sampled at t_eval in ``sol.y``, which raises ValueError
+    on a time outside [t0, tf] where the interpolant would extrapolate.
+    Raises StepFailure naming ``what`` if the solve fails."""
+    if not tf > t0:
+        raise ValueError("tf must exceed t0")
+    sol = solve_ivp(rhs, (t0, tf), y0, method="DOP853",
+                    t_eval=np.asarray(t_eval, dtype=float), dense_output=True,
+                    rtol=rtol, atol=atol, args=args)
+    if not sol.success:
+        raise StepFailure(f"{what} propagation failed: {sol.message}")
+    return sol
+
+
 def _solve_nodal(oe: NodalRelativeState, eta: ReferenceParams,
                  t0: float, tf: float, mu: float,
                  u: Optional[Callable[[float], PerturbationInput]],
-                 rtol: float, t_eval, dense_output: bool):
-    """scipy DOP853 solution of the nodal dynamics over [t0, tf] (state rows
-    0-5, reference rows 6-8); see :func:`propagate`.
-
-    Raises
-    ------
-    StepFailure
-        If the integrator cannot complete the interval.
-    """
+                 rtol: float, t_eval):
+    """Dense DOP853 solution of the nodal dynamics over [t0, tf] (state rows
+    0-5, reference rows 6-8); see :func:`propagate`."""
+    atol = rtol * np.array([1.0] * 6 + [max(eta.p1, 1.0), 1.0, 1.0])
     y0 = np.concatenate([oe.as_array(), eta.as_array()])
-    atol = rtol * np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
-                            max(eta.p1, 1.0), 1.0, 1.0])
-    sol = solve_ivp(_nodal_rhs, (t0, tf), y0, method="DOP853",
-                    t_eval=np.asarray(t_eval, dtype=float),
-                    dense_output=dense_output,
-                    rtol=rtol, atol=atol, args=(u, mu))
-    if not sol.success:
-        raise StepFailure(f"nodal propagation failed: {sol.message}")
-    return sol
+    return _dop853(_nodal_rhs, y0, t0, tf, rtol, atol, (u, mu), t_eval,
+                   "nodal")
 
 
 def propagate(oe: NodalRelativeState, eta: ReferenceParams,
               t0: float, tf: float, mu: float,
               u: Optional[Callable[[float], PerturbationInput]] = None,
-              rtol: float = 1e-12, t_eval=None, n_samples: int = 1000,
+              rtol: float = RTOL, t_eval=None, n_samples: int = 1000,
               ) -> Trajectory:
     """Integrate the (perturbed) nodal dynamics from t0 to tf.
 
@@ -442,12 +450,9 @@ def propagate(oe: NodalRelativeState, eta: ReferenceParams,
     StepFailure
         If the integrator cannot complete the interval.
     """
-    if not tf > t0:
-        raise ValueError("tf must exceed t0")
     if t_eval is None:
         t_eval = np.linspace(t0, tf, n_samples)
-    sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_eval,
-                       dense_output=False)
+    sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_eval)
     return Trajectory(t=sol.t, oe=sol.y[:6].T.copy(), eta=sol.y[6:].T.copy())
 
 
@@ -487,11 +492,22 @@ def _cowell_rhs(t: float, y: np.ndarray, mu: float,
     return np.array([vx, vy, vz, ax, ay, az])
 
 
+def _solve_cowell(s: CartesianState, t0: float, tf: float, mu: float,
+                  u: Optional[Callable[[float], np.ndarray]],
+                  rtol: float, t_eval):
+    """Dense DOP853 solution of one satellite's inertial motion over [t0, tf]
+    (position rows 0-2, velocity rows 3-5); see :func:`cowell_propagate`."""
+    scale = np.concatenate([np.full(3, np.linalg.norm(s.r)),
+                            np.full(3, max(np.linalg.norm(s.v), 1.0))])
+    return _dop853(_cowell_rhs, np.concatenate([s.r, s.v]), t0, tf, rtol,
+                   rtol * scale, (mu, u), t_eval, "Cowell")
+
+
 def cowell_propagate(s1: CartesianState, s2: CartesianState,
                      t0: float, tf: float, mu: float,
                      u1: Optional[Callable[[float], np.ndarray]] = None,
                      u2: Optional[Callable[[float], np.ndarray]] = None,
-                     rtol: float = 1e-12, t_eval=None, n_samples: int = 1000,
+                     rtol: float = RTOL, t_eval=None, n_samples: int = 1000,
                      ) -> CowellTrajectory:
     """Direct inertial integration of both satellites under two-body
     gravity plus optional RTN acceleration callbacks (rotated to PCI
@@ -502,26 +518,13 @@ def cowell_propagate(s1: CartesianState, s2: CartesianState,
     StepFailure
         If either integration fails.
     """
-    if not tf > t0:
-        raise ValueError("tf must exceed t0")
     if t_eval is None:
         t_eval = np.linspace(t0, tf, n_samples)
     t_eval = np.asarray(t_eval, dtype=float)
-
-    def run(s: CartesianState, u):
-        y0 = np.concatenate([s.r, s.v])
-        scale = np.concatenate([np.full(3, np.linalg.norm(s.r)),
-                                np.full(3, max(np.linalg.norm(s.v), 1.0))])
-        sol = solve_ivp(_cowell_rhs, (t0, tf), y0, method="DOP853",
-                        t_eval=t_eval, rtol=rtol, atol=rtol * scale,
-                        args=(mu, u))
-        if not sol.success:
-            raise StepFailure(f"Cowell propagation failed: {sol.message}")
-        return sol.y[:3].T.copy(), sol.y[3:].T.copy()
-
-    r1, v1 = run(s1, u1)
-    r2, v2 = run(s2, u2)
-    return CowellTrajectory(t=t_eval, r1=r1, v1=v1, r2=r2, v2=v2)
+    y1, y2 = (_solve_cowell(s, t0, tf, mu, u, rtol, t_eval).y
+              for s, u in ((s1, u1), (s2, u2)))
+    return CowellTrajectory(t=t_eval, r1=y1[:3].T.copy(), v1=y1[3:].T.copy(),
+                            r2=y2[:3].T.copy(), v2=y2[3:].T.copy())
 
 
 def apply_impulse(state: CartesianState, dv_rtn: np.ndarray,

@@ -35,8 +35,10 @@ from .relstate import (
     relative_position_batch,
 )
 from .dynamics import (
+    RTOL,
     CartesianState,
     PerturbationInput,
+    _solve_cowell,
     apply_impulse,
     cartesian_to_elements,
     cowell_propagate,
@@ -125,6 +127,12 @@ class EncounterSpec:
                              "retrograde bounds")
 
 
+def _is_count(value, least: int) -> bool:
+    """An integer (not a bool) of at least ``least``."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= least)
+
+
 def _default_target() -> ClassicalElements:
     # Lutetia-like heliocentric orbit (scenario default, not mission data).
     return ClassicalElements(a=2.435 * AU_KM, e=0.164, i=3.06 * DEG,
@@ -142,8 +150,8 @@ class ScenarioConfig:
     of the measurements, and the screening report's ``collides`` column
     flags a centre distance of at most d/2.  ``q_diag`` is a per-second
     process-noise rate; ``p0_diag`` the initial covariance diagonal.
-    ``rel_tol`` is the DOP853 relative tolerance of the maneuver sweep's
-    Cowell replay, and ``jobs`` the number of Monte Carlo worker processes.
+    ``mc_runs`` is the number of Monte Carlo runs and ``jobs`` the number
+    of their worker processes.
     Times are seconds relative to impact.  A config that cannot run raises
     ValueError at construction, naming each bad field.
     """
@@ -163,7 +171,6 @@ class ScenarioConfig:
     p0_diag: tuple = ((1.5e-4) ** 2,) * 6
     seed: int = 0
     mc_runs: int = 25
-    rel_tol: float = 1e-12
     transient_fraction: float = 0.05
     chi2_gate: Optional[float] = None
     jobs: int = 1
@@ -184,14 +191,12 @@ class ScenarioConfig:
             ("d", 0.0 < self.d < math.inf, "be finite and > 0"),
             ("init_perturb_sigma", 0.0 <= self.init_perturb_sigma < math.inf,
              "be finite and >= 0"),
-            ("seed", isinstance(self.seed, numbers.Integral)
-             and not isinstance(self.seed, bool) and self.seed >= 0,
-             "be an integer >= 0"),
+            ("seed", _is_count(self.seed, 0), "be an integer >= 0"),
+            ("mc_runs", _is_count(self.mc_runs, 2), "be an integer >= 2"),
             ("transient_fraction", 0.0 <= frac < 1.0
              and math.ceil(frac * n) < n,
              f"lie in [0, 1) and leave a post-transient sample of {n}"),
-            ("jobs", self.jobs >= 1, "be at least 1"),
-            ("rel_tol", 0.0 < self.rel_tol < math.inf, "be finite and > 0"),
+            ("jobs", _is_count(self.jobs, 1), "be an integer >= 1"),
             ("chi2_gate", gate is None or gate > 0.0, "be positive"),
         ) if not ok]
         if problems:
@@ -230,7 +235,6 @@ _SCENARIO_KEYS = {
     "init_perturb_sigma": ("init_perturb_sigma", None),
     "q_diag": ("q_diag", _SEQUENCE), "p0_diag": ("p0_diag", _SEQUENCE),
     "seed": ("seed", None), "mc_runs": ("mc_runs", None),
-    "rel_tol": ("rel_tol", None),
     "transient_fraction": ("transient_fraction", None),
     "chi2_gate": ("chi2_gate", None), "jobs": ("jobs", None)}
 
@@ -576,8 +580,6 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
     deterministic for a given config and seed.  When out_dir is given,
     writes summary.json and an ensemble-envelope CSV.
     """
-    if cfg.mc_runs < 2:
-        raise ValueError("mc_runs must be at least 2")
     truth = build_truth(cfg)
 
     if cfg.jobs > 1:
@@ -665,10 +667,10 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     plus the offset.  The impulse for the first offset is applied to
     satellite 1 at ``apply_at`` (default: two days after the window opens).
     The closest approaches with and without it (``achieved_miss_km``,
-    ``unmaneuvered_miss_km``) come from a Cowell replay of both satellites
-    from the burn to as long after the nominal impact as t_end is before
-    it, at relative tolerance ``cfg.rel_tol``: the distance on a coarse
-    grid, then on a 400-point grid between the best sample's neighbours.
+    ``unmaneuvered_miss_km``) come from a Cowell replay from the burn to as
+    long after the nominal impact as t_end is before it, at relative
+    tolerance RTOL: one dense solve each of satellite 1 with and without
+    the burn and of satellite 2, searched by :func:`_cowell_closest_approach`.
     """
     art = run_flyby(cfg)
     truth, run = art.truth, art.run
@@ -692,14 +694,16 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     plan = plan_at(int(np.argmin(np.abs(truth.t - apply_at))), offsets[0])
     t_m = plan.t_m
 
-    s1 = elements_to_cartesian(kepler_advance(truth.el1_impact, t_m, cfg.mu),
-                               cfg.mu)
-    s2 = elements_to_cartesian(kepler_advance(truth.el2_impact, t_m, cfg.mu),
-                               cfg.mu)
-    s1_burn = apply_impulse(s1, plan.delta_v)
+    s1, s2 = (elements_to_cartesian(kepler_advance(el, t_m, cfg.mu), cfg.mu)
+              for el in (truth.el1_impact, truth.el2_impact))
     t_hi = -cfg.t_end  # symmetric margin past the nominal impact
-    achieved = _cowell_closest_approach(s1_burn, s2, t_m, t_hi, cfg)
-    baseline = _cowell_closest_approach(s1, s2, t_m, t_hi, cfg)
+    t_grid = np.linspace(t_m, t_hi,
+                         max(2000, int((t_hi - t_m) / cfg.sample_dt / 4)))
+    orbit1, burned, orbit2 = (
+        _solve_cowell(s, t_m, t_hi, cfg.mu, None, RTOL, t_grid)
+        for s in (s1, apply_impulse(s1, plan.delta_v), s2))
+    achieved = _cowell_closest_approach(burned, orbit2, t_grid)
+    baseline = _cowell_closest_approach(orbit1, orbit2, t_grid)
 
     result = ManeuverSweepResult(
         t_candidates=truth.t[idx], dv_profiles=dv_profiles, offsets=offsets,
@@ -723,20 +727,15 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     return result
 
 
-def _cowell_closest_approach(s1: CartesianState, s2: CartesianState,
-                             t0: float, tf: float, cfg: ScenarioConfig,
-                             ) -> float:
-    """Closest approach (km) from a Cowell replay, with local refinement."""
-    coarse = max(2000, int((tf - t0) / cfg.sample_dt / 4))
-    cw = cowell_propagate(s1, s2, t0, tf, cfg.mu, rtol=cfg.rel_tol,
-                          n_samples=coarse)
-    d = np.linalg.norm(cw.r2 - cw.r1, axis=1)
+def _cowell_closest_approach(orbit_a, orbit_b, t_grid: np.ndarray) -> float:
+    """Closest approach (km) of two dense Cowell solves sampled at t_grid: on
+    that grid, then on 400 interpolated points around the best sample."""
+    d = np.linalg.norm(orbit_b.y[:3].T - orbit_a.y[:3].T, axis=1)
     k = int(np.argmin(d))
-    lo = cw.t[max(k - 1, 0)]
-    hi = cw.t[min(k + 1, coarse - 1)]
-    fine = cowell_propagate(s1, s2, t0, tf, cfg.mu, rtol=cfg.rel_tol,
-                            t_eval=np.linspace(lo, hi, 400))
-    d_fine = np.linalg.norm(fine.r2 - fine.r1, axis=1)
+    fine = np.linspace(t_grid[max(k - 1, 0)],
+                       t_grid[min(k + 1, t_grid.size - 1)], 400)
+    d_fine = np.linalg.norm(orbit_b.sol(fine)[:3].T
+                            - orbit_a.sol(fine)[:3].T, axis=1)
     return float(min(d.min(), d_fine.min()))
 
 
@@ -749,7 +748,7 @@ class ValidationResult:
     n_samples: int
 
 
-def run_validation(rtol: float = 1e-12, n_samples: int = 501,
+def run_validation(rtol: float = RTOL, n_samples: int = 501,
                    out_dir: Optional[str] = None) -> ValidationResult:
     """Model-vs-Cowell equivalence on the fixed validation orbit pair with
     sinusoidal accelerations over 10^4 s.

@@ -1,6 +1,7 @@
 """The public API is the pipeline: each function that ``nodalrel`` exports
-is called by the package itself or used by the benchmark, and each
-scenario option is read by the code it configures."""
+is called by the package itself or used by the benchmark, each scenario
+option is read by the code it configures, and every integration goes
+through one driver."""
 
 import ast
 import dataclasses
@@ -9,6 +10,7 @@ import re
 from pathlib import Path
 
 import nodalrel
+from nodalrel import dynamics
 from nodalrel.missionsim import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,3 +43,13 @@ def test_every_config_field_is_read_outside_its_checks():
     unread = [f.name for f in dataclasses.fields(ScenarioConfig)
               if f.name not in read]
     assert unread == []
+
+
+def test_every_integration_goes_through_dop853():
+    # The benchmark counts dynamics.rhs_evals by patching
+    # dynamics.solve_ivp, so a solve_ivp call anywhere but the one driver
+    # would go uncounted.
+    calls = {path.name: len(re.findall(r"\bsolve_ivp\(", path.read_text()))
+             for path in sorted((ROOT / "src" / "nodalrel").glob("*.py"))}
+    assert {name: n for name, n in calls.items() if n} == {"dynamics.py": 1}
+    assert "solve_ivp(" in inspect.getsource(dynamics._dop853)

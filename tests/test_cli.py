@@ -91,6 +91,8 @@ def test_validate_rejects_mu(capsys):
     ["flyby", "--out", "out", "--jobs", "2"],
     ["montecarlo", "--out", "out", "--tol", "1e-9"],
     ["maneuver", "--out", "out", "--jobs", "2"],
+    # the replay integrates at dynamics.RTOL
+    ["maneuver", "--out", "out", "--tol", "1e-9"],
 ])
 def test_screen_rejects_unused_flags(tmp_path, monkeypatch, capsys, flag):
     # Each subcommand takes only the flags that act on it.

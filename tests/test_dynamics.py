@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import solve_ivp
 
 from nodalrel import (
     MU_EARTH,
@@ -29,8 +30,9 @@ from nodalrel import (
 )
 from nodalrel import dynamics, missionsim
 from nodalrel.relstate import _floats, _kepler_pair, oe_from_orientation
-from nodalrel.dynamics import (_nodal_rhs, advance_true_anomaly,
-                               mean_to_true_anomaly, true_to_mean_anomaly)
+from nodalrel.dynamics import (RTOL, _cowell_rhs, _nodal_rhs,
+                               advance_true_anomaly, mean_to_true_anomaly,
+                               true_to_mean_anomaly)
 
 from conftest import (EL1, EL2, CoplanarNormalInput, f_unperturbed_jacobian,
                       nodal_variational, perturbed_derivative,
@@ -369,9 +371,10 @@ class TestPropagation:
         assert np.abs(traj.eta - eta_flow).max() < 1e-6  # p1 in km
 
     def test_forced_solves_within_evaluation_budget(self):
-        # On the forced validation run at rtol 1e-12, DOP853 takes 2,441
-        # nodal and 1,829 Cowell (satellite 1) right-hand sides; a 5(4)
-        # pair needs 5,804 and 4,940.  Each reads its input once.
+        # On the forced validation run at rtol 1e-12, DOP853 takes 2,972
+        # nodal and 2,258 Cowell (satellite 1) right-hand sides, those of
+        # its dense interpolant included; a 5(4) pair needed 5,804 and
+        # 4,940 without one.  Each reads its input once.
         reads = []
 
         def counted(accel):
@@ -397,6 +400,66 @@ class TestPropagation:
         oe, eta = oe_from_classical(EL1, EL2)
         with pytest.raises(ValueError):
             propagate(oe, eta, 10.0, 0.0, MU)
+
+
+def reference_solve(rhs, y0, span, atol, args, t_eval):
+    """The samples of a plain DOP853 solve_ivp at t_eval, without the
+    dense interpolant the package builds."""
+    sol = solve_ivp(rhs, (0.0, span), y0, method="DOP853", t_eval=t_eval,
+                    rtol=RTOL, atol=atol, args=args)
+    assert sol.success
+    return sol.y
+
+
+class TestDop853Driver:
+    """propagate and cowell_propagate read the samples of one dense solve,
+    which equal a plain solve_ivp(..., t_eval=...) bit for bit."""
+
+    SPAN = 3000.0
+    T_EVAL = np.linspace(0.0, SPAN, 37)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_propagate_matches_plain_solve(self, forced):
+        mu = missionsim.VALIDATION_MU
+        oe, eta = oe_from_classical(missionsim.VALIDATION_EL1,
+                                    missionsim.VALIDATION_EL2)
+        u = missionsim._validation_input if forced else None
+        traj = propagate(oe, eta, 0.0, self.SPAN, mu, u=u,
+                         t_eval=self.T_EVAL)
+        atol = RTOL * np.array([1.0] * 6 + [max(eta.p1, 1.0), 1.0, 1.0])
+        y = reference_solve(_nodal_rhs,
+                            np.concatenate([oe.as_array(), eta.as_array()]),
+                            self.SPAN, atol, (u, mu), self.T_EVAL)
+        assert np.array_equal(traj.t, self.T_EVAL)
+        assert np.array_equal(traj.oe, y[:6].T)
+        assert np.array_equal(traj.eta, y[6:].T)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_cowell_propagate_matches_plain_solve(self, forced):
+        mu = missionsim.VALIDATION_MU
+        s1, s2 = (elements_to_cartesian(el, mu) for el in (
+            missionsim.VALIDATION_EL1, missionsim.VALIDATION_EL2))
+        u1, u2 = ((missionsim.validation_accel_1,
+                   missionsim.validation_accel_2) if forced else (None, None))
+        traj = cowell_propagate(s1, s2, 0.0, self.SPAN, mu, u1=u1, u2=u2,
+                                t_eval=self.T_EVAL)
+        for s, u, r, v in ((s1, u1, traj.r1, traj.v1),
+                           (s2, u2, traj.r2, traj.v2)):
+            scale = np.array([np.linalg.norm(s.r)] * 3
+                             + [max(np.linalg.norm(s.v), 1.0)] * 3)
+            y = reference_solve(_cowell_rhs, np.concatenate([s.r, s.v]),
+                                self.SPAN, RTOL * scale, (mu, u), self.T_EVAL)
+            assert np.array_equal(r, y[:3].T)
+            assert np.array_equal(v, y[3:].T)
+
+    def test_sample_outside_span_rejected(self):
+        oe, eta = oe_from_classical(EL1, EL2)
+        s = elements_to_cartesian(EL1, MU)
+        outside = [0.5 * self.SPAN, 1.5 * self.SPAN]
+        with pytest.raises(ValueError):
+            propagate(oe, eta, 0.0, self.SPAN, MU, t_eval=outside)
+        with pytest.raises(ValueError):
+            cowell_propagate(s, s, 0.0, self.SPAN, MU, t_eval=outside)
 
 
 class TestCowell:
@@ -558,8 +621,8 @@ class TestImpulse:
         # functions reach may come from relstate or conjunction.
         import nodalrel.dynamics as dyn
         for fn in (dyn.rtn_basis, dyn._rtn_rows, dyn._cowell_rhs,
-                   dyn.cowell_propagate, dyn.apply_impulse,
-                   dyn.elements_to_cartesian):
+                   dyn.cowell_propagate, dyn._solve_cowell, dyn._dop853,
+                   dyn.apply_impulse, dyn.elements_to_cartesian):
             names = set(fn.__code__.co_names)
             for const in fn.__code__.co_consts:
                 if hasattr(const, "co_names"):

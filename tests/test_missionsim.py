@@ -17,6 +17,7 @@ from nodalrel import (
     NodalRelativeState,
     ReferenceParams,
     RetrogradeSingularity,
+    apply_impulse,
     c1_test,
     c2_check,
     cartesian_to_elements,
@@ -35,7 +36,8 @@ from nodalrel import (
     zeta,
     zeta_gradient,
 )
-from nodalrel import missionsim as sim, navigation
+from nodalrel import dynamics, missionsim as sim, navigation
+from nodalrel.dynamics import RTOL
 from nodalrel.navigation import ekf_propagate, ekf_update, measure
 from nodalrel.missionsim import (
     EncounterSpec,
@@ -146,14 +148,14 @@ class TestScenarioConstruction:
 def cowell_truth_dr(cfg: ScenarioConfig) -> np.ndarray:
     """RTN1 relative positions of the truth by an independent route (the
     slow reference for build_truth's exact flow): both satellites
-    integrated inertially at rel_tol, each sample converted to elements
+    integrated inertially at RTOL, each sample converted to elements
     and then to the nodal state."""
     t = cfg.sample_times()
     s1, s2 = (elements_to_cartesian(kepler_advance(el, cfg.t_start, cfg.mu),
                                     cfg.mu)
               for el in sim.scenario_orbits(cfg))
     cw = cowell_propagate(s1, s2, cfg.t_start, float(t[-1]), cfg.mu,
-                          rtol=cfg.rel_tol, t_eval=t)
+                          rtol=RTOL, t_eval=t)
     oe_arr = np.empty((t.size, 6))
     eta_arr = np.empty((t.size, 3))
     for k in range(t.size):
@@ -241,12 +243,14 @@ class TestConfigRoundTrip:
                                 "t_start": -3.0 * 3600.0, "t_end": -3600.0,
                                 "sample_dt": 3600.0}),
         ("jobs", {"jobs": 0}),
-        ("rel_tol", {"rel_tol": 0.0}),
+        ("mc_runs", {"mc_runs": 1}),
         ("chi2_gate", {"chi2_gate": -1.0}),
         ("mu", {"mu": 0.0}),
         ("init_perturb_sigma", {"init_perturb_sigma": -1e-4}),
         ("seed", {"seed": -1}),
         ("seed", {"seed": 1.5}),
+        ("mc_runs", {"mc_runs": 2.5}),
+        ("jobs", {"jobs": 1.5}),
     ])
     def test_config_that_cannot_run_rejected(self, field, overrides):
         with pytest.raises(ValueError, match=rf"^{field} must"):
@@ -259,7 +263,7 @@ class TestConfigRoundTrip:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("field", [
-        "mu", "d", "q_diag", "p0_diag", "rel_tol", "init_perturb_sigma",
+        "mu", "d", "q_diag", "p0_diag", "init_perturb_sigma",
         "t_start", "sample_dt", "sigma_az", "sigma_el", "sigma_beta"])
     def test_nonfinite_field_rejected(self, field, value):
         # rejected when the config is built, naming the field, not deep in
@@ -285,8 +289,10 @@ class TestConfigRoundTrip:
         cases = [("unknown", "config", ("mc_run", "seeds"),
                   {"mc_run": 3, "seeds": 1}),
                  # keys that configs of older versions hold
-                 ("unknown", "config", ("miss_tol_km", "truth_mode"),
-                  {"miss_tol_km": 1.0, "truth_mode": "kepler"}),
+                 ("unknown", "config",
+                  ("miss_tol_km", "truth_mode", "rel_tol"),
+                  {"miss_tol_km": 1.0, "truth_mode": "kepler",
+                   "rel_tol": 1e-12}),
                  ("unknown", "encounter", ("gama_deg",),
                   {"encounter": {**d["encounter"], "gama_deg": 8.0}}),
                  ("unknown", "target", ("nu",),
@@ -645,6 +651,50 @@ class TestManeuverSweep:
                                  apply_at=cfg.t_start + 0.5 * 86400.0)
         assert res.unmaneuvered_miss_km < 50.0
         assert res.achieved_miss_km > 10.0 * res.unmaneuvered_miss_km
+        assert res.achieved_miss_km > cfg.d
+
+    def test_replay_matches_two_integration_reference(self, monkeypatch):
+        # One dense solve per orbit: s1, s1 with the burn, and s2.
+        solve_ivp, calls = dynamics.solve_ivp, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "solve_ivp", counted)
+        cfg = small_config(sample_dt=1800.0)
+        res = run_maneuver_sweep(cfg, apply_at=cfg.t_start + 0.5 * 86400.0)
+        assert len(calls) == 3
+        monkeypatch.undo()
+
+        t_m, t_hi = res.applied_t_m, -cfg.t_end
+        truth = build_truth(cfg)
+        s1, s2 = (elements_to_cartesian(kepler_advance(el, t_m, cfg.mu),
+                                        cfg.mu)
+                  for el in (truth.el1_impact, truth.el2_impact))
+        burned = apply_impulse(s1, res.applied_dv)
+        assert res.achieved_miss_km == reference_closest_approach(
+            burned, s2, t_m, t_hi, cfg)
+        assert res.unmaneuvered_miss_km == reference_closest_approach(
+            s1, s2, t_m, t_hi, cfg)
+
+
+def reference_closest_approach(s1, s2, t0: float, tf: float,
+                               cfg: ScenarioConfig) -> float:
+    """The replay's miss (km) by two integrations of the pair: the
+    distance on a coarse grid, then the window integrated again and
+    sampled on 400 points between the best sample's neighbours."""
+    coarse = max(2000, int((tf - t0) / cfg.sample_dt / 4))
+    cw = cowell_propagate(s1, s2, t0, tf, cfg.mu, rtol=RTOL,
+                          n_samples=coarse)
+    d = np.linalg.norm(cw.r2 - cw.r1, axis=1)
+    k = int(np.argmin(d))
+    lo = cw.t[max(k - 1, 0)]
+    hi = cw.t[min(k + 1, coarse - 1)]
+    fine = cowell_propagate(s1, s2, t0, tf, cfg.mu, rtol=RTOL,
+                            t_eval=np.linspace(lo, hi, 400))
+    d_fine = np.linalg.norm(fine.r2 - fine.r1, axis=1)
+    return float(min(d.min(), d_fine.min()))
 
 
 class TestValidation:
