@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: validate (model-vs-Cowell equivalence), propagate (generic
-trajectory export), screen (intersection/safety report for a state),
-flyby (single navigation run), montecarlo (campaign), maneuver (delta-v
-sweep plus applied impulse).  Angles on this boundary are degrees.
+Subcommands: validate (model-vs-Cowell equivalence), propagate (export of
+the exact unperturbed flow), screen (intersection/safety report for a
+state), flyby (single navigation run), montecarlo (campaign), maneuver
+(delta-v sweep plus applied impulse).  Angles on this boundary are degrees.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .constants import MU_EARTH
 from .frames import ClassicalElements
 from .relstate import oe_from_classical
-from .dynamics import RTOL, propagate
+from .dynamics import RTOL, unperturbed_flow
 from .conjunction import c1_test, c2_check, zeta
 from . import missionsim as sim
 
@@ -45,15 +45,11 @@ def _pair_from_args(args):
             MU_EARTH if args.mu is None else args.mu)
 
 
-def _tol(args) -> float:
-    """--tol, RTOL when absent; it must be positive."""
+def _cmd_validate(args) -> int:
     if args.tol is not None and not args.tol > 0.0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
-    return RTOL if args.tol is None else args.tol
-
-
-def _cmd_validate(args) -> int:
-    res = sim.run_validation(rtol=_tol(args), out_dir=args.out)
+    res = sim.run_validation(rtol=RTOL if args.tol is None else args.tol,
+                             out_dir=args.out)
     print(f"max model-vs-Cowell discrepancy: {res.max_discrepancy_km:.3e} km")
     print(f"zero-input discrepancy:          "
           f"{res.zero_input_discrepancy_km:.3e} km")
@@ -62,12 +58,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_propagate(args) -> int:
     oe, eta, mu = _pair_from_args(args)
-    traj = propagate(oe, eta, 0.0, args.tf, mu, rtol=_tol(args),
-                     n_samples=args.samples)
+    t = np.linspace(0.0, args.tf, args.samples)
+    oe_arr, eta_arr = unperturbed_flow(oe, eta, mu, t)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "trajectory.csv")
-    sim.write_trajectory_csv(path, traj.t, traj.oe, traj.eta)
+    sim.write_trajectory_csv(path, t, oe_arr, eta_arr)
     print(f"wrote {path}")
     return 0
 
@@ -138,8 +134,6 @@ _ORBIT = dict(type=float, nargs=6, required=True,
 _OPTIONS = {
     "--out": dict(type=str, default=None,
                   help="output directory for CSV/JSON artifacts"),
-    "--tol": dict(type=float, default=None,
-                  help="integrator relative tolerance"),
     "--mu": dict(type=float, default=None,
                  help="gravitational parameter, km^3/s^2"),
     "--config": dict(type=str, default=None, help="JSON scenario config"),
@@ -172,14 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    # The validation pair fixes mu; screen writes no file and integrates
-    # nothing; only montecarlo runs workers; the scenario subcommands
-    # integrate at dynamics.RTOL or not at all.
-    add("validate", "model-vs-Cowell equivalence run", _cmd_validate,
-        "--out", "--tol")
+    # The validation pair fixes mu, and only validate integrates at a
+    # chosen tolerance: propagate writes the exact flow, screen writes no
+    # file, and the scenario subcommands integrate at dynamics.RTOL or not
+    # at all; only montecarlo runs workers.
+    p = add("validate", "model-vs-Cowell equivalence run", _cmd_validate,
+            "--out")
+    p.add_argument("--tol", type=float, default=None,
+                   help="integrator relative tolerance")
 
-    p = add("propagate", "propagate a pair and export CSV", _cmd_propagate,
-            "--out", "--tol", *_PAIR)
+    p = add("propagate", "export the exact unperturbed flow of a pair as CSV",
+            _cmd_propagate, "--out", *_PAIR)
     p.add_argument("--tf", type=float, required=True, help="final time, s")
     p.add_argument("--samples", type=int, default=1000)
 

@@ -531,7 +531,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
         else:
             t_best, d_best = _node_window_minimum(distance, t_grid, *bound)
     else:
-        sol = _solve_nodal(oe, eta, t0, tf, mu, u, RTOL, t_grid)
+        sol = _solve_nodal(oe, eta, t_grid, mu, u, RTOL, True)
 
         def distance(t):
             dtheta, dp, dxx, dxy, hx, hy, p1, ec, es = sol.sol(t).tolist()

@@ -8,7 +8,9 @@ Keplerian motion is advanced in closed form by Kepler timing of both
 orbits (:func:`_anomaly_sweep`, the one coast kernel of the truth, the
 filter and the C2 search); perturbed motion and the Cowell oracle are
 integrated by the adaptive Dormand-Prince 8(5,3) method (scipy's DOP853),
-one dense solve per trajectory at relative tolerance RTOL by default.
+one solve per trajectory at its sample times, at relative tolerance RTOL by
+default; only the forced C2 search and the maneuver replay keep its dense
+interpolant.
 """
 
 from __future__ import annotations
@@ -399,40 +401,37 @@ def _nodal_rhs(t: float, y: np.ndarray,
         np.asarray(uin.u2, dtype=float).tolist()))])
 
 
-def _dop853(rhs, y0, t0: float, tf: float, rtol: float, atol, args,
-            t_eval, what: str):
-    """The package's one integration: DOP853 from t0 to tf > t0, dense in
-    ``sol.sol`` and sampled at t_eval in ``sol.y``, which raises ValueError
-    on a time outside [t0, tf] where the interpolant would extrapolate.
-    Raises StepFailure naming ``what`` if the solve fails."""
-    if not tf > t0:
-        raise ValueError("tf must exceed t0")
-    sol = solve_ivp(rhs, (t0, tf), y0, method="DOP853",
-                    t_eval=np.asarray(t_eval, dtype=float), dense_output=True,
-                    rtol=rtol, atol=atol, args=args)
+def _dop853(rhs, y0, t, rtol: float, atol, args, what: str, dense: bool):
+    """The package's one integration: DOP853 over (t[0], t[-1]), sampled at
+    the increasing times t in ``sol.y`` (solve_ivp rejects unsorted ones),
+    and dense in ``sol.sol`` only when ``dense``: the interpolant costs 3
+    more right-hand sides on each step that holds no sample.  Raises
+    StepFailure naming ``what`` if the solve fails."""
+    t = np.asarray(t, dtype=float)
+    if not (t.size > 1 and t[-1] > t[0]):
+        raise ValueError("sample times must increase")
+    sol = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", t_eval=t,
+                    dense_output=dense, rtol=rtol, atol=atol, args=args)
     if not sol.success:
         raise StepFailure(f"{what} propagation failed: {sol.message}")
     return sol
 
 
-def _solve_nodal(oe: NodalRelativeState, eta: ReferenceParams,
-                 t0: float, tf: float, mu: float,
+def _solve_nodal(oe: NodalRelativeState, eta: ReferenceParams, t, mu: float,
                  u: Optional[Callable[[float], PerturbationInput]],
-                 rtol: float, t_eval):
-    """Dense DOP853 solution of the nodal dynamics over [t0, tf] (state rows
-    0-5, reference rows 6-8); see :func:`propagate`."""
+                 rtol: float, dense: bool):
+    """DOP853 solution of the nodal dynamics sampled at t (state rows 0-5,
+    reference rows 6-8); see :func:`propagate` and :func:`_dop853`."""
     atol = rtol * np.array([1.0] * 6 + [max(eta.p1, 1.0), 1.0, 1.0])
     y0 = np.concatenate([oe.as_array(), eta.as_array()])
-    return _dop853(_nodal_rhs, y0, t0, tf, rtol, atol, (u, mu), t_eval,
-                   "nodal")
+    return _dop853(_nodal_rhs, y0, t, rtol, atol, (u, mu), "nodal", dense)
 
 
-def propagate(oe: NodalRelativeState, eta: ReferenceParams,
-              t0: float, tf: float, mu: float,
+def propagate(oe: NodalRelativeState, eta: ReferenceParams, t, mu: float,
               u: Optional[Callable[[float], PerturbationInput]] = None,
-              rtol: float = RTOL, t_eval=None, n_samples: int = 1000,
-              ) -> Trajectory:
-    """Integrate the (perturbed) nodal dynamics from t0 to tf.
+              rtol: float = RTOL) -> Trajectory:
+    """Integrate the (perturbed) nodal dynamics of (oe, eta), given at t[0],
+    to the increasing sample times t (s).
 
     Parameters
     ----------
@@ -442,17 +441,15 @@ def propagate(oe: NodalRelativeState, eta: ReferenceParams,
     rtol : float
         Relative tolerance of the Dormand-Prince 8(5,3) integrator.  Absolute
         tolerances are rtol-scaled per component (p1 carries km units).
-    t_eval : array or None
-        Sample times; defaults to n_samples points spanning [t0, tf].
 
     Raises
     ------
+    ValueError
+        If t does not increase.
     StepFailure
         If the integrator cannot complete the interval.
     """
-    if t_eval is None:
-        t_eval = np.linspace(t0, tf, n_samples)
-    sol = _solve_nodal(oe, eta, t0, tf, mu, u, rtol, t_eval)
+    sol = _solve_nodal(oe, eta, t, mu, u, rtol, False)
     return Trajectory(t=sol.t, oe=sol.y[:6].T.copy(), eta=sol.y[6:].T.copy())
 
 
@@ -492,39 +489,39 @@ def _cowell_rhs(t: float, y: np.ndarray, mu: float,
     return np.array([vx, vy, vz, ax, ay, az])
 
 
-def _solve_cowell(s: CartesianState, t0: float, tf: float, mu: float,
+def _solve_cowell(s: CartesianState, t, mu: float,
                   u: Optional[Callable[[float], np.ndarray]],
-                  rtol: float, t_eval):
-    """Dense DOP853 solution of one satellite's inertial motion over [t0, tf]
-    (position rows 0-2, velocity rows 3-5); see :func:`cowell_propagate`."""
+                  rtol: float, dense: bool):
+    """DOP853 solution of one satellite's inertial motion sampled at t
+    (position rows 0-2, velocity rows 3-5); see :func:`cowell_propagate`
+    and :func:`_dop853`."""
     scale = np.concatenate([np.full(3, np.linalg.norm(s.r)),
                             np.full(3, max(np.linalg.norm(s.v), 1.0))])
-    return _dop853(_cowell_rhs, np.concatenate([s.r, s.v]), t0, tf, rtol,
-                   rtol * scale, (mu, u), t_eval, "Cowell")
+    return _dop853(_cowell_rhs, np.concatenate([s.r, s.v]), t, rtol,
+                   rtol * scale, (mu, u), "Cowell", dense)
 
 
-def cowell_propagate(s1: CartesianState, s2: CartesianState,
-                     t0: float, tf: float, mu: float,
+def cowell_propagate(s1: CartesianState, s2: CartesianState, t, mu: float,
                      u1: Optional[Callable[[float], np.ndarray]] = None,
                      u2: Optional[Callable[[float], np.ndarray]] = None,
-                     rtol: float = RTOL, t_eval=None, n_samples: int = 1000,
-                     ) -> CowellTrajectory:
-    """Direct inertial integration of both satellites under two-body
-    gravity plus optional RTN acceleration callbacks (rotated to PCI
-    internally).  Serves as the independent oracle for the nodal model.
+                     rtol: float = RTOL) -> CowellTrajectory:
+    """Direct inertial integration of both satellites, given at t[0], to the
+    increasing sample times t (s), under two-body gravity plus optional RTN
+    acceleration callbacks (rotated to PCI internally).  Serves as the
+    independent oracle for the nodal model.
 
     Raises
     ------
+    ValueError
+        If t does not increase.
     StepFailure
         If either integration fails.
     """
-    if t_eval is None:
-        t_eval = np.linspace(t0, tf, n_samples)
-    t_eval = np.asarray(t_eval, dtype=float)
-    y1, y2 = (_solve_cowell(s, t0, tf, mu, u, rtol, t_eval).y
+    y1, y2 = (_solve_cowell(s, t, mu, u, rtol, False).y
               for s, u in ((s1, u1), (s2, u2)))
-    return CowellTrajectory(t=t_eval, r1=y1[:3].T.copy(), v1=y1[3:].T.copy(),
-                            r2=y2[:3].T.copy(), v2=y2[3:].T.copy())
+    return CowellTrajectory(t=np.asarray(t, dtype=float), r1=y1[:3].T.copy(),
+                            v1=y1[3:].T.copy(), r2=y2[:3].T.copy(),
+                            v2=y2[3:].T.copy())
 
 
 def apply_impulse(state: CartesianState, dv_rtn: np.ndarray,

@@ -77,6 +77,7 @@ VALIDATION_PHASES_1 = (0.0, 1.0, 2.0)
 VALIDATION_PERIODS_2 = (1000.0, 1200.0, 1400.0)
 VALIDATION_PHASES_2 = (0.5, 1.5, 2.5)
 VALIDATION_SPAN = 1.0e4
+VALIDATION_SAMPLES = 501
 
 
 def _sinusoid(periods: tuple, phases: tuple) -> Callable[[float], np.ndarray]:
@@ -118,13 +119,27 @@ class EncounterSpec:
     radial_sign: float = 1.0
 
     def __post_init__(self):
-        if not self.relative_speed > 0.0:
-            raise ValueError("relative speed must be positive")
-        # Nearer coplanar the node convention degenerates while dh > 0.
-        if not (0.0 < self.gamma <= math.pi - RETROGRADE_GAMMA_TOL
-                and math.tan(0.5 * self.gamma) > DEFAULT_COPLANAR_TOL):
-            raise ValueError("gamma must lie within the coplanar and "
-                             "retrograde bounds")
+        gamma = self.gamma
+        _check_fields((
+            ("relative_speed", 0.0 < self.relative_speed < math.inf,
+             "be finite and > 0"),
+            # Nearer coplanar the node convention degenerates while dh > 0.
+            ("gamma", 0.0 < gamma <= math.pi - RETROGRADE_GAMMA_TOL
+             and math.tan(0.5 * gamma) > DEFAULT_COPLANAR_TOL,
+             "lie within the coplanar and retrograde bounds"),
+            ("impact_nu", math.isfinite(self.impact_nu), "be finite"),
+            ("transverse_speed", 0.0 < self.transverse_speed < math.inf,
+             "be finite and > 0"),
+            # Any other sign scales the radial split: another speed.
+            ("radial_sign", self.radial_sign in (-1.0, 1.0), "be -1 or +1"),
+        ))
+
+
+def _check_fields(checks) -> None:
+    """Raise ValueError with "name must what" for each failed check."""
+    problems = [f"{name} must {what}" for name, ok, what in checks if not ok]
+    if problems:
+        raise ValueError("; ".join(problems))
 
 
 def _is_count(value, least: int) -> bool:
@@ -144,8 +159,9 @@ class ScenarioConfig:
     """Full description of a flyby experiment.
 
     ``target`` fixes satellite 2 (its nu is overridden by the encounter's
-    impact anomaly when ``encounter`` is given); satellite 1 either comes
-    from ``reference`` or is solved by :func:`build_collision_scenario`.
+    impact anomaly when ``encounter`` is given); satellite 1 comes from
+    exactly one of ``reference`` and ``encounter``, the latter solved by
+    :func:`build_collision_scenario`.
     ``d`` is the target's diameter (km): it sets the angular size β = d/ρ
     of the measurements, and the screening report's ``collides`` column
     flags a centre distance of at most d/2.  ``q_diag`` is a per-second
@@ -182,7 +198,10 @@ class ScenarioConfig:
             raise ValueError("sample_dt must be finite and > 0")
         q, p0, frac = self.q_diag, self.p0_diag, self.transient_fraction
         n, gate = self.sample_times().size, self.chi2_gate
-        problems = [f"{name} must {what}" for name, ok, what in (
+        _check_fields((
+            ("encounter or reference",
+             (self.encounter is None) != (self.reference is None),
+             "be given, but not both"),
             ("mu", 0.0 < self.mu < math.inf, "be finite and > 0"),
             ("q_diag", len(q) == 6 and all(0.0 <= v < math.inf for v in q),
              "be 6 finite rates >= 0"),
@@ -198,9 +217,7 @@ class ScenarioConfig:
              f"lie in [0, 1) and leave a post-transient sample of {n}"),
             ("jobs", _is_count(self.jobs, 1), "be an integer >= 1"),
             ("chi2_gate", gate is None or gate > 0.0, "be positive"),
-        ) if not ok]
-        if problems:
-            raise ValueError("; ".join(problems))
+        ))
 
     def paper_scale(self) -> "ScenarioConfig":
         """Paper-sized campaign: 5 s cadence, 200 Monte Carlo runs."""
@@ -298,7 +315,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                               **_from_json(d, _NOISE_KEYS))
     if "target" in d:
         kwargs["target"] = _elements_from_json(d["target"], "target")
-    if d.get("reference"):
+    if d.get("reference") is not None:
         kwargs["reference"] = _elements_from_json(d["reference"],
                                                   "reference")
     if "encounter" in d:
@@ -356,8 +373,6 @@ def build_collision_scenario(spec: EncounterSpec, target: ClassicalElements,
     t1_hat = np.cross(h1_hat, r_hat)
 
     w = spec.transverse_speed
-    if not w > 0.0:
-        raise InfeasibleEncounter("transverse speed must be positive")
     disc = (spec.relative_speed ** 2
             - (w * w + vt2 * vt2 - 2.0 * w * vt2 * math.cos(spec.gamma)))
     if disc < 0.0:
@@ -382,12 +397,9 @@ def build_collision_scenario(spec: EncounterSpec, target: ClassicalElements,
 def scenario_orbits(cfg: ScenarioConfig) -> tuple[ClassicalElements,
                                                   ClassicalElements]:
     """Orbit pair at the impact epoch implied by the configuration."""
-    if cfg.encounter is not None:
-        return build_collision_scenario(cfg.encounter, cfg.target, cfg.mu)
-    if cfg.reference is None:
-        raise ValueError("config needs either an encounter or explicit "
-                         "reference elements")
-    return cfg.reference, cfg.target
+    if cfg.encounter is None:
+        return cfg.reference, cfg.target
+    return build_collision_scenario(cfg.encounter, cfg.target, cfg.mu)
 
 
 # --- Truth ---
@@ -700,7 +712,7 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     t_grid = np.linspace(t_m, t_hi,
                          max(2000, int((t_hi - t_m) / cfg.sample_dt / 4)))
     orbit1, burned, orbit2 = (
-        _solve_cowell(s, t_m, t_hi, cfg.mu, None, RTOL, t_grid)
+        _solve_cowell(s, t_grid, cfg.mu, None, RTOL, True)
         for s in (s1, apply_impulse(s1, plan.delta_v), s2))
     achieved = _cowell_closest_approach(burned, orbit2, t_grid)
     baseline = _cowell_closest_approach(orbit1, orbit2, t_grid)
@@ -745,33 +757,32 @@ def _cowell_closest_approach(orbit_a, orbit_b, t_grid: np.ndarray) -> float:
 class ValidationResult:
     max_discrepancy_km: float
     zero_input_discrepancy_km: float
-    n_samples: int
 
 
-def run_validation(rtol: float = RTOL, n_samples: int = 501,
+def run_validation(rtol: float = RTOL,
                    out_dir: Optional[str] = None) -> ValidationResult:
     """Model-vs-Cowell equivalence on the fixed validation orbit pair with
-    sinusoidal accelerations over 10^4 s.
+    sinusoidal accelerations over VALIDATION_SPAN s, both routes integrated
+    at relative tolerance rtol and compared at VALIDATION_SAMPLES times.
 
     Returns the maximum RTN1 position discrepancy between the nodal-model
     route and direct Cowell differencing, plus the unforced variant.
     """
     mu = VALIDATION_MU
     el1, el2 = VALIDATION_EL1, VALIDATION_EL2
-    t_eval = np.linspace(0.0, VALIDATION_SPAN, n_samples)
+    t = np.linspace(0.0, VALIDATION_SPAN, VALIDATION_SAMPLES)
 
     def discrepancy(u_nodal, u1_rtn, u2_rtn) -> float:
         oe0, eta0 = oe_from_classical(el1, el2)
-        traj = propagate(oe0, eta0, 0.0, VALIDATION_SPAN, mu, u=u_nodal,
-                         rtol=rtol, t_eval=t_eval)
+        traj = propagate(oe0, eta0, t, mu, u=u_nodal, rtol=rtol)
         dr_model = relative_position_batch(traj.oe, traj.eta)
 
         s1 = elements_to_cartesian(el1, mu)
         s2 = elements_to_cartesian(el2, mu)
-        cw = cowell_propagate(s1, s2, 0.0, VALIDATION_SPAN, mu,
-                              u1=u1_rtn, u2=u2_rtn, rtol=rtol, t_eval=t_eval)
+        cw = cowell_propagate(s1, s2, t, mu, u1=u1_rtn, u2=u2_rtn,
+                              rtol=rtol)
         worst = 0.0
-        for k in range(t_eval.size):
+        for k in range(t.size):
             basis = rtn_basis(cw.r1[k], cw.v1[k])
             dr_cowell = basis @ (cw.r2[k] - cw.r1[k])
             worst = max(worst, float(np.linalg.norm(dr_model[k] - dr_cowell)))
@@ -790,8 +801,7 @@ def run_validation(rtol: float = RTOL, n_samples: int = 501,
             "span_s": VALIDATION_SPAN,
         })
     return ValidationResult(max_discrepancy_km=forced,
-                            zero_input_discrepancy_km=unforced,
-                            n_samples=n_samples)
+                            zero_input_discrepancy_km=unforced)
 
 
 # --- File outputs ---

@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
+from nodalrel import (MU_EARTH, ClassicalElements, oe_from_classical,
+                      unperturbed_flow)
 from nodalrel import missionsim as sim
 from nodalrel.cli import _load_cfg, build_parser, main
 
@@ -32,6 +35,7 @@ def test_screen_command(capsys):
 
 
 def test_propagate_command(tmp_path, capsys):
+    # propagate writes the exact unperturbed flow of the pair.
     rc = main(["propagate", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2,
                "--tf", "5000", "--samples", "50",
                "--out", str(tmp_path)])
@@ -40,6 +44,16 @@ def test_propagate_command(tmp_path, capsys):
                          names=True)
     assert data["t"].size == 50
     assert np.all(np.isfinite(data["dr_R"]))
+    el1, el2 = (ClassicalElements(*(float(v) for v in orbit[:2]),
+                                  *(math.radians(float(v))
+                                    for v in orbit[2:]))
+                for orbit in (ORBIT1, ORBIT2))
+    t = np.linspace(0.0, 5000.0, 50)
+    oe_arr, eta_arr = unperturbed_flow(*oe_from_classical(el1, el2),
+                                       MU_EARTH, t)
+    sim.write_trajectory_csv(str(tmp_path / "flow.csv"), t, oe_arr, eta_arr)
+    assert ((tmp_path / "trajectory.csv").read_bytes()
+            == (tmp_path / "flow.csv").read_bytes())
 
 
 def test_flyby_command(tmp_path, capsys):
@@ -93,6 +107,9 @@ def test_validate_rejects_mu(capsys):
     ["maneuver", "--out", "out", "--jobs", "2"],
     # the replay integrates at dynamics.RTOL
     ["maneuver", "--out", "out", "--tol", "1e-9"],
+    # propagate writes the exact flow and integrates nothing
+    ["propagate", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2, "--tf", "5000",
+     "--tol", "1e-9"],
 ])
 def test_screen_rejects_unused_flags(tmp_path, monkeypatch, capsys, flag):
     # Each subcommand takes only the flags that act on it.
@@ -104,9 +121,7 @@ def test_screen_rejects_unused_flags(tmp_path, monkeypatch, capsys, flag):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", [
-    ["validate"], ["propagate", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2,
-                   "--tf", "5000"]])
+@pytest.mark.parametrize("command", [["validate"]])
 @pytest.mark.parametrize("tol", ["0", "-1e-9"])
 def test_nonpositive_tol_rejected(tmp_path, command, tol):
     # --tol 0 must not fall back to the 1e-12 default

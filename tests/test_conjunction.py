@@ -287,13 +287,13 @@ def reference_c2_perturbed(oe, eta, t0, tf, mu, miss_tol, u, rtol=1e-12):
     propagate call and every refinement evaluation re-integrates from t0.
     Kept as the reference for the perturbed path."""
     def grid_distance(t_grid):
-        traj = propagate(oe, eta, t0, tf, mu, u=u, rtol=rtol, t_eval=t_grid)
+        traj = propagate(oe, eta, t_grid, mu, u=u, rtol=rtol)
         return separation_distance(traj.oe, traj.eta)
 
     def scalar_distance(t):
-        sub = propagate(oe, eta, t0, max(t, t0 + 1e-9), mu, u=u,
-                        rtol=rtol, t_eval=[max(t, t0 + 1e-9)])
-        return float(separation_distance(sub.oe, sub.eta)[0])
+        sub = propagate(oe, eta, [t0, max(t, t0 + 1e-9)], mu, u=u,
+                        rtol=rtol)
+        return float(separation_distance(sub.oe, sub.eta)[-1])
 
     return reference_c2(oe, eta, t0, tf, mu, miss_tol, grid_distance,
                         scalar_distance)
@@ -343,12 +343,12 @@ def cowell_min_distance(el1, el2, tf, a1, a2):
     through the best resample and its neighbours."""
     s1, s2 = (elements_to_cartesian(el, MU) for el in (el1, el2))
     kw = dict(u1=lambda _t: a1, u2=lambda _t: a2, rtol=1e-12)
-    coarse = cowell_propagate(s1, s2, 0.0, tf, MU, n_samples=4001, **kw)
+    coarse = cowell_propagate(s1, s2, np.linspace(0.0, tf, 4001), MU, **kw)
     k = int(np.argmin(np.linalg.norm(coarse.r1 - coarse.r2, axis=1)))
     lo, hi = coarse.t[max(k - 1, 0)], coarse.t[min(k + 1, coarse.t.size - 1)]
-    fine = cowell_propagate(s1, s2, 0.0, hi, MU,
-                            t_eval=np.linspace(lo, hi, 2001), **kw)
-    d2 = np.sum((fine.r1 - fine.r2) ** 2, axis=1)
+    t_fine = np.linspace(lo, hi, 2001)
+    fine = cowell_propagate(s1, s2, np.union1d(0.0, t_fine), MU, **kw)
+    d2 = np.sum((fine.r1 - fine.r2)[-t_fine.size:] ** 2, axis=1)
     j = min(max(int(np.argmin(d2)), 1), d2.size - 2)
     curv = d2[j + 1] - 2.0 * d2[j] + d2[j - 1]
     d2_min = d2[j] - (d2[j + 1] - d2[j - 1]) ** 2 / (8.0 * curv)

@@ -339,9 +339,9 @@ class TestPerturbedConsistency:
         doe, _ = perturbed_derivative(oe, eta, u_const, MU)
         errs = []
         for h in (2.0, 1.0, 0.5):
-            traj = propagate(oe, eta, 0.0, h, MU, u=lambda t: u_const,
-                             rtol=1e-12, t_eval=[h])
-            fd = (traj.oe[0] - oe.as_array()) / h
+            traj = propagate(oe, eta, [0.0, h], MU, u=lambda t: u_const,
+                             rtol=1e-12)
+            fd = (traj.oe[-1] - oe.as_array()) / h
             errs.append(np.abs(fd - doe).max())
         # halving h roughly halves the error (first-order convergence)
         assert errs[1] / errs[0] < 0.7
@@ -352,7 +352,8 @@ class TestPropagation:
     def test_unperturbed_invariants_one_period(self):
         oe, eta = oe_from_classical(EL1, EL2)
         period = orbital_period(EL1.a, MU)
-        traj = propagate(oe, eta, 0.0, period, MU, rtol=1e-12, n_samples=100)
+        traj = propagate(oe, eta, np.linspace(0.0, period, 100), MU,
+                         rtol=1e-12)
         assert np.abs(traj.oe[:, 1] - oe.dp).max() < 1e-12
         dxi = np.hypot(traj.oe[:, 2], traj.oe[:, 3])
         dh = np.hypot(traj.oe[:, 4], traj.oe[:, 5])
@@ -363,7 +364,7 @@ class TestPropagation:
         oe, eta = oe_from_classical(EL1, EL2)
         span = 2.0e4
         t_eval = np.linspace(0.0, span, 50)
-        traj = propagate(oe, eta, 0.0, span, MU, rtol=1e-12, t_eval=t_eval)
+        traj = propagate(oe, eta, t_eval, MU, rtol=1e-12)
         oe_flow, eta_flow = unperturbed_flow(oe, eta, MU, t_eval)
         d_theta = np.abs(wrap_angle(traj.oe[:, 0] - oe_flow[:, 0])).max()
         assert d_theta < 1e-9
@@ -371,10 +372,11 @@ class TestPropagation:
         assert np.abs(traj.eta - eta_flow).max() < 1e-6  # p1 in km
 
     def test_forced_solves_within_evaluation_budget(self):
-        # On the forced validation run at rtol 1e-12, DOP853 takes 2,972
-        # nodal and 2,258 Cowell (satellite 1) right-hand sides, those of
-        # its dense interpolant included; a 5(4) pair needed 5,804 and
-        # 4,940 without one.  Each reads its input once.
+        # On the forced validation run at rtol 1e-12 with two samples,
+        # DOP853 takes 2,432 nodal and 1,820 Cowell (satellite 1)
+        # right-hand sides; a 5(4) pair needed 5,804 and 4,940, and a dense
+        # interpolant on every step 2,972 and 2,258.  Each reads its input
+        # once.
         reads = []
 
         def counted(accel):
@@ -386,25 +388,23 @@ class TestPropagation:
         mu, span = missionsim.VALIDATION_MU, missionsim.VALIDATION_SPAN
         el1, el2 = missionsim.VALIDATION_EL1, missionsim.VALIDATION_EL2
         oe, eta = oe_from_classical(el1, el2)
-        propagate(oe, eta, 0.0, span, mu,
-                  u=counted(missionsim._validation_input), n_samples=2)
-        assert len(reads) <= 3000
+        propagate(oe, eta, [0.0, span], mu,
+                  u=counted(missionsim._validation_input))
+        assert len(reads) <= 2600
         reads.clear()
         cowell_propagate(elements_to_cartesian(el1, mu),
-                         elements_to_cartesian(el2, mu), 0.0, span, mu,
-                         u1=counted(missionsim.validation_accel_1),
-                         n_samples=2)
-        assert len(reads) <= 2500
+                         elements_to_cartesian(el2, mu), [0.0, span], mu,
+                         u1=counted(missionsim.validation_accel_1))
+        assert len(reads) <= 2000
 
     def test_invalid_span_rejected(self):
         oe, eta = oe_from_classical(EL1, EL2)
-        with pytest.raises(ValueError):
-            propagate(oe, eta, 10.0, 0.0, MU)
+        with pytest.raises(ValueError, match="^sample times must increase"):
+            propagate(oe, eta, [10.0, 0.0], MU)
 
 
 def reference_solve(rhs, y0, span, atol, args, t_eval):
-    """The samples of a plain DOP853 solve_ivp at t_eval, without the
-    dense interpolant the package builds."""
+    """The samples of a plain DOP853 solve_ivp at t_eval."""
     sol = solve_ivp(rhs, (0.0, span), y0, method="DOP853", t_eval=t_eval,
                     rtol=RTOL, atol=atol, args=args)
     assert sol.success
@@ -412,8 +412,9 @@ def reference_solve(rhs, y0, span, atol, args, t_eval):
 
 
 class TestDop853Driver:
-    """propagate and cowell_propagate read the samples of one dense solve,
-    which equal a plain solve_ivp(..., t_eval=...) bit for bit."""
+    """propagate and cowell_propagate read the samples of one solve over
+    their sample times, which equal a plain solve_ivp(..., t_eval=...) bit
+    for bit."""
 
     SPAN = 3000.0
     T_EVAL = np.linspace(0.0, SPAN, 37)
@@ -424,8 +425,7 @@ class TestDop853Driver:
         oe, eta = oe_from_classical(missionsim.VALIDATION_EL1,
                                     missionsim.VALIDATION_EL2)
         u = missionsim._validation_input if forced else None
-        traj = propagate(oe, eta, 0.0, self.SPAN, mu, u=u,
-                         t_eval=self.T_EVAL)
+        traj = propagate(oe, eta, self.T_EVAL, mu, u=u)
         atol = RTOL * np.array([1.0] * 6 + [max(eta.p1, 1.0), 1.0, 1.0])
         y = reference_solve(_nodal_rhs,
                             np.concatenate([oe.as_array(), eta.as_array()]),
@@ -441,8 +441,8 @@ class TestDop853Driver:
             missionsim.VALIDATION_EL1, missionsim.VALIDATION_EL2))
         u1, u2 = ((missionsim.validation_accel_1,
                    missionsim.validation_accel_2) if forced else (None, None))
-        traj = cowell_propagate(s1, s2, 0.0, self.SPAN, mu, u1=u1, u2=u2,
-                                t_eval=self.T_EVAL)
+        traj = cowell_propagate(s1, s2, self.T_EVAL, mu, u1=u1, u2=u2)
+        assert np.array_equal(traj.t, self.T_EVAL)
         for s, u, r, v in ((s1, u1, traj.r1, traj.v1),
                            (s2, u2, traj.r2, traj.v2)):
             scale = np.array([np.linalg.norm(s.r)] * 3
@@ -452,14 +452,17 @@ class TestDop853Driver:
             assert np.array_equal(r, y[:3].T)
             assert np.array_equal(v, y[3:].T)
 
-    def test_sample_outside_span_rejected(self):
+    def test_unsorted_samples_rejected(self):
+        # The first sample is the epoch and the solve ends at the last, so
+        # no sample lies outside the span; unsorted samples are refused.
         oe, eta = oe_from_classical(EL1, EL2)
         s = elements_to_cartesian(EL1, MU)
-        outside = [0.5 * self.SPAN, 1.5 * self.SPAN]
-        with pytest.raises(ValueError):
-            propagate(oe, eta, 0.0, self.SPAN, MU, t_eval=outside)
-        with pytest.raises(ValueError):
-            cowell_propagate(s, s, 0.0, self.SPAN, MU, t_eval=outside)
+        for t in ([0.0, 0.5 * self.SPAN, 0.25 * self.SPAN, self.SPAN],
+                  [self.SPAN, 0.5 * self.SPAN, 0.0], [0.0, 0.0], [0.0]):
+            with pytest.raises(ValueError):
+                propagate(oe, eta, t, MU)
+            with pytest.raises(ValueError):
+                cowell_propagate(s, s, t, MU)
 
 
 class TestCowell:
@@ -468,15 +471,14 @@ class TestCowell:
         s = CartesianState(r=np.array([a, 0.0, 0.0]),
                            v=np.array([0.0, math.sqrt(MU / a), 0.0]))
         period = orbital_period(a, MU)
-        traj = cowell_propagate(s, s, 0.0, period, MU, rtol=1e-12,
-                                t_eval=[period])
-        assert np.abs(traj.r1[0] - s.r).max() < 1e-5
+        traj = cowell_propagate(s, s, [0.0, period], MU, rtol=1e-12)
+        assert np.abs(traj.r1[-1] - s.r).max() < 1e-5
 
     def test_energy_conservation(self):
         s1 = elements_to_cartesian(EL1, MU)
         s2 = elements_to_cartesian(EL2, MU)
-        traj = cowell_propagate(s1, s2, 0.0, 2e4, MU, rtol=1e-12,
-                                n_samples=50)
+        traj = cowell_propagate(s1, s2, np.linspace(0.0, 2e4, 50), MU,
+                                rtol=1e-12)
         for r, v in ((traj.r1, traj.v1), (traj.r2, traj.v2)):
             energy = 0.5 * np.sum(v ** 2, axis=1) - MU / np.linalg.norm(
                 r, axis=1)
@@ -485,10 +487,9 @@ class TestCowell:
 
     def test_elements_constant_except_anomaly(self):
         s1 = elements_to_cartesian(EL1, MU)
-        traj = cowell_propagate(s1, s1, 0.0, 5e3, MU, rtol=1e-12,
-                                t_eval=[5e3])
+        traj = cowell_propagate(s1, s1, [0.0, 5e3], MU, rtol=1e-12)
         el_end = cartesian_to_elements(
-            CartesianState(r=traj.r1[0], v=traj.v1[0]), MU)
+            CartesianState(r=traj.r1[-1], v=traj.v1[-1]), MU)
         expected = kepler_advance(EL1, 5e3, MU)
         assert abs(el_end.a - EL1.a) / EL1.a < 1e-11
         assert abs(el_end.e - EL1.e) < 1e-11

@@ -15,6 +15,7 @@ from nodalrel import (
     GeometryError,
     InfeasibleEncounter,
     NodalRelativeState,
+    PerturbationInput,
     ReferenceParams,
     RetrogradeSingularity,
     apply_impulse,
@@ -52,7 +53,7 @@ from nodalrel.missionsim import (
     run_validation,
 )
 
-from conftest import (classical_from_oe, crlb_final_range_sigma,
+from conftest import (EL1, EL2, classical_from_oe, crlb_final_range_sigma,
                       recursion_final_range_sigma)
 
 
@@ -124,6 +125,23 @@ class TestScenarioConstruction:
         with pytest.raises(ValueError, match="^gamma"):
             EncounterSpec(gamma=gamma)
 
+    @pytest.mark.parametrize("field, value", [
+        # any sign but -1 and +1 scales the radial split: on the default
+        # target 0.5 met at 8.64 km/s and 0.0 at 4.95 km/s, not 15 km/s
+        ("radial_sign", 0.5), ("radial_sign", 0.0), ("radial_sign", -2.0),
+        ("relative_speed", math.inf), ("relative_speed", math.nan),
+        ("impact_nu", math.nan), ("impact_nu", math.inf),
+        ("transverse_speed", 0.0), ("transverse_speed", -18.0),
+        ("transverse_speed", math.inf), ("transverse_speed", math.nan),
+    ])
+    def test_spec_that_builds_another_encounter_rejected(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            EncounterSpec(**{field: value})
+        json_key = {name: key for key, (name, _) in
+                    sim._ENCOUNTER_KEYS.items()}[field]
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            config_from_dict({"encounter": {json_key: value}})
+
     def test_truth_zeta_invariant_and_range_shrinks(self):
         cfg = small_config()
         truth = build_truth(cfg)
@@ -154,8 +172,7 @@ def cowell_truth_dr(cfg: ScenarioConfig) -> np.ndarray:
     s1, s2 = (elements_to_cartesian(kepler_advance(el, cfg.t_start, cfg.mu),
                                     cfg.mu)
               for el in sim.scenario_orbits(cfg))
-    cw = cowell_propagate(s1, s2, cfg.t_start, float(t[-1]), cfg.mu,
-                          rtol=RTOL, t_eval=t)
+    cw = cowell_propagate(s1, s2, t, cfg.mu, rtol=RTOL)
     oe_arr = np.empty((t.size, 6))
     eta_arr = np.empty((t.size, 3))
     for k in range(t.size):
@@ -251,13 +268,19 @@ class TestConfigRoundTrip:
         ("seed", {"seed": 1.5}),
         ("mc_runs", {"mc_runs": 2.5}),
         ("jobs", {"jobs": 1.5}),
+        # satellite 1 comes from exactly one source
+        ("encounter or reference", {"reference": ScenarioConfig().target}),
+        ("encounter or reference", {"encounter": None}),
     ])
     def test_config_that_cannot_run_rejected(self, field, overrides):
         with pytest.raises(ValueError, match=rf"^{field} must"):
             replace(ScenarioConfig(), **overrides)
         json_key = {name: key for key, (name, _) in sim._SCENARIO_KEYS.items()}
         d = {**config_to_dict(ScenarioConfig()),
-             **{json_key[name]: value for name, value in overrides.items()}}
+             **{json_key.get(name, name): value for name, value in
+                overrides.items()}}
+        if isinstance(d["reference"], ClassicalElements):
+            d["reference"] = sim._to_json(d["reference"], sim._ELEMENT_KEYS)
         with pytest.raises(ValueError, match=rf"^{field} must"):
             config_from_dict(d)
 
@@ -301,7 +324,9 @@ class TestConfigRoundTrip:
                   {"reference": {**d["reference"], "a": 1.0}}),
                  ("missing", "target", ("nu_deg",), {"target": no_nu}),
                  ("missing", "reference", ("nu_deg",),
-                  {"reference": no_nu})]
+                  {"reference": no_nu}),
+                 ("missing", "reference", tuple(d["target"]),
+                  {"reference": {}, "encounter": None})]
         for what, where, bad, extra in cases:
             with pytest.raises(ValueError) as exc:
                 config_from_dict({**d, **extra})
@@ -655,16 +680,16 @@ class TestManeuverSweep:
 
     def test_replay_matches_two_integration_reference(self, monkeypatch):
         # One dense solve per orbit: s1, s1 with the burn, and s2.
-        solve_ivp, calls = dynamics.solve_ivp, []
+        solve_ivp, dense = dynamics.solve_ivp, []
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            dense.append(kwargs["dense_output"])
             return solve_ivp(*args, **kwargs)
 
         monkeypatch.setattr(dynamics, "solve_ivp", counted)
         cfg = small_config(sample_dt=1800.0)
         res = run_maneuver_sweep(cfg, apply_at=cfg.t_start + 0.5 * 86400.0)
-        assert len(calls) == 3
+        assert dense == [True] * 3
         monkeypatch.undo()
 
         t_m, t_hi = res.applied_t_m, -cfg.t_end
@@ -683,26 +708,52 @@ def reference_closest_approach(s1, s2, t0: float, tf: float,
                                cfg: ScenarioConfig) -> float:
     """The replay's miss (km) by two integrations of the pair: the
     distance on a coarse grid, then the window integrated again and
-    sampled on 400 points between the best sample's neighbours."""
+    sampled on 400 points between the best sample's neighbours (and at
+    t0 and tf, so that both solves take the same steps)."""
     coarse = max(2000, int((tf - t0) / cfg.sample_dt / 4))
-    cw = cowell_propagate(s1, s2, t0, tf, cfg.mu, rtol=RTOL,
-                          n_samples=coarse)
+    cw = cowell_propagate(s1, s2, np.linspace(t0, tf, coarse), cfg.mu,
+                          rtol=RTOL)
     d = np.linalg.norm(cw.r2 - cw.r1, axis=1)
     k = int(np.argmin(d))
     lo = cw.t[max(k - 1, 0)]
     hi = cw.t[min(k + 1, coarse - 1)]
-    fine = cowell_propagate(s1, s2, t0, tf, cfg.mu, rtol=RTOL,
-                            t_eval=np.linspace(lo, hi, 400))
-    d_fine = np.linalg.norm(fine.r2 - fine.r1, axis=1)
+    t_fine = np.linspace(lo, hi, 400)
+    fine = cowell_propagate(s1, s2, np.union1d(t_fine, [t0, tf]), cfg.mu,
+                            rtol=RTOL)
+    at_fine = np.isin(fine.t, t_fine)
+    d_fine = np.linalg.norm(fine.r2[at_fine] - fine.r1[at_fine], axis=1)
     return float(min(d.min(), d_fine.min()))
+
+
+def test_interpolant_kept_only_where_read(monkeypatch):
+    # Validation reads its six solves at their samples only; the forced C2
+    # search evaluates between them (the replay's: TestManeuverSweep).
+    solve_ivp, dense = dynamics.solve_ivp, []
+
+    def recording(*args, **kwargs):
+        dense.append(kwargs["dense_output"])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", recording)
+    run_validation()
+    assert dense == [False] * 6
+    dense.clear()
+    oe, eta = oe_from_classical(EL1, EL2)
+    c2_check(oe, eta, 0.0, 3000.0, MU_EARTH, miss_tol=1.0)
+    assert dense == []
+    c2_check(oe, eta, 0.0, 3000.0, MU_EARTH, miss_tol=1.0,
+             u=lambda t: PerturbationInput.zero())
+    assert dense == [True]
 
 
 class TestValidation:
     def test_validation_discrepancy_small(self):
-        res = run_validation(rtol=1e-10, n_samples=101)
+        res = run_validation(rtol=1e-10)
         assert res.max_discrepancy_km < 1e-2
 
     def test_tolerance_controls_discrepancy(self):
-        loose = run_validation(rtol=1e-6, n_samples=51)
-        tight = run_validation(rtol=1e-11, n_samples=51)
+        # The model is exact, so what is left of the discrepancy is the
+        # integrators': it shrinks as their tolerance tightens.
+        loose = run_validation(rtol=1e-6)
+        tight = run_validation(rtol=1e-11)
         assert tight.max_discrepancy_km < loose.max_discrepancy_km
