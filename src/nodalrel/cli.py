@@ -57,6 +57,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_propagate(args) -> int:
+    if not args.samples >= 1:
+        raise ValueError("--samples must be an integer >= 1")
+    if not math.isfinite(args.tf):
+        raise ValueError("--tf must be finite")
     oe, eta, mu = _pair_from_args(args)
     t = np.linspace(0.0, args.tf, args.samples)
     oe_arr, eta_arr = unperturbed_flow(oe, eta, mu, t)

@@ -45,8 +45,11 @@ from .relstate import (
 #: |dh| threshold selecting the coplanar branch of C1.
 DEFAULT_COPLANAR_TOL = 1e-9
 
-#: Default tolerance on the noncoplanar node-crossing margins.
+#: Tolerance on the noncoplanar node-crossing margins.
 DEFAULT_NODE_TOL = 1e-9
+
+#: ||g|| below which :func:`plan_avoidance` finds no impulse direction.
+MIN_SENSITIVITY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,6 @@ class ManeuverPlan:
     ``g_vec`` and has magnitude |delta_zeta| / ||g_vec||.
     """
 
-    t_m: float
     delta_v: np.ndarray
     delta_zeta: float
     g_vec: np.ndarray
@@ -157,15 +159,15 @@ def _node_margin_arrays(oe_arr, eta_arr, gradient: bool = False):
     return _margin_kernel(dp, dxx, dxy, hx, hy, ec, es, dh, gradient)
 
 
-def c1_test(oe: NodalRelativeState, eta: ReferenceParams,
-            node_tol: float = DEFAULT_NODE_TOL) -> C1Verdict:
+def c1_test(oe: NodalRelativeState, eta: ReferenceParams) -> C1Verdict:
     """Orbit-intersection test on the Keplerian invariants.
 
     Coplanar pairs (|dh| <= DEFAULT_COPLANAR_TOL) intersect iff dp^2 -
     drho^2 <= 0.  Noncoplanar pairs can only meet on the relative line of
-    nodes; each node-crossing margin must vanish (|margin| <= node_tol) for
-    an intersection there.  Margins are reported signed so that callers may
-    apply scenario-level thresholds (e.g. filter confidence bands).
+    nodes; each node-crossing margin must vanish (|margin| <=
+    DEFAULT_NODE_TOL) for an intersection there.  Margins are reported
+    signed so that callers may apply scenario-level thresholds (e.g.
+    filter confidence bands).
     """
     dh = oe.dh
     if dh <= DEFAULT_COPLANAR_TOL:
@@ -182,8 +184,8 @@ def c1_test(oe: NodalRelativeState, eta: ReferenceParams,
         coplanar=False, margin_coplanar=math.nan,
         margin_ascending=asc, margin_descending=desc,
         satisfied_coplanar=False,
-        satisfied_ascending=abs(asc) <= node_tol,
-        satisfied_descending=abs(desc) <= node_tol)
+        satisfied_ascending=abs(asc) <= DEFAULT_NODE_TOL,
+        satisfied_descending=abs(desc) <= DEFAULT_NODE_TOL)
 
 
 def zeta(oe: NodalRelativeState, eta: ReferenceParams) -> float:
@@ -214,8 +216,7 @@ def zeta_gradient(oe: NodalRelativeState, eta: ReferenceParams,
 
 
 def plan_avoidance(oe: NodalRelativeState, eta: ReferenceParams,
-                   delta_zeta: float, mu: float, t_m: float = 0.0,
-                   min_sensitivity: float = 1e-12) -> ManeuverPlan:
+                   delta_zeta: float, mu: float) -> ManeuverPlan:
     """Minimum-norm impulse on satellite 1 producing a first-order change
     delta_zeta in the safety margin.
 
@@ -226,7 +227,7 @@ def plan_avoidance(oe: NodalRelativeState, eta: ReferenceParams,
     Raises
     ------
     ZeroSensitivity
-        If ||g|| falls below min_sensitivity.
+        If ||g|| falls below MIN_SENSITIVITY.
     ZetaUndefined
         For coplanar states.
     """
@@ -234,9 +235,9 @@ def plan_avoidance(oe: NodalRelativeState, eta: ReferenceParams,
     g1, _, geta = input_matrices(oe, eta, mu)
     g = (d_eta @ geta - d_oe @ g1)
     gnorm = float(np.linalg.norm(g))
-    if gnorm < min_sensitivity:
-        raise ZeroSensitivity(f"|g| = {gnorm} below {min_sensitivity}")
-    return ManeuverPlan(t_m=t_m, delta_v=g / gnorm ** 2 * delta_zeta,
+    if gnorm < MIN_SENSITIVITY:
+        raise ZeroSensitivity(f"|g| = {gnorm} below {MIN_SENSITIVITY}")
+    return ManeuverPlan(delta_v=g / gnorm ** 2 * delta_zeta,
                         delta_zeta=delta_zeta, g_vec=g)
 
 
@@ -501,11 +502,19 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
 
     Raises
     ------
+    ValueError
+        If t0 or tf is not finite, tf does not exceed t0, or miss_tol is
+        not finite and >= 0.
     GeometryError
         If the recovered e2 of satellite 2 is not below 1.
     """
+    for name, value in (("t0", t0), ("tf", tf)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not tf > t0:
         raise ValueError("tf must exceed t0")
+    if not 0.0 <= miss_tol < math.inf:
+        raise ValueError(f"miss_tol must be finite and >= 0, got {miss_tol}")
     pair = _kepler_pair(*_floats(oe, eta))
     _, _, a1, _, e2, a2, _ = pair
     p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))

@@ -47,10 +47,6 @@ class PerturbationInput:
     u1: np.ndarray
     u2: np.ndarray
 
-    @classmethod
-    def zero(cls) -> "PerturbationInput":
-        return cls(u1=np.zeros(3), u2=np.zeros(3))
-
 
 @dataclass(frozen=True)
 class CartesianState:
@@ -89,6 +85,11 @@ class CowellTrajectory:
 
 # --- Kepler timing ---
 
+#: Newton step size (rad) below which a Kepler solve has converged, and
+#: the iterations it may take.
+KEPLER_TOL = 1e-14
+KEPLER_MAX_ITER = 60
+
 #: The float functions of :func:`_trig`.
 _MATH = (math.sin, math.cos, math.atan2, abs, float)
 
@@ -119,8 +120,7 @@ def true_to_mean_anomaly(nu, e: float, fns=None):
     return out(ecc_anom - e * sin(ecc_anom))
 
 
-def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60,
-                         fns=None):
+def mean_to_true_anomaly(m, e: float, fns=None):
     """True anomaly from mean anomaly by Newton iteration on Kepler's
     equation, vectorized over m (see :func:`_trig`; fns as in
     :func:`true_to_mean_anomaly`); an array iterates until its worst
@@ -129,7 +129,8 @@ def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60,
     Raises
     ------
     StepFailure
-        If the Newton step is not below tol after max_iter iterations.
+        If the Newton step is not below KEPLER_TOL after KEPLER_MAX_ITER
+        iterations.
     """
     if fns is None:
         m, *fns = _trig(m)
@@ -139,15 +140,15 @@ def mean_to_true_anomaly(m, e: float, tol: float = 1e-14, max_iter: int = 60,
     # eccentricity.
     sin_m = sin(m_wrapped)
     ecc_anom = m_wrapped + 0.85 * e * ((sin_m > 0.0) * 1.0 - (sin_m < 0.0))
-    for _ in range(max_iter):
+    for _ in range(KEPLER_MAX_ITER):
         step = ((ecc_anom - e * sin(ecc_anom) - m_wrapped)
                 / (1.0 - e * cos(ecc_anom)))
         ecc_anom = ecc_anom - step
-        if amax(step) < tol:
+        if amax(step) < KEPLER_TOL:
             break
     else:
         raise StepFailure(
-            f"Kepler solve not converged in {max_iter} iterations")
+            f"Kepler solve not converged in {KEPLER_MAX_ITER} iterations")
     return out(atan2(math.sqrt(1.0 - e * e) * sin(ecc_anom),
                      cos(ecc_anom) - e))
 

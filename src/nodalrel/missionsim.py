@@ -188,7 +188,6 @@ class ScenarioConfig:
     seed: int = 0
     mc_runs: int = 25
     transient_fraction: float = 0.05
-    chi2_gate: Optional[float] = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -197,7 +196,7 @@ class ScenarioConfig:
         if not 0.0 < self.sample_dt < math.inf:
             raise ValueError("sample_dt must be finite and > 0")
         q, p0, frac = self.q_diag, self.p0_diag, self.transient_fraction
-        n, gate = self.sample_times().size, self.chi2_gate
+        n = self.sample_times().size
         _check_fields((
             ("encounter or reference",
              (self.encounter is None) != (self.reference is None),
@@ -216,7 +215,6 @@ class ScenarioConfig:
              and math.ceil(frac * n) < n,
              f"lie in [0, 1) and leave a post-transient sample of {n}"),
             ("jobs", _is_count(self.jobs, 1), "be an integer >= 1"),
-            ("chi2_gate", gate is None or gate > 0.0, "be positive"),
         ))
 
     def paper_scale(self) -> "ScenarioConfig":
@@ -253,7 +251,7 @@ _SCENARIO_KEYS = {
     "q_diag": ("q_diag", _SEQUENCE), "p0_diag": ("p0_diag", _SEQUENCE),
     "seed": ("seed", None), "mc_runs": ("mc_runs", None),
     "transient_fraction": ("transient_fraction", None),
-    "chi2_gate": ("chi2_gate", None), "jobs": ("jobs", None)}
+    "jobs": ("jobs", None)}
 
 
 def _to_json(obj, keys: dict) -> dict:
@@ -407,14 +405,13 @@ def scenario_orbits(cfg: ScenarioConfig) -> tuple[ClassicalElements,
 @dataclass(frozen=True)
 class TruthTrajectory:
     """Sampled truth: times, nodal states, reference params, RTN1 relative
-    positions, separations, and the (invariant) safety margin."""
+    positions and separations."""
 
     t: np.ndarray
     oe: np.ndarray
     eta: np.ndarray
     dr: np.ndarray
     range_km: np.ndarray
-    zeta: np.ndarray
     el1_impact: ClassicalElements
     el2_impact: ClassicalElements
 
@@ -435,9 +432,8 @@ def build_truth(cfg: ScenarioConfig) -> TruthTrajectory:
                          f"truth range falls to {rng_km.min()} km, not above "
                          f"d = {cfg.d} km (angular size d/range >= 1 rad)")
     return TruthTrajectory(t=t, oe=oe_arr, eta=eta_arr, dr=dr,
-                           range_km=rng_km,
-                           zeta=_node_margin_arrays(oe_arr, eta_arr)[0],
-                           el1_impact=el1_imp, el2_impact=el2_imp)
+                           range_km=rng_km, el1_impact=el1_imp,
+                           el2_impact=el2_imp)
 
 
 # --- Single flyby run ---
@@ -458,7 +454,6 @@ class FlybyRun:
     zeta_sigma: np.ndarray
     innovations: np.ndarray
     nees: np.ndarray
-    outliers: np.ndarray
     detected: bool
     post_transient_index: int
 
@@ -503,7 +498,6 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
 
     oe_hat = np.empty((n, 6))
     innovations = np.empty((n, 3))
-    outliers = np.zeros(n, dtype=bool)
     diagnostics = [np.empty((n, 6)), np.empty((n, 6))] + [
         np.empty(n) for _ in range(5)]
     p_block = np.empty((_DIAGNOSTIC_BLOCK, 6, 6))
@@ -512,8 +506,7 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
 
     z = measure(truth.dr, cfg.d, cfg.noise, rng)
     for k in range(n):
-        x, P, innovations[k], outliers[k] = ekf_update(
-            x, P, eta, z[k], r_cov, cfg.d, chi2_gate=cfg.chi2_gate)
+        x, P, innovations[k] = ekf_update(x, P, eta, z[k], r_cov, cfg.d)
         oe_hat[k] = x
         j = k - start
         p_block[j] = P
@@ -535,7 +528,7 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
     return FlybyRun(t=truth.t, oe_hat=oe_hat, err=err, sigma=sigma,
                     range_err=range_err, range_sigma=range_sigma,
                     zeta_hat=zeta_hat, zeta_sigma=zeta_sigma,
-                    innovations=innovations, nees=nees, outliers=outliers,
+                    innovations=innovations, nees=nees,
                     detected=detected, post_transient_index=k0)
 
 
@@ -695,16 +688,15 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     def plan_at(k: int, offset: float):
         return plan_avoidance(NodalRelativeState.from_array(run.oe_hat[k]),
                               ReferenceParams.from_array(truth.eta[k]),
-                              3.0 * run.zeta_sigma[k] + offset, cfg.mu,
-                              t_m=float(truth.t[k]))
+                              3.0 * run.zeta_sigma[k] + offset, cfg.mu)
 
     dv_profiles = {off: np.array([np.linalg.norm(plan_at(k, off).delta_v)
                                   for k in idx], dtype=float)
                    for off in offsets}
     if apply_at is None:
         apply_at = cfg.t_start + 2.0 * 86400.0
-    plan = plan_at(int(np.argmin(np.abs(truth.t - apply_at))), offsets[0])
-    t_m = plan.t_m
+    k = int(np.argmin(np.abs(truth.t - apply_at)))
+    plan, t_m = plan_at(k, offsets[0]), float(truth.t[k])
 
     s1, s2 = (elements_to_cartesian(kepler_advance(el, t_m, cfg.mu), cfg.mu)
               for el in (truth.el1_impact, truth.el2_impact))

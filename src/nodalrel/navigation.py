@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
@@ -209,18 +208,15 @@ def ekf_propagate(x, P: np.ndarray, eta, dt: float, Q: np.ndarray,
 
 
 def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
-               chi2_gate: Optional[float] = None,
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard EKF measurement update with Joseph-form covariance, for the
     measurement z with noise covariance r_cov (3x3).
 
     The azimuth residual is wrapped to (-pi, pi]; elevation and angular
-    size are plain scalars.  When ``chi2_gate`` is given, the innovation
-    Mahalanobis distance squared is compared against it and the result is
-    flagged (never dropped) if it exceeds the gate.
+    size are plain scalars.
 
-    Returns (x, P, innovation, outlier).  ValueError if eta, x or the
-    posterior mean (a nan measurement makes it nan) is not valid (see
+    Returns (x, P, innovation).  ValueError if eta, x or the posterior mean
+    (a nan measurement makes it nan) is not valid (see
     :func:`relstate._checked_state` and :func:`relstate._checked_reference`).
     """
     state = _checked_state(x)
@@ -233,14 +229,11 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
     hp = h.dot(P)
     s_cov = hp.dot(h.T)
     s_cov += r_cov
-    # one LAPACK solve with S for the gain and, when gated, the innovation
-    *_, sol, info = dgesv(s_cov, hp if chi2_gate is None
-                          else np.column_stack((hp, innov)))
+    # one LAPACK solve with S for the gain
+    *_, sol, info = dgesv(s_cov, hp)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular innovation covariance ({info})")
-    gain = sol.T if chi2_gate is None else sol[:, :6].T  # S symmetric
-    outlier = (chi2_gate is not None
-               and float(innov.dot(sol[:, 6])) > chi2_gate)
+    gain = sol.T  # S symmetric
 
     x_new = np.array(state)
     x_new += gain.dot(innov)
@@ -250,4 +243,4 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
     p_new += gain.dot(r_cov).dot(gain.T)
     p_new += p_new.T
     p_new *= 0.5
-    return np.array(_checked_state(x_new)), p_new, innov, outlier
+    return np.array(_checked_state(x_new)), p_new, innov

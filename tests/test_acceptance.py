@@ -234,7 +234,7 @@ class TestCriterion5CollisionSoundness:
             coplanar = k % 4 == 0
             el1, el2, r = pair_through_common_point(rng, coplanar=coplanar)
             oe, eta = oe_from_classical(el1, el2)
-            verdict = c1_test(oe, eta, node_tol=1e-9)
+            verdict = c1_test(oe, eta)
             if verdict.coplanar:
                 ok_pair = verdict.satisfied_coplanar
             else:
@@ -267,7 +267,7 @@ class TestCriterion5CollisionSoundness:
             if sep < 1.0:
                 continue
             oe, eta = oe_from_classical(el1, el2)
-            assert not c1_test(oe, eta, node_tol=1e-9).satisfied, \
+            assert not c1_test(oe, eta).satisfied, \
                 "separated pair flagged as intersecting"
             separated_checked += 1
 
@@ -281,7 +281,10 @@ class TestCriterion5CollisionSoundness:
             oe, eta = oe_from_classical(el1_0, el2_0)
             res = c2_check(oe, eta, 0.0, 1500.0, MU, miss_tol=1.0)
             if res.collides:
-                assert c1_test(oe, eta, node_tol=1e-6).satisfied
+                verdict = c1_test(oe, eta)
+                assert not verdict.coplanar
+                assert min(abs(verdict.margin_ascending),
+                           abs(verdict.margin_descending)) <= 1e-6
                 implications += 1
         assert implications > 40  # the construction collides by design
 

@@ -53,3 +53,24 @@ def test_every_integration_goes_through_dop853():
              for path in sorted((ROOT / "src" / "nodalrel").glob("*.py"))}
     assert {name: n for name, n in calls.items() if n} == {"dynamics.py": 1}
     assert "solve_ivp(" in inspect.getsource(dynamics._dop853)
+
+
+def test_every_default_is_passed_by_keyword_outside_tests():
+    # A parameter with a default that no call in the package or the
+    # benchmark passes by name is set only where it is left out: it
+    # decides no output and belongs in a constant.
+    passed = set()
+    for path in sorted([*(ROOT / "src" / "nodalrel").glob("*.py"),
+                        *(ROOT / "perfbench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                passed.update((name, kw.arg) for kw in node.keywords)
+    unpassed = [f"{name}({param.name})"
+                for name, obj in sorted(vars(nodalrel).items())
+                if not name.startswith("_") and inspect.isfunction(obj)
+                for param in inspect.signature(obj).parameters.values()
+                if param.default is not param.empty
+                and (name, param.name) not in passed]
+    assert unpassed == []

@@ -130,6 +130,30 @@ def test_nonpositive_tol_rejected(tmp_path, command, tol):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--tf", "5000", "--samples", "0"], "--samples must be an integer >= 1"),
+    (["--tf", "5000", "--samples", "-3"],
+     "--samples must be an integer >= 1"),
+    (["--tf", "nan"], "--tf must be finite"),
+    (["--tf", "inf"], "--tf must be finite"),
+])
+def test_propagate_rejects_bad_span(tmp_path, flags, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        main(["propagate", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2,
+              *flags, "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, name", [
+    # overflowed in math.ceil, and reported collides=False on every pair
+    (["--tf", "inf"], "tf"),
+    (["--tf", "20000", "--miss-tol", "-5"], "miss_tol"),
+])
+def test_screen_rejects_bad_c2_inputs(flags, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        main(["screen", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2, *flags])
+
+
 def test_jobs_zero_reaches_the_config_check():
     args = build_parser().parse_args(["montecarlo", "--jobs", "0"])
     with pytest.raises(ValueError, match="^jobs must"):

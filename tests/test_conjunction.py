@@ -213,7 +213,7 @@ class TestC1Branches:
         for _ in range(300):
             el1, el2, r = pair_through_common_point(rng)
             oe, eta = oe_from_classical(el1, el2)
-            verdict = c1_test(oe, eta, node_tol=1e-9)
+            verdict = c1_test(oe, eta)
             s1 = elements_to_cartesian(el1, MU)
             h1 = np.cross(s1.r, s1.v)
             s2 = elements_to_cartesian(el2, MU)
@@ -246,7 +246,7 @@ class TestC1Branches:
             if sep < 1.0:  # km; too close to the intersection manifold
                 continue
             oe, eta = oe_from_classical(el1, el2)
-            verdict = c1_test(oe, eta, node_tol=1e-9)
+            verdict = c1_test(oe, eta)
             assert not verdict.satisfied
             count += 1
 
@@ -366,6 +366,19 @@ class TestC2:
         assert not res.collides
         assert res.d_min > 100.0
 
+    @pytest.mark.parametrize("t0, tf, miss_tol, name", [
+        (0.0, math.inf, 1.0, "tf"), (0.0, math.nan, 1.0, "tf"),
+        (-math.inf, 3000.0, 1.0, "t0"), (math.nan, 3000.0, 1.0, "t0"),
+        # a negative tolerance would report collides=False on every pair
+        (0.0, 3000.0, -5.0, "miss_tol"), (0.0, 3000.0, math.nan, "miss_tol"),
+        (0.0, 3000.0, math.inf, "miss_tol"),
+    ])
+    def test_invalid_window_or_tolerance_rejected(self, t0, tf, miss_tol,
+                                                  name):
+        oe, eta = oe_from_classical(EL1, EL2)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            c2_check(oe, eta, t0, tf, MU, miss_tol=miss_tol)
+
     def test_constructed_impact_is_found(self):
         rng = np.random.default_rng(54)
         el1, el2, r = pair_through_common_point(rng)
@@ -443,7 +456,7 @@ class TestC2:
         assert min(misses) > 1e-3
 
     def test_zero_input_matches_unperturbed_path(self):
-        zero = PerturbationInput.zero()
+        zero = PerturbationInput(u1=np.zeros(3), u2=np.zeros(3))
         for el1, el2, _, _ in perturbed_pairs(62, 4):
             for dt2 in (0.0, 0.2, 2.0):
                 # dt2 > 0 moves satellite 2 back along its orbit: a near
@@ -475,8 +488,10 @@ class TestC2:
                          orbital_period(el2.a, MU))
             res = c2_check(oe, eta, 0.0, period, MU, miss_tol=200.0)
             if res.collides:
-                verdict = c1_test(oe, eta, node_tol=1e-2)
-                assert verdict.satisfied
+                verdict = c1_test(oe, eta)
+                assert not verdict.coplanar
+                assert min(abs(verdict.margin_ascending),
+                           abs(verdict.margin_descending)) <= 1e-2
                 hits += 1
         # statistics only; random pairs rarely pass within 200 km
         del hits
@@ -794,8 +809,9 @@ class TestPlanAvoidance:
             candidate = dz / g_dot * d
             assert np.linalg.norm(candidate) >= best - 1e-15
 
-    def test_zero_sensitivity_raises(self):
+    def test_zero_sensitivity_raises(self, monkeypatch):
         oe = NodalRelativeState(0.0, 0.0, 0.0, 0.0, 0.1, 0.0)
         eta = ReferenceParams(p1=1e4, ec=0.0, es=0.0)
+        monkeypatch.setattr(conjunction, "MIN_SENSITIVITY", 1e9)
         with pytest.raises(ZeroSensitivity):
-            plan_avoidance(oe, eta, 1e-4, MU, min_sensitivity=1e9)
+            plan_avoidance(oe, eta, 1e-4, MU)

@@ -42,6 +42,7 @@ MU = MU_EARTH
 #: The zero relative state, at which the eta rates of perturbed_derivative
 #: are read (they do not depend on the relative state).
 ORIGIN = NodalRelativeState(0, 0, 0, 0, 0, 0)
+ZERO_INPUT = PerturbationInput(u1=np.zeros(3), u2=np.zeros(3))
 
 
 def random_state(rng):
@@ -203,7 +204,7 @@ class TestPerturbedConsistency:
     def test_zero_input_equals_unperturbed(self):
         rng = np.random.default_rng(34)
         oe, eta = random_state(rng)
-        doe, deta = perturbed_derivative(oe, eta, PerturbationInput.zero(), MU)
+        doe, deta = perturbed_derivative(oe, eta, ZERO_INPUT, MU)
         kepler_oe, kepler_eta = perturbed_derivative(oe, eta, None, MU)
         assert np.abs(doe - kepler_oe).max() == 0.0
         assert np.abs(deta - kepler_eta).max() == 0.0
@@ -228,7 +229,7 @@ class TestPerturbedConsistency:
         rel = relative_orientation(el1, el2)
         rates = nodal_variational(rel.theta1, rel.theta2, rel.gamma,
                                   el1.i, el2.i, rel.alpha1, rel.alpha2,
-                                  (el1, el2), PerturbationInput.zero(), MU)
+                                  (el1, el2), ZERO_INPUT, MU)
         assert rates.gamma == 0.0
         assert rates.lambda1 == 0.0 and rates.lambda2 == 0.0
         assert abs(rates.theta1
@@ -320,7 +321,7 @@ class TestPerturbedConsistency:
                 d[0] = wrap_angle(d[0])
                 return d / (2.0 * h)
 
-            kepler_rate = rate(PerturbationInput.zero())
+            kepler_rate = rate(ZERO_INPUT)
             oe, eta = oe_from_classical(el1, el2)
             g1, g2, geta = input_matrices(oe, eta, MU)
             for got, want in (
@@ -596,9 +597,10 @@ class TestKeplerScalarPath:
             assert calls["_trig"] == 1
 
     @pytest.mark.parametrize("m", [0.5, np.array([0.5, -2.0])])
-    def test_unconverged_newton_raises(self, m):
-        with pytest.raises(StepFailure):
-            mean_to_true_anomaly(m, 0.9, max_iter=1)
+    def test_unconverged_newton_raises(self, m, monkeypatch):
+        monkeypatch.setattr(dynamics, "KEPLER_MAX_ITER", 1)
+        with pytest.raises(StepFailure, match="in 1 iterations"):
+            mean_to_true_anomaly(m, 0.9)
 
 
 class TestImpulse:

@@ -93,7 +93,7 @@ class TestScenarioConstruction:
         res = c2_check(oe, eta, cfg.t_start, 3600.0, cfg.mu, miss_tol=1.0)
         assert res.collides
         assert abs(res.t_min) < 60.0
-        verdict = c1_test(oe, eta, node_tol=1e-9)
+        verdict = c1_test(oe, eta)
         assert verdict.satisfied_ascending
 
     def test_infeasible_encounter_rejected(self):
@@ -145,7 +145,10 @@ class TestScenarioConstruction:
     def test_truth_zeta_invariant_and_range_shrinks(self):
         cfg = small_config()
         truth = build_truth(cfg)
-        assert np.abs(truth.zeta).max() < 1e-10
+        margins = [zeta(NodalRelativeState.from_array(x),
+                        ReferenceParams.from_array(e))
+                   for x, e in zip(truth.oe, truth.eta)]
+        assert np.abs(margins).max() < 1e-10
         assert truth.range_km[0] > truth.range_km[-1]
         # closing at roughly the encounter speed
         closing = (truth.range_km[0] - truth.range_km[-1]) / (
@@ -261,7 +264,6 @@ class TestConfigRoundTrip:
                                 "sample_dt": 3600.0}),
         ("jobs", {"jobs": 0}),
         ("mc_runs", {"mc_runs": 1}),
-        ("chi2_gate", {"chi2_gate": -1.0}),
         ("mu", {"mu": 0.0}),
         ("init_perturb_sigma", {"init_perturb_sigma": -1e-4}),
         ("seed", {"seed": -1}),
@@ -313,9 +315,9 @@ class TestConfigRoundTrip:
                   {"mc_run": 3, "seeds": 1}),
                  # keys that configs of older versions hold
                  ("unknown", "config",
-                  ("miss_tol_km", "truth_mode", "rel_tol"),
+                  ("miss_tol_km", "truth_mode", "rel_tol", "chi2_gate"),
                   {"miss_tol_km": 1.0, "truth_mode": "kepler",
-                   "rel_tol": 1e-12}),
+                   "rel_tol": 1e-12, "chi2_gate": 7.81}),
                  ("unknown", "encounter", ("gama_deg",),
                   {"encounter": {**d["encounter"], "gama_deg": 8.0}}),
                  ("unknown", "target", ("nu",),
@@ -372,13 +374,14 @@ class TestFlybyRun:
         assert np.all(np.isfinite(data["zeta_3sigma"]))
         assert np.all(data["zeta_3sigma"] >= 0.0)
 
-    @pytest.mark.parametrize("miss_tol, verdict", [(-1.0, 0.0), (1e12, 1.0)])
+    @pytest.mark.parametrize("miss_tol, verdict", [(0.0, 0.0), (1e12, 1.0)])
     def test_screening_collides_is_the_miss_tol_verdict(self, tmp_path,
                                                        monkeypatch,
                                                        miss_tol, verdict):
         # The screening's collides column is c2_check's verdict at the
-        # miss_tol it is handed (d/2 in a run); handing it a tolerance no
-        # distance meets, and one every distance meets, pins both sides.
+        # miss_tol it is handed (d/2 in a run); handing it a tolerance only
+        # a zero distance meets, and one every distance meets, pins both
+        # sides.
         real_c2_check = sim.c2_check
 
         def c2_check_at(*args, **kwargs):
@@ -472,16 +475,14 @@ def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
     out.update({name: np.empty(n) for name in (
         "range_err", "range_sigma", "zeta_hat", "zeta_sigma", "nees")})
     out["innovations"] = np.empty((n, 3))
-    out["outliers"] = np.zeros(n, dtype=bool)
 
     for k in range(n):
         z = measure(truth.dr[k], cfg.d, cfg.noise, rng)
-        x, p_cov, innovation, outlier = ekf_update(
+        x, p_cov, innovation = ekf_update(
             oe_hat.as_array(), p_cov, eta_k.as_array(), z,
-            cfg.noise.covariance(), cfg.d, chi2_gate=cfg.chi2_gate)
+            cfg.noise.covariance(), cfg.d)
         oe_hat = NodalRelativeState.from_array(x)
         out["innovations"][k] = innovation
-        out["outliers"][k] = outlier
 
         x = oe_hat.as_array()
         out["oe_hat"][k] = x
@@ -521,18 +522,14 @@ class TestReferenceFilterPath:
     desk scenario at 600 s, with a block length (97) that leaves a partial
     last block of the 2,845 samples."""
 
-    @pytest.mark.parametrize("chi2_gate", [None, 7.81])
-    def test_blocked_pass_matches_reference(self, desk_truth, monkeypatch,
-                                            chi2_gate):
+    def test_blocked_pass_matches_reference(self, desk_truth, monkeypatch):
         cfg, truth = desk_truth
-        cfg = replace(cfg, chi2_gate=chi2_gate)
         assert truth.t.size % 97 != 0
         monkeypatch.setattr(sim, "_DIAGNOSTIC_BLOCK", 97)
         for run_index in range(2):
             run = sim._run_filter(cfg, truth, run_index)
             ref = reference_run_filter(cfg, truth, run_index)
-            for name in ("oe_hat", "err", "sigma", "innovations",
-                         "outliers"):
+            for name in ("oe_hat", "err", "sigma", "innovations"):
                 assert np.array_equal(getattr(run, name), ref[name]), name
             assert run.detected == ref["detected"]
             for name, sigma in (("range_err", "range_sigma"),
@@ -741,8 +738,8 @@ def test_interpolant_kept_only_where_read(monkeypatch):
     oe, eta = oe_from_classical(EL1, EL2)
     c2_check(oe, eta, 0.0, 3000.0, MU_EARTH, miss_tol=1.0)
     assert dense == []
-    c2_check(oe, eta, 0.0, 3000.0, MU_EARTH, miss_tol=1.0,
-             u=lambda t: PerturbationInput.zero())
+    zero = PerturbationInput(u1=np.zeros(3), u2=np.zeros(3))
+    c2_check(oe, eta, 0.0, 3000.0, MU_EARTH, miss_tol=1.0, u=lambda t: zero)
     assert dense == [True]
 
 

@@ -323,8 +323,8 @@ class TestEkfUpdate:
         oe, eta = default_state()
         x, e = oe.as_array(), eta.as_array()
         z = predict_measurement(x, e, 90.0)[0]
-        x_post, _, innov, _ = ekf_update(x, np.diag([1e-8] * 6), e, z,
-                                         NOISE.covariance(), 90.0)
+        x_post, _, innov = ekf_update(x, np.diag([1e-8] * 6), e, z,
+                                      NOISE.covariance(), 90.0)
         # zero innovation: posterior mean unchanged
         assert np.abs(innov).max() < 1e-15
         assert np.abs(x_post - x).max() < 1e-14
@@ -361,44 +361,9 @@ class TestEkfUpdate:
         for _ in range(50):
             z = measure(relative_position(NodalRelativeState.from_array(x),
                                           eta).dr, 90.0, NOISE, rng)
-            x, P, _, _ = ekf_update(x, P, e, z, NOISE.covariance(), 90.0)
+            x, P, _ = ekf_update(x, P, e, z, NOISE.covariance(), 90.0)
             assert np.abs(P - P.T).max() == 0.0
             assert np.linalg.eigvalsh(P).min() > -1e-18
-
-    def test_outlier_gate_flags_not_drops(self):
-        oe, eta = default_state()
-        x, e = oe.as_array(), eta.as_array()
-        z = predict_measurement(x, e, 90.0)[0] + [50 * NOISE.sigma_az, 0.0,
-                                                  0.0]
-        x_post, _, _, outlier = ekf_update(x, np.diag([1e-12] * 6), e, z,
-                                           NOISE.covariance(), 90.0,
-                                           chi2_gate=16.27)
-        assert outlier
-        # update still applied
-        assert np.abs(x_post - x).max() > 0.0
-
-    def test_gate_matches_reference_distance_and_keeps_posterior(self):
-        # The flag must match the Mahalanobis distance solved on its own,
-        # and a gate must leave the posterior as the ungated update has it.
-        rng = np.random.default_rng(71)
-        oe, eta = default_state()
-        x, P, e = oe.as_array(), np.diag([1e-10] * 6), eta.as_array()
-        r_cov = NOISE.covariance()
-        y, h, _ = predict_measurement(x, e, 90.0)
-        s_cov = h @ P @ h.T + r_cov
-        flags = []
-        for _ in range(40):
-            z = y + rng.normal(scale=3.0, size=3) * np.array(
-                [NOISE.sigma_az, NOISE.sigma_el, NOISE.sigma_beta])
-            gated = ekf_update(x, P, e, z, r_cov, 90.0, chi2_gate=7.81)
-            plain = ekf_update(x, P, e, z, r_cov, 90.0)
-            innov = plain[2]
-            maha2 = float(innov @ np.linalg.solve(s_cov, innov))
-            assert gated[3] == (maha2 > 7.81)
-            flags.append(gated[3])
-            for a, b in zip(gated[:2], plain[:2]):
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-        assert any(flags) and not all(flags)
 
 
 class TestStateCheck:
@@ -489,7 +454,7 @@ def reference_ekf_propagate(x, P, eta, dt, Q, mu):
     return x_new, 0.5 * (p_new + p_new.T), eta_new
 
 
-def reference_ekf_update(x, P, eta, z, r_cov, d, chi2_gate=None):
+def reference_ekf_update(x, P, eta, z, r_cov, d):
     state = _checked_state(x)
     (az, el, beta), h, _ = reference_predict(state, _checked_reference(eta),
                                              d)
@@ -499,19 +464,16 @@ def reference_ekf_update(x, P, eta, z, r_cov, d, chi2_gate=None):
                       z_el - el, z_beta - beta))
 
     hp = h @ P
-    # one LAPACK solve with S for the gain and, when gated, the innovation
-    *_, sol, info = dgesv(hp @ h.T + r_cov, hp if chi2_gate is None
-                          else np.column_stack((hp, innov)))
+    # one LAPACK solve with S for the gain
+    *_, sol, info = dgesv(hp @ h.T + r_cov, hp)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular innovation covariance ({info})")
-    gain = sol[:, :6].T  # S symmetric
-    outlier = chi2_gate is not None and float(innov @ sol[:, 6]) > chi2_gate
+    gain = sol.T  # S symmetric
 
     x_new = np.array(state) + gain @ innov
     ikh = _EYE6 - gain @ h
     p_new = ikh @ P @ ikh.T + gain @ r_cov @ gain.T
-    return (np.array(_checked_state(x_new)), 0.5 * (p_new + p_new.T),
-            innov, outlier)
+    return np.array(_checked_state(x_new)), 0.5 * (p_new + p_new.T), innov
 
 
 class TestStepMatchesReference:
@@ -519,8 +481,7 @@ class TestStepMatchesReference:
     desk steps: each chain carries its own state, so a difference in any
     last digit shows at the step where it arises and stays."""
 
-    @pytest.mark.parametrize("chi2_gate", [None, 7.81])
-    def test_desk_chain_bitwise(self, chi2_gate):
+    def test_desk_chain_bitwise(self):
         # the first 320 desk samples at 600 s, started as a run is
         cfg = replace(ScenarioConfig(), sample_dt=600.0)
         truth = build_truth(cfg)
@@ -530,22 +491,17 @@ class TestStepMatchesReference:
         P, eta = np.diag(cfg.p0_diag), truth.eta[0]
         r_cov, q = cfg.noise.covariance(), np.diag(cfg.q_diag)
         xr, pr, etar = x, P, eta
-        flags = []
         for k, zk in enumerate(z):
-            x, P, innov, outlier = ekf_update(x, P, eta, zk, r_cov, cfg.d,
-                                              chi2_gate)
-            xr, pr, innov_r, outlier_r = reference_ekf_update(
-                xr, pr, etar, zk, r_cov, cfg.d, chi2_gate)
+            x, P, innov = ekf_update(x, P, eta, zk, r_cov, cfg.d)
+            xr, pr, innov_r = reference_ekf_update(xr, pr, etar, zk, r_cov,
+                                                   cfg.d)
             for got, want in ((x, xr), (P, pr), (innov, innov_r)):
                 assert np.array_equal(got, want), k
-            assert outlier == outlier_r
-            flags.append(outlier)
             x, P, eta = ekf_propagate(x, P, eta, cfg.sample_dt, q, cfg.mu)
             xr, pr, etar = reference_ekf_propagate(xr, pr, etar,
                                                    cfg.sample_dt, q, cfg.mu)
             for got, want in ((x, xr), (P, pr), (eta, etar)):
                 assert np.array_equal(got, want), k
-        assert any(flags) == (chi2_gate is not None)
 
 
 class TestStepAliasing:
@@ -555,10 +511,8 @@ class TestStepAliasing:
 
     @pytest.mark.parametrize("step", [
         lambda x, P, eta, z, r_cov, Q: ekf_update(x, P, eta, z, r_cov, 90.0),
-        lambda x, P, eta, z, r_cov, Q: ekf_update(x, P, eta, z, r_cov, 90.0,
-                                                  chi2_gate=7.81),
         lambda x, P, eta, z, r_cov, Q: ekf_propagate(x, P, eta, 600.0, Q, MU),
-    ], ids=["update", "update_gated", "propagate"])
+    ], ids=["update", "propagate"])
     def test_inputs_untouched_and_outputs_fresh(self, step):
         # a full (not diagonal) covariance, so that every product carries
         # data, and an innovation of 3 sigma per channel
@@ -576,7 +530,6 @@ class TestStepAliasing:
             assert a.tobytes() == before[name].tobytes(), name
         assert np.array_equal(_EYE6, np.eye(6))
         for got in out:
-            if isinstance(got, np.ndarray):
-                for a in (*inputs.values(), _EYE6):
-                    assert not np.shares_memory(got, a)
+            for a in (*inputs.values(), _EYE6):
+                assert not np.shares_memory(got, a)
         assert np.array_equal(out[1], out[1].T)

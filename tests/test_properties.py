@@ -323,9 +323,9 @@ def test_element_round_trip(el1, el2):
 # orbits whose radii differ by 1 km or more at both relative-node
 # crossings (by the Cartesian oracle) do not intersect.  Each margin is
 # that crossing's radial gap r2 - r1 scaled by p2 / (r1 r2), so a gap of
-# 1 km puts it far outside node_tol.  gamma stays 1e-3 from coplanar and
-# from retrograde, where the rounding of the relative node (below)
-# outgrows the absolute node_tol.
+# 1 km puts it far outside DEFAULT_NODE_TOL.  gamma stays 1e-3 from
+# coplanar and from retrograde, where the rounding of the relative node
+# (below) outgrows the absolute DEFAULT_NODE_TOL.
 @given(ELEMENTS, ELEMENTS)
 def test_separated_node_crossings_fail_c1(el1, el2):
     try:
