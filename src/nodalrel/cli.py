@@ -46,8 +46,9 @@ def _pair_from_args(args):
 
 
 def _cmd_validate(args) -> int:
-    if args.tol is not None and not args.tol > 0.0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
+    if args.tol is not None and not 0.0 < args.tol < 1.0:
+        raise ValueError(f"--tol must be positive, finite and < 1, "
+                         f"got {args.tol}")
     res = sim.run_validation(rtol=RTOL if args.tol is None else args.tol,
                              out_dir=args.out)
     print(f"max model-vs-Cowell discrepancy: {res.max_discrepancy_km:.3e} km")

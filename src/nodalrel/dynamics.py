@@ -289,7 +289,13 @@ def _unperturbed_rates(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu):
     anomaly-rate mismatch k [D^2 / (1 + dp)^1.5 - (1 + ec)^2], k =
     sqrt(mu / p1^3) and D the radius denominator, dp and p1 are constant,
     and both eccentricity phasors and the inclination vector rotate at the
-    reference anomaly rate."""
+    reference anomaly rate.  Raises GeometryError if p1 or 1 + dp is not
+    positive, as a coarse trial step can make them."""
+    if not p1 > 0.0:
+        raise GeometryError(f"p1 {p1} <= 0: state outside elliptic geometry")
+    if not 1.0 + dp > 0.0:
+        raise GeometryError(
+            f"1 + dp = {1.0 + dp} <= 0: state outside elliptic geometry")
     k = math.sqrt(mu / p1 ** 3)
     nudot = k * (1.0 + ec) ** 2
     denom = _radius_denominator(math.cos(dtheta), math.sin(dtheta), dxx, dxy,

@@ -581,9 +581,10 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
     """Monte Carlo campaign over cfg.mc_runs independent filter runs.
 
     The truth is deterministic and shared; each run has its own noise
-    substream.  Aggregation is performed in run order, so the summary is
-    deterministic for a given config and seed.  When out_dir is given,
-    writes summary.json and an ensemble-envelope CSV.
+    substream.  Aggregation is performed run by run in run order, with no
+    (m, n, 6) stack, so the summary is deterministic for a given config and
+    seed.  When out_dir is given, writes summary.json and an
+    ensemble-envelope CSV.
     """
     truth = build_truth(cfg)
 
@@ -594,18 +595,19 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
     else:
         runs = [_run_filter(cfg, truth, i) for i in range(cfg.mc_runs)]
 
-    err_stack = np.stack([r.err for r in runs])          # (m, n, 6)
-    sig_stack = np.stack([r.sigma for r in runs])
-    range_err_stack = np.stack([r.range_err for r in runs])
-
-    covered = np.abs(err_stack) <= 3.0 * sig_stack
-    coverage_by_component = tuple(float(c) for c in
-                                  covered.mean(axis=(0, 1)))
-    coverage_aggregate = float(covered.mean())
+    # Exact integer counts: each share is one correctly rounded division.
+    covered = sum(np.count_nonzero(np.abs(r.err) <= 3.0 * r.sigma, axis=0)
+                  for r in runs)
+    samples = cfg.mc_runs * truth.t.size
+    coverage_by_component = tuple(float(c) for c in covered / samples)
+    coverage_aggregate = float(covered.sum() / (6 * samples))
     detection_rate = float(np.mean([r.detected for r in runs]))
-    final_sigma = float(np.std(range_err_stack[:, -1], ddof=1))
-    initial_sigma = float(np.std(range_err_stack[:, 0], ddof=1))
-    mean_final_abs = float(np.mean(np.abs(range_err_stack[:, -1])))
+    final_err = np.array([r.range_err[-1] for r in runs])
+    final_sigma = float(np.std(final_err, ddof=1))
+    initial_sigma = float(np.std([r.range_err[0] for r in runs], ddof=1))
+    mean_final_abs = float(np.mean(np.abs(final_err)))
+    # Stacked (m, n): np.mean sums the flat buffer pairwise, and a per-run
+    # sum would round differently.
     mean_nees = float(np.mean(np.stack([r.nees for r in runs])))
 
     # Analytic initial range uncertainty: the range sigma of P0 at the truth.
@@ -635,14 +637,26 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
             "coverage_by_component": list(summary.coverage_by_component),
         })
         env_path = os.path.join(out_dir, "ensemble_envelope.csv")
-        true_sigma = err_stack.std(axis=0, ddof=1)       # (n, 6)
-        range_true_sigma = range_err_stack.std(axis=0, ddof=1)
+        true_sigma = _ensemble_std([r.err for r in runs])       # (n, 6)
+        range_true_sigma = _ensemble_std([r.range_err for r in runs])
         cols = [truth.t] + [3.0 * true_sigma[:, j] for j in range(6)] \
             + [3.0 * range_true_sigma]
         header = (["t"] + [f"true_3sigma_{name}" for name in _STATE_NAMES]
                   + ["true_3sigma_range"])
         _write_csv(env_path, header, cols)
     return summary, runs
+
+
+def _ensemble_std(rows: list) -> np.ndarray:
+    """``np.stack(rows).std(axis=0, ddof=1)`` without the stack: numpy
+    reduces axis 0 in row order, so two passes over the rows in that order
+    (the sum for the mean, then the sum of squared deviations) give the
+    same bits from a few arrays of one row's shape.  Rows of one element
+    stack into a single contiguous column, which numpy sums pairwise."""
+    if rows[0].size == 1:
+        return np.stack(rows).std(axis=0, ddof=1)
+    mean = sum(rows[1:], rows[0]) / len(rows)
+    return np.sqrt(sum((row - mean) ** 2 for row in rows) / (len(rows) - 1))
 
 
 # --- Maneuver sweep ---
@@ -670,20 +684,30 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
 
     For each candidate epoch the correction is delta_zeta = 3 sigma(zeta)
     plus the offset.  The impulse for the first offset is applied to
-    satellite 1 at ``apply_at`` (default: two days after the window opens).
+    satellite 1 at ``apply_at`` (default: two days after the window opens,
+    or its end if that comes first).
     The closest approaches with and without it (``achieved_miss_km``,
     ``unmaneuvered_miss_km``) come from a Cowell replay from the burn to as
     long after the nominal impact as t_end is before it, at relative
     tolerance RTOL: one dense solve each of satellite 1 with and without
     the burn and of satellite 2, searched by :func:`_cowell_closest_approach`.
+    Raises ValueError unless ``apply_at`` lies in [t_start, t_end] and
+    ``offsets`` are finite.
     """
+    offsets = tuple(float(o) for o in offsets)
+    if apply_at is None:
+        apply_at = min(cfg.t_start + 2.0 * 86400.0, cfg.t_end)
+    _check_fields((
+        ("offsets", len(offsets) > 0 and all(map(math.isfinite, offsets)),
+         "be one or more finite values"),
+        ("apply_at", cfg.t_start <= apply_at <= cfg.t_end,
+         f"lie in [t_start, t_end] = [{cfg.t_start}, {cfg.t_end}] s"),
+    ))
     art = run_flyby(cfg)
     truth, run = art.truth, art.run
     n = truth.t.size
     idx = np.arange(run.post_transient_index, n,
                     max(1, n // SWEEP_CANDIDATES))
-
-    offsets = tuple(float(o) for o in offsets)
 
     def plan_at(k: int, offset: float):
         return plan_avoidance(NodalRelativeState.from_array(run.oe_hat[k]),
@@ -693,8 +717,6 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     dv_profiles = {off: np.array([np.linalg.norm(plan_at(k, off).delta_v)
                                   for k in idx], dtype=float)
                    for off in offsets}
-    if apply_at is None:
-        apply_at = cfg.t_start + 2.0 * 86400.0
     k = int(np.argmin(np.abs(truth.t - apply_at)))
     plan, t_m = plan_at(k, offsets[0]), float(truth.t[k])
 

@@ -130,6 +130,16 @@ def test_nonpositive_tol_rejected(tmp_path, command, tol):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "1", "2.5"])
+def test_unusable_tol_rejected(tmp_path, tol):
+    # a relative tolerance must be finite and below 1; inf used to die in
+    # the integrator with "math domain error"
+    with pytest.raises(ValueError, match="^--tol must be positive, finite "
+                                         "and < 1"):
+        main(["validate", f"--tol={tol}", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--tf", "5000", "--samples", "0"], "--samples must be an integer >= 1"),
     (["--tf", "5000", "--samples", "-3"],

@@ -10,6 +10,7 @@ from nodalrel import (
     MU_EARTH,
     CartesianState,
     ClassicalElements,
+    GeometryError,
     NodalRelativeState,
     PerturbationInput,
     ReferenceParams,
@@ -94,6 +95,16 @@ class TestUnperturbedField:
         nudot = math.sqrt(MU / eta.p1 ** 3) * (1 + eta.ec) ** 2
         assert np.abs(f[2:] - nudot * np.array(
             [-oe.dxi_y, oe.dxi_x, -oe.dh_y, oe.dh_x])).max() < 1e-18
+
+    @pytest.mark.parametrize("dp, p1, name", [
+        (0.0, 0.0, "p1"), (0.0, -1e4, "p1"), (0.0, math.nan, "p1"),
+        (-1.0, 1e4, "1 \\+ dp"), (-1.5, 1e4, "1 \\+ dp")])
+    def test_nonpositive_p1_or_1_plus_dp_rejected(self, dp, p1, name):
+        # They used to raise "math domain error" (p1) or return a complex
+        # dtheta rate (1 + dp < 0).
+        y = np.array([0.1, dp, 0.0, 0.0, 0.0, 0.0, p1, 0.1, 0.0])
+        with pytest.raises(GeometryError, match=f"^{name} .* <= 0"):
+            _nodal_rhs(0.0, y, None, MU)
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(31)
@@ -397,6 +408,12 @@ class TestPropagation:
                          elements_to_cartesian(el2, mu), [0.0, span], mu,
                          u1=counted(missionsim.validation_accel_1))
         assert len(reads) <= 2000
+
+    @pytest.mark.parametrize("rtol", [0.1, 0.5, 0.99])
+    def test_coarse_step_outside_geometry_named(self, rtol):
+        # A coarse trial step drives p1 below 0 on the validation pair.
+        with pytest.raises(GeometryError, match="^p1 .* <= 0"):
+            missionsim.run_validation(rtol=rtol)
 
     def test_invalid_span_rejected(self):
         oe, eta = oe_from_classical(EL1, EL2)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -586,6 +587,44 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             run_montecarlo(small_config(mc_runs=1))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(mc_runs=2), dict(mc_runs=3), dict(mc_runs=4),
+        dict(mc_runs=3, jobs=2),
+        # One sample: the stacked envelope sums its single column pairwise,
+        # which rounds otherwise than a run-order sum on this draw.
+        dict(mc_runs=17, seed=0, t_end=-2.0 * 86400.0 + 100.0,
+             transient_fraction=0.0),
+    ])
+    def test_matches_stacked_reference(self, tmp_path, overrides):
+        cfg = small_config(**{"sample_dt": 1800.0, "seed": 11, **overrides})
+        summary, runs = run_montecarlo(cfg, out_dir=str(tmp_path))
+        ref = reference_stacked_aggregation(runs)
+        envelope = np.loadtxt(tmp_path / "ensemble_envelope.csv",
+                              delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(envelope[:, 1:], ref.pop("envelope"))
+        for name, value in ref.items():
+            assert np.array_equal(getattr(summary, name), value), name
+
+    def test_aggregation_builds_no_run_stack(self, tmp_path, monkeypatch):
+        # Beyond its truth and the runs it returns, the campaign's traced
+        # peak stays below one (m, n, 6) array; stacking err and sigma and
+        # comparing them took four.  The runs are filtered before tracing
+        # starts, so the trace holds the truth, the aggregation and the
+        # writers, and not the EKF loop, which tracing slows sixfold.
+        cfg = small_config(sample_dt=120.0, mc_runs=8)
+        truth = build_truth(cfg)
+        runs = [sim._run_filter(cfg, truth, i) for i in range(cfg.mc_runs)]
+        monkeypatch.setattr(sim, "_run_filter", lambda _c, _t, i: runs[i])
+        tracemalloc.start()
+        try:
+            run_montecarlo(cfg, out_dir=str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in vars(truth).values()
+                   if isinstance(a, np.ndarray))
+        assert peak - held < cfg.mc_runs * truth.t.size * 6 * 8
+
     def test_envelope_csv_written(self, tmp_path):
         cfg = small_config(sample_dt=3600.0, mc_runs=3)
         run_montecarlo(cfg, out_dir=str(tmp_path))
@@ -593,6 +632,32 @@ class TestMonteCarlo:
                              delimiter=",", names=True)
         assert np.all(np.isfinite(data["true_3sigma_range"]))
         assert np.all(data["true_3sigma_range"] >= 0.0)
+
+
+def reference_stacked_aggregation(runs: list) -> dict:
+    """The campaign aggregates as they were computed from (m, n, 6) stacks
+    of the runs: the summary fields, and the envelope's 3-sigma columns
+    under the key "envelope"."""
+    err_stack = np.stack([r.err for r in runs])
+    sig_stack = np.stack([r.sigma for r in runs])
+    range_err_stack = np.stack([r.range_err for r in runs])
+    covered = np.abs(err_stack) <= 3.0 * sig_stack
+    return {
+        "coverage_by_component": tuple(float(c) for c in
+                                       covered.mean(axis=(0, 1))),
+        "coverage_aggregate": float(covered.mean()),
+        "detection_rate": float(np.mean([r.detected for r in runs])),
+        "final_range_error_sigma": float(np.std(range_err_stack[:, -1],
+                                                ddof=1)),
+        "initial_range_error_sigma": float(np.std(range_err_stack[:, 0],
+                                                  ddof=1)),
+        "mean_final_abs_range_err": float(np.mean(np.abs(
+            range_err_stack[:, -1]))),
+        "mean_nees": float(np.mean(np.stack([r.nees for r in runs]))),
+        "envelope": np.column_stack([3.0 * err_stack.std(axis=0, ddof=1),
+                                     3.0 * range_err_stack.std(axis=0,
+                                                               ddof=1)]),
+    }
 
 
 def reference_write_csv(path: str, header: list, columns: list) -> None:
@@ -674,6 +739,29 @@ class TestManeuverSweep:
         assert res.unmaneuvered_miss_km < 50.0
         assert res.achieved_miss_km > 10.0 * res.unmaneuvered_miss_km
         assert res.achieved_miss_km > cfg.d
+
+    @pytest.mark.parametrize("apply_at", [math.nan, 1e12, -1e12])
+    def test_apply_at_outside_window_rejected(self, apply_at, monkeypatch):
+        # It used to be clamped to the nearest sample of the window.
+        monkeypatch.setattr(sim, "run_flyby", None)  # rejected before it
+        with pytest.raises(ValueError, match="^apply_at must lie in"):
+            run_maneuver_sweep(small_config(), apply_at=apply_at)
+
+    @pytest.mark.parametrize("offsets", [(math.nan,), (1e-4, math.inf), ()])
+    def test_nonfinite_offsets_rejected(self, offsets, monkeypatch):
+        # They used to reach the replay's initial state in scipy.
+        monkeypatch.setattr(sim, "run_flyby", None)  # rejected before it
+        with pytest.raises(ValueError, match="^offsets must be one or more "
+                                             "finite values"):
+            run_maneuver_sweep(small_config(), offsets=offsets)
+
+    def test_default_epoch_clamped_to_short_window(self):
+        # Two days after a window shorter than two days opens lies past its
+        # end; the default then takes the window's last sample.
+        cfg = small_config(sample_dt=1800.0)
+        assert cfg.t_start + 2.0 * 86400.0 > cfg.t_end
+        res = run_maneuver_sweep(cfg)
+        assert res.applied_t_m == build_truth(cfg).t[-1]
 
     def test_replay_matches_two_integration_reference(self, monkeypatch):
         # One dense solve per orbit: s1, s1 with the burn, and s2.
