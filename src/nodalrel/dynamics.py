@@ -413,7 +413,10 @@ def _dop853(rhs, y0, t, rtol: float, atol, args, what: str, dense: bool):
     the increasing times t in ``sol.y`` (solve_ivp rejects unsorted ones),
     and dense in ``sol.sol`` only when ``dense``: the interpolant costs 3
     more right-hand sides on each step that holds no sample.  Raises
-    StepFailure naming ``what`` if the solve fails."""
+    ValueError unless 0 < rtol < 1, and StepFailure naming ``what`` if the
+    solve fails."""
+    if not 0.0 < rtol < 1.0:
+        raise ValueError(f"rtol must be finite, > 0 and < 1, got {rtol}")
     t = np.asarray(t, dtype=float)
     if not (t.size > 1 and t[-1] > t[0]):
         raise ValueError("sample times must increase")
@@ -452,7 +455,7 @@ def propagate(oe: NodalRelativeState, eta: ReferenceParams, t, mu: float,
     Raises
     ------
     ValueError
-        If t does not increase.
+        If t does not increase, or rtol is not finite, > 0 and < 1.
     StepFailure
         If the integrator cannot complete the interval.
     """
@@ -520,7 +523,7 @@ def cowell_propagate(s1: CartesianState, s2: CartesianState, t, mu: float,
     Raises
     ------
     ValueError
-        If t does not increase.
+        If t does not increase, or rtol is not finite, > 0 and < 1.
     StepFailure
         If either integration fails.
     """

@@ -472,7 +472,7 @@ def _posterior_diagnostics(x, P, eta, oe_true, range_true) -> tuple:
     err[:, 0] = wrap_angle(err[:, 0])
     nees = np.einsum("bi,bi->b", err,
                      np.linalg.solve(P, err[..., None])[..., 0])
-    *_, dr, j_oe, _ = _position_arrays(x, eta, jacobians=True)
+    *_, dr, j_oe = _position_arrays(x, eta, jacobians=True)
     rho = np.sqrt(dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2])
     if not np.all(np.isfinite(rho)):
         raise GeometryError("radius denominator <= 0 at a posterior state")
@@ -781,6 +781,7 @@ def run_validation(rtol: float = RTOL,
 
     Returns the maximum RTN1 position discrepancy between the nodal-model
     route and direct Cowell differencing, plus the unforced variant.
+    ValueError unless 0 < rtol < 1 (see :func:`dynamics._dop853`).
     """
     mu = VALIDATION_MU
     el1, el2 = VALIDATION_EL1, VALIDATION_EL2

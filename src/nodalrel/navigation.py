@@ -15,6 +15,13 @@ The filter works on plain arrays: x is the six state floats (dtheta, dp,
 dxi_x, dxi_y, dh_x, dh_y), P their 6x6 covariance, eta the three reference
 floats (p1, ec, es) and a measurement the three floats (az, el, beta).
 
+Each input of a step is converted to floats once, at the public entry,
+and each output array is built once, from floats or in place.  A step
+(one update, one coast) checks three states: the update's x and its
+posterior, and the coast's x; and two references, one at each entry.
+The coast's own output needs no check: from a checked state over a
+finite dt its entries are finite and dp is unchanged.
+
 Each small product of a step is an ``ndarray.dot`` call: the BLAS routine
 of ``@`` at about half its dispatch cost, which dominates on 6x6.  None
 passes one buffer as both operands (``A.dot(A.T)`` goes to ``syrk``, which
@@ -32,6 +39,7 @@ from scipy.linalg.lapack import dgesv
 
 from .errors import ZeroRange
 from .dynamics import _anomaly_sweep
+from .frames import wrap_angle
 from .relstate import (_checked_reference, _checked_state, _kepler_pair,
                        _scalar_position)
 
@@ -117,8 +125,7 @@ def predict_measurement(x, eta, d: float,
 def _predict(state, ref, d: float) -> tuple[tuple, np.ndarray, bool]:
     """:func:`predict_measurement` of the checked floats of a state and its
     reference, with y as a 3-tuple."""
-    *_, (rx, ry, rz), j_oe, _ = _scalar_position(*state, *ref,
-                                                 jacobians=True)
+    *_, (rx, ry, rz), j_oe = _scalar_position(*state, *ref, jacobians=True)
     az, el, beta, rho, rho_rt2 = _angles(rx, ry, rz, d)
     gimbal = abs(abs(el) - 0.5 * math.pi) < GIMBAL_EL_TOL
 
@@ -176,8 +183,8 @@ def _coast(state, ref, dt: float, mu: float,
                     0.0, 0.0, s, c, 0.0, 0.0,
                     0.0, 0.0, 0.0, 0.0, c, -s,
                     0.0, 0.0, 0.0, 0.0, s, c)).reshape(6, 6)
-    return (np.array(_checked_state((dtheta, dp, *dxi_dh))), phi,
-            np.array([p1, ec, es]))
+    return (np.array((wrap_angle(dtheta), dp, *dxi_dh)), phi,
+            np.array((p1, ec, es)))
 
 
 def ekf_propagate(x, P: np.ndarray, eta, dt: float, Q: np.ndarray,
@@ -191,13 +198,13 @@ def ekf_propagate(x, P: np.ndarray, eta, dt: float, Q: np.ndarray,
     two rotation blocks and the analytic partials of dtheta.  The
     covariance update is P <- Phi P Phi^T + Q dt, Q a per-second rate.
 
-    Returns (x, P, eta) after dt.  ValueError if dt is not positive or x
-    or eta is not valid (see :func:`relstate._checked_state` and
-    :func:`relstate._checked_reference`); GeometryError if the recovered
-    e2 is not below 1.
+    Returns (x, P, eta) after dt.  ValueError if dt is not positive and
+    finite or x or eta is not valid (see :func:`relstate._checked_state`
+    and :func:`relstate._checked_reference`); GeometryError if the
+    recovered e2 is not below 1.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     x_new, phi, eta_new = _coast(_checked_state(x), _checked_reference(eta),
                                  dt, mu)
     p_new = phi.dot(P).dot(phi.T)
@@ -237,10 +244,11 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
 
     x_new = np.array(state)
     x_new += gain.dot(innov)
+    x_new[0] = _checked_state(x_new)[0]
     ikh = gain.dot(h)
     np.subtract(_EYE6, ikh, out=ikh)
     p_new = ikh.dot(P).dot(ikh.T)
     p_new += gain.dot(r_cov).dot(gain.T)
     p_new += p_new.T
     p_new *= 0.5
-    return np.array(_checked_state(x_new)), p_new, innov
+    return x_new, p_new, innov

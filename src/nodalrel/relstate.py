@@ -30,12 +30,22 @@ from .frames import (
 )
 
 
+#: The dtype of the arrays the checks read without a conversion.
+_FLOAT64 = np.dtype(float)
+
+
 def _checked_state(x) -> list:
     """The six floats of a relative state x with dtheta wrapped to (-pi,
-    pi]: the check of every state, validated or filtered.  A checked state
-    comes back bitwise unchanged.  ValueError unless each entry is finite
-    and dp > -1 (p2 > 0)."""
-    vals = np.asarray(x, dtype=float).tolist()
+    pi]: the check of every state, validated or filtered.  A float64 array
+    is read with one ``tolist()``, anything else converted to one first.
+    A checked state comes back bitwise unchanged.  ValueError unless x
+    holds exactly six entries, each finite, and dp > -1 (p2 > 0)."""
+    arr = (x if type(x) is np.ndarray and x.dtype is _FLOAT64
+           else np.asarray(x, dtype=float))
+    vals = arr.tolist()
+    if arr.ndim != 1 or len(vals) != 6:
+        raise ValueError(f"a relative state has 6 entries on one axis, got "
+                         f"{arr.size} in shape {arr.shape}")
     if not all(map(math.isfinite, vals)):
         raise ValueError(f"nonfinite relative state {tuple(vals)}")
     if not vals[1] > -1.0:
@@ -46,9 +56,16 @@ def _checked_state(x) -> list:
 
 def _checked_reference(eta) -> list:
     """The three floats (p1, ec, es) of a reference eta: the check of
-    every reference, validated or filtered.  ValueError unless p1 > 0 and
-    ec^2 + es^2 < 1."""
-    p1, ec, es = vals = np.asarray(eta, dtype=float).tolist()
+    every reference, validated or filtered, read as :func:`_checked_state`
+    reads a state.  ValueError unless eta holds exactly three entries, p1
+    > 0 and ec^2 + es^2 < 1."""
+    arr = (eta if type(eta) is np.ndarray and eta.dtype is _FLOAT64
+           else np.asarray(eta, dtype=float))
+    vals = arr.tolist()
+    if arr.ndim != 1 or len(vals) != 3:
+        raise ValueError(f"a reference has 3 entries on one axis, got "
+                         f"{arr.size} in shape {arr.shape}")
+    p1, ec, es = vals
     if not p1 > 0.0:
         raise ValueError(f"p1 must be positive, got {p1}")
     if not ec * ec + es * es < 1.0:
@@ -214,10 +231,11 @@ def _radius_denominator(c, s, dxi_x, dxi_y, ec, es):
 
 def _position_kernel(c, s, denom, dp, dxi_x, dxi_y, hx, hy, p1, ec, es,
                      jacobians=False):
-    """(r1, r2, q, b, dr, j_oe, j_eta) of the RTN1 position dr = r1*(q*b -
-    [1, 0, 0]), q = r2/r1, from cos and sin of dtheta and the checked
-    radius denominator.  b and dr are 3-tuples; the 3x6 state and 3x3
-    reference Jacobians of dr are tuples of rows, or None."""
+    """(r1, r2, q, b, dr, j_oe) of the RTN1 position dr = r1*(q*b - [1, 0,
+    0]), q = r2/r1, from cos and sin of dtheta and the checked radius
+    denominator.  b and dr are 3-tuples; the 3x6 state Jacobian of dr is a
+    tuple of rows, or None (:func:`_reference_jacobian` gives the
+    reference's)."""
     r1 = p1 / (1.0 + ec)
     r2 = p1 * (1.0 + dp) / denom
     q = r2 / r1
@@ -230,7 +248,7 @@ def _position_kernel(c, s, denom, dp, dxi_x, dxi_y, hx, hy, p1, ec, es,
     b2 = (2.0 * hy * c + 2.0 * hx * s) / smag
     dr = (r1 * (q * b0 - 1.0), r1 * (q * b1), r1 * (q * b2))
     if not jacobians:
-        return r1, r2, q, (b0, b1, b2), dr, None, None
+        return r1, r2, q, (b0, b1, b2), dr, None
 
     dbt0 = (-a_ * s - cc * c) / smag
     dbt1 = (b_ * c + cc * s) / smag
@@ -254,12 +272,21 @@ def _position_kernel(c, s, denom, dp, dxi_x, dxi_y, hx, hy, p1, ec, es,
         (w0 * b1 + r2 * dbt1, w1 * b1, w2 * b1, w3 * b1, r2 * dbx1, r2 * dby1),
         (w0 * b2 + r2 * dbt2, w1 * b2, w2 * b2, w3 * b2, r2 * dbx2, r2 * dby2),
     )
+    return r1, r2, q, (b0, b1, b2), dr, j_oe
+
+
+def _reference_jacobian(c, s, denom, dp, p1, ec, r2, b):
+    """The 3x3 Jacobian of dr with respect to (p1, ec, es), as a tuple of
+    rows, from the arguments of :func:`_position_kernel` and its r2 and b.
+    Arithmetic only: floats and arrays share it."""
+    b0, b1, b2 = b
     e0 = (1.0 + dp) / denom
-    j_eta = ((e0 * b0 - 1.0 / (1.0 + ec), w2 * b0 + p1 / (1.0 + ec) ** 2,
-              w3 * b0),
-             (e0 * b1, w2 * b1, w3 * b1),
-             (e0 * b2, w2 * b2, w3 * b2))
-    return r1, r2, q, (b0, b1, b2), dr, j_oe, j_eta
+    w2 = -r2 * c / denom
+    w3 = r2 * s / denom
+    return ((e0 * b0 - 1.0 / (1.0 + ec), w2 * b0 + p1 / (1.0 + ec) ** 2,
+             w3 * b0),
+            (e0 * b1, w2 * b1, w3 * b1),
+            (e0 * b2, w2 * b2, w3 * b2))
 
 
 def _scalar_position(dtheta, dp, dxi_x, dxi_y, dh_x, dh_y, p1, ec, es,
@@ -301,7 +328,7 @@ def relative_position(oe: NodalRelativeState, eta: ReferenceParams,
     GeometryError
         If the radius denominator of satellite 2 is not positive.
     """
-    r1, r2, q, b, dr, _, _ = _scalar_position(*_floats(oe, eta))
+    r1, r2, q, b, dr, _ = _scalar_position(*_floats(oe, eta))
     return RelativePosition(dr=np.array(dr), r1=r1, r2=r2, q=q,
                             b=np.array(b))
 
@@ -375,6 +402,10 @@ def position_jacobians(oe: NodalRelativeState, eta: ReferenceParams,
         state ordering (dtheta, dp, dxi_x, dxi_y, dh_x, dh_y); ``j_eta`` the
         3x3 Jacobian with respect to (p1, ec, es).
     """
-    *_, j_oe, j_eta = _scalar_position(*_floats(oe, eta), jacobians=True)
-    return np.array(j_oe), np.array(j_eta)
+    dtheta, dp, dxi_x, dxi_y, *_, p1, ec, es = vals = _floats(oe, eta)
+    _, r2, _, b, _, j_oe = _scalar_position(*vals, jacobians=True)
+    c, s = math.cos(dtheta), math.sin(dtheta)
+    denom = _radius_denominator(c, s, dxi_x, dxi_y, ec, es)
+    return np.array(j_oe), np.array(
+        _reference_jacobian(c, s, denom, dp, p1, ec, r2, b))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,20 @@ from nodalrel.cli import _load_cfg, build_parser, main
 
 ORBIT1 = ["8900", "0.5", "10", "20", "0", "30"]
 ORBIT2 = ["6800", "0.1", "40", "90", "30", "70"]
+
+
+def cli_error(capsys, argv) -> str:
+    """The message of the error main(argv) exits with: an input error
+    exits as argparse's own do, usage and one error line on stderr,
+    status 2, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nodalrel ") and "Traceback" not in err
+    line = err.splitlines()[-1]
+    assert line.startswith("nodalrel: error: ")
+    return line.removeprefix("nodalrel: error: ")
 
 
 def test_parser_covers_all_subcommands():
@@ -123,20 +138,19 @@ def test_screen_rejects_unused_flags(tmp_path, monkeypatch, capsys, flag):
 
 @pytest.mark.parametrize("command", [["validate"]])
 @pytest.mark.parametrize("tol", ["0", "-1e-9"])
-def test_nonpositive_tol_rejected(tmp_path, command, tol):
+def test_nonpositive_tol_rejected(tmp_path, capsys, command, tol):
     # --tol 0 must not fall back to the 1e-12 default
-    with pytest.raises(ValueError, match="^--tol must be positive"):
-        main([*command, f"--tol={tol}", "--out", str(tmp_path)])
+    assert re.match("^--tol must be positive", cli_error(
+        capsys, [*command, f"--tol={tol}", "--out", str(tmp_path)]))
     assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "1", "2.5"])
-def test_unusable_tol_rejected(tmp_path, tol):
+def test_unusable_tol_rejected(tmp_path, capsys, tol):
     # a relative tolerance must be finite and below 1; inf used to die in
     # the integrator with "math domain error"
-    with pytest.raises(ValueError, match="^--tol must be positive, finite "
-                                         "and < 1"):
-        main(["validate", f"--tol={tol}", "--out", str(tmp_path)])
+    assert re.match("^--tol must be positive, finite and < 1", cli_error(
+        capsys, ["validate", f"--tol={tol}", "--out", str(tmp_path)]))
     assert not any(tmp_path.iterdir())
 
 
@@ -147,10 +161,10 @@ def test_unusable_tol_rejected(tmp_path, tol):
     (["--tf", "nan"], "--tf must be finite"),
     (["--tf", "inf"], "--tf must be finite"),
 ])
-def test_propagate_rejects_bad_span(tmp_path, flags, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        main(["propagate", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2,
-              *flags, "--out", str(tmp_path)])
+def test_propagate_rejects_bad_span(tmp_path, capsys, flags, message):
+    assert cli_error(capsys, ["propagate", "--orbit1", *ORBIT1,
+                              "--orbit2", *ORBIT2, *flags,
+                              "--out", str(tmp_path)]) == message
     assert not any(tmp_path.iterdir())
 
 
@@ -159,9 +173,23 @@ def test_propagate_rejects_bad_span(tmp_path, flags, message):
     (["--tf", "inf"], "tf"),
     (["--tf", "20000", "--miss-tol", "-5"], "miss_tol"),
 ])
-def test_screen_rejects_bad_c2_inputs(flags, name):
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        main(["screen", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2, *flags])
+def test_screen_rejects_bad_c2_inputs(capsys, flags, name):
+    assert re.match(f"^{name} must be finite", cli_error(
+        capsys, ["screen", "--orbit1", *ORBIT1, "--orbit2", *ORBIT2,
+                 *flags]))
+
+
+def test_bad_apply_at_exits_2(tmp_path, capsys):
+    assert re.match(r"^apply_at must lie in \[t_start, t_end\]", cli_error(
+        capsys, ["maneuver", "--apply-at", "nan", "--out", str(tmp_path)]))
+    assert not any(tmp_path.iterdir())
+
+
+def test_bad_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"sample_dtt": 600.0}')
+    assert cli_error(capsys, ["flyby", "--config", str(cfg_path)]) == (
+        "unknown key(s) in config: 'sample_dtt'")
 
 
 def test_jobs_zero_reaches_the_config_check():

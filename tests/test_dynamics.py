@@ -420,6 +420,19 @@ class TestPropagation:
         with pytest.raises(ValueError, match="^sample times must increase"):
             propagate(oe, eta, [10.0, 0.0], MU)
 
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, 0.0, -1.0, 2.5])
+    def test_unusable_rtol_rejected(self, rtol):
+        oe, eta = oe_from_classical(EL1, EL2)
+        s1, s2 = (elements_to_cartesian(el, MU) for el in (EL1, EL2))
+        t = [0.0, 600.0]
+        match = "^rtol must be finite, > 0 and < 1"
+        with pytest.raises(ValueError, match=match):
+            propagate(oe, eta, t, MU, rtol=rtol)
+        with pytest.raises(ValueError, match=match):
+            cowell_propagate(s1, s2, t, MU, rtol=rtol)
+        with pytest.raises(ValueError, match=match):
+            missionsim.run_validation(rtol=rtol)
+
 
 def reference_solve(rhs, y0, span, atol, args, t_eval):
     """The samples of a plain DOP853 solve_ivp at t_eval."""

@@ -416,6 +416,37 @@ class TestStateCheck:
             ekf_propagate(x, np.diag([1e-8] * 6), eta, 600.0,
                           np.zeros((6, 6)), MU)
 
+    @pytest.mark.parametrize("x_size, eta_size, match", [
+        (5, 3, "a relative state has 6 entries on one axis, got 5 "),
+        (7, 3, "a relative state has 6 entries on one axis, got 7 "),
+        (6, 2, "a reference has 3 entries on one axis, got 2 "),
+        (6, 4, "a reference has 3 entries on one axis, got 4 ")])
+    def test_wrong_length_rejected(self, x_size, eta_size, match):
+        oe, eta = default_state()
+        z = predict_measurement(oe.as_array(), eta.as_array(), 90.0)[0]
+        x, e = np.resize(oe.as_array(), x_size), np.resize(eta.as_array(),
+                                                            eta_size)
+        with pytest.raises(ValueError, match=match):
+            predict_measurement(x, e, 90.0)
+        with pytest.raises(ValueError, match=match):
+            ekf_update(x, np.diag([1e-8] * 6), e, z, NOISE.covariance(), 90.0)
+        with pytest.raises(ValueError, match=match):
+            ekf_propagate(x, np.diag([1e-8] * 6), e, 600.0, np.zeros((6, 6)),
+                          MU)
+
+    def test_stacked_states_rejected(self):
+        oe, eta = default_state()
+        x = np.stack([oe.as_array()] * 2)
+        with pytest.raises(ValueError, match=r"got 12 in shape \(2, 6\)"):
+            predict_measurement(x, eta.as_array(), 90.0)
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_nonfinite_dt_rejected(self, dt):
+        oe, eta = default_state()
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            ekf_propagate(oe.as_array(), np.diag([1e-8] * 6), eta.as_array(),
+                          dt, np.zeros((6, 6)), MU)
+
 
 # The filter step in the ``@`` operator form, one product per operator and
 # out-of-place sums: the reference that navigation's step, with
@@ -424,8 +455,7 @@ class TestStateCheck:
 def reference_predict(state, ref, d: float) -> tuple[tuple, np.ndarray, bool]:
     """:func:`predict_measurement` of the checked floats of a state and its
     reference, with y as a 3-tuple."""
-    *_, (rx, ry, rz), j_oe, _ = _scalar_position(*state, *ref,
-                                                 jacobians=True)
+    *_, (rx, ry, rz), j_oe = _scalar_position(*state, *ref, jacobians=True)
     az, el, beta, rho, rho_rt2 = _angles(rx, ry, rz, d)
     gimbal = abs(abs(el) - 0.5 * math.pi) < GIMBAL_EL_TOL
 

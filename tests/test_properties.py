@@ -42,7 +42,8 @@ from nodalrel.conjunction import (_closing_speed, _node_margin_arrays,
                                   _plane_windows)
 from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
 from nodalrel.navigation import _coast
-from nodalrel.relstate import _floats, _kepler_pair, _position_arrays
+from nodalrel.relstate import (_floats, _kepler_pair, _position_arrays,
+                               _radius_denominator, _reference_jacobian)
 
 from conftest import classical_from_oe
 from test_conjunction import node_crossing_radii
@@ -80,8 +81,14 @@ def rel_dev(a, b, scale) -> float:
 
 @given(PAIRS)
 def test_position_rows_match_scalar_path(pairs):
-    r1, r2, q, b, dr, j_oe, j_eta = _position_arrays(*stacked(pairs),
-                                                     jacobians=True)
+    oe_arr, eta_arr = stacked(pairs)
+    r1, r2, q, b, dr, j_oe = _position_arrays(oe_arr, eta_arr,
+                                              jacobians=True)
+    dtheta, dp, dxx, dxy = oe_arr.T[:4]
+    p1, ec, es = eta_arr.T
+    c, s = np.cos(dtheta), np.sin(dtheta)
+    j_eta = _reference_jacobian(
+        c, s, _radius_denominator(c, s, dxx, dxy, ec, es), dp, p1, ec, r2, b)
     for i, (oe, eta) in enumerate(pairs):
         rp = relative_position(oe, eta)
         dr_s = rp.dr
