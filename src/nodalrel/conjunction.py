@@ -7,6 +7,10 @@ noncoplanar pairs the intersection can only occur on the relative line of
 nodes, which reduces C1 to scalar margins at the two node crossings; the
 ascending margin is the collision safety margin zeta used for maneuver
 planning.
+
+The C2 refinement's bounded Brent search imports ``scipy.optimize`` on its
+first call, not with this module: screening by C1 and zeta, and the filter
+that reads zeta, never load it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
@@ -250,6 +253,17 @@ PLANE_BOUND_SLACK = 1e-12
 #: (times the larger apoapsis radius) and on Kepler-timed window ends
 #: (times |t0| + |tf| + the orbital period).
 ROUNDING_ULPS = 64.0
+
+
+def _scipy_minimize_scalar(*args, **kwargs):
+    """scipy's minimize_scalar, imported on its first call."""
+    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
+    return scipy_minimize_scalar(*args, **kwargs)
+
+
+#: The minimizer :func:`_refine` looks up at each call, so that it can be
+#: wrapped (the benchmark's tracer counts its evaluations here).
+minimize_scalar = _scipy_minimize_scalar
 
 
 def _refine(distance, lo, hi) -> tuple[float, float]:

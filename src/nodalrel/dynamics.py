@@ -10,7 +10,10 @@ filter and the C2 search); perturbed motion and the Cowell oracle are
 integrated by the adaptive Dormand-Prince 8(5,3) method (scipy's DOP853),
 one solve per trajectory at its sample times, at relative tolerance RTOL by
 default; only the forced C2 search and the maneuver replay keep its dense
-interpolant.
+interpolant.  ``scipy.integrate`` is imported on the first solve, not with
+this module, so the closed-form paths (the truth, the filter, the
+unperturbed C2 search and the exported flow of :func:`unperturbed_flow`)
+never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import GeometryError, StepFailure
 from .frames import ClassicalElements, pci_to_pqw, wrap_angle
@@ -406,6 +408,17 @@ def _nodal_rhs(t: float, y: np.ndarray,
     return np.array([a + b for a, b in zip(rates, _forcing(
         *y, mu, np.asarray(uin.u1, dtype=float).tolist(),
         np.asarray(uin.u2, dtype=float).tolist()))])
+
+
+def _scipy_solve_ivp(*args, **kwargs):
+    """scipy's solve_ivp, imported on its first call."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
+
+#: The integrator :func:`_dop853` looks up at each call, so that it can be
+#: wrapped (the benchmark's tracer counts its right-hand sides here).
+solve_ivp = _scipy_solve_ivp
 
 
 def _dop853(rhs, y0, t, rtol: float, atol, args, what: str, dense: bool):

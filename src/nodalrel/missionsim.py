@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from typing import Callable, Optional, Sequence
@@ -260,15 +259,36 @@ def _to_json(obj, keys: dict) -> dict:
             for key, (name, conv) in keys.items()}
 
 
-def _from_json(d: dict, keys: dict) -> dict:
-    """Keyword arguments for the keys of d that are present."""
+def _is_number(value) -> bool:
+    """A real number (not a bool), as a JSON number loads."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _from_json(d: dict, keys: dict, where: str) -> dict:
+    """Keyword arguments for the keys of d that are present.  Raises
+    ValueError naming each whose value is not a number (for a sequence
+    key, not a list of numbers)."""
+    wrong = []
+    for key, (_, conv) in keys.items():
+        if key not in d:
+            continue
+        value, listed = d[key], conv is _SEQUENCE
+        if not (isinstance(value, _SEQUENCE) and all(map(_is_number, value))
+                if listed else _is_number(value)):
+            what = "a list of numbers" if listed else "a number"
+            wrong.append(f"key {key!r} in {where} must be {what}, "
+                         f"got {value!r}")
+    if wrong:
+        raise ValueError("; ".join(wrong))
     return {name: d[key] if conv is None else conv[1](d[key])
             for key, (name, conv) in keys.items() if key in d}
 
 
 def _check_keys(d: dict, known, where: str, required=()) -> None:
-    """Raise ValueError naming every key of d not in known and every
-    key of required missing from d."""
+    """Raise ValueError if d is not a dict (a JSON object), naming every
+    key of d not in known and every key of required missing from d."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {d!r}")
     problems = [f"{what} key(s) in {where}: " + ", ".join(map(repr, bad))
                 for what, bad in (("unknown", sorted(set(d) - set(known))),
                                   ("missing", [k for k in required
@@ -280,7 +300,7 @@ def _check_keys(d: dict, known, where: str, required=()) -> None:
 
 def _elements_from_json(d: dict, where: str) -> ClassicalElements:
     _check_keys(d, _ELEMENT_KEYS, where, required=_ELEMENT_KEYS)
-    return ClassicalElements(**_from_json(d, _ELEMENT_KEYS))
+    return ClassicalElements(**_from_json(d, _ELEMENT_KEYS, where))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -303,14 +323,15 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     Raises
     ------
     ValueError
-        If the config, its encounter or an element dict holds a key that
-        is not one of its keys, or an element dict lacks one of its keys.
+        If the config, its encounter or an element dict is not a dict,
+        holds a key that is not one of its keys or a value of the wrong
+        JSON type, or an element dict lacks one of its keys.
     """
     _check_keys(d, (*_SCENARIO_KEYS, *_NOISE_KEYS, "target", "reference",
                     "encounter"), "config")
-    kwargs = _from_json(d, _SCENARIO_KEYS)
+    kwargs = _from_json(d, _SCENARIO_KEYS, "config")
     kwargs["noise"] = replace(ScenarioConfig().noise,
-                              **_from_json(d, _NOISE_KEYS))
+                              **_from_json(d, _NOISE_KEYS, "config"))
     if "target" in d:
         kwargs["target"] = _elements_from_json(d["target"], "target")
     if d.get("reference") is not None:
@@ -320,14 +341,24 @@ def config_from_dict(d: dict) -> ScenarioConfig:
         e = d["encounter"]
         if e is not None:
             _check_keys(e, _ENCOUNTER_KEYS, "encounter")
-            e = EncounterSpec(**_from_json(e, _ENCOUNTER_KEYS))
+            e = EncounterSpec(**_from_json(e, _ENCOUNTER_KEYS, "encounter"))
         kwargs["encounter"] = e
     return ScenarioConfig(**kwargs)
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path) as f:
-        return config_from_dict(json.load(f))
+    """The config of the JSON file at path (see :func:`config_from_dict`).
+    Raises ValueError naming path if the file cannot be read or does not
+    hold JSON."""
+    try:
+        with open(path) as f:
+            d = json.load(f)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path!r}: "
+                         f"{exc.strerror}") from exc
+    except ValueError as exc:
+        raise ValueError(f"config file {path!r} is not JSON: {exc}") from exc
+    return config_from_dict(d)
 
 
 # --- Scenario construction ---
@@ -589,6 +620,8 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
     truth = build_truth(cfg)
 
     if cfg.jobs > 1:
+        # multiprocessing loads here, not with the module
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             runs = list(pool.map(_run_filter, repeat(cfg), repeat(truth),
                                  range(cfg.mc_runs)))

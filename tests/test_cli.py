@@ -1,12 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
+import nodalrel
 from nodalrel import (MU_EARTH, ClassicalElements, oe_from_classical,
                       unperturbed_flow)
 from nodalrel import missionsim as sim
@@ -192,6 +196,27 @@ def test_bad_config_exits_2(tmp_path, capsys):
         "unknown key(s) in config: 'sample_dtt'")
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file '{path}': No such file or directory"),
+    ("nope", "config file '{path}' is not JSON: Expecting value: "
+             "line 1 column 1 (char 0)"),
+    ("[1]", "config must be a JSON object, got [1]"),
+    ('{"sample_dt": "x"}', "key 'sample_dt' in config must be a number, "
+                           "got 'x'"),
+    ('{"target": 5}', "target must be a JSON object, got 5"),
+    ('{"q_diag": 3}', "key 'q_diag' in config must be a list of numbers, "
+                      "got 3"),
+], ids=["missing", "not-json", "list", "string", "int-target", "int-q"])
+def test_unusable_config_file_exits_2(tmp_path, capsys, text, message):
+    # each used to end in a traceback, or in a message that named neither
+    # the file nor the key
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert cli_error(capsys, ["flyby", "--config", str(cfg_path)]) == (
+        message.format(path=cfg_path))
+
+
 def test_jobs_zero_reaches_the_config_check():
     args = build_parser().parse_args(["montecarlo", "--jobs", "0"])
     with pytest.raises(ValueError, match="^jobs must"):
@@ -216,3 +241,47 @@ def test_montecarlo_command_in_parallel(tmp_path, capsys):
     assert env.dtype.names[-1] == "true_3sigma_range"
     assert np.array_equal(env["t"], cfg.sample_times())
     assert np.all(env["true_3sigma_range"] > 0.0)
+
+
+#: Run in a fresh interpreter (pytest has imported scipy already): prints,
+#: after each step, whether scipy.integrate and scipy.optimize are loaded.
+SCIPY_LOADS = """
+import json, sys, tempfile
+from dataclasses import replace
+
+def loaded():
+    return [m in sys.modules for m in ("scipy.integrate", "scipy.optimize")]
+
+seen = {}
+from nodalrel import cli, missionsim as sim
+seen["import"] = loaded()
+sim.run_montecarlo(replace(sim.ScenarioConfig(), t_start=-1.5 * 86400.0,
+                           sample_dt=10800.0, mc_runs=2))
+seen["montecarlo"] = loaded()
+pair = ["--orbit1", *%r, "--orbit2", *%r]
+with tempfile.TemporaryDirectory() as out:
+    cli.main(["propagate", *pair, "--tf", "5000", "--samples", "5",
+              "--out", out])
+seen["propagate"] = loaded()
+cli.main(["screen", *pair, "--tf", "20000"])
+seen["screen --tf"] = loaded()
+cli.main(["validate"])
+seen["validate"] = loaded()
+print(json.dumps(seen))
+""" % (ORBIT1, ORBIT2)
+
+
+def test_scipy_integrator_and_optimizer_load_where_they_run():
+    # The campaign, the truth and the exported flow are closed form: their
+    # commands start without scipy.integrate's import chain.
+    src = os.path.dirname(os.path.dirname(nodalrel.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_LOADS], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [False, False], "montecarlo": [False, False],
+        "propagate": [False, False],
+        # the C2 refinement's Brent search, then the DOP853 solves
+        "screen --tf": [False, True], "validate": [True, True]}

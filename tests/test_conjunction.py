@@ -410,6 +410,25 @@ class TestC2:
             assert res.collides
             assert abs(res.t_min - 3000.0) <= 1e-3
 
+    def test_refinement_goes_through_the_hook(self, monkeypatch):
+        # The benchmark counts conjunction.golden_evals by wrapping
+        # conjunction.minimize_scalar, so _refine must look it up per call.
+        from nodalrel import kepler_advance
+        el1, el2, _ = pair_through_common_point(np.random.default_rng(54))
+        oe, eta = oe_from_classical(kepler_advance(el1, -600.0, MU),
+                                    kepler_advance(el2, -600.0, MU))
+        expected = c2_check(oe, eta, 0.0, 3000.0, MU, miss_tol=1.0)
+        original, evals = conjunction.minimize_scalar, []
+
+        def recording(*args, **kwargs):
+            res = original(*args, **kwargs)
+            evals.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(conjunction, "minimize_scalar", recording)
+        assert c2_check(oe, eta, 0.0, 3000.0, MU, miss_tol=1.0) == expected
+        assert expected.collides and evals and min(evals) > 0
+
     def test_unperturbed_matches_vectorized_reference(self):
         lead = PERTURBED_LEAD
         for el1, el2, _, _ in perturbed_pairs(63, 4):

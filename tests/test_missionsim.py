@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -336,6 +337,41 @@ class TestConfigRoundTrip:
             msg = str(exc.value)
             assert f"{what} key(s) in {where}:" in msg
             assert all(repr(key) in msg for key in bad)
+
+    @pytest.mark.parametrize("d, message", [
+        ([1], "config must be a JSON object, got [1]"),
+        ({"sample_dt": "x"}, "key 'sample_dt' in config must be a number"),
+        ({"mu": None}, "key 'mu' in config must be a number"),
+        ({"d_km": True}, "key 'd_km' in config must be a number"),
+        ({"sigma_el_deg": "0.001"},
+         "key 'sigma_el_deg' in config must be a number"),
+        ({"q_diag": 3}, "key 'q_diag' in config must be a list of numbers"),
+        ({"p0_diag": [1e-8] * 5 + ["1e-8"]},
+         "key 'p0_diag' in config must be a list of numbers"),
+        ({"target": 5}, "target must be a JSON object, got 5"),
+        ({"reference": [], "encounter": None},
+         "reference must be a JSON object, got []"),
+        ({"encounter": "default"}, "encounter must be a JSON object"),
+        ({"encounter": {"gamma_deg": "8"}},
+         "key 'gamma_deg' in encounter must be a number"),
+        ({"target": {**config_to_dict(ScenarioConfig())["target"],
+                     "e": None}}, "key 'e' in target must be a number"),
+    ])
+    def test_wrong_json_type_named(self, d, message):
+        # each used to raise TypeError deep in a check, or for a list
+        # report its items as unknown keys
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            config_from_dict(d)
+
+    def test_unreadable_file_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot read config file {str(path)!r}: No such file")):
+            sim.load_config(str(path))
+        path.write_text("{")
+        with pytest.raises(ValueError, match=re.escape(
+                f"config file {str(path)!r} is not JSON: ")):
+            sim.load_config(str(path))
 
     def test_left_out_keys_take_the_defaults(self):
         assert config_from_dict({}) == ScenarioConfig()
