@@ -607,41 +607,92 @@ class MonteCarloSummary:
     nees_dim: int
 
 
+@dataclass(frozen=True)
+class CampaignRun:
+    """What a Monte Carlo campaign keeps of one run: the shared sample
+    times, the zeta estimate and its sigma at each, and the detection
+    verdict over the samples from ``post_transient_index`` on."""
+
+    t: np.ndarray
+    zeta_hat: np.ndarray
+    zeta_sigma: np.ndarray
+    detected: bool
+    post_transient_index: int
+
+
+def _campaign_share(cfg: ScenarioConfig, truth: TruthTrajectory,
+                    run_index: int) -> tuple:
+    """One filter run reduced to what the campaign reads of it: its 3-sigma
+    coverage count per component (6,), its NEES (n,), the errors of the six
+    states and of the range (n, 7), and its CampaignRun fields but t.  A
+    worker process returns this, not the FlybyRun's 26 floats per sample."""
+    run = _run_filter(cfg, truth, run_index)
+    covered = np.count_nonzero(np.abs(run.err) <= 3.0 * run.sigma, axis=0)
+    return (covered, run.nees, np.column_stack([run.err, run.range_err]),
+            run.zeta_hat, run.zeta_sigma, run.detected,
+            run.post_transient_index)
+
+
+def _campaign_shares(cfg: ScenarioConfig, truth: TruthTrajectory):
+    """Each run's share in run order, from cfg.jobs worker processes when
+    there is more than one."""
+    args = (_campaign_share, repeat(cfg), repeat(truth), range(cfg.mc_runs))
+    if cfg.jobs == 1:
+        yield from map(*args)
+        return
+    # multiprocessing loads here, not with the module
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        yield from pool.map(*args)
+
+
 def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
-                   ) -> tuple[MonteCarloSummary, list[FlybyRun]]:
+                   ) -> tuple[MonteCarloSummary, list[CampaignRun]]:
     """Monte Carlo campaign over cfg.mc_runs independent filter runs.
 
     The truth is deterministic and shared; each run has its own noise
-    substream.  Aggregation is performed run by run in run order, with no
-    (m, n, 6) stack, so the summary is deterministic for a given config and
-    seed.  When out_dir is given, writes summary.json and an
-    ensemble-envelope CSV.
+    substream.  Each run is folded into the aggregates as it finishes, in
+    run order, serially and under cfg.jobs alike: its exact 3-sigma
+    coverage counts, its NEES row, its first and last range errors, and a
+    Welford mean and sum of squared deviations of its state and range
+    errors for the ensemble envelope.  So the summary is deterministic for
+    a given config and seed, and the envelope does not depend on cfg.jobs.
+    When out_dir is given, writes summary.json and an ensemble-envelope
+    CSV.
+
+    Returns the summary and one :class:`CampaignRun` per run, which keeps
+    3 floats per sample (the NEES row, zeta_hat and zeta_sigma) where a
+    :class:`FlybyRun` holds 26: at paper scale (200 runs of 341,281
+    samples) ≈ 1.5 GiB.
     """
     truth = build_truth(cfg)
+    m, n = cfg.mc_runs, truth.t.size
 
-    if cfg.jobs > 1:
-        # multiprocessing loads here, not with the module
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            runs = list(pool.map(_run_filter, repeat(cfg), repeat(truth),
-                                 range(cfg.mc_runs)))
-    else:
-        runs = [_run_filter(cfg, truth, i) for i in range(cfg.mc_runs)]
-
-    # Exact integer counts: each share is one correctly rounded division.
-    covered = sum(np.count_nonzero(np.abs(r.err) <= 3.0 * r.sigma, axis=0)
-                  for r in runs)
-    samples = cfg.mc_runs * truth.t.size
-    coverage_by_component = tuple(float(c) for c in covered / samples)
-    coverage_aggregate = float(covered.sum() / (6 * samples))
-    detection_rate = float(np.mean([r.detected for r in runs]))
-    final_err = np.array([r.range_err[-1] for r in runs])
-    final_sigma = float(np.std(final_err, ddof=1))
-    initial_sigma = float(np.std([r.range_err[0] for r in runs], ddof=1))
-    mean_final_abs = float(np.mean(np.abs(final_err)))
-    # Stacked (m, n): np.mean sums the flat buffer pairwise, and a per-run
-    # sum would round differently.
-    mean_nees = float(np.mean(np.stack([r.nees for r in runs])))
+    covered = np.zeros(6, dtype=np.int64)
+    # The (m, n) NEES is kept: np.mean sums it pairwise, and a per-run sum
+    # would round differently.
+    nees = np.empty((m, n))
+    initial_err, final_err = np.empty(m), np.empty(m)
+    mean, m2 = np.zeros((n, 7)), np.zeros((n, 7))
+    runs = []
+    for (run_covered, run_nees, err, zeta_hat, zeta_sigma, detected,
+         k0) in _campaign_shares(cfg, truth):
+        i = len(runs)
+        covered += run_covered
+        nees[i] = run_nees
+        initial_err[i], final_err[i] = err[0, 6], err[-1, 6]
+        # Welford's update of the per-sample mean and M2 (the sum of
+        # squared deviations), err taking the deviation from the new mean
+        delta = err - mean
+        mean += delta / (i + 1)
+        err -= mean
+        m2 += delta * err
+        runs.append(CampaignRun(t=truth.t, zeta_hat=zeta_hat,
+                                zeta_sigma=zeta_sigma, detected=detected,
+                                post_transient_index=k0))
+        # Dropped now, not when the next run's share replaces them: that run
+        # is filtered first.
+        del run_nees, err, delta
 
     # Analytic initial range uncertainty: the range sigma of P0 at the truth.
     _, _, _, _, init_analytic, _, _ = _posterior_diagnostics(
@@ -649,15 +700,16 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
         truth.oe[:1], truth.range_km[:1])
 
     summary = MonteCarloSummary(
-        runs=cfg.mc_runs,
-        detection_rate=detection_rate,
-        coverage_aggregate=coverage_aggregate,
-        coverage_by_component=coverage_by_component,
-        final_range_error_sigma=final_sigma,
-        initial_range_error_sigma=initial_sigma,
+        runs=m,
+        detection_rate=float(np.mean([r.detected for r in runs])),
+        # Exact integer counts: each share is one correctly rounded division.
+        coverage_aggregate=float(covered.sum() / (6 * m * n)),
+        coverage_by_component=tuple(float(c) for c in covered / (m * n)),
+        final_range_error_sigma=float(np.std(final_err, ddof=1)),
+        initial_range_error_sigma=float(np.std(initial_err, ddof=1)),
         initial_range_sigma_analytic=float(init_analytic[0]),
-        mean_final_abs_range_err=mean_final_abs,
-        mean_nees=mean_nees,
+        mean_final_abs_range_err=float(np.mean(np.abs(final_err))),
+        mean_nees=float(np.mean(nees)),
         nees_dim=6,
     )
 
@@ -669,27 +721,12 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
             **asdict(summary),
             "coverage_by_component": list(summary.coverage_by_component),
         })
-        env_path = os.path.join(out_dir, "ensemble_envelope.csv")
-        true_sigma = _ensemble_std([r.err for r in runs])       # (n, 6)
-        range_true_sigma = _ensemble_std([r.range_err for r in runs])
-        cols = [truth.t] + [3.0 * true_sigma[:, j] for j in range(6)] \
-            + [3.0 * range_true_sigma]
+        three_sigma = 3.0 * np.sqrt(m2 / (m - 1))
         header = (["t"] + [f"true_3sigma_{name}" for name in _STATE_NAMES]
                   + ["true_3sigma_range"])
-        _write_csv(env_path, header, cols)
+        _write_csv(os.path.join(out_dir, "ensemble_envelope.csv"), header,
+                   [truth.t, *three_sigma.T])
     return summary, runs
-
-
-def _ensemble_std(rows: list) -> np.ndarray:
-    """``np.stack(rows).std(axis=0, ddof=1)`` without the stack: numpy
-    reduces axis 0 in row order, so two passes over the rows in that order
-    (the sum for the mean, then the sum of squared deviations) give the
-    same bits from a few arrays of one row's shape.  Rows of one element
-    stack into a single contiguous column, which numpy sums pairwise."""
-    if rows[0].size == 1:
-        return np.stack(rows).std(axis=0, ddof=1)
-    mean = sum(rows[1:], rows[0]) / len(rows)
-    return np.sqrt(sum((row - mean) ** 2 for row in rows) / (len(rows) - 1))
 
 
 # --- Maneuver sweep ---

@@ -628,30 +628,63 @@ class TestMonteCarlo:
         dict(mc_runs=2), dict(mc_runs=3), dict(mc_runs=4),
         dict(mc_runs=3, jobs=2),
         # One sample: the stacked envelope sums its single column pairwise,
-        # which rounds otherwise than a run-order sum on this draw.
+        # where the fold goes in run order.
         dict(mc_runs=17, seed=0, t_end=-2.0 * 86400.0 + 100.0,
              transient_fraction=0.0),
     ])
     def test_matches_stacked_reference(self, tmp_path, overrides):
         cfg = small_config(**{"sample_dt": 1800.0, "seed": 11, **overrides})
         summary, runs = run_montecarlo(cfg, out_dir=str(tmp_path))
-        ref = reference_stacked_aggregation(runs)
+        truth = build_truth(cfg)
+        full = [sim._run_filter(cfg, truth, i) for i in range(cfg.mc_runs)]
+        ref = reference_stacked_aggregation(full)
         envelope = np.loadtxt(tmp_path / "ensemble_envelope.csv",
                               delimiter=",", skiprows=1, ndmin=2)
-        assert np.array_equal(envelope[:, 1:], ref.pop("envelope"))
+        assert np.array_equal(envelope[:, 0], truth.t)
+        # The Welford fold rounds otherwise than the two-pass stacked std:
+        # 6.5e-16 relative at most on the desk campaigns (m = 2 to 25).
+        np.testing.assert_allclose(envelope[:, 1:], ref.pop("envelope"),
+                                   rtol=1e-12, atol=0.0)
         for name, value in ref.items():
             assert np.array_equal(getattr(summary, name), value), name
+        assert np.array_equal(runs[0].t, truth.t)
+        for run, ref_run in zip(runs, full, strict=True):
+            assert run.t is runs[0].t
+            for name in ("zeta_hat", "zeta_sigma", "detected",
+                         "post_transient_index"):
+                assert np.array_equal(getattr(run, name),
+                                      getattr(ref_run, name)), name
+        if cfg.jobs > 1:
+            # Both fold in run order: the envelope agrees bit for bit.
+            serial = tmp_path / "serial"
+            run_montecarlo(replace(cfg, jobs=1), out_dir=str(serial))
+            for name in ("summary.json", "ensemble_envelope.csv"):
+                assert ((serial / name).read_bytes()
+                        == (tmp_path / name).read_bytes()), name
 
-    def test_aggregation_builds_no_run_stack(self, tmp_path, monkeypatch):
-        # Beyond its truth and the runs it returns, the campaign's traced
-        # peak stays below one (m, n, 6) array; stacking err and sigma and
-        # comparing them took four.  The runs are filtered before tracing
-        # starts, so the trace holds the truth, the aggregation and the
-        # writers, and not the EKF loop, which tracing slows sixfold.
-        cfg = small_config(sample_dt=120.0, mc_runs=8)
+    @pytest.mark.parametrize("mc_runs", [4, 16])
+    def test_aggregation_keeps_three_floats_per_run_sample(
+            self, tmp_path, monkeypatch, mc_runs):
+        # Beyond its truth, the campaign's traced peak holds 3 floats per
+        # sample of every run (its NEES row, zeta_hat and zeta_sigma) and
+        # K per sample of one run at a time: the FlybyRun in flight (26),
+        # its 3-sigma coverage test (|err|, 3 sigma and the mask, 12.75)
+        # and the Welford mean and M2 (14), with 3.25 to spare for the
+        # fixed-size allocations (≈ 33 KB at this n).  Keeping each run's
+        # FlybyRun took 26 per sample of every run.  The runs are filtered
+        # before tracing starts and served as fresh copies, so the trace
+        # holds their arrays but not the EKF loop, which tracing slows
+        # sixfold.
+        cfg = small_config(sample_dt=120.0, mc_runs=mc_runs)
         truth = build_truth(cfg)
-        runs = [sim._run_filter(cfg, truth, i) for i in range(cfg.mc_runs)]
-        monkeypatch.setattr(sim, "_run_filter", lambda _c, _t, i: runs[i])
+        runs = [sim._run_filter(cfg, truth, i) for i in range(mc_runs)]
+
+        def fresh_run(_cfg, _truth, i):
+            return replace(runs[i], **{
+                name: value.copy() for name, value in vars(runs[i]).items()
+                if isinstance(value, np.ndarray) and name != "t"})
+
+        monkeypatch.setattr(sim, "_run_filter", fresh_run)
         tracemalloc.start()
         try:
             run_montecarlo(cfg, out_dir=str(tmp_path))
@@ -660,7 +693,8 @@ class TestMonteCarlo:
             tracemalloc.stop()
         held = sum(a.nbytes for a in vars(truth).values()
                    if isinstance(a, np.ndarray))
-        assert peak - held < cfg.mc_runs * truth.t.size * 6 * 8
+        n, k = truth.t.size, 56
+        assert peak - held <= mc_runs * n * 3 * 8 + k * n * 8
 
     def test_envelope_csv_written(self, tmp_path):
         cfg = small_config(sample_dt=3600.0, mc_runs=3)
@@ -673,8 +707,8 @@ class TestMonteCarlo:
 
 def reference_stacked_aggregation(runs: list) -> dict:
     """The campaign aggregates as they were computed from (m, n, 6) stacks
-    of the runs: the summary fields, and the envelope's 3-sigma columns
-    under the key "envelope"."""
+    of the runs' FlybyRun histories: the summary fields, and the envelope's
+    3-sigma columns under the key "envelope"."""
     err_stack = np.stack([r.err for r in runs])
     sig_stack = np.stack([r.sigma for r in runs])
     range_err_stack = np.stack([r.range_err for r in runs])
