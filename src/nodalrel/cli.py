@@ -18,8 +18,8 @@ import numpy as np
 
 from .constants import MU_EARTH
 from .frames import ClassicalElements
-from .relstate import oe_from_classical
-from .dynamics import RTOL, unperturbed_flow
+from .relstate import oe_from_classical, relative_position_batch
+from .dynamics import unperturbed_flow
 from .conjunction import c1_test, c2_check, zeta
 from . import missionsim as sim
 
@@ -29,9 +29,8 @@ DEG = math.pi / 180.0
 def _load_cfg(args) -> sim.ScenarioConfig:
     cfg = (sim.load_config(args.config) if args.config
            else sim.ScenarioConfig())
-    cfg = replace(cfg, **{name: getattr(args, flag) for flag, name in (
-        ("seed", "seed"), ("mu", "mu"), ("jobs", "jobs"))
-        if getattr(args, flag, None) is not None})
+    cfg = replace(cfg, **{name: getattr(args, name) for name in (
+        "seed", "jobs") if getattr(args, name, None) is not None})
     return cfg.paper_scale() if getattr(args, "paper_scale", False) else cfg
 
 
@@ -46,11 +45,7 @@ def _pair_from_args(args):
 
 
 def _cmd_validate(args) -> int:
-    if args.tol is not None and not 0.0 < args.tol < 1.0:
-        raise ValueError(f"--tol must be positive, finite and < 1, "
-                         f"got {args.tol}")
-    res = sim.run_validation(rtol=RTOL if args.tol is None else args.tol,
-                             out_dir=args.out)
+    res = sim.run_validation(out_dir=args.out)
     print(f"max model-vs-Cowell discrepancy: {res.max_discrepancy_km:.3e} km")
     print(f"zero-input discrepancy:          "
           f"{res.zero_input_discrepancy_km:.3e} km")
@@ -68,7 +63,8 @@ def _cmd_propagate(args) -> int:
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "trajectory.csv")
-    sim.write_trajectory_csv(path, t, oe_arr, eta_arr)
+    sim.write_trajectory_csv(path, t, oe_arr, eta_arr,
+                             relative_position_batch(oe_arr, eta_arr))
     print(f"wrote {path}")
     return 0
 
@@ -154,8 +150,9 @@ _OPTIONS = {
 #: The options of the orbit-pair subcommands (propagate, screen).
 _PAIR = ("--mu", "--orbit1", "--orbit2")
 
-#: The options of the scenario subcommands (flyby, montecarlo, maneuver).
-_SCENARIO = ("--out", "--mu", "--config", "--seed", "--paper-scale")
+#: The options of the scenario subcommands (flyby, montecarlo, maneuver);
+#: their mu is the config's, set with its target.
+_SCENARIO = ("--out", "--config", "--seed", "--paper-scale")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,14 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    # The validation pair fixes mu, and only validate integrates at a
-    # chosen tolerance: propagate writes the exact flow, screen writes no
-    # file, and the scenario subcommands integrate at dynamics.RTOL or not
-    # at all; only montecarlo runs workers.
-    p = add("validate", "model-vs-Cowell equivalence run", _cmd_validate,
-            "--out")
-    p.add_argument("--tol", type=float, default=None,
-                   help="integrator relative tolerance")
+    # The validation pair fixes mu, every solve runs at dynamics.RTOL,
+    # screen writes no file, and only montecarlo runs workers.
+    add("validate", "model-vs-Cowell equivalence run", _cmd_validate,
+        "--out")
 
     p = add("propagate", "export the exact unperturbed flow of a pair as CSV",
             _cmd_propagate, "--out", *_PAIR)

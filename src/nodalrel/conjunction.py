@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
     _MATH,
-    RTOL,
     PerturbationInput,
     _phase_sweep,
     _solve_nodal,
@@ -554,7 +553,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
         else:
             t_best, d_best = _node_window_minimum(distance, t_grid, *bound)
     else:
-        sol = _solve_nodal(oe, eta, t_grid, mu, u, RTOL, True)
+        sol = _solve_nodal(oe, eta, t_grid, mu, u, True)
 
         def distance(t):
             dtheta, dp, dxx, dxy, hx, hy, p1, ec, es = sol.sol(t).tolist()

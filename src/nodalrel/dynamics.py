@@ -8,8 +8,8 @@ Keplerian motion is advanced in closed form by Kepler timing of both
 orbits (:func:`_anomaly_sweep`, the one coast kernel of the truth, the
 filter and the C2 search); perturbed motion and the Cowell oracle are
 integrated by the adaptive Dormand-Prince 8(5,3) method (scipy's DOP853),
-one solve per trajectory at its sample times, at relative tolerance RTOL by
-default; only the forced C2 search and the maneuver replay keep its dense
+one solve per trajectory at its sample times, at relative tolerance RTOL;
+only the forced C2 search and the maneuver replay keep its dense
 interpolant.  ``scipy.integrate`` is imported on the first solve, not with
 this module, so the closed-form paths (the truth, the filter, the
 unperturbed C2 search and the exported flow of :func:`unperturbed_flow`)
@@ -36,8 +36,8 @@ CIRCULAR_E_TOL = 1e-11
 #: Inclination below which the ascending node is undefined (raan = 0).
 EQUATORIAL_I_TOL = 1e-11
 
-#: Relative tolerance of the DOP853 solves: the propagators' default, the
-#: forced C2 search's and the maneuver replay's.
+#: Relative tolerance of every DOP853 solve: the propagators', the forced C2
+#: search's and the maneuver replay's.
 RTOL = 1e-12
 
 
@@ -421,20 +421,19 @@ def _scipy_solve_ivp(*args, **kwargs):
 solve_ivp = _scipy_solve_ivp
 
 
-def _dop853(rhs, y0, t, rtol: float, atol, args, what: str, dense: bool):
-    """The package's one integration: DOP853 over (t[0], t[-1]), sampled at
-    the increasing times t in ``sol.y`` (solve_ivp rejects unsorted ones),
-    and dense in ``sol.sol`` only when ``dense``: the interpolant costs 3
-    more right-hand sides on each step that holds no sample.  Raises
-    ValueError unless 0 < rtol < 1, and StepFailure naming ``what`` if the
-    solve fails."""
-    if not 0.0 < rtol < 1.0:
-        raise ValueError(f"rtol must be finite, > 0 and < 1, got {rtol}")
+def _dop853(rhs, y0, t, scale, args, what: str, dense: bool):
+    """The package's one integration: DOP853 over (t[0], t[-1]) at relative
+    tolerance RTOL and absolute tolerances RTOL * scale, sampled at the
+    increasing times t in ``sol.y`` (solve_ivp rejects unsorted ones), and
+    dense in ``sol.sol`` only when ``dense``: the interpolant costs 3 more
+    right-hand sides on each step that holds no sample.  Raises StepFailure
+    naming ``what`` if the solve fails."""
     t = np.asarray(t, dtype=float)
     if not (t.size > 1 and t[-1] > t[0]):
         raise ValueError("sample times must increase")
     sol = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", t_eval=t,
-                    dense_output=dense, rtol=rtol, atol=atol, args=args)
+                    dense_output=dense, rtol=RTOL, atol=RTOL * scale,
+                    args=args)
     if not sol.success:
         raise StepFailure(f"{what} propagation failed: {sol.message}")
     return sol
@@ -442,37 +441,36 @@ def _dop853(rhs, y0, t, rtol: float, atol, args, what: str, dense: bool):
 
 def _solve_nodal(oe: NodalRelativeState, eta: ReferenceParams, t, mu: float,
                  u: Optional[Callable[[float], PerturbationInput]],
-                 rtol: float, dense: bool):
+                 dense: bool):
     """DOP853 solution of the nodal dynamics sampled at t (state rows 0-5,
     reference rows 6-8); see :func:`propagate` and :func:`_dop853`."""
-    atol = rtol * np.array([1.0] * 6 + [max(eta.p1, 1.0), 1.0, 1.0])
+    scale = np.array([1.0] * 6 + [max(eta.p1, 1.0), 1.0, 1.0])
     y0 = np.concatenate([oe.as_array(), eta.as_array()])
-    return _dop853(_nodal_rhs, y0, t, rtol, atol, (u, mu), "nodal", dense)
+    return _dop853(_nodal_rhs, y0, t, scale, (u, mu), "nodal", dense)
 
 
 def propagate(oe: NodalRelativeState, eta: ReferenceParams, t, mu: float,
               u: Optional[Callable[[float], PerturbationInput]] = None,
-              rtol: float = RTOL) -> Trajectory:
+              ) -> Trajectory:
     """Integrate the (perturbed) nodal dynamics of (oe, eta), given at t[0],
-    to the increasing sample times t (s).
+    to the increasing sample times t (s), by the Dormand-Prince 8(5,3)
+    integrator at relative tolerance RTOL; the absolute tolerances are
+    RTOL-scaled per component (p1 carries km units).
 
     Parameters
     ----------
     u : callable or None
         Acceleration callback u(t) -> PerturbationInput; None for Keplerian
         motion.
-    rtol : float
-        Relative tolerance of the Dormand-Prince 8(5,3) integrator.  Absolute
-        tolerances are rtol-scaled per component (p1 carries km units).
 
     Raises
     ------
     ValueError
-        If t does not increase, or rtol is not finite, > 0 and < 1.
+        If t does not increase.
     StepFailure
         If the integrator cannot complete the interval.
     """
-    sol = _solve_nodal(oe, eta, t, mu, u, rtol, False)
+    sol = _solve_nodal(oe, eta, t, mu, u, False)
     return Trajectory(t=sol.t, oe=sol.y[:6].T.copy(), eta=sol.y[6:].T.copy())
 
 
@@ -514,33 +512,33 @@ def _cowell_rhs(t: float, y: np.ndarray, mu: float,
 
 def _solve_cowell(s: CartesianState, t, mu: float,
                   u: Optional[Callable[[float], np.ndarray]],
-                  rtol: float, dense: bool):
+                  dense: bool):
     """DOP853 solution of one satellite's inertial motion sampled at t
     (position rows 0-2, velocity rows 3-5); see :func:`cowell_propagate`
     and :func:`_dop853`."""
     scale = np.concatenate([np.full(3, np.linalg.norm(s.r)),
                             np.full(3, max(np.linalg.norm(s.v), 1.0))])
-    return _dop853(_cowell_rhs, np.concatenate([s.r, s.v]), t, rtol,
-                   rtol * scale, (mu, u), "Cowell", dense)
+    return _dop853(_cowell_rhs, np.concatenate([s.r, s.v]), t, scale,
+                   (mu, u), "Cowell", dense)
 
 
 def cowell_propagate(s1: CartesianState, s2: CartesianState, t, mu: float,
                      u1: Optional[Callable[[float], np.ndarray]] = None,
                      u2: Optional[Callable[[float], np.ndarray]] = None,
-                     rtol: float = RTOL) -> CowellTrajectory:
+                     ) -> CowellTrajectory:
     """Direct inertial integration of both satellites, given at t[0], to the
-    increasing sample times t (s), under two-body gravity plus optional RTN
-    acceleration callbacks (rotated to PCI internally).  Serves as the
-    independent oracle for the nodal model.
+    increasing sample times t (s), at relative tolerance RTOL, under
+    two-body gravity plus optional RTN acceleration callbacks (rotated to
+    PCI internally).  Serves as the independent oracle for the nodal model.
 
     Raises
     ------
     ValueError
-        If t does not increase, or rtol is not finite, > 0 and < 1.
+        If t does not increase.
     StepFailure
         If either integration fails.
     """
-    y1, y2 = (_solve_cowell(s, t, mu, u, rtol, False).y
+    y1, y2 = (_solve_cowell(s, t, mu, u, False).y
               for s, u in ((s1, u1), (s2, u2)))
     return CowellTrajectory(t=np.asarray(t, dtype=float), r1=y1[:3].T.copy(),
                             v1=y1[3:].T.copy(), r2=y2[:3].T.copy(),

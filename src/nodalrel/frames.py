@@ -66,7 +66,7 @@ class ClassicalElements:
     Attributes
     ----------
     a : float
-        Semimajor axis, km.  Must be positive.
+        Semimajor axis, km.  Must be finite and positive.
     e : float
         Eccentricity, in [0, 1).
     i : float
@@ -78,7 +78,8 @@ class ClassicalElements:
     nu : float
         True anomaly, rad.
 
-    Angles are wrapped to (-pi, pi] on construction.
+    The three angles must be finite; they are wrapped to (-pi, pi] on
+    construction.  A bad field raises ValueError naming it.
     """
 
     a: float
@@ -89,24 +90,23 @@ class ClassicalElements:
     nu: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"semimajor axis must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"semimajor axis a must be finite and > 0, "
+                             f"got {self.a}")
         if not 0.0 <= self.e < 1.0:
             raise ValueError(f"eccentricity must be in [0, 1), got {self.e}")
         if not 0.0 <= self.i <= math.pi:
             raise ValueError(f"inclination must be in [0, pi], got {self.i}")
         for name in ("raan", "argp", "nu"):
-            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
+            angle = getattr(self, name)
+            if not math.isfinite(angle):
+                raise ValueError(f"{name} must be finite, got {angle}")
+            object.__setattr__(self, name, wrap_angle(angle))
 
     @property
     def p(self) -> float:
         """Semiparameter a(1 - e^2), km."""
         return self.a * (1.0 - self.e * self.e)
-
-    @property
-    def radius(self) -> float:
-        """Instantaneous orbital radius, km."""
-        return self.p / (1.0 + self.e * math.cos(self.nu))
 
 
 @dataclass(frozen=True)

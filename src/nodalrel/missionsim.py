@@ -796,7 +796,7 @@ def run_maneuver_sweep(cfg: ScenarioConfig,
     t_grid = np.linspace(t_m, t_hi,
                          max(2000, int((t_hi - t_m) / cfg.sample_dt / 4)))
     orbit1, burned, orbit2 = (
-        _solve_cowell(s, t_grid, cfg.mu, None, RTOL, True)
+        _solve_cowell(s, t_grid, cfg.mu, None, True)
         for s in (s1, apply_impulse(s1, plan.delta_v), s2))
     achieved = _cowell_closest_approach(burned, orbit2, t_grid)
     baseline = _cowell_closest_approach(orbit1, orbit2, t_grid)
@@ -843,15 +843,13 @@ class ValidationResult:
     zero_input_discrepancy_km: float
 
 
-def run_validation(rtol: float = RTOL,
-                   out_dir: Optional[str] = None) -> ValidationResult:
+def run_validation(out_dir: Optional[str] = None) -> ValidationResult:
     """Model-vs-Cowell equivalence on the fixed validation orbit pair with
     sinusoidal accelerations over VALIDATION_SPAN s, both routes integrated
-    at relative tolerance rtol and compared at VALIDATION_SAMPLES times.
+    at relative tolerance RTOL and compared at VALIDATION_SAMPLES times.
 
     Returns the maximum RTN1 position discrepancy between the nodal-model
     route and direct Cowell differencing, plus the unforced variant.
-    ValueError unless 0 < rtol < 1 (see :func:`dynamics._dop853`).
     """
     mu = VALIDATION_MU
     el1, el2 = VALIDATION_EL1, VALIDATION_EL2
@@ -859,13 +857,12 @@ def run_validation(rtol: float = RTOL,
 
     def discrepancy(u_nodal, u1_rtn, u2_rtn) -> float:
         oe0, eta0 = oe_from_classical(el1, el2)
-        traj = propagate(oe0, eta0, t, mu, u=u_nodal, rtol=rtol)
+        traj = propagate(oe0, eta0, t, mu, u=u_nodal)
         dr_model = relative_position_batch(traj.oe, traj.eta)
 
         s1 = elements_to_cartesian(el1, mu)
         s2 = elements_to_cartesian(el2, mu)
-        cw = cowell_propagate(s1, s2, t, mu, u1=u1_rtn, u2=u2_rtn,
-                              rtol=rtol)
+        cw = cowell_propagate(s1, s2, t, mu, u1=u1_rtn, u2=u2_rtn)
         worst = 0.0
         for k in range(t.size):
             basis = rtn_basis(cw.r1[k], cw.v1[k])
@@ -882,7 +879,7 @@ def run_validation(rtol: float = RTOL,
         write_summary_json(os.path.join(out_dir, "summary.json"), {
             "max_validation_discrepancy_km": forced,
             "zero_input_discrepancy_km": unforced,
-            "rel_tol": rtol,
+            "rel_tol": RTOL,
             "span_s": VALIDATION_SPAN,
         })
     return ValidationResult(max_discrepancy_km=forced,
@@ -907,12 +904,9 @@ def write_summary_json(path: str, payload: dict) -> None:
 
 
 def write_trajectory_csv(path: str, t: np.ndarray, oe_arr: np.ndarray,
-                         eta_arr: np.ndarray,
-                         dr: Optional[np.ndarray] = None) -> None:
+                         eta_arr: np.ndarray, dr: np.ndarray) -> None:
     """Trajectory export: t, the six relative states, the reference
-    parameters, and the RTN1 relative position components."""
-    if dr is None:
-        dr = relative_position_batch(oe_arr, eta_arr)
+    parameters, and the RTN1 relative position components dr."""
     header = ["t", *_STATE_NAMES, "p1", "e1_cos_nu1", "e1_sin_nu1",
               "dr_R", "dr_T", "dr_N"]
     cols = [t] + [oe_arr[:, j] for j in range(6)] \

@@ -106,11 +106,6 @@ class NodalRelativeState:
         return cls(*np.asarray(x, dtype=float).tolist())
 
     @property
-    def dxi(self) -> float:
-        """Magnitude of the relative eccentricity vector."""
-        return math.hypot(self.dxi_x, self.dxi_y)
-
-    @property
     def dh(self) -> float:
         """Magnitude of the relative inclination vector, tan(gamma/2)."""
         return math.hypot(self.dh_x, self.dh_y)
@@ -134,20 +129,6 @@ class ReferenceParams:
     def from_array(cls, x) -> "ReferenceParams":
         x = np.asarray(x, dtype=float)
         return cls(float(x[0]), float(x[1]), float(x[2]))
-
-    @property
-    def e1(self) -> float:
-        return math.hypot(self.ec, self.es)
-
-    @property
-    def nu1(self) -> float:
-        """True anomaly of the reference; 0 by convention when e1 = 0."""
-        return _reference_anomaly(self.ec, self.es)
-
-    @property
-    def r1(self) -> float:
-        """Reference orbital radius p1 / (1 + e1 cos nu1), km."""
-        return self.p1 / (1.0 + self.ec)
 
 
 @dataclass(frozen=True)

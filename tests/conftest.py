@@ -22,6 +22,7 @@ from nodalrel import (
     unperturbed_flow,
 )
 from nodalrel.navigation import ekf_propagate
+from nodalrel.relstate import _reference_anomaly
 
 
 def pytest_configure(config):
@@ -46,6 +47,29 @@ EL2 = ClassicalElements(a=6.8e3, e=0.1, i=math.radians(40.0),
 @pytest.fixture
 def validation_pair():
     return EL1, EL2
+
+
+# Magnitudes and anomalies that the tests read off the dataclasses; the
+# package forms them inside its kernels from the components.
+
+def orbit_radius(el: ClassicalElements) -> float:
+    """Instantaneous orbital radius p / (1 + e cos nu), km."""
+    return el.p / (1.0 + el.e * math.cos(el.nu))
+
+
+def dxi_magnitude(oe) -> float:
+    """Magnitude of the relative eccentricity vector."""
+    return math.hypot(oe.dxi_x, oe.dxi_y)
+
+
+def reference_e1(eta) -> float:
+    """Eccentricity e1 of the reference orbit."""
+    return math.hypot(eta.ec, eta.es)
+
+
+def reference_nu1(eta) -> float:
+    """True anomaly of the reference; 0 by convention when e1 = 0."""
+    return _reference_anomaly(eta.ec, eta.es)
 
 
 def random_elements(rng, a_range=(7e3, 5e4), e_range=(0.01, 0.8),
@@ -187,7 +211,7 @@ def ecc_inc_vectors(oe, eta) -> EccIncVectors:
     reported in the theta1 = 0 convention.
     """
     from nodalrel import wrap_angle
-    dxi_mag = oe.dxi
+    dxi_mag = dxi_magnitude(oe)
     dh_mag = oe.dh
     if dh_mag > 0.0:
         theta1 = math.atan2(oe.dh_y, oe.dh_x)

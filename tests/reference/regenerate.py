@@ -4,13 +4,16 @@ compares against.
     python3 tests/reference/regenerate.py
 
 Run it from a checkout of the commit whose outputs are to be kept: it
-imports nodalrel from that checkout's ``src`` and runs the CLI on
-``config.json`` (3 runs over the 3 days before the 6 h cutoff, 600 s
-cadence) at seed 7, then copies:
+imports nodalrel from that checkout's ``src`` and runs each command of
+ARGV through the CLI, then copies the files of FILES:
 
-- ``montecarlo/``: the campaign's ``summary.json`` and
-  ``ensemble_envelope.csv``;
-- ``flyby/``: run 0's ``truth.csv`` and ``filter_run0.csv``.
+- ``montecarlo/``, ``flyby/`` and ``maneuver/``: the scenario commands on
+  ``config.json`` (3 runs over the 3 days before the 6 h cutoff, 600 s
+  cadence) at seed 7;
+- ``validate/``: the model-vs-Cowell summary of the fixed validation pair;
+- ``propagate/`` and ``screen/``: the README's orbit pair, the exported
+  flow over 10,000 s at 50 samples and the screening report with its C2
+  check over 20,000 s; ``stdout.txt`` is what a command printed.
 
 ``provenance.json`` records the commit and the toolchain the files were
 made with; ``tolerances.json`` (written by hand, not here) says how each
@@ -21,7 +24,9 @@ and says which fields moved, and by how much.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
+import io
 import json
 import platform
 import shutil
@@ -37,20 +42,43 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 
 SEED = 7
+_SCENARIO = ("--config", str(HERE / "config.json"), "--seed", str(SEED),
+             "--out")
+_PAIR = ("--orbit1", "8900", "0.5", "10", "20", "0", "30",
+         "--orbit2", "6800", "0.1", "40", "90", "30", "70")
+#: CLI command -> its arguments; a final "--out" is given the command's
+#: output directory.
+ARGV = {"montecarlo": _SCENARIO,
+        "flyby": _SCENARIO,
+        "maneuver": _SCENARIO,
+        "validate": ("--out",),
+        "propagate": (*_PAIR, "--tf", "10000", "--samples", "50", "--out"),
+        "screen": (*_PAIR, "--tf", "20000")}
 #: CLI command -> the stored files it writes.
 FILES = {"montecarlo": ("summary.json", "ensemble_envelope.csv"),
-         "flyby": ("truth.csv", "filter_run0.csv")}
+         "flyby": ("truth.csv", "filter_run0.csv", "screening_run0.csv",
+                   "summary.json"),
+         "maneuver": ("summary.json", "maneuver_sweep.csv"),
+         "validate": ("summary.json",),
+         "propagate": ("trajectory.csv",),
+         "screen": ("stdout.txt",)}
 _CORENAME = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
              "openblas_get_corename64_", "openblas_get_corename")
 
 
 def run_commands(out: Path) -> None:
-    """Run each command of FILES on config.json at SEED into out/<command>,
-    with the nodalrel already imported."""
+    """Run each command of ARGV into out/<command>, with the nodalrel
+    already imported; what it prints goes to out/<command>/stdout.txt."""
     from nodalrel.cli import main
-    for cmd in FILES:
-        main([cmd, "--config", str(HERE / "config.json"), "--seed",
-              str(SEED), "--out", str(out / cmd)])
+    for cmd, args in ARGV.items():
+        where = out / cmd
+        argv = [cmd, *args, str(where)] if args[-1:] == ("--out",) \
+            else [cmd, *args]
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            main(argv)
+        where.mkdir(parents=True, exist_ok=True)
+        (where / "stdout.txt").write_text(printed.getvalue())
 
 
 def _openblas_cores() -> list:

@@ -190,6 +190,18 @@ class TestClassicalElementsType:
         with pytest.raises(ValueError):
             ClassicalElements(a=1e4, e=0.5, i=-0.1, raan=0, argp=0, nu=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("a", math.inf), ("a", math.nan), ("raan", math.nan),
+        ("raan", math.inf), ("argp", math.inf), ("argp", math.nan),
+        ("nu", math.nan), ("nu", -math.inf)])
+    def test_nonfinite_field_rejected(self, field, value):
+        # each used to construct (wrapped to NaN), and failed later as a
+        # zero position vector or an unconverged Kepler solve
+        kw = {**dict(a=7e3, e=0.1, i=0.1, raan=0.0, argp=0.0, nu=0.0),
+              field: value}
+        with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
+            ClassicalElements(**kw)
+
 
 class TestWrapAngleScalarPath:
     @given(x=st.floats(allow_nan=False, allow_infinity=False))

@@ -40,7 +40,6 @@ from nodalrel import (
     zeta_gradient,
 )
 from nodalrel import dynamics, missionsim as sim, navigation
-from nodalrel.dynamics import RTOL
 from nodalrel.navigation import ekf_propagate, ekf_update, measure
 from nodalrel.missionsim import (
     EncounterSpec,
@@ -56,7 +55,7 @@ from nodalrel.missionsim import (
 )
 
 from conftest import (EL1, EL2, classical_from_oe, crlb_final_range_sigma,
-                      recursion_final_range_sigma)
+                      recursion_final_range_sigma, reference_e1)
 
 
 def small_config(**overrides) -> ScenarioConfig:
@@ -177,7 +176,7 @@ def cowell_truth_dr(cfg: ScenarioConfig) -> np.ndarray:
     s1, s2 = (elements_to_cartesian(kepler_advance(el, cfg.t_start, cfg.mu),
                                     cfg.mu)
               for el in sim.scenario_orbits(cfg))
-    cw = cowell_propagate(s1, s2, t, cfg.mu, rtol=RTOL)
+    cw = cowell_propagate(s1, s2, t, cfg.mu)
     oe_arr = np.empty((t.size, 6))
     eta_arr = np.empty((t.size, 3))
     for k in range(t.size):
@@ -303,6 +302,24 @@ class TestConfigRoundTrip:
         else:
             d[json_key] = -value if field == "t_start" else value
         with pytest.raises(ValueError, match=field):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize("where, key, value, field", [
+        ("target", "a_km", math.inf, "a"),
+        ("target", "raan_deg", math.nan, "raan"),
+        ("target", "argp_deg", math.inf, "argp"),
+        ("target", "nu_deg", math.nan, "nu"),
+        ("reference", "a_km", math.nan, "a"),
+        ("reference", "nu_deg", math.nan, "nu"),
+    ])
+    def test_nonfinite_elements_rejected(self, where, key, value, field):
+        # A target's used to fail in the truth build ("position vector must
+        # be nonzero"), a reference's NaN nu in the Kepler solve.
+        d = config_to_dict(ScenarioConfig())
+        if where == "reference":
+            d["reference"], d["encounter"] = dict(d["target"]), None
+        d[where][key] = value
+        with pytest.raises(ValueError, match=rf"\b{field} must be finite"):
             config_from_dict(d)
 
     def test_misspelt_key_rejected(self):
@@ -485,7 +502,7 @@ class TestFlybyRun:
             assert rows["t"][k] == art.truth.t[k]
             oe = NodalRelativeState.from_array(art.run.oe_hat[k])
             eta = ReferenceParams.from_array(art.truth.eta[k])
-            a1 = eta.p1 / (1.0 - eta.e1 ** 2)
+            a1 = eta.p1 / (1.0 - reference_e1(eta) ** 2)
             a2 = classical_from_oe(oe, eta).a2
             p_short = orbital_period(min(a1, a2), MU_EARTH)
             assert (t_hi - art.truth.t[k]) / (p_short / 200.0) > 2000
@@ -867,15 +884,13 @@ def reference_closest_approach(s1, s2, t0: float, tf: float,
     sampled on 400 points between the best sample's neighbours (and at
     t0 and tf, so that both solves take the same steps)."""
     coarse = max(2000, int((tf - t0) / cfg.sample_dt / 4))
-    cw = cowell_propagate(s1, s2, np.linspace(t0, tf, coarse), cfg.mu,
-                          rtol=RTOL)
+    cw = cowell_propagate(s1, s2, np.linspace(t0, tf, coarse), cfg.mu)
     d = np.linalg.norm(cw.r2 - cw.r1, axis=1)
     k = int(np.argmin(d))
     lo = cw.t[max(k - 1, 0)]
     hi = cw.t[min(k + 1, coarse - 1)]
     t_fine = np.linspace(lo, hi, 400)
-    fine = cowell_propagate(s1, s2, np.union1d(t_fine, [t0, tf]), cfg.mu,
-                            rtol=RTOL)
+    fine = cowell_propagate(s1, s2, np.union1d(t_fine, [t0, tf]), cfg.mu)
     at_fine = np.isin(fine.t, t_fine)
     d_fine = np.linalg.norm(fine.r2[at_fine] - fine.r1[at_fine], axis=1)
     return float(min(d.min(), d_fine.min()))
@@ -903,13 +918,16 @@ def test_interpolant_kept_only_where_read(monkeypatch):
 
 
 class TestValidation:
-    def test_validation_discrepancy_small(self):
-        res = run_validation(rtol=1e-10)
+    def test_validation_discrepancy_small(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "RTOL", 1e-10)
+        res = run_validation()
         assert res.max_discrepancy_km < 1e-2
 
-    def test_tolerance_controls_discrepancy(self):
+    def test_tolerance_controls_discrepancy(self, monkeypatch):
         # The model is exact, so what is left of the discrepancy is the
         # integrators': it shrinks as their tolerance tightens.
-        loose = run_validation(rtol=1e-6)
-        tight = run_validation(rtol=1e-11)
+        monkeypatch.setattr(dynamics, "RTOL", 1e-6)
+        loose = run_validation()
+        monkeypatch.setattr(dynamics, "RTOL", 1e-11)
+        tight = run_validation()
         assert tight.max_discrepancy_km < loose.max_discrepancy_km

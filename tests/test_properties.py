@@ -45,7 +45,7 @@ from nodalrel.navigation import _coast
 from nodalrel.relstate import (_floats, _kepler_pair, _position_arrays,
                                _radius_denominator, _reference_jacobian)
 
-from conftest import classical_from_oe
+from conftest import classical_from_oe, reference_e1
 from test_conjunction import node_crossing_radii
 
 ANGLE = st.floats(-math.pi, math.pi)
@@ -179,7 +179,8 @@ CIRCULAR_2 = (NodalRelativeState(dtheta=0.7, dp=0.2, dxi_x=-0.3, dxi_y=-0.1,
 def coast_window(pair, fraction):
     """60 s up to a quarter of the reference period, by fraction in [0, 1]."""
     eta = pair[1]
-    quarter = 0.25 * orbital_period(eta.p1 / (1.0 - eta.e1 ** 2), MU_EARTH)
+    quarter = 0.25 * orbital_period(eta.p1 / (1.0 - reference_e1(eta) ** 2),
+                                    MU_EARTH)
     return 60.0 + fraction * max(quarter - 60.0, 0.0)
 
 
@@ -203,7 +204,7 @@ def kernel_scales(oe, eta):
     s, dtheta, dxi_x, dxi_y, dh_x, dh_y, ec, es): one turn, the size of the
     angles they are computed from, times the output's amplitude (1 for the
     angles and the sweep's cosine and sine, e1 + e2, |dh| and e1)."""
-    e1, e2 = eta.e1, _kepler_pair(*_floats(oe, eta))[4]
+    e1, e2 = reference_e1(eta), _kepler_pair(*_floats(oe, eta))[4]
     return 2.0 * math.pi * np.array([1.0] * 5 + [e1 + e2] * 2
                                     + [oe.dh] * 2 + [e1] * 2)
 

@@ -1,12 +1,14 @@
 """The CLI's outputs against the stored reference runs in tests/reference:
-the campaign's summary.json and ensemble envelope, and flyby run 0's truth
-and filter CSVs, for config.json at seed 7.  tolerances.json states and
-justifies the comparison of each file.  The outputs come from
+the files of all six commands, the scenario commands (montecarlo, flyby,
+maneuver) at config.json and seed 7, validate, and propagate and screen on
+the README's orbit pair.  tolerances.json states and justifies the
+comparison of each file.  The outputs come from
 regenerate.py's run_commands, as the stored files did; its main, which
 rewrites them, is never called here."""
 
 import fnmatch
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,10 @@ from reference.regenerate import FILES, run_commands, toolchain_differences
 REFERENCE = Path(__file__).parent / "reference"
 TOLERANCES = json.loads((REFERENCE / "tolerances.json").read_text())["files"]
 
+#: A number printed on a line of stdout (not a digit inside a word such as
+#: "C1"; "nan" stays text).
+_PRINTED = re.compile(r"(?<![\w.])[-+]?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
@@ -26,26 +32,35 @@ def outputs(tmp_path_factory):
 
 
 def read_fields(path: Path) -> dict:
-    """name -> float array: a summary's keys, or a CSV's columns."""
+    """name -> float array: a summary's keys, a CSV's columns, or the
+    numbers printed on each line of stdout, named by the line's number and
+    its text with each number as "#"."""
     if path.suffix == ".json":
         return {k: np.atleast_1d(np.asarray(v, dtype=float))
                 for k, v in json.loads(path.read_text()).items()}
+    if path.suffix == ".txt":
+        return {f"{i}:{_PRINTED.sub('#', line)}":
+                np.array([float(x) for x in _PRINTED.findall(line)])
+                for i, line in enumerate(path.read_text().splitlines())}
     header = path.read_text().splitlines()[0].split(",")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     return dict(zip(header, data.T, strict=True))
 
 
 def mismatches(new: dict, ref: dict, rule: dict) -> list:
-    """Fields of new outside the rule's tolerance around ref."""
+    """Fields of new outside the rule's tolerance around ref; a NaN matches
+    only a NaN, as a column that is undefined on a branch is."""
     assert new.keys() == ref.keys()
     bad = []
     for name, want in ref.items():
         pattern = next(p for p in rule if fnmatch.fnmatchcase(name, p))
         kind, tol = rule[pattern]
+        nan = np.isnan(want)
         scale = (np.abs(want) if kind == "relative"
-                 else np.max(np.abs(want)))
+                 else np.max(np.abs(want), where=~nan, initial=0.0))
         gap = np.abs(new[name] - want)
-        if new[name].shape != want.shape or not np.all(gap <= tol * scale):
+        if new[name].shape != want.shape or not np.all(
+                (gap <= tol * scale) | (nan & np.isnan(new[name]))):
             bad.append(f"{name}: {kind} {tol} exceeded "
                        f"(max gap {np.max(gap, initial=0.0):.3e})")
     return bad
