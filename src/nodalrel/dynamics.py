@@ -168,13 +168,14 @@ def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float,
     return mean_to_true_anomaly(m, e, fns=fns)
 
 
-def _phase_sweep(pair, dh, t, mu: float, fns):
+def _phase_sweep(pair, dh, t, mu: float, fns, nu1t=None):
     """The part of :func:`_anomaly_sweep` that the C2 distance needs:
     (nu1t, nu2t, c, s, dtheta_t, dh_x, dh_y, ec), as named there, with t
-    and fns from one :func:`_trig` dispatch."""
+    and fns from one :func:`_trig` dispatch and nu1t as there."""
     nu10, e1, a1, nu20, e2, a2, dlambda = pair
     sin, cos = fns[:2]
-    nu1t = advance_true_anomaly(nu10, e1, a1, t, mu, fns)
+    if nu1t is None:
+        nu1t = advance_true_anomaly(nu10, e1, a1, t, mu, fns)
     nu2t = advance_true_anomaly(nu20, e2, a2, t, mu, fns)
     c, s = cos(nu1t - nu10), sin(nu1t - nu10)
     hx, hy = dh
@@ -182,23 +183,23 @@ def _phase_sweep(pair, dh, t, mu: float, fns):
             c * hx - s * hy, s * hx + c * hy, e1 * cos(nu1t))
 
 
-def _anomaly_sweep(pair, dh, t, mu: float):
+def _anomaly_sweep(pair, dh, t, mu: float, nu1t=None):
     """Keplerian coast of a nodal state t s after its epoch: the one closed
     form of the unperturbed flow, the filter's coast and the C2 distance.
 
     pair is the state's :func:`relstate._kepler_pair` and dh its (dh_x,
     dh_y); t is a float or an array (see :func:`_trig`).  Returns (nu1t,
     nu2t, c, s, dtheta_t, dxi_x, dxi_y, dh_x, dh_y, ec, es) at t: both true
-    anomalies, the cosine and sine of the reference sweep nu1t - nu10,
-    dtheta_t = nu2t - nu1t + dlambda unwrapped, the eccentricity difference
-    e2 (cos, sin)(nu1t - dlambda) - e1 (cos, sin) nu1t, the inclination
-    vector rotated by the sweep, and the reference phasor e1 (cos, sin)
-    nu1t.  dp and p1 do not change."""
+    anomalies (Kepler-solved, nu1t unless given), the cosine and sine of the
+    reference sweep nu1t - nu10, dtheta_t = nu2t - nu1t + dlambda unwrapped,
+    the eccentricity difference e2 (cos, sin)(nu1t - dlambda) - e1 (cos,
+    sin) nu1t, the inclination vector rotated by the sweep, and the
+    reference phasor e1 (cos, sin) nu1t.  dp and p1 do not change."""
     _, e1, _, _, e2, _, dlambda = pair
     t, *fns = _trig(t)
     sin, cos = fns[:2]
     nu1t, nu2t, c, s, dtheta, hx, hy, ec = _phase_sweep(pair, dh, t, mu,
-                                                        fns)
+                                                        fns, nu1t)
     es = e1 * sin(nu1t)
     return (nu1t, nu2t, c, s, dtheta,
             e2 * cos(nu1t - dlambda) - ec, e2 * sin(nu1t - dlambda) - es,

@@ -525,32 +525,31 @@ def _run_filter(cfg: ScenarioConfig, truth: TruthTrajectory,
     r_cov = cfg.noise.covariance()
 
     x = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
-    P, eta = np.diag(cfg.p0_diag), truth.eta[0]
+    P, eta = np.diag(cfg.p0_diag), truth.eta
 
     oe_hat = np.empty((n, 6))
     innovations = np.empty((n, 3))
     diagnostics = [np.empty((n, 6)), np.empty((n, 6))] + [
         np.empty(n) for _ in range(5)]
     p_block = np.empty((_DIAGNOSTIC_BLOCK, 6, 6))
-    eta_block = np.empty((_DIAGNOSTIC_BLOCK, 3))
     start = 0
 
     z = measure(truth.dr, cfg.d, cfg.noise, rng)
     for k in range(n):
-        x, P, innovations[k] = ekf_update(x, P, eta, z[k], r_cov, cfg.d)
+        x, P, innovations[k] = ekf_update(x, P, eta[k], z[k], r_cov, cfg.d)
         oe_hat[k] = x
         j = k - start
         p_block[j] = P
-        eta_block[j] = eta
         if j == len(p_block) - 1 or k == n - 1:
             rows = slice(start, k + 1)
             for out, block in zip(diagnostics, _posterior_diagnostics(
-                    oe_hat[rows], p_block[:j + 1], eta_block[:j + 1],
+                    oe_hat[rows], p_block[:j + 1], eta[rows],
                     truth.oe[rows], truth.range_km[rows])):
                 out[rows] = block
             start = k + 1
         if k < n - 1:
-            x, P, eta = ekf_propagate(x, P, eta, cfg.sample_dt, q_rate, cfg.mu)
+            x, P = ekf_propagate(x, P, eta[k], eta[k + 1], cfg.sample_dt,
+                                 q_rate, cfg.mu)
 
     (err, sigma, nees, range_err, range_sigma, zeta_hat,
      zeta_sigma) = diagnostics
@@ -623,12 +622,12 @@ class CampaignRun:
 def _campaign_share(cfg: ScenarioConfig, truth: TruthTrajectory,
                     run_index: int) -> tuple:
     """One filter run reduced to what the campaign reads of it: its 3-sigma
-    coverage count per component (6,), its NEES (n,), the errors of the six
+    coverage count per component (6,), its NEES sum, the errors of the six
     states and of the range (n, 7), and its CampaignRun fields but t.  A
     worker process returns this, not the FlybyRun's 26 floats per sample."""
     run = _run_filter(cfg, truth, run_index)
     covered = np.count_nonzero(np.abs(run.err) <= 3.0 * run.sigma, axis=0)
-    return (covered, run.nees, np.column_stack([run.err, run.range_err]),
+    return (covered, run.nees.sum(), np.column_stack([run.err, run.range_err]),
             run.zeta_hat, run.zeta_sigma, run.detected,
             run.post_transient_index)
 
@@ -653,7 +652,7 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
     The truth is deterministic and shared; each run has its own noise
     substream.  Each run is folded into the aggregates as it finishes, in
     run order, serially and under cfg.jobs alike: its exact 3-sigma
-    coverage counts, its NEES row, its first and last range errors, and a
+    coverage counts, its NEES sum, its first and last range errors, and a
     Welford mean and sum of squared deviations of its state and range
     errors for the ensemble envelope.  So the summary is deterministic for
     a given config and seed, and the envelope does not depend on cfg.jobs.
@@ -661,17 +660,14 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
     CSV.
 
     Returns the summary and one :class:`CampaignRun` per run, which keeps
-    3 floats per sample (the NEES row, zeta_hat and zeta_sigma) where a
-    :class:`FlybyRun` holds 26: at paper scale (200 runs of 341,281
-    samples) ≈ 1.5 GiB.
+    2 floats per sample (zeta_hat and zeta_sigma) where a :class:`FlybyRun`
+    holds 26: at paper scale (200 runs of 341,281 samples) ≈ 1.0 GiB.
     """
     truth = build_truth(cfg)
     m, n = cfg.mc_runs, truth.t.size
 
     covered = np.zeros(6, dtype=np.int64)
-    # The (m, n) NEES is kept: np.mean sums it pairwise, and a per-run sum
-    # would round differently.
-    nees = np.empty((m, n))
+    nees_sum = 0.0
     initial_err, final_err = np.empty(m), np.empty(m)
     mean, m2 = np.zeros((n, 7)), np.zeros((n, 7))
     runs = []
@@ -679,7 +675,7 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
          k0) in _campaign_shares(cfg, truth):
         i = len(runs)
         covered += run_covered
-        nees[i] = run_nees
+        nees_sum += run_nees
         initial_err[i], final_err[i] = err[0, 6], err[-1, 6]
         # Welford's update of the per-sample mean and M2 (the sum of
         # squared deviations), err taking the deviation from the new mean
@@ -692,7 +688,7 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
                                 post_transient_index=k0))
         # Dropped now, not when the next run's share replaces them: that run
         # is filtered first.
-        del run_nees, err, delta
+        del err, delta
 
     # Analytic initial range uncertainty: the range sigma of P0 at the truth.
     _, _, _, _, init_analytic, _, _ = _posterior_diagnostics(
@@ -709,7 +705,7 @@ def run_montecarlo(cfg: ScenarioConfig, out_dir: Optional[str] = None,
         initial_range_error_sigma=float(np.std(initial_err, ddof=1)),
         initial_range_sigma_analytic=float(init_analytic[0]),
         mean_final_abs_range_err=float(np.mean(np.abs(final_err))),
-        mean_nees=float(np.mean(nees)),
+        mean_nees=float(nees_sum / (m * n)),
         nees_dim=6,
     )
 

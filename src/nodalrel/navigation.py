@@ -8,8 +8,8 @@ state in closed form by Kepler timing of both recovered orbits: dp is
 held, the eccentricity/inclination pairs are rotated by the reference
 anomaly sweep, and dtheta follows from the two anomaly sweeps, so every
 row of the 6x6 state transition matrix is exact (its dtheta row from the
-partials of that timing).  The reference parameters are treated as
-perfectly known and advanced alongside.
+partials of that timing).  The reference parameters are perfectly known:
+a coast reads satellite 1's anomaly at its end from them, not by a solve.
 
 The filter works on plain arrays: x is the six state floats (dtheta, dp,
 dxi_x, dxi_y, dh_x, dh_y), P their 6x6 covariance, eta the three reference
@@ -18,7 +18,7 @@ floats (p1, ec, es) and a measurement the three floats (az, el, beta).
 Each input of a step is converted to floats once, at the public entry,
 and each output array is built once, from floats or in place.  A step
 (one update, one coast) checks three states: the update's x and its
-posterior, and the coast's x; and two references, one at each entry.
+posterior, and the coast's x; and the three references it is given.
 The coast's own output needs no check: from a checked state over a
 finite dt its entries are finite and dp is unchanged.
 
@@ -32,6 +32,7 @@ step made.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import ZeroRange
 from .dynamics import _anomaly_sweep
 from .frames import wrap_angle
 from .relstate import (_checked_reference, _checked_state, _kepler_pair,
-                       _scalar_position)
+                       _reference_anomaly, _scalar_position)
 
 #: |elevation| within this distance of pi/2 flags an ill-conditioned azimuth.
 GIMBAL_EL_TOL = 1e-9
@@ -145,12 +146,13 @@ def _predict(state, ref, d: float) -> tuple[tuple, np.ndarray, bool]:
     return (az, el, beta), h, gimbal
 
 
-def _coast(state, ref, dt: float, mu: float,
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, 6x6 state transition matrix Phi and reference after dt
-    seconds (see :func:`ekf_propagate`) from the checked floats of a state
-    and its reference: the mean and the reference are the coast kernel's,
-    Phi is assembled here.
+def _coast(state, ref, ref_next, dt: float, mu: float,
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and 6x6 state transition matrix Phi after dt seconds (see
+    :func:`ekf_propagate`) from the checked floats of a state and its
+    reference at both ends: the mean is the coast kernel's at satellite 1's
+    anomaly in ref_next (n1 dt past nu10 when e1 is 0 or subnormal: too
+    small to hold the anomaly, or to move it), Phi is built here.
 
     Phi's row 0 differentiates dtheta_t = dtheta + (nu2t - nu20) - (nu1t -
     nu10) through Kepler timing of satellite 2, whose phasor (dxi_x + ec,
@@ -159,11 +161,12 @@ def _coast(state, ref, dt: float, mu: float,
     (2 + e cos nu) / (1 - e^2), and n2 scales as ((1 - e2^2) / (1 + dp))^1.5.
     The phi column, (r - 1)/e2 = q, has no division by e2."""
     _, dp, _, _, hx, hy = state
-    p1, ec, es = ref
-    pair = _kepler_pair(*state, p1, ec, es)
-    nu10, _, _, nu20, e2, a2, dlambda = pair
-    _, nu2t, c, s, dtheta, *dxi_dh, ec, es = _anomaly_sweep(
-        pair, (hx, hy), dt, mu)
+    pair = _kepler_pair(*state, *ref)
+    nu10, e1, a1, nu20, e2, a2, dlambda = pair
+    nu1t = (_reference_anomaly(*ref_next[1:]) if e1 >= sys.float_info.min
+            else nu10 + math.sqrt(mu / a1 ** 3) * dt)
+    _, nu2t, c, s, dtheta, *dxi_dh, _, _ = _anomaly_sweep(
+        pair, (hx, hy), dt, mu, nu1t)
 
     om = 1.0 - e2 * e2
     n2dt = math.sqrt(mu / a2 ** 3) * dt
@@ -183,35 +186,35 @@ def _coast(state, ref, dt: float, mu: float,
                     0.0, 0.0, s, c, 0.0, 0.0,
                     0.0, 0.0, 0.0, 0.0, c, -s,
                     0.0, 0.0, 0.0, 0.0, s, c)).reshape(6, 6)
-    return (np.array((wrap_angle(dtheta), dp, *dxi_dh)), phi,
-            np.array((p1, ec, es)))
+    return np.array((wrap_angle(dtheta), dp, *dxi_dh)), phi
 
 
-def ekf_propagate(x, P: np.ndarray, eta, dt: float, Q: np.ndarray,
-                  mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ekf_propagate(x, P: np.ndarray, eta, eta_next, dt: float, Q: np.ndarray,
+                  mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Propagate mean and covariance over dt seconds of coasting.
 
     The mean is the exact unperturbed flow at any dt and eccentricity: dp
     is constant, the difference vectors rotate by the reference anomaly
-    sweep and dtheta follows from Kepler timing of both recovered orbits.
-    The state transition matrix Phi is exact too: the identity row of dp,
-    two rotation blocks and the analytic partials of dtheta.  The
-    covariance update is P <- Phi P Phi^T + Q dt, Q a per-second rate.
+    sweep from eta to eta_next (dt later) and dtheta follows from it and
+    Kepler timing of satellite 2.  The state transition matrix Phi is exact
+    too: the identity row of dp, two rotation blocks and the analytic
+    partials of dtheta.  The covariance update is P <- Phi P Phi^T + Q dt,
+    Q a per-second rate.
 
-    Returns (x, P, eta) after dt.  ValueError if dt is not positive and
-    finite or x or eta is not valid (see :func:`relstate._checked_state`
+    Returns (x, P) after dt.  ValueError if dt is not positive and finite
+    or x, eta or eta_next is not valid (see :func:`relstate._checked_state`
     and :func:`relstate._checked_reference`); GeometryError if the
     recovered e2 is not below 1.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    x_new, phi, eta_new = _coast(_checked_state(x), _checked_reference(eta),
-                                 dt, mu)
+    x_new, phi = _coast(_checked_state(x), _checked_reference(eta),
+                        _checked_reference(eta_next), dt, mu)
     p_new = phi.dot(P).dot(phi.T)
     p_new += np.asarray(Q, dtype=float) * dt
     p_new += p_new.T
     p_new *= 0.5
-    return x_new, p_new, eta_new
+    return x_new, p_new
 
 
 def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,

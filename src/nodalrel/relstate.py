@@ -58,7 +58,7 @@ def _checked_reference(eta) -> list:
     """The three floats (p1, ec, es) of a reference eta: the check of
     every reference, validated or filtered, read as :func:`_checked_state`
     reads a state.  ValueError unless eta holds exactly three entries, p1
-    > 0 and ec^2 + es^2 < 1."""
+    is finite and > 0, and ec^2 + es^2 < 1."""
     arr = (eta if type(eta) is np.ndarray and eta.dtype is _FLOAT64
            else np.asarray(eta, dtype=float))
     vals = arr.tolist()
@@ -66,8 +66,8 @@ def _checked_reference(eta) -> list:
         raise ValueError(f"a reference has 3 entries on one axis, got "
                          f"{arr.size} in shape {arr.shape}")
     p1, ec, es = vals
-    if not p1 > 0.0:
-        raise ValueError(f"p1 must be positive, got {p1}")
+    if not 0.0 < p1 < math.inf:
+        raise ValueError(f"p1 must be finite and > 0, got {p1}")
     if not ec * ec + es * es < 1.0:
         raise ValueError("eccentricity phasor magnitude must be < 1")
     return vals

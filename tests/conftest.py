@@ -448,7 +448,8 @@ def recursion_final_range_sigma(cfg, truth) -> float:
         p_cov = ikh @ p_cov @ ikh.T + gain @ r_cov @ gain.T
         if k < n - 1:
             p_cov = ekf_propagate(oe_k.as_array(), p_cov, eta_k.as_array(),
-                                 cfg.sample_dt, q_rate, cfg.mu)[1]
+                                  truth.eta[k + 1], cfg.sample_dt, q_rate,
+                                  cfg.mu)[1]
     j_oe, _ = position_jacobians(oe_k, eta_k)
     grad_rho = (truth.dr[-1] / truth.range_km[-1]) @ j_oe
     return math.sqrt(float(grad_rho @ p_cov @ grad_rho))

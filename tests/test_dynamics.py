@@ -29,7 +29,7 @@ from nodalrel import (
     unperturbed_flow,
     wrap_angle,
 )
-from nodalrel import dynamics, missionsim
+from nodalrel import dynamics, missionsim, navigation
 from nodalrel.relstate import _floats, _kepler_pair, oe_from_orientation
 from nodalrel.dynamics import (RTOL, _cowell_rhs, _nodal_rhs,
                                advance_true_anomaly, mean_to_true_anomaly,
@@ -594,7 +594,9 @@ class TestKeplerScalarPath:
     def test_number_type_dispatched_once_per_coast(self, monkeypatch):
         # One _trig dispatch per coast or Kepler solve; the coast still
         # solves through the module's advance_true_anomaly, which the
-        # benchmark's tracer counts.
+        # benchmark's tracer counts.  The truth's and C2's sweeps solve
+        # both satellites; the filter's coast, given the reference at its
+        # end, solves satellite 2 alone.
         calls = {"_trig": 0, "advance_true_anomaly": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(dynamics, name)):
@@ -607,9 +609,18 @@ class TestKeplerScalarPath:
             calls.update(_trig=0, advance_true_anomaly=0)
             dynamics._anomaly_sweep(pair, (oe.dh_x, oe.dh_y), t, MU)
             assert calls == {"_trig": 1, "advance_true_anomaly": 2}
+            calls.update(_trig=0, advance_true_anomaly=0)
+            t_c2, *fns = dynamics._trig(t)
+            dynamics._phase_sweep(pair, (oe.dh_x, oe.dh_y), t_c2, MU, fns)
+            assert calls == {"_trig": 1, "advance_true_anomaly": 2}
             calls.update(_trig=0)
             dynamics.advance_true_anomaly(0.3, 0.2, 1.2e4, t, MU)
             assert calls["_trig"] == 1
+        eta_next = unperturbed_flow(oe, eta, MU, [100.0])[1][0]
+        calls.update(_trig=0, advance_true_anomaly=0)
+        navigation._coast(oe.as_array().tolist(), eta.as_array().tolist(),
+                          eta_next.tolist(), 100.0, MU)
+        assert calls == {"_trig": 1, "advance_true_anomaly": 1}
 
     @pytest.mark.parametrize("m", [0.5, np.array([0.5, -2.0])])
     def test_unconverged_newton_raises(self, m, monkeypatch):

@@ -514,9 +514,10 @@ class TestFlybyRun:
 def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
     """The filter loop with its diagnostics evaluated one sample at a time
     from the posterior, inside the step, a validated NodalRelativeState and
-    ReferenceParams rebuilt around every update and coast, and R taken from
-    NoiseSpec.covariance() at each step (the slow reference for the array
-    plumbing and the blocked pass of ``_run_filter``)."""
+    ReferenceParams rebuilt around every update and coast, the truth's
+    reference read at every sample, and R taken from NoiseSpec.covariance()
+    at each step (the slow reference for the array plumbing and the blocked
+    pass of ``_run_filter``)."""
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(cfg.seed, spawn_key=(run_index,))))
     n = truth.t.size
@@ -524,13 +525,13 @@ def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
     x0 = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
     oe_hat = NodalRelativeState.from_array(x0)
     p_cov = np.diag(cfg.p0_diag)
-    eta_k = ReferenceParams.from_array(truth.eta[0])
     out = {name: np.empty((n, 6)) for name in ("oe_hat", "err", "sigma")}
     out.update({name: np.empty(n) for name in (
         "range_err", "range_sigma", "zeta_hat", "zeta_sigma", "nees")})
     out["innovations"] = np.empty((n, 3))
 
     for k in range(n):
+        eta_k = ReferenceParams.from_array(truth.eta[k])
         z = measure(truth.dr[k], cfg.d, cfg.noise, rng)
         x, p_cov, innovation = ekf_update(
             oe_hat.as_array(), p_cov, eta_k.as_array(), z,
@@ -559,11 +560,11 @@ def reference_run_filter(cfg: ScenarioConfig, truth, run_index: int):
         out["zeta_sigma"][k] = math.sqrt(max(float(gz @ p_cov @ gz), 0.0))
 
         if k < n - 1:
-            x, p_cov, eta = ekf_propagate(oe_hat.as_array(), p_cov,
-                                          eta_k.as_array(), cfg.sample_dt,
-                                          q_rate, cfg.mu)
+            x, p_cov = ekf_propagate(
+                oe_hat.as_array(), p_cov, eta_k.as_array(),
+                ReferenceParams.from_array(truth.eta[k + 1]).as_array(),
+                cfg.sample_dt, q_rate, cfg.mu)
             oe_hat = NodalRelativeState.from_array(x)
-            eta_k = ReferenceParams.from_array(eta)
 
     k0 = int(math.ceil(cfg.transient_fraction * n))
     out["detected"] = bool(np.all(np.abs(out["zeta_hat"][k0:])
@@ -595,9 +596,9 @@ class TestReferenceFilterPath:
             assert np.abs(run.nees / ref["nees"] - 1.0).max() <= 1e-10
 
     def test_states_checked_at_most_three_times_per_step(self, monkeypatch):
-        # Each public entry checks the x and eta it is given once; the
+        # Each public entry checks each x and eta it is given once; the
         # update checks its posterior too, the coast's output is not
-        # checked again.
+        # checked again.  An update gets one reference, a coast two.
         calls = {"_checked_state": 0, "_checked_reference": 0}
         for name in calls:
             def counted(arg, _name=name, _fn=getattr(navigation, name)):
@@ -609,7 +610,22 @@ class TestReferenceFilterPath:
         sim._run_filter(cfg, truth, 0)
         n = truth.t.size
         assert 0 < calls["_checked_state"] <= 3 * n
-        assert 0 < calls["_checked_reference"] <= 2 * n
+        assert calls["_checked_reference"] == n + 2 * (n - 1)
+
+    def test_one_kepler_solve_per_coast(self, monkeypatch):
+        # The coast reads satellite 1's anomaly from the truth's reference
+        # and solves satellite 2 alone: n - 1 coasts, n - 1 solves.
+        cfg = small_config()
+        truth = build_truth(cfg)
+        calls = []
+
+        def counted(*args, _fn=dynamics.advance_true_anomaly):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(dynamics, "advance_true_anomaly", counted)
+        sim._run_filter(cfg, truth, 0)
+        assert len(calls) == truth.t.size - 1
 
     def test_nonelliptic_posterior_rejected(self):
         x = np.array([[math.pi, 0.0, 0.9, 0.0, 0.1, 0.0]])
@@ -662,6 +678,11 @@ class TestMonteCarlo:
         # 6.5e-16 relative at most on the desk campaigns (m = 2 to 25).
         np.testing.assert_allclose(envelope[:, 1:], ref.pop("envelope"),
                                    rtol=1e-12, atol=0.0)
+        # Each run's NEES sum, folded in run order, rounds otherwise than
+        # the pairwise sum of the stacked NEES: 2.2e-16 relative at most
+        # on these campaigns.
+        np.testing.assert_allclose(summary.mean_nees, ref.pop("mean_nees"),
+                                   rtol=1e-15, atol=0.0)
         for name, value in ref.items():
             assert np.array_equal(getattr(summary, name), value), name
         assert np.array_equal(runs[0].t, truth.t)
@@ -680,17 +701,17 @@ class TestMonteCarlo:
                         == (tmp_path / name).read_bytes()), name
 
     @pytest.mark.parametrize("mc_runs", [4, 16])
-    def test_aggregation_keeps_three_floats_per_run_sample(
+    def test_aggregation_keeps_two_floats_per_run_sample(
             self, tmp_path, monkeypatch, mc_runs):
-        # Beyond its truth, the campaign's traced peak holds 3 floats per
-        # sample of every run (its NEES row, zeta_hat and zeta_sigma) and
-        # K per sample of one run at a time: the FlybyRun in flight (26),
-        # its 3-sigma coverage test (|err|, 3 sigma and the mask, 12.75)
-        # and the Welford mean and M2 (14), with 3.25 to spare for the
-        # fixed-size allocations (≈ 33 KB at this n).  Keeping each run's
-        # FlybyRun took 26 per sample of every run.  The runs are filtered
-        # before tracing starts and served as fresh copies, so the trace
-        # holds their arrays but not the EKF loop, which tracing slows
+        # Beyond its truth, the campaign's traced peak holds 2 floats per
+        # sample of every run (zeta_hat and zeta_sigma; its NEES is folded
+        # into one sum) and K per sample of one run at a time: the FlybyRun
+        # in flight (26), its 3-sigma coverage test (|err|, 3 sigma and the
+        # mask, 12.75) and the Welford mean and M2 (14), with 3.25 to spare
+        # for the fixed-size allocations (≈ 33 KB at this n).  Keeping each
+        # run's FlybyRun took 26 per sample of every run.  The runs are
+        # filtered before tracing starts and served as fresh copies, so the
+        # trace holds their arrays but not the EKF loop, which tracing slows
         # sixfold.
         cfg = small_config(sample_dt=120.0, mc_runs=mc_runs)
         truth = build_truth(cfg)
@@ -711,7 +732,7 @@ class TestMonteCarlo:
         held = sum(a.nbytes for a in vars(truth).values()
                    if isinstance(a, np.ndarray))
         n, k = truth.t.size, 56
-        assert peak - held <= mc_runs * n * 3 * 8 + k * n * 8
+        assert peak - held <= mc_runs * n * 2 * 8 + k * n * 8
 
     def test_envelope_csv_written(self, tmp_path):
         cfg = small_config(sample_dt=3600.0, mc_runs=3)

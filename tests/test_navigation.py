@@ -163,32 +163,35 @@ class TestEkfPropagate:
         oe, eta = default_state()
         dt = 30.0
         n = 40
-        x_k, p_k, eta_k = oe.as_array(), np.eye(6) * 1e-8, eta.as_array()
-        for _ in range(n):
-            x_k, p_k, eta_k = ekf_propagate(x_k, p_k, eta_k, dt,
-                                            np.zeros((6, 6)), MU)
-        oe_true, eta_true = unperturbed_flow(oe, eta, MU, [n * dt])
-        err = x_k - oe_true[0]
+        oe_true, eta_true = unperturbed_flow(oe, eta, MU,
+                                             dt * np.arange(n + 1))
+        x_k, p_k = oe.as_array(), np.eye(6) * 1e-8
+        for k in range(n):
+            x_k, p_k = ekf_propagate(x_k, p_k, eta_true[k], eta_true[k + 1],
+                                     dt, np.zeros((6, 6)), MU)
+        err = x_k - oe_true[n]
         err[0] = wrap_angle(err[0])
         assert np.abs(err).max() < 1e-10
-        assert np.abs(eta_k - eta_true[0]).max() < 1e-6
 
     def test_covariance_grows_with_process_noise(self):
         oe, eta = default_state()
         q = np.diag([1e-12] * 6)
-        _, p1, _ = ekf_propagate(oe.as_array(), np.zeros((6, 6)),
-                                 eta.as_array(), 100.0, q, MU)
+        _, p1 = ekf_propagate(oe.as_array(), np.zeros((6, 6)),
+                              eta.as_array(),
+                              unperturbed_flow(oe, eta, MU, [100.0])[1][0],
+                              100.0, q, MU)
         assert np.trace(p1) >= 100.0 * 6 * 1e-12 * 0.5
         assert np.abs(p1 - p1.T).max() == 0.0
 
     def test_transition_rotates_vector_blocks_full_orbit(self):
         # over one reference period the (dxi, dh) blocks of the transition
-        # matrix are full 2-pi rotations, i.e. identity
+        # matrix are full 2-pi rotations, i.e. identity; the reference is
+        # circular, so it is the same at both ends
         x = [0.0, 0.0, 1e-6, 0.0, 1e-6, 0.0]
         eta = [1.2e4, 0.0, 0.0]
         period = orbital_period(1.2e4, MU)
         p0 = np.diag([1e-10] * 6)
-        _, p1, _ = ekf_propagate(x, p0, eta, period, np.zeros((6, 6)), MU)
+        _, p1 = ekf_propagate(x, p0, eta, eta, period, np.zeros((6, 6)), MU)
         # the xi and h diagonal blocks must return to their initial values
         assert np.abs(p1[2:4, 2:4] - p0[2:4, 2:4]).max() < 1e-13
         assert np.abs(p1[4:6, 4:6] - p0[4:6, 4:6]).max() < 1e-13
@@ -196,8 +199,8 @@ class TestEkfPropagate:
     def test_invalid_dt_rejected(self):
         oe, eta = default_state()
         with pytest.raises(ValueError):
-            ekf_propagate(oe.as_array(), np.eye(6), eta.as_array(), 0.0,
-                          np.zeros((6, 6)), MU)
+            ekf_propagate(oe.as_array(), np.eye(6), eta.as_array(),
+                          eta.as_array(), 0.0, np.zeros((6, 6)), MU)
 
 
 def reference_propagate(oe0, P, eta, dt, Q, mu, substeps=1):
@@ -278,17 +281,18 @@ def desk_state():
 
 
 def assert_matches_reference(oe, P, eta, q, dt, substeps):
-    """ekf_propagate and _coast's Phi against reference_propagate."""
+    """ekf_propagate and _coast's Phi against reference_propagate, the
+    coast given the reference's own end."""
     ref_oe, ref_p, ref_eta, ref_phi = reference_propagate(oe, P, eta, dt, q,
                                                           MU_SUN, substeps)
-    x_new, p_new, eta_new = ekf_propagate(oe.as_array(), P, eta.as_array(),
-                                          dt, q, MU_SUN)
-    _, phi, _ = _coast(oe.as_array(), eta.as_array(), dt, MU_SUN)
+    ends = eta.as_array(), ref_eta.as_array()
+    x_new, p_new = ekf_propagate(oe.as_array(), P, *ends, dt, q, MU_SUN)
+    _, phi = _coast(_checked_state(oe.as_array()),
+                    *map(_checked_reference, ends), dt, MU_SUN)
 
     err = x_new - ref_oe.as_array()
     err[0] = wrap_angle(err[0])
     assert np.abs(err).max() <= 1e-12
-    assert np.abs(eta_new - ref_eta.as_array()).max() <= 1e-12 * eta.p1
     assert np.abs(phi - ref_phi).max() <= 1e-10 * np.abs(ref_phi).max()
     # covariance entries against the reference, scaled per pair
     scale = np.sqrt(np.outer(np.diag(ref_p), np.diag(ref_p)))
@@ -318,6 +322,23 @@ class TestEkfPropagateReference:
         x[2:4] = -eta.ec, -eta.es
         assert_matches_reference(NodalRelativeState.from_array(x), P, eta, q,
                                  dt, substeps=64)
+
+    @pytest.mark.parametrize("dt", [600.0, 86400.0])
+    def test_circular_reference(self, dt):
+        # e1 = 0: no phasor to read satellite 1's anomaly from, so the coast
+        # advances it by n1 dt.  Satellite 2 keeps its orbit about the node.
+        oe, P, eta, q = desk_state()
+        x = oe.as_array()
+        x[2:4] += eta.ec, eta.es
+        oe, eta = NodalRelativeState.from_array(x), replace(eta, ec=0.0,
+                                                             es=0.0)
+        assert_matches_reference(oe, P, eta, q, dt, substeps=4)
+        oe_flow, eta_flow = unperturbed_flow(oe, eta, MU_SUN, [dt])
+        assert np.array_equal(eta_flow[0], eta.as_array())
+        err = ekf_propagate(x, P, eta_flow[0], eta_flow[0], dt, q,
+                            MU_SUN)[0] - oe_flow[0]
+        err[0] = wrap_angle(err[0])
+        assert np.abs(err).max() <= 1e-12
 
 
 class TestEkfUpdate:
@@ -398,25 +419,30 @@ class TestStateCheck:
         with pytest.raises(ValueError):
             ekf_update(x, np.diag([1e-8] * 6), e, z, NOISE.covariance(), 90.0)
         with pytest.raises(ValueError):
-            ekf_propagate(x, np.diag([1e-8] * 6), e, 600.0, np.zeros((6, 6)),
-                          MU)
+            ekf_propagate(x, np.diag([1e-8] * 6), e, e, 600.0,
+                          np.zeros((6, 6)), MU)
 
     @pytest.mark.parametrize("eta", [(0.0, 0.1, 0.0), (math.nan, 0.1, 0.0),
-                                     (1e4, 0.8, 0.6), (1e4, math.nan, 0.0)])
+                                     (1e4, 0.8, 0.6), (1e4, math.nan, 0.0),
+                                     # once passed, freezing the coast
+                                     (math.inf, 0.1, 0.0)])
     def test_invalid_reference_rejected(self, eta):
         oe, eta_ok = default_state()
-        x = oe.as_array()
-        z = predict_measurement(x, eta_ok.as_array(), 90.0)[0]
-        with pytest.raises(ValueError):
+        x, e = oe.as_array(), eta_ok.as_array()
+        z = predict_measurement(x, e, 90.0)[0]
+        match = (f"p1 must be finite and > 0, got {eta[0]}$"
+                 if not 0.0 < eta[0] < math.inf else "eccentricity phasor")
+        with pytest.raises(ValueError, match=match):
             ReferenceParams(*eta)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             predict_measurement(x, eta, 90.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             ekf_update(x, np.diag([1e-8] * 6), eta, z, NOISE.covariance(),
                        90.0)
-        with pytest.raises(ValueError):
-            ekf_propagate(x, np.diag([1e-8] * 6), eta, 600.0,
-                          np.zeros((6, 6)), MU)
+        for ends in ((eta, e), (e, eta)):
+            with pytest.raises(ValueError, match=match):
+                ekf_propagate(x, np.diag([1e-8] * 6), *ends, 600.0,
+                              np.zeros((6, 6)), MU)
 
     @pytest.mark.parametrize("x_size, eta_size, match", [
         (5, 3, "a relative state has 6 entries on one axis, got 5 "),
@@ -433,8 +459,8 @@ class TestStateCheck:
         with pytest.raises(ValueError, match=match):
             ekf_update(x, np.diag([1e-8] * 6), e, z, NOISE.covariance(), 90.0)
         with pytest.raises(ValueError, match=match):
-            ekf_propagate(x, np.diag([1e-8] * 6), e, 600.0, np.zeros((6, 6)),
-                          MU)
+            ekf_propagate(x, np.diag([1e-8] * 6), e, e, 600.0,
+                          np.zeros((6, 6)), MU)
 
     def test_stacked_states_rejected(self):
         oe, eta = default_state()
@@ -447,7 +473,7 @@ class TestStateCheck:
         oe, eta = default_state()
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             ekf_propagate(oe.as_array(), np.diag([1e-8] * 6), eta.as_array(),
-                          dt, np.zeros((6, 6)), MU)
+                          eta.as_array(), dt, np.zeros((6, 6)), MU)
 
 
 # The filter step in the ``@`` operator form, one product per operator and
@@ -477,13 +503,13 @@ def reference_predict(state, ref, d: float) -> tuple[tuple, np.ndarray, bool]:
             gimbal)
 
 
-def reference_ekf_propagate(x, P, eta, dt, Q, mu):
+def reference_ekf_propagate(x, P, eta, eta_next, dt, Q, mu):
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    x_new, phi, eta_new = _coast(_checked_state(x), _checked_reference(eta),
-                                 dt, mu)
+    x_new, phi = _coast(_checked_state(x), _checked_reference(eta),
+                        _checked_reference(eta_next), dt, mu)
     p_new = phi @ P @ phi.T + np.asarray(Q, dtype=float) * dt
-    return x_new, 0.5 * (p_new + p_new.T), eta_new
+    return x_new, 0.5 * (p_new + p_new.T)
 
 
 def reference_ekf_update(x, P, eta, z, r_cov, d):
@@ -520,19 +546,20 @@ class TestStepMatchesReference:
         rng = np.random.default_rng(15)
         z = measure(truth.dr[:320], cfg.d, cfg.noise, rng)
         x = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
-        P, eta = np.diag(cfg.p0_diag), truth.eta[0]
+        P, eta = np.diag(cfg.p0_diag), truth.eta
         r_cov, q = cfg.noise.covariance(), np.diag(cfg.q_diag)
-        xr, pr, etar = x, P, eta
+        xr, pr = x, P
         for k, zk in enumerate(z):
-            x, P, innov = ekf_update(x, P, eta, zk, r_cov, cfg.d)
-            xr, pr, innov_r = reference_ekf_update(xr, pr, etar, zk, r_cov,
+            x, P, innov = ekf_update(x, P, eta[k], zk, r_cov, cfg.d)
+            xr, pr, innov_r = reference_ekf_update(xr, pr, eta[k], zk, r_cov,
                                                    cfg.d)
             for got, want in ((x, xr), (P, pr), (innov, innov_r)):
                 assert np.array_equal(got, want), k
-            x, P, eta = ekf_propagate(x, P, eta, cfg.sample_dt, q, cfg.mu)
-            xr, pr, etar = reference_ekf_propagate(xr, pr, etar,
-                                                   cfg.sample_dt, q, cfg.mu)
-            for got, want in ((x, xr), (P, pr), (eta, etar)):
+            ends = eta[k], eta[k + 1]
+            x, P = ekf_propagate(x, P, *ends, cfg.sample_dt, q, cfg.mu)
+            xr, pr = reference_ekf_propagate(xr, pr, *ends, cfg.sample_dt, q,
+                                             cfg.mu)
+            for got, want in ((x, xr), (P, pr)):
                 assert np.array_equal(got, want), k
 
 
@@ -543,7 +570,8 @@ class TestStepAliasing:
 
     @pytest.mark.parametrize("step", [
         lambda x, P, eta, z, r_cov, Q: ekf_update(x, P, eta, z, r_cov, 90.0),
-        lambda x, P, eta, z, r_cov, Q: ekf_propagate(x, P, eta, 600.0, Q, MU),
+        lambda x, P, eta, z, r_cov, Q: ekf_propagate(x, P, eta, eta, 600.0,
+                                                     Q, MU),
     ], ids=["update", "propagate"])
     def test_inputs_untouched_and_outputs_fresh(self, step):
         # a full (not diagonal) covariance, so that every product carries

@@ -189,11 +189,11 @@ def coast_window(pair, fraction):
 def test_coast_transition_row_matches_central_differences(pair, fraction):
     oe, eta = pair
     dt = coast_window(pair, fraction)
-    x_t, phi, _ = _coast(oe.as_array(), eta.as_array(), dt, MU_EARTH)
+    ends = eta.as_array(), unperturbed_flow(oe, eta, MU_EARTH, [dt])[1][0]
+    x_t, phi = _coast(oe.as_array(), *ends, dt, MU_EARTH)
 
     def dtheta_t(x):  # offset, so that no difference crosses the wrap
-        return wrap_angle(_coast(x, eta.as_array(), dt, MU_EARTH)[0][0]
-                          - x_t[0])
+        return wrap_angle(_coast(x, *ends, dt, MU_EARTH)[0][0] - x_t[0])
 
     fd = central_differences(dtheta_t, oe.as_array(), np.full(6, 1e-7))
     assert rel_dev(phi[0], fd, np.abs(phi[0]).max()) <= 1e-6
@@ -226,22 +226,29 @@ def test_coast_kernel_float_and_array_rows_agree(pair, fractions):
         assert np.all(np.abs(dev) <= 1e-15 * scales)
 
 
+#: A circular reference, whose phasor holds no anomaly for the coast to
+#: read, and one whose e1 is subnormal, too small to hold it exactly.
+CIRCULAR_1, SUBNORMAL_1 = ((CIRCULAR_2[0], ReferenceParams(7000.0, ec, 0.0))
+                           for ec in (0.0, 5e-324))
+
+
 @example(CIRCULAR_2, 1.0)
+@example(CIRCULAR_1, 1.0)
+@example(SUBNORMAL_1, 0.5)
 @given(state_and_reference(), st.floats(0.0, 1.0))
 def test_coast_mean_matches_unperturbed_flow(pair, fraction):
-    # Both take the coast kernel's outputs: they agree as its float and
-    # array rows do.
+    # Both take the coast kernel's outputs, the coast at satellite 1's
+    # anomaly read from the flow's reference: they agree as the kernel's
+    # float and array rows do.
     oe, eta = pair
     dt = coast_window(pair, fraction)
-    x_t, _, eta_t = _coast(oe.as_array(), eta.as_array(), dt, MU_EARTH)
     oe_flow, eta_flow = unperturbed_flow(oe, eta, MU_EARTH, [dt])
+    x_t, _ = _coast(oe.as_array(), eta.as_array(), eta_flow[0], dt,
+                    MU_EARTH)
     err = x_t - oe_flow[0]
     err[0] = wrap_angle(err[0])
     scales = kernel_scales(oe, eta)
     assert np.all(np.abs(err) <= 1e-15 * scales[[4, 4, 5, 6, 7, 8]])
-    assert eta_t[0] == eta_flow[0, 0]
-    assert np.all(np.abs(eta_t[1:] - eta_flow[0, 1:])
-                  <= 1e-15 * scales[9:])
 
 
 @given(state_and_reference(), st.lists(st.floats(-1e-3, 1e-3), min_size=6,

@@ -80,3 +80,10 @@ def test_matches_stored_reference(outputs, name):
     else:
         assert mismatches(read_fields(new), read_fields(ref), rule) == [], \
             f"{name} {where}"
+
+
+def test_one_zeta_per_screening_row(outputs):
+    # zeta (the filter's diagnostics) and margin_ascending (C1) are one
+    # margin of one estimate, both read at the truth's reference.
+    rows = read_fields(outputs / "flyby" / "screening_run0.csv")
+    assert np.all(np.abs(rows["zeta"] - rows["margin_ascending"]) <= 1e-15)
