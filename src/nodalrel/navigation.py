@@ -26,7 +26,9 @@ Each small product of a step is an ``ndarray.dot`` call: the BLAS routine
 of ``@`` at about half its dispatch cost, which dominates on 6x6.  None
 passes one buffer as both operands (``A.dot(A.T)`` goes to ``syrk``, which
 can round differently from ``gemm``); sums accumulate only into arrays the
-step made.
+step made, and none adds an array to a view of itself (``P += P.T`` makes
+numpy copy the overlapping operand first).  The gain's 3x3 solve is float
+arithmetic: numpy's BLAS is the filter's only linear-algebra library.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import ZeroRange
 from .dynamics import _anomaly_sweep
@@ -84,8 +85,12 @@ def _angles(x: float, y: float, z: float, d: float,
 def measure(dr: np.ndarray, d: float, noise: NoiseSpec,
             rng: np.random.Generator) -> np.ndarray:
     """Noisy (az, el, beta) of RTN1 relative positions dr (..., 3), as an
-    array of the same shape.  The noise is one standard-normal draw of that
-    shape, so n rows take the draws of n single-row calls, in row order.
+    array of the same shape.  The noiseless angles are those of
+    :func:`_angles`, computed for all rows at once: rho sums x*x + y*y + z*z
+    in the same order, so beta has the same bits, and numpy's arctan2 and
+    arcsin agree with libm's atan2 and asin within an ulp.  The noise is
+    one standard-normal draw of that shape, so n rows take the draws of n
+    single-row calls, in row order.
 
     Raises
     ------
@@ -97,11 +102,13 @@ def measure(dr: np.ndarray, d: float, noise: NoiseSpec,
     dr = np.asarray(dr, dtype=float)
     if dr.shape[-1:] != (3,):
         raise ValueError(f"positions must have shape (..., 3), got {dr.shape}")
-    z = np.empty(dr.shape)
-    for row, pos in zip(z.reshape(-1, 3), dr.reshape(-1, 3)):
-        row[:] = _angles(*pos.tolist(), d)[:3]
+    x, y, z = dr[..., 0], dr[..., 1], dr[..., 2]
+    rho = np.sqrt(x * x + y * y + z * z)
+    if not np.all(rho > 0.0):
+        raise ZeroRange("measurement undefined at zero separation")
+    angles = np.stack((np.arctan2(y, x), np.arcsin(z / rho), d / rho), axis=-1)
     sigma = np.array([noise.sigma_az, noise.sigma_el, noise.sigma_beta])
-    return z + sigma * rng.standard_normal(dr.shape)
+    return angles + sigma * rng.standard_normal(dr.shape)
 
 
 def predict_measurement(x, eta, d: float,
@@ -189,6 +196,56 @@ def _coast(state, ref, ref_next, dt: float, mu: float,
     return np.array((wrap_angle(dtheta), dp, *dxi_dh)), phi
 
 
+def _inverse3(s: np.ndarray) -> np.ndarray:
+    """The inverse of a 3x3 matrix s by Gaussian elimination with partial
+    pivoting, in float arithmetic.  The row swaps are LAPACK dgetrf's: the
+    first largest |entry| of a column pivots.  LinAlgError on a zero pivot,
+    where dgetrf reports a singular U.
+
+    With P s = L U, the inverse is U^-1 L^-1 P: column j of U^-1 L^-1, by
+    forward and back substitution on e_j, is column p_j of s^-1, where row
+    j of P s is row p_j of s.  The result is built from these columns: a
+    transposed view."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = s.tolist()
+    p0, p1, p2 = 0, 1, 2
+    if abs(a10) > abs(a00):
+        if abs(a20) > abs(a10):
+            p0, p2 = 2, 0
+            a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
+        else:
+            p0, p1 = 1, 0
+            a00, a01, a02, a10, a11, a12 = a10, a11, a12, a00, a01, a02
+    elif abs(a20) > abs(a00):
+        p0, p2 = 2, 0
+        a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
+    if a00 == 0.0:
+        raise np.linalg.LinAlgError("singular innovation covariance (1)")
+    l10, l20 = a10 / a00, a20 / a00
+    a11, a12 = a11 - l10 * a01, a12 - l10 * a02
+    a21, a22 = a21 - l20 * a01, a22 - l20 * a02
+    if abs(a21) > abs(a11):
+        p1, p2 = p2, p1
+        l10, l20, a11, a12, a21, a22 = l20, l10, a21, a22, a11, a12
+    if a11 == 0.0:
+        raise np.linalg.LinAlgError("singular innovation covariance (2)")
+    l21 = a21 / a11
+    a22 -= l21 * a12
+    if a22 == 0.0:
+        raise np.linalg.LinAlgError("singular innovation covariance (3)")
+    # L^-1 e_j, then back substitution, for j = 0, 1, 2
+    z2 = (l10 * l21 - l20) / a22
+    z1 = (-l10 - a12 * z2) / a11
+    y2 = -l21 / a22
+    y1 = (1.0 - a12 * y2) / a11
+    x2 = 1.0 / a22
+    x1 = -a12 * x2 / a11
+    cols = [None, None, None]
+    cols[p0] = ((1.0 - a01 * z1 - a02 * z2) / a00, z1, z2)
+    cols[p1] = (-(a01 * y1 + a02 * y2) / a00, y1, y2)
+    cols[p2] = (-(a01 * x1 + a02 * x2) / a00, x1, x2)
+    return np.array((*cols[0], *cols[1], *cols[2])).reshape(3, 3).T
+
+
 def ekf_propagate(x, P: np.ndarray, eta, eta_next, dt: float, Q: np.ndarray,
                   mu: float) -> tuple[np.ndarray, np.ndarray]:
     """Propagate mean and covariance over dt seconds of coasting.
@@ -212,7 +269,7 @@ def ekf_propagate(x, P: np.ndarray, eta, eta_next, dt: float, Q: np.ndarray,
                         _checked_reference(eta_next), dt, mu)
     p_new = phi.dot(P).dot(phi.T)
     p_new += np.asarray(Q, dtype=float) * dt
-    p_new += p_new.T
+    p_new = p_new + p_new.T
     p_new *= 0.5
     return x_new, p_new
 
@@ -227,7 +284,8 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
 
     Returns (x, P, innovation).  ValueError if eta, x or the posterior mean
     (a nan measurement makes it nan) is not valid (see
-    :func:`relstate._checked_state` and :func:`relstate._checked_reference`).
+    :func:`relstate._checked_state` and :func:`relstate._checked_reference`);
+    LinAlgError if the innovation covariance meets a zero pivot.
     """
     state = _checked_state(x)
     (az, el, beta), h, _ = _predict(state, _checked_reference(eta), d)
@@ -239,11 +297,7 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
     hp = h.dot(P)
     s_cov = hp.dot(h.T)
     s_cov += r_cov
-    # one LAPACK solve with S for the gain
-    *_, sol, info = dgesv(s_cov, hp)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular innovation covariance ({info})")
-    gain = sol.T  # S symmetric
+    gain = _inverse3(s_cov).dot(hp).T  # S symmetric
 
     x_new = np.array(state)
     x_new += gain.dot(innov)
@@ -252,6 +306,6 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
     np.subtract(_EYE6, ikh, out=ikh)
     p_new = ikh.dot(P).dot(ikh.T)
     p_new += gain.dot(r_cov).dot(gain.T)
-    p_new += p_new.T
+    p_new = p_new + p_new.T
     p_new *= 0.5
     return x_new, p_new, innov

@@ -103,7 +103,7 @@ class NodalRelativeState:
 
     @classmethod
     def from_array(cls, x) -> "NodalRelativeState":
-        return cls(*np.asarray(x, dtype=float).tolist())
+        return cls(*_checked_state(x))
 
     @property
     def dh(self) -> float:
@@ -127,8 +127,7 @@ class ReferenceParams:
 
     @classmethod
     def from_array(cls, x) -> "ReferenceParams":
-        x = np.asarray(x, dtype=float)
-        return cls(float(x[0]), float(x[1]), float(x[2]))
+        return cls(*_checked_reference(x))
 
 
 @dataclass(frozen=True)

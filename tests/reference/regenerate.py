@@ -15,8 +15,9 @@ ARGV through the CLI, then copies the files of FILES:
   flow over 10,000 s at 50 samples and the screening report with its C2
   check over 20,000 s; ``stdout.txt`` is what a command printed.
 
-``provenance.json`` records the commit and the toolchain the files were
-made with; ``tolerances.json`` (written by hand, not here) says how each
+``provenance.json`` records the commit the files were made from (with a
+``-dirty`` suffix when the tree had uncommitted changes) and the
+toolchain; ``tolerances.json`` (written by hand, not here) says how each
 file is compared, on that toolchain and on any other, and why.  The test
 never regenerates: a change that moves a stored output reruns this script
 and says which fields moved, and by how much.
@@ -120,8 +121,9 @@ def toolchain_differences() -> list:
 
 def main() -> None:
     sys.path.insert(0, str(ROOT / "src"))
-    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
-                            capture_output=True, text=True).stdout.strip()
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=ROOT,
+        capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
         run_commands(Path(tmp))
         for cmd, names in FILES.items():

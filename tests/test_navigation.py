@@ -1,9 +1,10 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dgesv
+from hypothesis import given, strategies as st
 
 from nodalrel import (
     MU_EARTH,
@@ -25,8 +26,10 @@ from nodalrel import (
     wrap_angle,
 )
 from nodalrel.dynamics import advance_true_anomaly
+from nodalrel.frames import rot_x, rot_z
 from nodalrel.missionsim import build_truth, scenario_orbits
-from nodalrel.navigation import GIMBAL_EL_TOL, _EYE6, _angles, _coast
+from nodalrel.navigation import (GIMBAL_EL_TOL, _EYE6, _angles, _coast,
+                                 _inverse3, _predict)
 from nodalrel.relstate import (_checked_reference, _checked_state,
                                _scalar_position)
 
@@ -83,8 +86,8 @@ class TestMeasure:
         rho = math.sqrt(5e3 ** 2 + 1e3 ** 2 + 2e2 ** 2)
         rng = np.random.default_rng(3)
         want = np.array([
-            math.atan2(1e3, 5e3) + NOISE.sigma_az * rng.standard_normal(),
-            math.asin(-2e2 / rho) + NOISE.sigma_el * rng.standard_normal(),
+            np.arctan2(1e3, 5e3) + NOISE.sigma_az * rng.standard_normal(),
+            np.arcsin(-2e2 / rho) + NOISE.sigma_el * rng.standard_normal(),
             90.0 / rho + NOISE.sigma_beta * rng.standard_normal()])
         got = measure(dr, 90.0, NOISE, np.random.default_rng(3))
         assert got.shape == (3,)
@@ -108,6 +111,36 @@ class TestMeasure:
     def test_last_axis_must_hold_three_components(self):
         with pytest.raises(ValueError):
             measure(np.ones((2, 2)), 90.0, NOISE, np.random.default_rng(0))
+
+    def test_rows_match_row_loop(self):
+        # the 28,441 desk rows at 60 s: beta bit for bit, az and el within
+        # an ulp of libm's atan2 and asin
+        cfg = replace(ScenarioConfig(), sample_dt=60.0)
+        dr = build_truth(cfg).dr
+        got = measure(dr, cfg.d, cfg.noise, _ZeroRng())
+        want = reference_measure(dr, cfg.d, cfg.noise, _ZeroRng())
+        assert got.shape == want.shape == dr.shape
+        assert got[:, 2].tobytes() == want[:, 2].tobytes()
+        assert np.all(np.abs(got[:, :2] - want[:, :2])
+                      <= np.spacing(np.abs(want[:, :2])))
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan])
+    def test_bad_range_in_any_row_raises(self, bad):
+        dr = np.full((2, 4, 3), 1e3)
+        dr[1, 2] = bad
+        with pytest.raises(ZeroRange):
+            measure(dr, 90.0, NOISE, np.random.default_rng(0))
+
+
+def reference_measure(dr, d: float, noise: NoiseSpec, rng) -> np.ndarray:
+    """:func:`measure` as a loop over rows, each row's angles by libm
+    through :func:`_angles`."""
+    dr = np.asarray(dr, dtype=float)
+    z = np.empty(dr.shape)
+    for row, pos in zip(z.reshape(-1, 3), dr.reshape(-1, 3)):
+        row[:] = _angles(*pos.tolist(), d)[:3]
+    sigma = np.array([noise.sigma_az, noise.sigma_el, noise.sigma_beta])
+    return z + sigma * rng.standard_normal(dr.shape)
 
 
 class TestPredictMeasurement:
@@ -389,6 +422,115 @@ class TestEkfUpdate:
             assert np.linalg.eigvalsh(P).min() > -1e-18
 
 
+def exact_solve(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """s^-1 b for a nonsingular 3x3 s and a 3xn b, in exact rational
+    arithmetic on their floats (Gauss-Jordan over fractions.Fraction), each
+    entry rounded once to a float."""
+    rows = [[Fraction(v) for v in (*si, *bi)]
+            for si, bi in zip(s.tolist(), b.tolist())]
+    for k in range(3):
+        p = next(i for i in range(k, 3) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(3):
+            if i != k and rows[i][k]:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * c for a, c in zip(rows[i], rows[k])]
+    return np.array([[float(v / r[k]) for v in r[3:]]
+                     for k, r in enumerate(rows)])
+
+
+def assert_gain_within(s: np.ndarray, hp: np.ndarray, tol: float):
+    """The update's gain columns, the rows of _inverse3(s).dot(hp), each
+    within tol of its largest |entry| of the exact solve."""
+    want = exact_solve(s, hp)
+    gap = np.abs(_inverse3(s).dot(hp) - want)
+    scale = np.abs(want).max(axis=1, keepdims=True)
+    assert np.all(gap <= tol * scale), (gap / scale).max()
+
+
+class TestGainSolve:
+    """The closed-form 3x3 solve of the update's gain against the exact
+    solve of the same floats, and its zero pivots."""
+
+    def test_desk_chain_matches_exact_solve(self):
+        # S and HP of every 20th update of a desk run at 600 s, formed as
+        # ekf_update forms them
+        cfg = replace(ScenarioConfig(), sample_dt=600.0)
+        truth = build_truth(cfg)
+        rng = np.random.default_rng(15)
+        z = measure(truth.dr, cfg.d, cfg.noise, rng)
+        x = truth.oe[0] + cfg.init_perturb_sigma * rng.standard_normal(6)
+        P, eta = np.diag(cfg.p0_diag), truth.eta
+        r_cov, q = cfg.noise.covariance(), np.diag(cfg.q_diag)
+        for k, zk in enumerate(z):
+            if k % 20 == 0:
+                h = _predict(_checked_state(x), _checked_reference(eta[k]),
+                             cfg.d)[1]
+                hp = h.dot(P)
+                assert_gain_within(hp.dot(h.T) + r_cov, hp, 1e-15)
+            x, P, _ = ekf_update(x, P, eta[k], zk, r_cov, cfg.d)
+            if k + 1 < len(z):
+                x, P = ekf_propagate(x, P, eta[k], eta[k + 1],
+                                     cfg.sample_dt, q, cfg.mu)
+
+    @given(st.lists(st.floats(-10.0, -5.0), min_size=3, max_size=3),
+           st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3),
+           st.lists(st.floats(1.0, 10.0), min_size=3, max_size=3),
+           st.lists(st.floats(-1.0, 1.0), min_size=18, max_size=18))
+    def test_spd_with_desk_scale_spread(self, log_diag, angles, eig, g):
+        # S = D C D: diagonals 1e-10 to 1e-5, as the desk's beta and angle
+        # channels, and a correlation C of eigenvalue spread up to 10 (the
+        # desk's S reach 6.0); HP's rows on the scale of S's, as H P's are.
+        # Where a correlation exceeds the ratio of two scales, the row
+        # swap pivots on an off-diagonal entry: partial pivoting, LAPACK
+        # dgesv's too, is not scale invariant. In 20,000 random draws of
+        # this space both lost up to 4.2e-14 of a column's largest entry,
+        # hence the bound here. The S of a desk run at 600 s swap no row.
+        rot = rot_z(angles[0]) @ rot_x(angles[1]) @ rot_z(angles[2])
+        m = (rot * eig) @ rot.T
+        d = 10.0 ** (0.5 * np.array(log_diag)) / np.sqrt(np.diag(m))
+        s = m * np.outer(d, d)
+        s = 0.5 * (s + s.T)
+        hp = np.array(g).reshape(3, 6) * np.sqrt(np.diag(s))[:, None]
+        assert_gain_within(s, hp, 1e-13)
+
+    @pytest.mark.parametrize("s", [
+        [[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [3.0, 1.0, 2.0]],
+        [[1e-20, 1.0, 2.0], [1.0, 1.0, 0.5], [2.0, 0.5, 3.0]],
+        [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 1.0], [0.0, 1.0, 1.0]]],
+        ids=["zero-leading", "tiny-leading", "tiny-second-pivot"])
+    def test_pivots_on_small_entries(self, s):
+        # well-conditioned, but a zero or tiny entry stands where an
+        # unpivoted elimination would divide by it
+        assert_gain_within(np.array(s), np.eye(3), 1e-15)
+
+    @pytest.mark.parametrize("s, column", [
+        ([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]], 1),
+        ([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [4.0, 8.0, 7.0]], 2),
+        ([[4.0, 0.0, 1.0], [0.0, 2.0, 1.0], [4.0, 2.0, 2.0]], 3)])
+    def test_zero_pivot_raises(self, s, column):
+        match = rf"singular innovation covariance \({column}\)"
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            _inverse3(np.array(s))
+
+    def test_zero_covariances_raise(self):
+        oe, eta = default_state()
+        x, e = oe.as_array(), eta.as_array()
+        z = predict_measurement(x, e, 90.0)[0]
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="singular innovation covariance"):
+            ekf_update(x, np.zeros((6, 6)), e, z, np.zeros((3, 3)), 90.0)
+
+    def test_nan_covariance_fails_the_posterior_check(self):
+        oe, eta = default_state()
+        x, e = oe.as_array(), eta.as_array()
+        z = predict_measurement(x, e, 90.0)[0]
+        P = np.diag([1e-8] * 6)
+        P[2, 2] = math.nan
+        with pytest.raises(ValueError, match="nonfinite relative state"):
+            ekf_update(x, P, e, z, NOISE.covariance(), 90.0)
+
+
 class TestStateCheck:
     """The measurement prediction and the filter step reject, with
     ValueError, the states that NodalRelativeState rejects: a nonfinite
@@ -454,6 +596,11 @@ class TestStateCheck:
         z = predict_measurement(oe.as_array(), eta.as_array(), 90.0)[0]
         x, e = np.resize(oe.as_array(), x_size), np.resize(eta.as_array(),
                                                             eta_size)
+        with pytest.raises(ValueError, match=match):
+            if x_size != 6:
+                NodalRelativeState.from_array(x)
+            else:
+                ReferenceParams.from_array(e)
         with pytest.raises(ValueError, match=match):
             predict_measurement(x, e, 90.0)
         with pytest.raises(ValueError, match=match):
@@ -522,11 +669,7 @@ def reference_ekf_update(x, P, eta, z, r_cov, d):
                       z_el - el, z_beta - beta))
 
     hp = h @ P
-    # one LAPACK solve with S for the gain
-    *_, sol, info = dgesv(hp @ h.T + r_cov, hp)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular innovation covariance ({info})")
-    gain = sol.T  # S symmetric
+    gain = (_inverse3(hp @ h.T + r_cov) @ hp).T  # S symmetric
 
     x_new = np.array(state) + gain @ innov
     ikh = _EYE6 - gain @ h
