@@ -28,7 +28,9 @@ passes one buffer as both operands (``A.dot(A.T)`` goes to ``syrk``, which
 can round differently from ``gemm``); sums accumulate only into arrays the
 step made, and none adds an array to a view of itself (``P += P.T`` makes
 numpy copy the overlapping operand first).  The gain's 3x3 solve is float
-arithmetic: numpy's BLAS is the filter's only linear-algebra library.
+arithmetic, Gaussian elimination without row swaps of the symmetric
+positive definite innovation covariance: numpy's BLAS is the filter's only
+linear-algebra library.
 """
 
 from __future__ import annotations
@@ -197,40 +199,28 @@ def _coast(state, ref, ref_next, dt: float, mu: float,
 
 
 def _inverse3(s: np.ndarray) -> np.ndarray:
-    """The inverse of a 3x3 matrix s by Gaussian elimination with partial
-    pivoting, in float arithmetic.  The row swaps are LAPACK dgetrf's: the
-    first largest |entry| of a column pivots.  LinAlgError on a zero pivot,
-    where dgetrf reports a singular U.
+    """The inverse of a 3x3 matrix s by Gaussian elimination without row
+    swaps, s = L U, in float arithmetic: column j of U^-1 L^-1, by forward
+    and back substitution on e_j, is column j of s^-1, and the result is
+    built from these columns, a transposed view.
 
-    With P s = L U, the inverse is U^-1 L^-1 P: column j of U^-1 L^-1, by
-    forward and back substitution on e_j, is column p_j of s^-1, where row
-    j of P s is row p_j of s.  The result is built from these columns: a
-    transposed view."""
+    s is the innovation covariance, symmetric positive definite up to the
+    rounding that formed it, so its pivots, those of s = L D L^T with
+    U = D L^T, are positive and no row need swap: the elimination is
+    invariant to the scaling of s's diagonal, where partial pivoting by
+    magnitude is not.  LinAlgError names the first pivot that is not
+    positive (s is singular or indefinite); a nan s passes as nan."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = s.tolist()
-    p0, p1, p2 = 0, 1, 2
-    if abs(a10) > abs(a00):
-        if abs(a20) > abs(a10):
-            p0, p2 = 2, 0
-            a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
-        else:
-            p0, p1 = 1, 0
-            a00, a01, a02, a10, a11, a12 = a10, a11, a12, a00, a01, a02
-    elif abs(a20) > abs(a00):
-        p0, p2 = 2, 0
-        a00, a01, a02, a20, a21, a22 = a20, a21, a22, a00, a01, a02
-    if a00 == 0.0:
+    if a00 <= 0.0:
         raise np.linalg.LinAlgError("singular innovation covariance (1)")
     l10, l20 = a10 / a00, a20 / a00
     a11, a12 = a11 - l10 * a01, a12 - l10 * a02
     a21, a22 = a21 - l20 * a01, a22 - l20 * a02
-    if abs(a21) > abs(a11):
-        p1, p2 = p2, p1
-        l10, l20, a11, a12, a21, a22 = l20, l10, a21, a22, a11, a12
-    if a11 == 0.0:
+    if a11 <= 0.0:
         raise np.linalg.LinAlgError("singular innovation covariance (2)")
     l21 = a21 / a11
     a22 -= l21 * a12
-    if a22 == 0.0:
+    if a22 <= 0.0:
         raise np.linalg.LinAlgError("singular innovation covariance (3)")
     # L^-1 e_j, then back substitution, for j = 0, 1, 2
     z2 = (l10 * l21 - l20) / a22
@@ -239,11 +229,9 @@ def _inverse3(s: np.ndarray) -> np.ndarray:
     y1 = (1.0 - a12 * y2) / a11
     x2 = 1.0 / a22
     x1 = -a12 * x2 / a11
-    cols = [None, None, None]
-    cols[p0] = ((1.0 - a01 * z1 - a02 * z2) / a00, z1, z2)
-    cols[p1] = (-(a01 * y1 + a02 * y2) / a00, y1, y2)
-    cols[p2] = (-(a01 * x1 + a02 * x2) / a00, x1, x2)
-    return np.array((*cols[0], *cols[1], *cols[2])).reshape(3, 3).T
+    return np.array(((1.0 - a01 * z1 - a02 * z2) / a00, z1, z2,
+                     -(a01 * y1 + a02 * y2) / a00, y1, y2,
+                     -(a01 * x1 + a02 * x2) / a00, x1, x2)).reshape(3, 3).T
 
 
 def ekf_propagate(x, P: np.ndarray, eta, eta_next, dt: float, Q: np.ndarray,
@@ -258,13 +246,16 @@ def ekf_propagate(x, P: np.ndarray, eta, eta_next, dt: float, Q: np.ndarray,
     partials of dtheta.  The covariance update is P <- Phi P Phi^T + Q dt,
     Q a per-second rate.
 
-    Returns (x, P) after dt.  ValueError if dt is not positive and finite
-    or x, eta or eta_next is not valid (see :func:`relstate._checked_state`
-    and :func:`relstate._checked_reference`); GeometryError if the
-    recovered e2 is not below 1.
+    Returns (x, P) after dt.  ValueError if dt is not positive and finite,
+    Q is not 6x6, or x, eta or eta_next is not valid (see
+    :func:`relstate._checked_state` and
+    :func:`relstate._checked_reference`); GeometryError if the recovered e2
+    is not below 1.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
+    if np.shape(Q) != (6, 6):
+        raise ValueError(f"Q must have shape (6, 6), got {np.shape(Q)}")
     x_new, phi = _coast(_checked_state(x), _checked_reference(eta),
                         _checked_reference(eta_next), dt, mu)
     p_new = phi.dot(P).dot(phi.T)
@@ -282,11 +273,18 @@ def ekf_update(x, P: np.ndarray, eta, z, r_cov: np.ndarray, d: float,
     The azimuth residual is wrapped to (-pi, pi]; elevation and angular
     size are plain scalars.
 
-    Returns (x, P, innovation).  ValueError if eta, x or the posterior mean
-    (a nan measurement makes it nan) is not valid (see
-    :func:`relstate._checked_state` and :func:`relstate._checked_reference`);
-    LinAlgError if the innovation covariance meets a zero pivot.
+    The gain solves the innovation covariance S = H P H^T + r_cov, which
+    must be symmetric positive definite, by :func:`_inverse3`.
+
+    Returns (x, P, innovation).  ValueError if r_cov is not 3x3, or eta, x
+    or the posterior mean (a nan measurement makes it nan) is not valid
+    (see :func:`relstate._checked_state` and
+    :func:`relstate._checked_reference`); LinAlgError if a pivot of S is
+    not positive.
     """
+    if np.shape(r_cov) != (3, 3):
+        raise ValueError(f"r_cov must have shape (3, 3), got "
+                         f"{np.shape(r_cov)}")
     state = _checked_state(x)
     (az, el, beta), h, _ = _predict(state, _checked_reference(eta), d)
     z_az, z_el, z_beta = np.asarray(z, dtype=float).tolist()

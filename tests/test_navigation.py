@@ -450,7 +450,7 @@ def assert_gain_within(s: np.ndarray, hp: np.ndarray, tol: float):
 
 class TestGainSolve:
     """The closed-form 3x3 solve of the update's gain against the exact
-    solve of the same floats, and its zero pivots."""
+    solve of the same floats, and its pivots that are not positive."""
 
     def test_desk_chain_matches_exact_solve(self):
         # S and HP of every 20th update of a desk run at 600 s, formed as
@@ -481,37 +481,37 @@ class TestGainSolve:
         # S = D C D: diagonals 1e-10 to 1e-5, as the desk's beta and angle
         # channels, and a correlation C of eigenvalue spread up to 10 (the
         # desk's S reach 6.0); HP's rows on the scale of S's, as H P's are.
-        # Where a correlation exceeds the ratio of two scales, the row
-        # swap pivots on an off-diagonal entry: partial pivoting, LAPACK
-        # dgesv's too, is not scale invariant. In 20,000 random draws of
-        # this space both lost up to 4.2e-14 of a column's largest entry,
-        # hence the bound here. The S of a desk run at 600 s swap no row.
+        # Elimination without row swaps is scale invariant: with
+        # C = L1 U1, D C D factors as (D L1 D^-1) (D U1 D), so the spread
+        # of the diagonals costs no digits. Pivoting by magnitude, as
+        # LAPACK dgesv does, swaps rows wherever a correlation exceeds the
+        # ratio of two scales, and loses up to 4.2e-14 in this space.
         rot = rot_z(angles[0]) @ rot_x(angles[1]) @ rot_z(angles[2])
         m = (rot * eig) @ rot.T
         d = 10.0 ** (0.5 * np.array(log_diag)) / np.sqrt(np.diag(m))
         s = m * np.outer(d, d)
         s = 0.5 * (s + s.T)
         hp = np.array(g).reshape(3, 6) * np.sqrt(np.diag(s))[:, None]
-        assert_gain_within(s, hp, 1e-13)
+        assert_gain_within(s, hp, 1e-15)
 
-    @pytest.mark.parametrize("s", [
-        [[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [3.0, 1.0, 2.0]],
-        [[1e-20, 1.0, 2.0], [1.0, 1.0, 0.5], [2.0, 0.5, 3.0]],
-        [[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 1.0], [0.0, 1.0, 1.0]]],
-        ids=["zero-leading", "tiny-leading", "tiny-second-pivot"])
-    def test_pivots_on_small_entries(self, s):
-        # well-conditioned, but a zero or tiny entry stands where an
-        # unpivoted elimination would divide by it
-        assert_gain_within(np.array(s), np.eye(3), 1e-15)
-
-    @pytest.mark.parametrize("s, column", [
-        ([[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]], 1),
-        ([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [4.0, 8.0, 7.0]], 2),
-        ([[4.0, 0.0, 1.0], [0.0, 2.0, 1.0], [4.0, 2.0, 2.0]], 3)])
-    def test_zero_pivot_raises(self, s, column):
-        match = rf"singular innovation covariance \({column}\)"
+    @pytest.mark.parametrize("s, pivot", [
+        ([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 3.0]], 1),
+        ([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]], 2),
+        ([[4.0, 0.0, 2.0], [0.0, 2.0, 1.0], [2.0, 1.0, 1.5]], 3)])
+    def test_zero_pivot_raises(self, s, pivot):
+        # symmetric positive semidefinite and singular, the pivot exactly
+        # zero in floats
+        match = rf"singular innovation covariance \({pivot}\)"
         with pytest.raises(np.linalg.LinAlgError, match=match):
             _inverse3(np.array(s))
+
+    def test_indefinite_raises(self):
+        # symmetric, nonsingular and well-conditioned, with one negative
+        # eigenvalue: only the last pivot, -5/3, shows it
+        s = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, -1.0]])
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"singular innovation covariance \(3\)"):
+            _inverse3(s)
 
     def test_zero_covariances_raise(self):
         oe, eta = default_state()
@@ -621,6 +621,25 @@ class TestStateCheck:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             ekf_propagate(oe.as_array(), np.diag([1e-8] * 6), eta.as_array(),
                           eta.as_array(), dt, np.zeros((6, 6)), MU)
+
+    def test_process_noise_diagonal_rejected(self):
+        # the 6-vector of ScenarioConfig.q_diag, which numpy would broadcast
+        # over every row of P
+        oe, eta = default_state()
+        q_diag = np.array(ScenarioConfig().q_diag)
+        with pytest.raises(ValueError,
+                           match=r"Q must have shape \(6, 6\), got \(6,\)"):
+            ekf_propagate(oe.as_array(), np.diag([1e-8] * 6), eta.as_array(),
+                          eta.as_array(), 600.0, q_diag, MU)
+
+    def test_measurement_noise_diagonal_rejected(self):
+        oe, eta = default_state()
+        x, e = oe.as_array(), eta.as_array()
+        z = predict_measurement(x, e, 90.0)[0]
+        r_diag = np.diag(NOISE.covariance())
+        with pytest.raises(ValueError, match=r"r_cov must have shape "
+                           r"\(3, 3\), got \(3,\)"):
+            ekf_update(x, np.diag([1e-8] * 6), e, z, r_diag, 90.0)
 
 
 # The filter step in the ``@`` operator form, one product per operator and
