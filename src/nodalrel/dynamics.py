@@ -6,14 +6,14 @@ element conversions.
 
 Keplerian motion is advanced in closed form by Kepler timing of both
 orbits (:func:`_anomaly_sweep`, the one coast kernel of the truth, the
-filter and the C2 search); perturbed motion and the Cowell oracle are
-integrated by the adaptive Dormand-Prince 8(5,3) method (scipy's DOP853),
-one solve per trajectory at its sample times, at relative tolerance RTOL;
-only the forced C2 search and the maneuver replay keep its dense
-interpolant.  ``scipy.integrate`` is imported on the first solve, not with
-this module, so the closed-form paths (the truth, the filter, the
-unperturbed C2 search and the exported flow of :func:`unperturbed_flow`)
-never load it.
+filter and the C2 search, over a fixed-operation Kepler solve); perturbed
+motion and the Cowell oracle are integrated by the adaptive
+Dormand-Prince 8(5,3) method (scipy's DOP853), one solve per trajectory
+at its sample times, at relative tolerance RTOL; only the forced C2
+search and the maneuver replay keep its dense interpolant.
+``scipy.integrate`` is imported on the first solve, not with this module,
+so the closed-form paths (the truth, the filter, the unperturbed C2
+search and the exported flow of :func:`unperturbed_flow`) never load it.
 """
 
 from __future__ import annotations
@@ -87,28 +87,25 @@ class CowellTrajectory:
 
 # --- Kepler timing ---
 
-#: Newton step size (rad) below which a Kepler solve has converged, and
-#: the iterations it may take.
-KEPLER_TOL = 1e-14
-KEPLER_MAX_ITER = 60
-
 #: The float functions of :func:`_trig`.
-_MATH = (math.sin, math.cos, math.atan2, abs, float)
+_MATH = (math.sin, math.cos, math.atan2, float)
+
+#: Markley's starter takes alpha = _ALPHA0 + _ALPHA1 (pi - |M|) / (1 + e).
+_ALPHA0 = 3.0 * math.pi ** 2 / (math.pi ** 2 - 6.0)
+_ALPHA1 = 1.6 * math.pi / (math.pi ** 2 - 6.0)
 
 
 def _trig(x):
-    """(x, sin, cos, atan2, amax, out) for bodies written once for both
-    number types: a number keeps the ``math`` functions and ``abs`` and a
-    0-d array becomes a float; any other x becomes a float array with
-    numpy's functions, amax being the largest |entry|.  out gives a result
-    the type of x."""
+    """(x, sin, cos, atan2, out) for bodies written once for both number
+    types: a number keeps the ``math`` functions and a 0-d array becomes a
+    float; any other x becomes a float array with numpy's functions.  out
+    gives a result the type of x."""
     if isinstance(x, (int, float)):
         return (x, *_MATH)
     x = np.asarray(x, dtype=float)
     if not x.ndim:
         return (float(x), *_MATH)
-    return (x, np.sin, np.cos, np.arctan2, lambda step: np.abs(step).max(),
-            np.asarray)
+    return (x, np.sin, np.cos, np.arctan2, np.asarray)
 
 
 def true_to_mean_anomaly(nu, e: float, fns=None):
@@ -117,40 +114,38 @@ def true_to_mean_anomaly(nu, e: float, fns=None):
     ``_trig(nu)`` when the caller has dispatched nu already)."""
     if fns is None:
         nu, *fns = _trig(nu)
-    sin, cos, atan2, _, out = fns
+    sin, cos, atan2, out = fns
     ecc_anom = atan2(math.sqrt(1.0 - e * e) * sin(nu), e + cos(nu))
     return out(ecc_anom - e * sin(ecc_anom))
 
 
 def mean_to_true_anomaly(m, e: float, fns=None):
-    """True anomaly from mean anomaly by Newton iteration on Kepler's
-    equation, vectorized over m (see :func:`_trig`; fns as in
-    :func:`true_to_mean_anomaly`); an array iterates until its worst
-    element converges.
-
-    Raises
-    ------
-    StepFailure
-        If the Newton step is not below KEPLER_TOL after KEPLER_MAX_ITER
-        iterations.
-    """
+    """True anomaly from mean anomaly for eccentricity e in [0, 1),
+    vectorized over m (see :func:`_trig`; fns as in
+    :func:`true_to_mean_anomaly`), with a fixed operation count: Markley's
+    starter and one fourth-order correction of the eccentric anomaly
+    (Markley 1995, Celest. Mech. Dyn. Astron. 63).  Against a 200-bit solve
+    it measured within 1.5 units for e <= 0.9999, a unit being
+    ulp(max(|m|, pi)) dnu/dM + ulp(pi)."""
     if fns is None:
         m, *fns = _trig(m)
-    sin, cos, atan2, amax, out = fns
-    m_wrapped = (m + math.pi) % (2.0 * math.pi) - math.pi
-    # Danby starter E = M + 0.85 e sign(sin M) keeps Newton safe up to high
-    # eccentricity.
-    sin_m = sin(m_wrapped)
-    ecc_anom = m_wrapped + 0.85 * e * ((sin_m > 0.0) * 1.0 - (sin_m < 0.0))
-    for _ in range(KEPLER_MAX_ITER):
-        step = ((ecc_anom - e * sin(ecc_anom) - m_wrapped)
-                / (1.0 - e * cos(ecc_anom)))
-        ecc_anom = ecc_anom - step
-        if amax(step) < KEPLER_TOL:
-            break
-    else:
-        raise StepFailure(
-            f"Kepler solve not converged in {KEPLER_MAX_ITER} iterations")
+    sin, cos, atan2, out = fns
+    m = (m + math.pi) % (2.0 * math.pi) - math.pi
+    # The starter is the root of a cubic in E; its discriminant q^3 + r^2
+    # is at least r^2 - m^6 > 0.
+    alpha = _ALPHA0 + _ALPHA1 * (math.pi - abs(m)) / (1.0 + e)
+    d = 3.0 * (1.0 - e) + alpha * e
+    q = 2.0 * alpha * d * (1.0 - e) - m * m
+    r = (3.0 * alpha * d * (d - 1.0 + e) + m * m) * m
+    w = (abs(r) + (q * q * q + r * r) ** 0.5) ** (1.0 / 3.0)
+    w = w * w
+    ecc_anom = (2.0 * r * w / (w * w + w * q + q * q) + m) / d
+    # f = E - e sin E - m and its first three derivatives at the starter;
+    # d3 is the third-order step, which the fourth-order one refines.
+    f2, f3 = e * sin(ecc_anom), e * cos(ecc_anom)
+    f0, f1 = ecc_anom - f2 - m, 1.0 - f3
+    d3 = -f0 / (f1 - 0.5 * f0 * f2 / f1)
+    ecc_anom = ecc_anom - f0 / (f1 + (0.5 * f2 + f3 * d3 / 6.0) * d3)
     return out(atan2(math.sqrt(1.0 - e * e) * sin(ecc_anom),
                      cos(ecc_anom) - e))
 
@@ -208,7 +203,10 @@ def _anomaly_sweep(pair, dh, t, mu: float, nu1t=None):
 
 def kepler_advance(el: ClassicalElements, dt: float, mu: float,
                    ) -> ClassicalElements:
-    """Coast a classical-element set by dt seconds (only nu changes)."""
+    """Coast a classical-element set by dt seconds (only nu changes);
+    raises ValueError if dt is not finite."""
+    if not math.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     return replace(el, nu=float(advance_true_anomaly(el.nu, el.e, el.a, dt, mu)))
 
 
@@ -311,7 +309,8 @@ def _unperturbed_rates(dtheta, dp, dxx, dxy, hx, hy, p1, ec, es, mu):
 def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
                      mu: float, t) -> tuple[np.ndarray, np.ndarray]:
     """Exact unperturbed flow of (oe, eta) at times t (s, relative to the
-    state epoch), via Kepler timing of both recovered orbits.
+    state epoch), via Kepler timing of both recovered orbits; raises
+    ValueError if a time is not finite.
 
     Returns
     -------
@@ -319,6 +318,8 @@ def unperturbed_flow(oe: NodalRelativeState, eta: ReferenceParams,
         Arrays of shape (n, 6) and (n, 3).
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.isfinite(t).all():
+        raise ValueError("t must be finite")
     *_, dtheta, dxx, dxy, hx, hy, ec, es = _anomaly_sweep(
         _kepler_pair(*_floats(oe, eta)), (oe.dh_x, oe.dh_y), t, mu)
     oe_arr = np.stack([wrap_angle(dtheta), np.full(t.size, oe.dp),

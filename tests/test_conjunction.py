@@ -429,24 +429,31 @@ class TestC2:
         assert expected.collides and evals and min(evals) > 0
 
     def test_unperturbed_matches_vectorized_reference(self):
-        lead = PERTURBED_LEAD
         for el1, el2, _, _ in perturbed_pairs(63, 4):
-            for dt2 in (0.0, 2.0):
-                # dt2 > 0 moves satellite 2 back along its orbit: a near
-                # miss instead of a collision.
-                oe, eta = oe_from_classical(
-                    el1, kepler_advance(el2, -dt2, MU))
-                res = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU,
-                               miss_tol=1.0)
-                if dt2 == 0.0:
-                    assert res.collides
-                    assert res.d_min <= 1e-4
-                    assert abs(res.t_min - lead) <= 1e-3
-                else:
+            res = c2_check(*oe_from_classical(el1, el2), 0.0,
+                           PERTURBED_WINDOW, MU, miss_tol=1.0)
+            assert res.collides
+            assert res.d_min <= 1e-4
+            assert abs(res.t_min - PERTURBED_LEAD) <= 1e-3
+        for seed in range(60, 72):
+            for el1, el2, _, _ in perturbed_pairs(seed, 4):
+                for dt2 in (2.0, 3.0):
+                    # Moving satellite 2 back along its orbit makes a near
+                    # miss instead of a collision.
+                    oe, eta = oe_from_classical(
+                        el1, kepler_advance(el2, -dt2, MU))
+                    res = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU,
+                                   miss_tol=1.0)
                     ref = reference_c2_unperturbed(
                         oe, eta, 0.0, PERTURBED_WINDOW, MU, 1.0)
-                    assert abs(res.d_min - ref.d_min) <= 1e-6
-                    assert abs(res.t_min - ref.t_min) <= 1e-6
+                    # The two distance functions differ by ~1e-11 km of
+                    # rounding near a minimum whose curvature is ~0.1
+                    # km/s^2, so rounding fixes its time only to ~3e-5 s:
+                    # t_min must be optimal in the reference's distance.
+                    d_ref_at_t_min = separation_distance(*unperturbed_flow(
+                        oe, eta, MU, [res.t_min]))[0]
+                    assert d_ref_at_t_min - ref.d_min <= 1e-10
+                    assert abs(res.d_min - ref.d_min) <= 1e-10
                     assert res.collides == ref.collides
 
     def test_perturbed_matches_reintegrating_reference(self):

@@ -213,8 +213,8 @@ def kernel_scales(oe, eta):
 @given(state_and_reference(), st.lists(st.floats(0.0, 1.0), min_size=1,
                                        max_size=5))
 def test_coast_kernel_float_and_array_rows_agree(pair, fractions):
-    # A float t takes the math path, an array the numpy path (its Newton
-    # loop runs until the worst element converges); angles compared wrapped.
+    # A float t takes the math path, an array the numpy path; angles
+    # compared wrapped.
     oe, eta = pair
     kp, dh = _kepler_pair(*_floats(oe, eta)), (oe.dh_x, oe.dh_y)
     times = [3.0 * orbital_period(kp[2], MU_EARTH) * f for f in fractions]
