@@ -36,7 +36,10 @@ def _load_cfg(args) -> sim.ScenarioConfig:
 
 def _pair_from_args(args):
     """(oe, eta, mu) of the --orbit1/--orbit2 pair (angles in degrees) and
-    --mu, which defaults to Earth's."""
+    --mu, which defaults to Earth's; raises ValueError if --mu is not finite
+    and > 0."""
+    if args.mu is not None and not 0.0 < args.mu < math.inf:
+        raise ValueError(f"--mu must be finite and > 0, got {args.mu}")
     el1, el2 = (ClassicalElements(a=a, e=e, i=i * DEG, raan=raan * DEG,
                                   argp=argp * DEG, nu=nu * DEG)
                 for a, e, i, raan, argp, nu in (args.orbit1, args.orbit2))

@@ -26,6 +26,7 @@ from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
     _MATH,
     PerturbationInput,
+    _check_mu,
     _phase_sweep,
     _solve_nodal,
     _trig,
@@ -516,8 +517,8 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     Raises
     ------
     ValueError
-        If t0 or tf is not finite, tf does not exceed t0, or miss_tol is
-        not finite and >= 0.
+        If t0 or tf is not finite, tf does not exceed t0, miss_tol is
+        not finite and >= 0, or mu is not finite and > 0.
     GeometryError
         If the recovered e2 of satellite 2 is not below 1.
     """
@@ -528,6 +529,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
         raise ValueError("tf must exceed t0")
     if not 0.0 <= miss_tol < math.inf:
         raise ValueError(f"miss_tol must be finite and >= 0, got {miss_tol}")
+    _check_mu(mu)
     pair = _kepler_pair(*_floats(oe, eta))
     _, _, a1, _, e2, a2, _ = pair
     p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))

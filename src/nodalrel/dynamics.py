@@ -14,6 +14,11 @@ search and the maneuver replay keep its dense interpolant.
 ``scipy.integrate`` is imported on the first solve, not with this module,
 so the closed-form paths (the truth, the filter, the unperturbed C2
 search and the exported flow of :func:`unperturbed_flow`) never load it.
+
+The Cartesian-to-element conversion and the RTN basis are float
+arithmetic over a state's six components (cross products by
+:func:`_cross`).  The element conversions, :func:`kepler_advance` and
+``conjunction.c2_check`` reject a mu that is not finite and > 0.
 """
 
 from __future__ import annotations
@@ -52,16 +57,25 @@ class PerturbationInput:
 
 @dataclass(frozen=True)
 class CartesianState:
-    """Inertial (PCI) position (km) and velocity (km/s)."""
+    """Inertial (PCI) position (km) and velocity (km/s), each stored as a
+    float (3,) array.  Raises ValueError, naming the field, if r or v is not
+    a finite (3,) vector, or if r is zero."""
 
     r: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if not np.linalg.norm(self.r) > 0.0:
-            raise ValueError("position vector must be nonzero")
+        for name in ("r", "v"):
+            x = np.asarray(getattr(self, name), dtype=float)
+            if x.shape != (3,):
+                raise ValueError(
+                    f"{name} must be a (3,) vector, got shape {x.shape}")
+            xs = x.tolist()
+            if not all(map(math.isfinite, xs)):
+                raise ValueError(f"{name} must be finite, got {xs}")
+            if name == "r" and not _dot(xs, xs) > 0.0:
+                raise ValueError("position vector must be nonzero")
+            object.__setattr__(self, name, x)
 
 
 @dataclass(frozen=True)
@@ -201,12 +215,19 @@ def _anomaly_sweep(pair, dh, t, mu: float, nu1t=None):
             hx, hy, ec, es)
 
 
+def _check_mu(mu: float) -> None:
+    """Raise ValueError, naming mu, unless mu is finite and > 0."""
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+
+
 def kepler_advance(el: ClassicalElements, dt: float, mu: float,
                    ) -> ClassicalElements:
     """Coast a classical-element set by dt seconds (only nu changes);
-    raises ValueError if dt is not finite."""
+    raises ValueError if dt is not finite or mu is not finite and > 0."""
     if not math.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
+    _check_mu(mu)
     return replace(el, nu=float(advance_true_anomaly(el.nu, el.e, el.a, dt, mu)))
 
 
@@ -217,8 +238,25 @@ def orbital_period(a: float, mu: float) -> float:
 
 # --- Element conversions (oracle bridge) ---
 
+def _dot(a, b) -> float:
+    """a . b of two 3-sequences of floats, summed in index order."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return ax * bx + ay * by + az * bz
+
+
+def _cross(a, b) -> tuple:
+    """a x b of two 3-sequences of floats, as a 3-tuple: two products and a
+    difference per component, as np.cross computes them, so its bits."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
 def elements_to_cartesian(el: ClassicalElements, mu: float) -> CartesianState:
-    """Inertial state from classical elements (standard perifocal route)."""
+    """Inertial state from classical elements (standard perifocal route);
+    raises ValueError if mu is not finite and > 0."""
+    _check_mu(mu)
     p = el.p
     r_mag = p / (1.0 + el.e * math.cos(el.nu))
     r_pqw = np.array([r_mag * math.cos(el.nu), r_mag * math.sin(el.nu), 0.0])
@@ -230,7 +268,9 @@ def elements_to_cartesian(el: ClassicalElements, mu: float) -> CartesianState:
 
 def cartesian_to_elements(state: CartesianState, mu: float,
                           ) -> ClassicalElements:
-    """Osculating classical elements from an inertial state.
+    """Osculating classical elements from an inertial state, in float
+    arithmetic over its six components (no numpy call; each norm and dot
+    product is summed in index order).
 
     Degenerate conventions: for e < CIRCULAR_E_TOL the periapsis is
     undefined and argp = 0 with the phase folded into nu (measured from the
@@ -239,45 +279,53 @@ def cartesian_to_elements(state: CartesianState, mu: float,
 
     Raises
     ------
+    ValueError
+        If mu is not finite and > 0.
     GeometryError
         If the state is not a closed (elliptic) orbit.
     """
-    r, v = state.r, state.v
-    r_mag = float(np.linalg.norm(r))
-    h_vec = np.cross(r, v)
-    h_mag = float(np.linalg.norm(h_vec))
+    _check_mu(mu)
+    r, v = state.r.tolist(), state.v.tolist()
+    rx, ry, rz = r
+    r_mag = math.sqrt(_dot(r, r))
+    h = hx, hy, hz = _cross(r, v)
+    h_mag = math.sqrt(_dot(h, h))
     if h_mag == 0.0:
         raise GeometryError("rectilinear trajectory: angular momentum is zero")
-    h_hat = h_vec / h_mag
 
-    energy = 0.5 * float(v @ v) - mu / r_mag
+    energy = 0.5 * _dot(v, v) - mu / r_mag
     if not energy < 0.0:
         raise GeometryError(f"state is not elliptic (energy {energy} >= 0)")
     a = -mu / (2.0 * energy)
 
-    e_vec = np.cross(v, h_vec) / mu - r / r_mag
-    e = float(np.linalg.norm(e_vec))
+    cx, cy, cz = _cross(v, h)
+    e_vec = ex, ey, ez = (cx / mu - rx / r_mag, cy / mu - ry / r_mag,
+                          cz / mu - rz / r_mag)
+    e = math.sqrt(_dot(e_vec, e_vec))
     if not e < 1.0:
         raise GeometryError(f"eccentricity {e} is not < 1")
 
-    inc = math.atan2(math.hypot(h_vec[0], h_vec[1]), h_vec[2])
+    inc = math.atan2(math.hypot(hx, hy), hz)
     if inc < EQUATORIAL_I_TOL:
         raan = 0.0
-        node = np.array([1.0, 0.0, 0.0])
+        node = (1.0, 0.0, 0.0)
     else:
-        raan = math.atan2(h_vec[0], -h_vec[1])
-        node = np.array([math.cos(raan), math.sin(raan), 0.0])
+        raan = math.atan2(hx, -hy)
+        node = (math.cos(raan), math.sin(raan), 0.0)
+    h_hat = (hx / h_mag, hy / h_mag, hz / h_mag)
+    r_hat = (rx / r_mag, ry / r_mag, rz / r_mag)
 
-    def angle_about_h(u: np.ndarray, w: np.ndarray) -> float:
-        return math.atan2(float(np.cross(u, w) @ h_hat), float(u @ w))
+    def angle_about_h(u, w) -> float:
+        return math.atan2(_dot(_cross(u, w), h_hat), _dot(u, w))
 
     if e < CIRCULAR_E_TOL:
         argp = 0.0
-        nu = angle_about_h(node, r / r_mag)
+        nu = angle_about_h(node, r_hat)
         e = 0.0
     else:
-        argp = angle_about_h(node, e_vec / e)
-        nu = angle_about_h(e_vec / e, r / r_mag)
+        e_hat = (ex / e, ey / e, ez / e)
+        argp = angle_about_h(node, e_hat)
+        nu = angle_about_h(e_hat, r_hat)
 
     return ClassicalElements(a=a, e=e, i=inc, raan=raan, argp=argp, nu=nu)
 
@@ -478,17 +526,15 @@ def propagate(oe: NodalRelativeState, eta: ReferenceParams, t, mu: float,
 
 def _rtn_rows(rx, ry, rz, vx, vy, vz) -> tuple:
     """The RTN unit vectors (rows R, T, N, each a 3-tuple) of a satellite at
-    PCI position r and velocity v given as floats: h = r x v and t = n x r
-    written out in float arithmetic, as the Cowell right-hand side needs
-    them once per evaluation under thrust."""
-    hx, hy, hz = ry * vz - rz * vy, rz * vx - rx * vz, rx * vy - ry * vx
+    PCI position r and velocity v given as floats, in float arithmetic, as
+    the Cowell right-hand side needs them once per evaluation under thrust:
+    h = r x v and t = n x r by :func:`_cross`."""
+    hx, hy, hz = _cross((rx, ry, rz), (vx, vy, vz))
     r_mag = math.sqrt(rx * rx + ry * ry + rz * rz)
     h_mag = math.sqrt(hx * hx + hy * hy + hz * hz)
-    rx, ry, rz = rx / r_mag, ry / r_mag, rz / r_mag
-    hx, hy, hz = hx / h_mag, hy / h_mag, hz / h_mag
-    return ((rx, ry, rz),
-            (hy * rz - hz * ry, hz * rx - hx * rz, hx * ry - hy * rx),
-            (hx, hy, hz))
+    r_hat = (rx / r_mag, ry / r_mag, rz / r_mag)
+    n_hat = (hx / h_mag, hy / h_mag, hz / h_mag)
+    return r_hat, _cross(n_hat, r_hat), n_hat
 
 
 def rtn_basis(r: np.ndarray, v: np.ndarray) -> np.ndarray:

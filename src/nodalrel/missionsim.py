@@ -37,6 +37,7 @@ from .dynamics import (
     RTOL,
     CartesianState,
     PerturbationInput,
+    _cross,
     _solve_cowell,
     apply_impulse,
     cartesian_to_elements,
@@ -399,7 +400,7 @@ def build_collision_scenario(spec: EncounterSpec, target: ClassicalElements,
     # sign makes r_hat . (h1 x h2) = sin(gamma) > 0, i.e. the impact point
     # is the ascending crossing of satellite 2 through plane 1.
     h1_hat = math.cos(spec.gamma) * h2_hat + math.sin(spec.gamma) * t2_hat
-    t1_hat = np.cross(h1_hat, r_hat)
+    t1_hat = np.array(_cross(h1_hat.tolist(), r_hat.tolist()))
 
     w = spec.transverse_speed
     disc = (spec.relative_speed ** 2

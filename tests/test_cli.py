@@ -172,6 +172,20 @@ def test_screen_rejects_bad_c2_inputs(capsys, flags, name):
                  *flags]))
 
 
+@pytest.mark.parametrize("command, mu", [
+    # screen --mu 0 died with a ZeroDivisionError, --mu -1 printed "math
+    # domain error", and propagate wrote a trajectory at mu 0 or nan.
+    ("screen", "0"), ("screen", "-1"), ("screen", "inf"),
+    ("propagate", "0"), ("propagate", "nan"),
+])
+def test_bad_mu_exits_2(tmp_path, capsys, command, mu):
+    out = ["--out", str(tmp_path)] if command == "propagate" else []
+    assert re.match(r"^--mu must be finite and > 0", cli_error(
+        capsys, [command, "--orbit1", *ORBIT1, "--orbit2", *ORBIT2,
+                 "--mu", mu, "--tf", "2000", *out]))
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("index, field", [(0, "a"), (3, "raan"),
                                           (4, "argp"), (5, "nu")])
 def test_nonfinite_orbit_exits_2(capsys, index, field):
