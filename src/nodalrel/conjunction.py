@@ -8,9 +8,10 @@ nodes, which reduces C1 to scalar margins at the two node crossings; the
 ascending margin is the collision safety margin zeta used for maneuver
 planning.
 
-The C2 refinement's bounded Brent search imports ``scipy.optimize`` on its
-first call, not with this module: screening by C1 and zeta, and the filter
-that reads zeta, never load it.
+C2 refines its close approaches with the package's own bounded Brent
+search, float arithmetic that takes scipy's steps bit for bit, so the
+unperturbed search loads no scipy module; only the forced C2's DOP853
+solve does.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .dynamics import (
     _MATH,
     PerturbationInput,
     _check_mu,
+    _kepler_clock,
     _phase_sweep,
     _solve_nodal,
     _trig,
@@ -255,24 +257,105 @@ PLANE_BOUND_SLACK = 1e-12
 ROUNDING_ULPS = 64.0
 
 
-def _scipy_minimize_scalar(*args, **kwargs):
-    """scipy's minimize_scalar, imported on its first call."""
-    from scipy.optimize import minimize_scalar as scipy_minimize_scalar
-    return scipy_minimize_scalar(*args, **kwargs)
+class _BrentResult(NamedTuple):
+    """What :func:`_bounded_brent` found: the best abscissa x, its value
+    fun, and the number nfev of objective evaluations."""
+
+    x: float
+    fun: float
+    nfev: int
+
+
+#: The golden-section fraction (3 - sqrt 5) / 2 of :func:`_bounded_brent`.
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+#: The relative step floor of :func:`_bounded_brent`: scipy's sqrt(2.2e-16).
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_brent(fun, bounds, xatol: float, maxiter: int) -> _BrentResult:
+    """Minimum of fun on the finite interval bounds = (a, b), a <= b, by
+    Brent's bounded search (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 5): scipy's ``minimize_scalar(method="bounded")`` step
+    for step, in float arithmetic, so its points, result and nfev are
+    scipy's bit for bit.
+
+    Each step fits a parabola through the best three points and takes its
+    vertex if that lies inside the bracket and moves less than half the
+    step before last; otherwise it takes the golden section of the larger
+    side.  No step is shorter than tol1 = sqrt(2.2e-16) |x| + xatol / 3.
+    The search stops when the bracket lies within 2 tol1 of its best point,
+    or after maxiter evaluations."""
+    a, b = bounds
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = fun(xf)
+    nfev = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
+        fu = fun(x)
+        nfev += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if nfev >= maxiter:
+            break
+    return _BrentResult(x=xf, fun=fx, nfev=nfev)
 
 
 #: The minimizer :func:`_refine` looks up at each call, so that it can be
 #: wrapped (the benchmark's tracer counts its evaluations here).
-minimize_scalar = _scipy_minimize_scalar
+minimize_scalar = _bounded_brent
 
 
 def _refine(distance, lo, hi) -> tuple[float, float]:
-    """(t, d) of a bounded Brent search on s = t - lo in [0, hi - lo]: on t
-    itself scipy's tolerance sqrt(eps) |t| + xatol / 3 would grow with |t|."""
+    """(t, d) of a :func:`_bounded_brent` search to within 1e-9 s, at most
+    200 evaluations, for the minimum of distance on [lo, hi].  It runs on
+    the offset s = t - lo in [0, hi - lo], because on t itself the step
+    floor sqrt(2.2e-16) |t| would grow with the time origin."""
     lo = float(lo)
     res = minimize_scalar(lambda s: distance(lo + s),
-                          bounds=(0.0, float(hi) - lo), method="bounded",
-                          options={"xatol": 1e-9, "maxiter": 200})
+                          (0.0, float(hi) - lo), xatol=1e-9, maxiter=200)
     return lo + float(res.x), float(res.fun)
 
 
@@ -531,19 +614,22 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
         raise ValueError(f"miss_tol must be finite and >= 0, got {miss_tol}")
     _check_mu(mu)
     pair = _kepler_pair(*_floats(oe, eta))
-    _, _, a1, _, e2, a2, _ = pair
+    nu10, e1, a1, nu20, e2, a2, _ = pair
     p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
     n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
     t_grid = np.linspace(t0, tf, n_samples)
 
     if u is None:
         p1, p2 = eta.p1, eta.p1 * (1.0 + oe.dp)
+        dh = (oe.dh_x, oe.dh_y)
+        clocks = (_kepler_clock(nu10, e1, a1, mu),
+                  _kepler_clock(nu20, e2, a2, mu))
 
         def distance(t):
             t, *fns = _trig(t)
             sin, cos = fns[:2]
             _, nu2, _, _, dtheta, hx, hy, ec = _phase_sweep(
-                pair, (oe.dh_x, oe.dh_y), t - t0, mu, fns)
+                pair, dh, t - t0, mu, fns, None, clocks)
             half = 0.5 * dtheta
             return _separation(p1 / (1.0 + ec), p2 / (1.0 + e2 * cos(nu2)),
                                sin(half), cos(half), hx, hy)

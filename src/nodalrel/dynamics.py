@@ -164,42 +164,54 @@ def mean_to_true_anomaly(m, e: float, fns=None):
                      cos(ecc_anom) - e))
 
 
+def _kepler_clock(nu0: float, e: float, a: float, mu: float) -> tuple:
+    """(m0, n): the mean anomaly at the float anomaly nu0 and the mean
+    motion, the terms of :func:`advance_true_anomaly` that dt leaves
+    unchanged."""
+    return true_to_mean_anomaly(nu0, e, _MATH), math.sqrt(mu / a ** 3)
+
+
 def advance_true_anomaly(nu0: float, e: float, a: float, dt, mu: float,
-                         fns=None):
+                         fns=None, clock=None):
     """True anomaly after coasting dt seconds on a fixed ellipse from the
-    float anomaly nu0 (fns as in :func:`true_to_mean_anomaly`).
+    float anomaly nu0 (fns as in :func:`true_to_mean_anomaly`; clock, if
+    given, is nu0's :func:`_kepler_clock`, computed once for many coasts).
 
     dt may be an array; the returned anomaly is unwrapped only modulo 2 pi.
     """
     if fns is None:
         dt, *fns = _trig(dt)
-    m = true_to_mean_anomaly(nu0, e, _MATH) + math.sqrt(mu / a ** 3) * dt
-    return mean_to_true_anomaly(m, e, fns=fns)
+    m0, n = _kepler_clock(nu0, e, a, mu) if clock is None else clock
+    return mean_to_true_anomaly(m0 + n * dt, e, fns=fns)
 
 
-def _phase_sweep(pair, dh, t, mu: float, fns, nu1t=None):
+def _phase_sweep(pair, dh, t, mu: float, fns, nu1t=None,
+                 clocks=(None, None)):
     """The part of :func:`_anomaly_sweep` that the C2 distance needs:
     (nu1t, nu2t, c, s, dtheta_t, dh_x, dh_y, ec), as named there, with t
-    and fns from one :func:`_trig` dispatch and nu1t as there."""
+    and fns from one :func:`_trig` dispatch, nu1t as there and clocks the
+    two satellites' :func:`_kepler_clock` (or None) at the epoch."""
     nu10, e1, a1, nu20, e2, a2, dlambda = pair
     sin, cos = fns[:2]
+    clock1, clock2 = clocks
     if nu1t is None:
-        nu1t = advance_true_anomaly(nu10, e1, a1, t, mu, fns)
-    nu2t = advance_true_anomaly(nu20, e2, a2, t, mu, fns)
+        nu1t = advance_true_anomaly(nu10, e1, a1, t, mu, fns, clock1)
+    nu2t = advance_true_anomaly(nu20, e2, a2, t, mu, fns, clock2)
     c, s = cos(nu1t - nu10), sin(nu1t - nu10)
     hx, hy = dh
     return (nu1t, nu2t, c, s, nu2t - nu1t + dlambda,
             c * hx - s * hy, s * hx + c * hy, e1 * cos(nu1t))
 
 
-def _anomaly_sweep(pair, dh, t, mu: float, nu1t=None):
+def _anomaly_sweep(pair, dh, t, mu: float, nu1t=None, clocks=(None, None)):
     """Keplerian coast of a nodal state t s after its epoch: the one closed
     form of the unperturbed flow, the filter's coast and the C2 distance.
 
     pair is the state's :func:`relstate._kepler_pair` and dh its (dh_x,
     dh_y); t is a float or an array (see :func:`_trig`).  Returns (nu1t,
     nu2t, c, s, dtheta_t, dxi_x, dxi_y, dh_x, dh_y, ec, es) at t: both true
-    anomalies (Kepler-solved, nu1t unless given), the cosine and sine of the
+    anomalies (Kepler-solved from the epoch's clocks as in
+    :func:`_phase_sweep`, nu1t unless given), the cosine and sine of the
     reference sweep nu1t - nu10, dtheta_t = nu2t - nu1t + dlambda unwrapped,
     the eccentricity difference e2 (cos, sin)(nu1t - dlambda) - e1 (cos,
     sin) nu1t, the inclination vector rotated by the sweep, and the
@@ -208,7 +220,7 @@ def _anomaly_sweep(pair, dh, t, mu: float, nu1t=None):
     t, *fns = _trig(t)
     sin, cos = fns[:2]
     nu1t, nu2t, c, s, dtheta, hx, hy, ec = _phase_sweep(pair, dh, t, mu,
-                                                        fns, nu1t)
+                                                        fns, nu1t, clocks)
     es = e1 * sin(nu1t)
     return (nu1t, nu2t, c, s, dtheta,
             e2 * cos(nu1t - dlambda) - ec, e2 * sin(nu1t - dlambda) - es,

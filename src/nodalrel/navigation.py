@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroRange
-from .dynamics import _anomaly_sweep
+from .dynamics import _anomaly_sweep, _kepler_clock
 from .frames import wrap_angle
 from .relstate import (_checked_reference, _checked_state, _kepler_pair,
                        _reference_anomaly, _scalar_position)
@@ -174,11 +174,12 @@ def _coast(state, ref, ref_next, dt: float, mu: float,
     nu10, e1, a1, nu20, e2, a2, dlambda = pair
     nu1t = (_reference_anomaly(*ref_next[1:]) if e1 >= sys.float_info.min
             else nu10 + math.sqrt(mu / a1 ** 3) * dt)
+    clock2 = _kepler_clock(nu20, e2, a2, mu)
     _, nu2t, c, s, dtheta, *dxi_dh, _, _ = _anomaly_sweep(
-        pair, (hx, hy), dt, mu, nu1t)
+        pair, (hx, hy), dt, mu, nu1t, (None, clock2))
 
     om = 1.0 - e2 * e2
-    n2dt = math.sqrt(mu / a2 ** 3) * dt
+    n2dt = clock2[1] * dt
     c0, ct = math.cos(nu20), math.cos(nu2t)
     w0, wt = 1.0 + e2 * c0, 1.0 + e2 * ct
     r = (wt / w0) ** 2  # d(nu2t)/d(nu20)

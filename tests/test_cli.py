@@ -260,7 +260,7 @@ def test_montecarlo_command_in_parallel(tmp_path, capsys):
 #: after each step, whether any scipy module, scipy.integrate and
 #: scipy.optimize are loaded.
 SCIPY_LOADS = """
-import json, sys, tempfile
+import json, os, sys, tempfile
 from dataclasses import replace
 
 def loaded():
@@ -278,26 +278,97 @@ with tempfile.TemporaryDirectory() as out:
     cli.main(["propagate", *pair, "--tf", "5000", "--samples", "5",
               "--out", out])
 seen["propagate"] = loaded()
+with tempfile.TemporaryDirectory() as out:
+    cfg = os.path.join(out, "cfg.json")
+    with open(cfg, "w") as f:
+        json.dump(%r, f)
+    cli.main(["flyby", "--config", cfg, "--seed", "7", "--out", out])
+seen["flyby --out"] = loaded()
 cli.main(["screen", *pair, "--tf", "20000"])
 seen["screen --tf"] = loaded()
 cli.main(["validate"])
 seen["validate"] = loaded()
 print(json.dumps(seen))
-""" % (ORBIT1, ORBIT2)
+"""
 
 
-def test_scipy_integrator_and_optimizer_load_where_they_run():
-    # The campaign, the truth and the exported flow are closed form, and
-    # the filter's gain solve is float arithmetic: the package and their
-    # commands load no scipy module at all.
+#: The 2-run campaign at a 3 h cadence that the fresh-interpreter tests run.
+TINY_CONFIG = {"sample_dt": 10800.0, "mc_runs": 2}
+
+
+def run_fresh(script, *args):
+    """stdout of script run by a fresh interpreter on the package's src."""
     src = os.path.dirname(os.path.dirname(nodalrel.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", SCIPY_LOADS], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {
+    return proc.stdout
+
+
+def test_scipy_integrator_and_optimizer_load_where_they_run():
+    # The campaign, the truth, the exported flow and the unperturbed C2
+    # search are closed form or float arithmetic, and so is the filter's
+    # gain solve: the package and their commands load no scipy module.
+    # Only validate's DOP853 solves do.
+    seen = json.loads(run_fresh(SCIPY_LOADS % (ORBIT1, ORBIT2, TINY_CONFIG))
+                      .splitlines()[-1])
+    assert seen == {
         "import": [False] * 3, "montecarlo": [False] * 3,
-        "propagate": [False] * 3,
-        # the C2 refinement's Brent search, then the DOP853 solves
-        "screen --tf": [True, False, True], "validate": [True] * 3}
+        "propagate": [False] * 3, "flyby --out": [False] * 3,
+        "screen --tf": [False] * 3, "validate": [True] * 3}
+
+
+#: Runs screen --tf, flyby --out and a tiny montecarlo --out into the
+#: directory argv[2], with an import blocker on scipy in sys.meta_path
+#: when argv[1] is "block"; prints each command's stdout as JSON.
+WITHOUT_SCIPY = """
+import contextlib, io, json, os, sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, BlockScipy())
+from nodalrel import cli
+out = sys.argv[2]
+cfg = os.path.join(out, "cfg.json")
+with open(cfg, "w") as f:
+    json.dump(%r, f)
+pair = ["--orbit1", *%r, "--orbit2", *%r]
+printed = {}
+for name, argv in (
+        ("screen", ["screen", *pair, "--tf", "20000"]),
+        ("flyby", ["flyby", "--config", cfg, "--seed", "7",
+                   "--out", os.path.join(out, "flyby")]),
+        ("montecarlo", ["montecarlo", "--config", cfg, "--seed", "7",
+                        "--out", os.path.join(out, "montecarlo")])):
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        assert cli.main(argv) == 0
+    printed[name] = buf.getvalue()
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+print(json.dumps(printed))
+""" % (TINY_CONFIG, ORBIT1, ORBIT2)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy made unimportable, as if not installed: screen --tf, flyby
+    # --out and montecarlo --out print and write the same bytes as with it.
+    runs = {}
+    for mode in ("block", "allow"):
+        (tmp_path / mode).mkdir()
+        runs[mode] = run_fresh(WITHOUT_SCIPY, mode, tmp_path / mode)
+    assert runs["block"] == runs["allow"]
+    files = sorted(p.relative_to(tmp_path / "allow")
+                   for p in (tmp_path / "allow").rglob("*") if p.is_file())
+    assert len(files) > 5
+    assert files == sorted(p.relative_to(tmp_path / "block")
+                           for p in (tmp_path / "block").rglob("*")
+                           if p.is_file())
+    for rel in files:
+        assert ((tmp_path / "block" / rel).read_bytes()
+                == (tmp_path / "allow" / rel).read_bytes()), rel

@@ -38,7 +38,8 @@ from nodalrel import (
 )
 
 from nodalrel import conjunction
-from nodalrel.dynamics import _anomaly_sweep, true_to_mean_anomaly
+from nodalrel.dynamics import (_anomaly_sweep, _phase_sweep, _trig,
+                               true_to_mean_anomaly)
 from nodalrel.missionsim import SCREENING_ROWS, ScenarioConfig, run_flyby
 from nodalrel.relstate import _floats, _kepler_pair, _separation
 
@@ -298,17 +299,68 @@ def reference_c2_perturbed(oe, eta, t0, tf, mu, miss_tol, u):
                         scalar_distance)
 
 
-def reference_c2_unperturbed(oe, eta, t0, tf, mu, miss_tol):
+def reference_c2_vectorized(oe, eta, t0, tf, mu, miss_tol):
     """c2_check without input as it was before the refinement evaluated
     scalar Kepler timing: every objective evaluation is a vectorized
     unperturbed_flow and separation_distance call on a one-element time
-    array.  Kept as the reference for the unperturbed path."""
+    array, and the whole window grid is searched.  Kept as the reference
+    for the unperturbed path's minimum."""
     def distance_at(t):
         return separation_distance(
             *unperturbed_flow(oe, eta, mu, np.atleast_1d(t) - t0))
 
     return reference_c2(oe, eta, t0, tf, mu, miss_tol, distance_at,
                         lambda t: float(distance_at(t)[0]))
+
+
+def scipy_refine(distance, lo, hi):
+    """C2's refinement as it ran on scipy: minimize_scalar's bounded method
+    on the offset s = t - lo, to 1e-9 s in at most 200 evaluations."""
+    lo = float(lo)
+    res = minimize_scalar(lambda s: distance(lo + s),
+                          bounds=(0.0, float(hi) - lo), method="bounded",
+                          options={"xatol": 1e-9, "maxiter": 200})
+    return lo + float(res.x), float(res.fun)
+
+
+def reference_c2_unperturbed(oe, eta, t0, tf, mu, miss_tol):
+    """c2_check without input as it was with scipy's bounded Brent: the
+    node-window search refined by :func:`scipy_refine`, on a distance that
+    Kepler-times both satellites from their epoch anomalies at every
+    evaluation.  Kept as the bit-for-bit reference for the package's own
+    Brent search and its hoisted epoch terms."""
+    pair = _kepler_pair(*_floats(oe, eta))
+    _, _, a1, _, e2, a2, _ = pair
+    p_short = min(orbital_period(a1, mu), orbital_period(a2, mu))
+    n_samples = int(max(math.ceil((tf - t0) / (p_short / 200.0)), 2000))
+    t_grid = np.linspace(t0, tf, n_samples)
+    p1, p2 = eta.p1, eta.p1 * (1.0 + oe.dp)
+
+    def distance(t):
+        t, *fns = _trig(t)
+        sin, cos = fns[:2]
+        _, nu2, _, _, dtheta, hx, hy, ec = _phase_sweep(
+            pair, (oe.dh_x, oe.dh_y), t - t0, mu, fns)
+        half = 0.5 * dtheta
+        return _separation(p1 / (1.0 + ec), p2 / (1.0 + e2 * cos(nu2)),
+                           sin(half), cos(half), hx, hy)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conjunction, "_refine", scipy_refine)
+        bound = conjunction._node_bound(oe, pair, distance, t0, tf, mu)
+        if bound is None:
+            t_min, d_min = conjunction._grid_minimum(distance, t_grid,
+                                                     distance(t_grid))
+        else:
+            t_min, d_min = conjunction._node_window_minimum(
+                distance, t_grid, *bound)
+    return C2Result(collides=d_min <= miss_tol, t_min=t_min, d_min=d_min)
+
+
+def assert_same_bits(res, ref):
+    """Two C2Results with the same t_min and d_min bits and verdict."""
+    assert ((res.t_min.hex(), res.d_min.hex(), res.collides)
+            == (ref.t_min.hex(), ref.d_min.hex(), ref.collides))
 
 
 #: Perturbed-screen pairs: common-point pairs coasted back LEAD seconds and
@@ -328,6 +380,15 @@ def perturbed_pairs(seed, count):
         out.append((kepler_advance(el1, -PERTURBED_LEAD, MU),
                     kepler_advance(el2, -PERTURBED_LEAD, MU), a1, a2))
     return out
+
+
+def perturbed_near_misses():
+    """(oe, eta) of the perturbed pairs of seeds 60-71 with satellite 2
+    moved 2 or 3 s back along its orbit: near misses, not collisions."""
+    for seed in range(60, 72):
+        for el1, el2, _, _ in perturbed_pairs(seed, 4):
+            for dt2 in (2.0, 3.0):
+                yield oe_from_classical(el1, kepler_advance(el2, -dt2, MU))
 
 
 def constant_input(a1, a2):
@@ -435,26 +496,26 @@ class TestC2:
             assert res.collides
             assert res.d_min <= 1e-4
             assert abs(res.t_min - PERTURBED_LEAD) <= 1e-3
-        for seed in range(60, 72):
-            for el1, el2, _, _ in perturbed_pairs(seed, 4):
-                for dt2 in (2.0, 3.0):
-                    # Moving satellite 2 back along its orbit makes a near
-                    # miss instead of a collision.
-                    oe, eta = oe_from_classical(
-                        el1, kepler_advance(el2, -dt2, MU))
-                    res = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU,
-                                   miss_tol=1.0)
-                    ref = reference_c2_unperturbed(
-                        oe, eta, 0.0, PERTURBED_WINDOW, MU, 1.0)
-                    # The two distance functions differ by ~1e-11 km of
-                    # rounding near a minimum whose curvature is ~0.1
-                    # km/s^2, so rounding fixes its time only to ~3e-5 s:
-                    # t_min must be optimal in the reference's distance.
-                    d_ref_at_t_min = separation_distance(*unperturbed_flow(
-                        oe, eta, MU, [res.t_min]))[0]
-                    assert d_ref_at_t_min - ref.d_min <= 1e-10
-                    assert abs(res.d_min - ref.d_min) <= 1e-10
-                    assert res.collides == ref.collides
+        for oe, eta in perturbed_near_misses():
+            res = c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU, miss_tol=1.0)
+            ref = reference_c2_vectorized(oe, eta, 0.0, PERTURBED_WINDOW, MU,
+                                          1.0)
+            # The two distance functions differ by ~1e-11 km of rounding
+            # near a minimum whose curvature is ~0.1 km/s^2, so rounding
+            # fixes its time only to ~3e-5 s: t_min must be optimal in the
+            # reference's distance.
+            d_ref_at_t_min = separation_distance(*unperturbed_flow(
+                oe, eta, MU, [res.t_min]))[0]
+            assert d_ref_at_t_min - ref.d_min <= 1e-10
+            assert abs(res.d_min - ref.d_min) <= 1e-10
+            assert res.collides == ref.collides
+
+    def test_near_misses_match_scipy_reference_bitwise(self):
+        for oe, eta in perturbed_near_misses():
+            assert_same_bits(
+                c2_check(oe, eta, 0.0, PERTURBED_WINDOW, MU, miss_tol=1.0),
+                reference_c2_unperturbed(oe, eta, 0.0, PERTURBED_WINDOW, MU,
+                                         1.0))
 
     def test_perturbed_matches_reintegrating_reference(self):
         for el1, el2, a1, a2 in perturbed_pairs(60, 4):
@@ -545,7 +606,7 @@ def assert_no_worse_than_grid(oe, eta, t0, tf, mu, miss_tol):
     """The node-window search against the whole-window grid reference:
     never a larger minimum (beyond rounding), the same verdict."""
     res = c2_check(oe, eta, t0, tf, mu, miss_tol=miss_tol)
-    ref = reference_c2_unperturbed(oe, eta, t0, tf, mu, miss_tol)
+    ref = reference_c2_vectorized(oe, eta, t0, tf, mu, miss_tol)
     assert res.d_min <= ref.d_min * (1.0 + 1e-7) + 1e-9
     assert res.collides == ref.collides
     return res
@@ -609,10 +670,21 @@ class TestNodeWindowSearch:
                 ReferenceParams.from_array(flyby.truth.eta[k]),
                 float(flyby.truth.t[k]), -cfg.t_end, cfg.mu, 1.0)
 
+    def test_desk_screening_rows_match_scipy_reference_bitwise(
+            self, desk_flyby):
+        cfg, flyby = desk_flyby
+        n = flyby.truth.t.size
+        for k in range(0, n, 10 * max(1, n // SCREENING_ROWS)):
+            args = (NodalRelativeState.from_array(flyby.run.oe_hat[k]),
+                    ReferenceParams.from_array(flyby.truth.eta[k]),
+                    float(flyby.truth.t[k]), -cfg.t_end, cfg.mu, 1.0)
+            assert_same_bits(c2_check(*args),
+                             reference_c2_unperturbed(*args))
+
     def test_refinement_does_not_depend_on_time_origin(self, desk_flyby):
         # One desk estimate row screened over the same span with its times
-        # shifted: scipy's bounded Brent tolerance grows with the magnitude
-        # of its variable, so the refinement must run on offsets.
+        # shifted: the bounded Brent step floor grows with the magnitude of
+        # its variable, so the refinement must run on offsets.
         cfg, flyby = desk_flyby
         k = 2800
         oe = NodalRelativeState.from_array(flyby.run.oe_hat[k])

@@ -4,13 +4,17 @@ analytic Jacobians and the filter's transition row against central
 differences, the coast kernel's float path against its array path and
 the filter's coast against the unperturbed flow, the propagator's forcing
 against the input matrices, the soundness of the C2 search's plane bound;
-over random element pairs, the nodal round trip and the soundness of C1;
-and over random encounter specifications, the constructed collision."""
+over random objectives and brackets, the C2 refinement's bounded Brent
+search against scipy's; over random element pairs, the nodal round trip
+and the soundness of C1; and over random encounter specifications, the
+constructed collision."""
 
 import math
+import struct
 
 import numpy as np
 from hypothesis import assume, example, given, strategies as st
+from scipy.optimize import minimize_scalar
 
 from nodalrel import (
     MU_EARTH,
@@ -37,9 +41,9 @@ from nodalrel import (
     zeta,
     zeta_gradient,
 )
-from nodalrel.conjunction import (_closing_speed, _node_margin_arrays,
-                                  _node_margins, _plane_geometry,
-                                  _plane_windows)
+from nodalrel.conjunction import (_bounded_brent, _closing_speed,
+                                  _node_margin_arrays, _node_margins,
+                                  _plane_geometry, _plane_windows)
 from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
 from nodalrel.navigation import _coast
 from nodalrel.relstate import (_floats, _kepler_pair, _position_arrays,
@@ -317,6 +321,44 @@ def test_separation_rate_within_closing_speed(pair, revolutions):
 ELEMENTS = st.builds(ClassicalElements, a=st.floats(7e3, 5e4),
                      e=st.floats(0.005, 0.85), i=st.floats(0.05, 3.0),
                      raan=ANGLE, argp=ANGLE, nu=ANGLE)
+
+
+def brent_objective(kind, centre):
+    """A V-shaped, smooth, constant or (beyond centre) nan-returning
+    function, with its minimum, if any, at centre."""
+    if kind == "v":
+        return lambda x: abs(x - centre)
+    if kind == "smooth":
+        return lambda x: ((x - centre) * (x - centre)
+                          + 0.25 * math.cos(3.0 * (x - centre)))
+    if kind == "constant":
+        return lambda x: 2.5
+    return lambda x: math.nan if x > centre else (x - centre) * (x - centre)
+
+
+# The C2 refinement's bounded Brent search against scipy's, its oracle, bit
+# for bit: zero-width brackets, origins at the desk flyby's times (~1.7e6
+# s), where the step floor sqrt(2.2e-16) |x| dominates, and a maxiter that
+# binds.
+@example("v", 1.7e6, 0.0, 0.5, 1e-9, 200)
+@example("smooth", 1.7e6, 30.0, 0.3, 1e-9, 3)
+@example("nan", 0.0, 10.0, 0.0, 1e-9, 200)
+@given(kind=st.sampled_from(("v", "smooth", "constant", "nan")),
+       origin=st.one_of(st.floats(-10.0, 10.0),
+                        st.floats(1.7e6 - 1e3, 1.7e6 + 1e3)),
+       width=st.one_of(st.just(0.0), st.floats(1e-9, 1e4)),
+       where=st.floats(-0.5, 1.5),
+       xatol=st.sampled_from((0.0, 1e-9, 1e-5, 0.1)),
+       maxiter=st.one_of(st.integers(1, 12), st.just(200)))
+def test_bounded_brent_matches_scipy_bit_for_bit(kind, origin, width, where,
+                                                 xatol, maxiter):
+    fun = brent_objective(kind, origin + where * width)
+    bounds = (origin, origin + width)
+    res = _bounded_brent(fun, bounds, xatol=xatol, maxiter=maxiter)
+    ref = minimize_scalar(fun, bounds=bounds, method="bounded",
+                          options={"xatol": xatol, "maxiter": maxiter})
+    bits = [struct.pack("<d", x) for x in (res.x, res.fun, ref.x, ref.fun)]
+    assert (bits[:2], res.nfev) == (bits[2:], ref.nfev)
 
 
 @given(ELEMENTS, ELEMENTS)
