@@ -8,10 +8,10 @@ nodes, which reduces C1 to scalar margins at the two node crossings; the
 ascending margin is the collision safety margin zeta used for maneuver
 planning.
 
-C2 refines its close approaches with the package's own bounded Brent
-search, float arithmetic that takes scipy's steps bit for bit, so the
-unperturbed search loads no scipy module; only the forced C2's DOP853
-solve does.
+C2 refines each close approach as the root of the range rate d dd/dt,
+which the separation's closed-form derivative gives along the unperturbed
+and the forced motion alike, so no minimizer is needed; only the forced
+C2's DOP853 solve loads a scipy module.
 """
 
 from __future__ import annotations
@@ -27,11 +27,14 @@ from .errors import ZeroSensitivity, ZetaUndefined
 from .dynamics import (
     _MATH,
     PerturbationInput,
+    _anomaly_sweep,
     _check_mu,
     _kepler_clock,
+    _nodal_rhs,
     _phase_sweep,
     _solve_nodal,
     _trig,
+    _unperturbed_rates,
     input_matrices,
     orbital_period,
     true_to_mean_anomaly,
@@ -41,9 +44,9 @@ from .relstate import (
     ReferenceParams,
     _floats,
     _kepler_pair,
-    _position_kernel,
     _radius_denominator,
     _separation,
+    _separation_rate,
     separation_distance,
 )
 
@@ -257,116 +260,78 @@ PLANE_BOUND_SLACK = 1e-12
 ROUNDING_ULPS = 64.0
 
 
-class _BrentResult(NamedTuple):
-    """What :func:`_bounded_brent` found: the best abscissa x, its value
-    fun, and the number nfev of objective evaluations."""
-
-    x: float
-    fun: float
-    nfev: int
+#: What :func:`_rate_root` found: the smallest distance fun it evaluated,
+#: its time x, and the number nfev of evaluations.
+_Minimum = NamedTuple("_Minimum", [("fun", float), ("x", float),
+                                   ("nfev", int)])
 
 
-#: The golden-section fraction (3 - sqrt 5) / 2 of :func:`_bounded_brent`.
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+def _rate_root(probe, bounds) -> _Minimum:
+    """Minimum of a distance d on the finite interval bounds = (a, b), a <=
+    b, as the root of its range rate g = d (dd/dt); probe(t) gives (d, g,
+    r), r the sum of the two radii, whose rounding eps r bounds d's.
 
-#: The relative step floor of :func:`_bounded_brent`: scipy's sqrt(2.2e-16).
-_SQRT_EPS = math.sqrt(2.2e-16)
-
-
-def _bounded_brent(fun, bounds, xatol: float, maxiter: int) -> _BrentResult:
-    """Minimum of fun on the finite interval bounds = (a, b), a <= b, by
-    Brent's bounded search (Brent 1973, Algorithms for Minimization without
-    Derivatives, ch. 5): scipy's ``minimize_scalar(method="bounded")`` step
-    for step, in float arithmetic, so its points, result and nfev are
-    scipy's bit for bit.
-
-    Each step fits a parabola through the best three points and takes its
-    vertex if that lies inside the bracket and moves less than half the
-    step before last; otherwise it takes the golden section of the larger
-    side.  No step is shorter than tol1 = sqrt(2.2e-16) |x| + xatol / 3.
-    The search stops when the bracket lies within 2 tol1 of its best point,
-    or after maxiter evaluations."""
+    Without a sign change of g from a to b the better end is the minimum.
+    Otherwise regula falsi with the Illinois modification (Dowell &
+    Jarratt 1971, BIT 11) finds the root: the end kept twice in a row has
+    its g halved, and a point that rounds onto an end becomes the
+    midpoint.  g is nearly linear near a close approach, where the
+    relative motion is nearly straight, so few points are needed.  The
+    search stops where rounding fixes the time: where the distance still
+    to gain on the way to the next point x', |g (x' - x)| in d^2, is at
+    most eps r.  It returns the smallest distance it evaluated."""
     a, b = bounds
-    xf = nfc = fulc = a + _GOLDEN * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = fun(xf)
-    nfev = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:
-                    rat = tol1 * (-1.0 if xm - xf < 0.0 else 1.0)
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + (-1.0 if rat < 0.0 else 1.0) * max(abs(rat), tol1)
-        fu = fun(x)
-        nfev += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if nfev >= maxiter:
+    (da, ga, _), (db, gb, _) = probe(a), probe(b)
+    best, nfev, g_last = min((da, a), (db, b)), 2, 0.0
+    if not ga < 0.0 < gb:
+        return _Minimum(*best, nfev)
+    x = b - gb * (b - a) / (gb - ga)
+    while True:
+        x = x if a < x < b else a + 0.5 * (b - a)
+        if not a < x < b:
             break
-    return _BrentResult(x=xf, fun=fx, nfev=nfev)
+        d, g, r = probe(x)
+        best, nfev = min(best, (d, x)), nfev + 1
+        if g < 0.0:
+            a, ga, gb = x, g, gb * (0.5 if g_last < 0.0 else 1.0)
+        else:
+            b, gb, ga = x, g, ga * (0.5 if g_last > 0.0 else 1.0)
+        g_last = g
+        x_next = b - gb * (b - a) / (gb - ga)
+        gain = d - math.sqrt(max(d * d - abs(g * (x_next - x)), 0.0))
+        if not gain > sys.float_info.epsilon * r:
+            break
+        x = x_next
+    return _Minimum(*best, nfev)
 
 
-#: The minimizer :func:`_refine` looks up at each call, so that it can be
+#: The search :func:`_refine` looks up at each call, so that it can be
 #: wrapped (the benchmark's tracer counts its evaluations here).
-minimize_scalar = _bounded_brent
+minimize_scalar = _rate_root
 
 
-def _refine(distance, lo, hi) -> tuple[float, float]:
-    """(t, d) of a :func:`_bounded_brent` search to within 1e-9 s, at most
-    200 evaluations, for the minimum of distance on [lo, hi].  It runs on
-    the offset s = t - lo in [0, hi - lo], because on t itself the step
-    floor sqrt(2.2e-16) |t| would grow with the time origin."""
-    lo = float(lo)
-    res = minimize_scalar(lambda s: distance(lo + s),
-                          (0.0, float(hi) - lo), xatol=1e-9, maxiter=200)
-    return lo + float(res.x), float(res.fun)
+def _refine(probe, lo, hi) -> tuple[float, float]:
+    """(t, d) of the minimum on [lo, hi] by ``minimize_scalar`` on probe."""
+    res = minimize_scalar(probe, (float(lo), float(hi)))
+    return float(res.x), float(res.fun)
 
 
-def _grid_minimum(distance, t_grid, d_grid) -> tuple[float, float]:
+def _approach(y, ydot, r1, r2) -> tuple:
+    """(d, g, r1 + r2) for :func:`_rate_root`: :func:`_separation` at the
+    nine floats y with radii r1, r2, and its rate under the rates ydot."""
+    half = 0.5 * y[0]
+    return (_separation(r1, r2, math.sin(half), math.cos(half), y[4], y[5]),
+            _separation_rate(y, ydot), r1 + r2)
+
+
+def _grid_minimum(probe, t_grid, d_grid) -> tuple[float, float]:
     """(t, d) of the best grid sample, refined by :func:`_refine` between
     its two neighbours when it is an interior strict local minimum."""
     k = int(np.nanargmin(d_grid))
     t_best, d_best = float(t_grid[k]), float(d_grid[k])
     if (0 < k < t_grid.size - 1 and d_best < d_grid[k - 1]
             and d_best < d_grid[k + 1]):
-        t_ref, d_ref = _refine(distance, t_grid[k - 1], t_grid[k + 1])
+        t_ref, d_ref = _refine(probe, t_grid[k - 1], t_grid[k + 1])
         if d_ref < d_best:
             t_best, d_best = t_ref, d_ref
     return t_best, d_best
@@ -495,8 +460,8 @@ def _node_bound(oe: NodalRelativeState, pair, distance, t0: float,
             else (cand, windows, _closing_speed(sats, mu)))
 
 
-def _node_window_minimum(distance, t_grid, cand: list, windows: list,
-                         speed: float) -> tuple[float, float]:
+def _node_window_minimum(distance, probe, t_grid, cand: list,
+                         windows: list, speed: float) -> tuple[float, float]:
     """(t, d) of the closest approach given the plane bound.
 
     Each window's samples are the window grid's own inside it and the cand
@@ -541,7 +506,7 @@ def _node_window_minimum(distance, t_grid, cand: list, windows: list,
             bracket = ends
         if min(da + db - speed * (tb - ta) for (da, ta), (db, tb)
                in zip(bracket, bracket[1:])) < 2.0 * d_best:
-            t_ref, d_ref = _refine(distance, bracket[0][1], bracket[-1][1])
+            t_ref, d_ref = _refine(probe, bracket[0][1], bracket[-1][1])
             if d_ref < d_best:
                 d_best, t_best = d_ref, t_ref
     return t_best, d_best
@@ -554,17 +519,19 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     """Search the window [t0, tf] for an actual close approach.
 
     The window grid has one sample per 1/200 of the shorter orbital period,
-    and at least 2000.  A search refines its best sample by a bounded Brent
-    minimization between the sample's two neighbours.  The bounds are times
-    only: a golden bracket checked on single-time evaluations can fail
-    against grid values from one vectorized Kepler solve, which differ in
-    the last digits.  A collision is declared when the minimum distance is
-    at most miss_tol (km).
+    and at least 2000.  A search refines its best sample between its two
+    neighbours by :func:`_rate_root`, the root of the range rate
+    (:func:`relstate._separation_rate`) under the rates of the same motion.
+    The bracket's ends are evaluated again, not taken from the grid, whose
+    vectorized Kepler solve differs from single-time ones in the last
+    digits.  A collision is declared when the minimum distance is at most
+    miss_tol (km).
 
     Without ``u`` the motion is the exact unperturbed flow, and one distance
     function serves every sample: radii, phase and rotated inclination
     vector from the coast kernel (:func:`dynamics._phase_sweep`), distance
-    from the kernel of :func:`separation_distance`.  The planes then stay
+    from the kernel of :func:`separation_distance`, and the refinement's
+    rates from :func:`dynamics._unperturbed_rates`.  The planes then stay
     fixed, which bounds the search (Hoots, Crawford & Roehrich 1984, in
     nodal form):
 
@@ -595,7 +562,7 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
     window is integrated once (DOP853 at relative tolerance RTOL), the
     samples are that solve's outputs at the grid times, and the refinement
     evaluates its dense interpolant in float arithmetic, so the objective
-    and the grid come from one source.
+    and the grid come from one source, and its rates (:func:`_nodal_rhs`).
 
     Raises
     ------
@@ -634,29 +601,34 @@ def c2_check(oe: NodalRelativeState, eta: ReferenceParams,
             return _separation(p1 / (1.0 + ec), p2 / (1.0 + e2 * cos(nu2)),
                                sin(half), cos(half), hx, hy)
 
+        def probe(t):
+            _, nu2, _, _, dtheta, dxx, dxy, hx, hy, ec, es = _anomaly_sweep(
+                pair, dh, t - t0, mu, clocks=clocks)
+            y = (dtheta, oe.dp, dxx, dxy, hx, hy, p1, ec, es)
+            return _approach(y, _unperturbed_rates(*y, mu), p1 / (1.0 + ec),
+                             p2 / (1.0 + e2 * math.cos(nu2)))
+
         bound = _node_bound(oe, pair, distance, t0, tf, mu)
         if bound is None:
-            t_best, d_best = _grid_minimum(distance, t_grid,
-                                           distance(t_grid))
+            t_best, d_best = _grid_minimum(probe, t_grid, distance(t_grid))
         else:
-            t_best, d_best = _node_window_minimum(distance, t_grid, *bound)
+            t_best, d_best = _node_window_minimum(distance, probe, t_grid,
+                                                  *bound)
     else:
         sol = _solve_nodal(oe, eta, t_grid, mu, u, True)
 
-        def distance(t):
-            dtheta, dp, dxx, dxy, hx, hy, p1, ec, es = sol.sol(t).tolist()
-            c, s = math.cos(dtheta), math.sin(dtheta)
-            denom = _radius_denominator(c, s, dxx, dxy, ec, es)
+        def probe(t):
+            y = sol.sol(t)
+            dtheta, dp, dxx, dxy, hx, hy, p1, ec, es = vals = y.tolist()
+            denom = _radius_denominator(math.cos(dtheta), math.sin(dtheta),
+                                        dxx, dxy, ec, es)
             if not denom > 0.0:
-                return math.nan
-            r1, r2 = _position_kernel(c, s, denom, dp, dxx, dxy, hx, hy,
-                                      p1, ec, es)[:2]
-            half = 0.5 * dtheta
-            return _separation(r1, r2, math.sin(half), math.cos(half),
-                               hx, hy)
+                return math.nan, math.nan, math.nan
+            return _approach(vals, _nodal_rhs(t, y, u, mu).tolist(),
+                             p1 / (1.0 + ec), p1 * (1.0 + dp) / denom)
 
         t_best, d_best = _grid_minimum(
-            distance, t_grid,
+            probe, t_grid,
             separation_distance(sol.y[:6].T, sol.y[6:].T))
 
     return C2Result(collides=d_best <= miss_tol, t_min=t_best, d_min=d_best)

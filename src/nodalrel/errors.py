@@ -5,11 +5,11 @@ class NodalError(Exception):
     """Base class for all package-specific errors."""
 
 
-class RetrogradeSingularity(NodalError):
+class RetrogradeSingularity(NodalError, ValueError):
     """Relative inclination is at (or numerically too close to) pi.
 
     The inclination-vector components carry a tan(gamma/2) factor, so purely
-    retrograde orbit pairs cannot be represented.
+    retrograde orbit pairs cannot be represented (an input error).
     """
 
 
@@ -33,5 +33,6 @@ class ZeroRange(NodalError):
     """Angles-only measurement requested at zero inter-satellite distance."""
 
 
-class InfeasibleEncounter(NodalError):
-    """Requested encounter geometry cannot be met with closed orbits."""
+class InfeasibleEncounter(NodalError, ValueError):
+    """Requested encounter geometry cannot be met with closed orbits (an
+    input error)."""

@@ -349,6 +349,32 @@ def _separation(r1, r2, sin_half, cos_half, hx, hy):
     return d2 ** 0.5
 
 
+def _separation_rate(y, ydot) -> float:
+    """d (dd/dt) for the distance d of :func:`_separation` at the nine
+    floats y of :func:`_floats` with rates ydot: the chain rule through
+    r1 = p1 / (1 + ec), r2 = p1 (1 + dp) / D (D the radius denominator)
+    and that formula, S's rate included, which forcing makes nonzero."""
+    dtheta, dp, dxx, dxy, hx, hy, p1, ec, es = y
+    th_dot, dp_dot, dxx_dot, dxy_dot, hx_dot, hy_dot, p1_dot, ec_dot, \
+        es_dot = ydot
+    sh, ch = math.sin(0.5 * dtheta), math.cos(0.5 * dtheta)
+    c, s = ch * ch - sh * sh, 2.0 * sh * ch
+    denom = _radius_denominator(c, s, dxx, dxy, ec, es)
+    denom_dot = ((dxx_dot + ec_dot) * c - (dxy_dot + es_dot) * s
+                 - th_dot * ((dxx + ec) * s + (dxy + es) * c))
+    r1, r2 = p1 / (1.0 + ec), p1 * (1.0 + dp) / denom
+    r1_dot = (p1_dot - r1 * ec_dot) / (1.0 + ec)
+    r2_dot = (p1_dot * (1.0 + dp) + p1 * dp_dot - r2 * denom_dot) / denom
+    w = hx * sh + hy * ch
+    w_dot = hx_dot * sh + hy_dot * ch + 0.5 * th_dot * (hx * ch - hy * sh)
+    q, q_dot = sh * sh + w * w, sh * ch * th_dot + 2.0 * w * w_dot
+    smag = 1.0 + hx * hx + hy * hy
+    smag_rel = 2.0 * (hx * hx_dot + hy * hy_dot) / smag  # S'/S
+    return ((r1 - r2) * (r1_dot - r2_dot)
+            + 2.0 * ((r1_dot * r2 + r1 * r2_dot) * q
+                     + r1 * r2 * (q_dot - q * smag_rel)) / smag)
+
+
 def separation_distance(oe_arr: np.ndarray, eta_arr: np.ndarray) -> np.ndarray:
     """Inter-satellite distance for stacked states, from the radii and the
     half-phase form of :func:`_separation` (no cancellation at close

@@ -127,7 +127,7 @@ UNREACHED = {
         "only position_jacobians calls it (items 1, 15)",
     "relstate.separation_distance":
         "traced by the benchmark; only the forced C2 calls it (items 1, 15)",
-    "conjunction.c2_check.<locals>.distance[2]":
+    "conjunction.c2_check.<locals>.probe[2]":
         "the forced C2 search, run by the benchmark's screen (items 1, 15)",
     "missionsim.config_to_dict":
         "the benchmark's workloads write their configs with it (item 7)",

@@ -230,6 +230,38 @@ def test_unusable_config_file_exits_2(tmp_path, capsys, text, message):
         message.format(path=cfg_path))
 
 
+#: A config whose encounter cannot be met at its relative speed, and one
+#: whose reference is retrograde to the default target (antiparallel
+#: orbit normals), which the nodal state cannot represent.
+UNREPRESENTABLE = {
+    "infeasible": ({"encounter": {"relative_speed_km_s": 0.001}},
+                   "relative speed too small"),
+    "retrograde": ({"encounter": None, "reference": {
+        "a_km": 3.6e8, "e": 0.1, "i_deg": 176.94, "raan_deg": 260.9,
+        "argp_deg": 250.0, "nu_deg": 10.0}}, "too close to pi"),
+}
+
+
+@pytest.mark.parametrize("command", ["flyby", "montecarlo"])
+@pytest.mark.parametrize("case", sorted(UNREPRESENTABLE))
+def test_unrepresentable_scenario_exits_2(tmp_path, capsys, command, case):
+    # both ended in a traceback with status 1
+    cfg, message = UNREPRESENTABLE[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert message in cli_error(
+        capsys, [command, "--config", str(cfg_path), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_retrograde_pair_exits_2(capsys):
+    # a traceback with status 1, as above
+    assert "too close to pi" in cli_error(capsys, [
+        "screen", "--orbit1", "7000", "0.01", "10", "0", "0", "0",
+        "--orbit2", "7000", "0.01", "170", "180", "0", "0"])
+
+
 def test_jobs_zero_reaches_the_config_check():
     args = build_parser().parse_args(["montecarlo", "--jobs", "0"])
     with pytest.raises(ValueError, match="^jobs must"):

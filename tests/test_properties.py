@@ -3,18 +3,16 @@ paths of the position and margin kernels against their scalar paths, the
 analytic Jacobians and the filter's transition row against central
 differences, the coast kernel's float path against its array path and
 the filter's coast against the unperturbed flow, the propagator's forcing
-against the input matrices, the soundness of the C2 search's plane bound;
-over random objectives and brackets, the C2 refinement's bounded Brent
-search against scipy's; over random element pairs, the nodal round trip
-and the soundness of C1; and over random encounter specifications, the
+against the input matrices, the soundness of the C2 search's plane bound
+and its separation rate against central differences along the free and
+the forced motion; over random element pairs, the nodal round trip and
+the soundness of C1; and over random encounter specifications, the
 constructed collision."""
 
 import math
-import struct
 
 import numpy as np
 from hypothesis import assume, example, given, strategies as st
-from scipy.optimize import minimize_scalar
 
 from nodalrel import (
     MU_EARTH,
@@ -41,13 +39,15 @@ from nodalrel import (
     zeta,
     zeta_gradient,
 )
-from nodalrel.conjunction import (_bounded_brent, _closing_speed,
-                                  _node_margin_arrays, _node_margins,
-                                  _plane_geometry, _plane_windows)
-from nodalrel.dynamics import _anomaly_sweep, _nodal_rhs
+from nodalrel.conjunction import (_closing_speed, _node_margin_arrays,
+                                  _node_margins, _plane_geometry,
+                                  _plane_windows)
+from nodalrel.dynamics import (_anomaly_sweep, _nodal_rhs, _solve_nodal,
+                               _unperturbed_rates)
 from nodalrel.navigation import _coast
 from nodalrel.relstate import (_floats, _kepler_pair, _position_arrays,
-                               _radius_denominator, _reference_jacobian)
+                               _radius_denominator, _reference_jacobian,
+                               _separation_rate)
 
 from conftest import classical_from_oe, reference_e1
 from test_conjunction import node_crossing_radii
@@ -323,42 +323,34 @@ ELEMENTS = st.builds(ClassicalElements, a=st.floats(7e3, 5e4),
                      raan=ANGLE, argp=ANGLE, nu=ANGLE)
 
 
-def brent_objective(kind, centre):
-    """A V-shaped, smooth, constant or (beyond centre) nan-returning
-    function, with its minimum, if any, at centre."""
-    if kind == "v":
-        return lambda x: abs(x - centre)
-    if kind == "smooth":
-        return lambda x: ((x - centre) * (x - centre)
-                          + 0.25 * math.cos(3.0 * (x - centre)))
-    if kind == "constant":
-        return lambda x: 2.5
-    return lambda x: math.nan if x > centre else (x - centre) * (x - centre)
-
-
-# The C2 refinement's bounded Brent search against scipy's, its oracle, bit
-# for bit: zero-width brackets, origins at the desk flyby's times (~1.7e6
-# s), where the step floor sqrt(2.2e-16) |x| dominates, and a maxiter that
-# binds.
-@example("v", 1.7e6, 0.0, 0.5, 1e-9, 200)
-@example("smooth", 1.7e6, 30.0, 0.3, 1e-9, 3)
-@example("nan", 0.0, 10.0, 0.0, 1e-9, 200)
-@given(kind=st.sampled_from(("v", "smooth", "constant", "nan")),
-       origin=st.one_of(st.floats(-10.0, 10.0),
-                        st.floats(1.7e6 - 1e3, 1.7e6 + 1e3)),
-       width=st.one_of(st.just(0.0), st.floats(1e-9, 1e4)),
-       where=st.floats(-0.5, 1.5),
-       xatol=st.sampled_from((0.0, 1e-9, 1e-5, 0.1)),
-       maxiter=st.one_of(st.integers(1, 12), st.just(200)))
-def test_bounded_brent_matches_scipy_bit_for_bit(kind, origin, width, where,
-                                                 xatol, maxiter):
-    fun = brent_objective(kind, origin + where * width)
-    bounds = (origin, origin + width)
-    res = _bounded_brent(fun, bounds, xatol=xatol, maxiter=maxiter)
-    ref = minimize_scalar(fun, bounds=bounds, method="bounded",
-                          options={"xatol": xatol, "maxiter": maxiter})
-    bits = [struct.pack("<d", x) for x in (res.x, res.fun, ref.x, ref.fun)]
-    assert (bits[:2], res.nfev) == (bits[2:], ref.nfev)
+@given(state_and_reference(), st.floats(0.0, 1.0),
+       st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_separation_rate_matches_central_differences(pair, fraction, u):
+    # The C2 refinement finds the root of this rate, so it must be the rate
+    # of the distance: along the unperturbed flow, and along a forced
+    # DOP853 solve, where |dh| and with it S change.  The forcing is up to
+    # 1 % of the reference's gravity at its semiparameter.
+    oe, eta = pair
+    _, sats = _plane_geometry(oe, _kepler_pair(*_floats(oe, eta)))
+    speed = _closing_speed(sats, MU_EARTH)
+    t = coast_window(pair, fraction)
+    h = 1e-5 * coast_window(pair, 1.0)
+    times = [t - h, t, t + h]
+    scale = 1e-2 * MU_EARTH / eta.p1 ** 2
+    pin = PerturbationInput(u1=scale * np.array(u[:3]),
+                            u2=scale * np.array(u[3:]))
+    forced = _solve_nodal(oe, eta, [t - h, t + h], MU_EARTH, lambda _t: pin,
+                          True).sol(times).T
+    free = np.hstack(unperturbed_flow(oe, eta, MU_EARTH, times))
+    for y, rates in ((free, _unperturbed_rates(*free[1], MU_EARTH)),
+                     (forced, _nodal_rhs(t, forced[1], lambda _t: pin,
+                                         MU_EARTH).tolist())):
+        d = separation_distance(y[:, :6], y[:, 6:])
+        fd = (d[2] ** 2 - d[0] ** 2) / (4.0 * h)
+        g = _separation_rate(y[1].tolist(), rates)
+        # |g| = d |dd/dt| <= d speed: the scale of g, and of its central
+        # difference's truncation where d is small.
+        assert abs(g - fd) <= 1e-6 * speed * (d[1] + speed * h)
 
 
 @given(ELEMENTS, ELEMENTS)
